@@ -94,10 +94,10 @@ bench:
 
 # Regenerate the committed benchmark baseline the CI `bench` job gates
 # against (fixed -benchtime/-count so reports stay diffable). Like
-# lint-baseline, review the BENCH_PR10.json diff like code — a looser
+# lint-baseline, review the bench.baseline.json diff like code — a looser
 # baseline is a perf regression being waved through.
 bench-baseline:
-	$(GO) run ./cmd/bgpbench run -count 5 -benchtime 2000x -out BENCH_PR10.json
+	$(GO) run ./cmd/bgpbench run -count 5 -benchtime 2000x -out bench.baseline.json
 
 # Compiler escape-analysis budget gate: rebuild the hot packages with
 # -gcflags=-json and fail on new heap-escape sites, lost inlining, or

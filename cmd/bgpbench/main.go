@@ -1,14 +1,14 @@
 // Command bgpbench is the benchmark harness behind the CI perf gate:
 // it runs the named codec + pipeline + grouping benchmark subset with a
 // fixed -benchtime/-count, emits a machine-readable JSON report (schema
-// repro/bgpbench/v1, see BENCH_PR10.json at the repo root), and compares
+// repro/bgpbench/v1, see bench.baseline.json at the repo root), and compares
 // a fresh report against a committed baseline with a tolerance gate.
 //
 // Usage:
 //
-//	bgpbench run -out BENCH_PR10.json            # collect a report
+//	bgpbench run -out bench.baseline.json        # collect a report
 //	bgpbench run -count 5 -benchtime 2000x -out bench.json
-//	bgpbench compare -baseline BENCH_PR10.json -current bench.json
+//	bgpbench compare -baseline bench.baseline.json -current bench.json
 //
 // Exit codes: 0 pass (or comparison skipped on host mismatch),
 // 1 regression detected, 2 harness failure.
@@ -40,7 +40,8 @@ import (
 // the serving daemon's ingest and query paths, the segmented store's
 // encode/scan/merge paths, and a small scheduler campaign per
 // registered policy (BenchmarkSchedRun expands into one sub-benchmark
-// per policy, so each counterfactual is gated individually).
+// per policy, so each counterfactual is gated individually), and the
+// §VII prediction study over the quick campaign.
 var benchSubset = []string{
 	"BenchmarkRASUnmarshal",
 	"BenchmarkRASUnmarshalFields",
@@ -61,6 +62,7 @@ var benchSubset = []string{
 	"BenchmarkSegmentScan",
 	"BenchmarkSegmentMerge",
 	"BenchmarkSchedRun",
+	"BenchmarkExtensionPrediction",
 }
 
 // benchPackages are the packages the subset lives in.
@@ -167,7 +169,7 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bgpbench compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		basePath  = fs.String("baseline", "BENCH_PR10.json", "committed baseline report")
+		basePath  = fs.String("baseline", "bench.baseline.json", "committed baseline report")
 		curPath   = fs.String("current", "", "fresh report to gate (required)")
 		tolerance = fs.Float64("tolerance", 0.25, "allowed ns/op growth fraction")
 	)

@@ -244,6 +244,15 @@ func TestRunEndToEnd(t *testing.T) {
 	if len(rep.Benchmarks) != want {
 		t.Errorf("report has %d benchmarks, want %d (%+v)", len(rep.Benchmarks), want, rep.Benchmarks)
 	}
+	// The prediction study is gated: its per-event idleness test must
+	// stay on the occupancy index, not a scan of the job log.
+	gated := map[string]bool{}
+	for _, b := range rep.Benchmarks {
+		gated[key(b.Package, b.Name)] = true
+	}
+	if !gated[key("repro", "BenchmarkExtensionPrediction")] {
+		t.Errorf("report lacks repro.BenchmarkExtensionPrediction (%+v)", rep.Benchmarks)
+	}
 	// Self-comparison must pass the gate.
 	regs := compareReports(rep, rep, 0.25)
 	if len(regs) != 0 {

@@ -36,10 +36,11 @@ func main() {
 	fmt.Println("chain-predictor window sweep:")
 	fmt.Printf("  %-8s  %-8s  %-16s  %s\n", "window", "recall", "alarm mp-hours", "hits/alarm-day")
 	events := rep.Analysis().Events
+	idle := rep.Analysis().IdleEvents()
 	for _, window := range []time.Duration{
 		time.Hour, 6 * time.Hour, 24 * time.Hour, 72 * time.Hour,
 	} {
-		res, err := predict.Evaluate(predict.NewChainPredictor(window), events, rep.Jobs())
+		res, err := predict.Evaluate(predict.NewChainPredictor(window), events, idle)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func (r *Report) PredictorStudy() ([]predict.Result, error) {
 		predict.NewRatePredictor(24*time.Hour, 1.5),
 		predict.NewRatePredictor(24*time.Hour, 0.75),
 	}
-	return predict.Compare(ps, r.analysis.Events, r.jobs)
+	return predict.Compare(ps, r.analysis.Events, r.analysis.IdleEvents())
 }
 
 // RenderPrediction writes the failure-prediction study (extension of

@@ -82,6 +82,18 @@ func (a *Analysis) identify() {
 	}
 }
 
+// IdleEvents reports, index-aligned with a.Events, whether no job was
+// running on any of the event's midplanes when it began: the location
+// idleness the §VII prediction study scores (Obs. 7), answered from the
+// occupancy index that also decides Case 3 above.
+func (a *Analysis) IdleEvents() []bool {
+	idle := make([]bool, len(a.Events))
+	for i, ev := range a.Events {
+		idle[i] = !a.anyRunningAt(ev)
+	}
+	return idle
+}
+
 // anyRunningAt reports whether any job was running on any of the
 // event's midplanes when it began.
 func (a *Analysis) anyRunningAt(ev *filter.Event) bool {

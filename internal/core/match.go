@@ -18,6 +18,9 @@ import (
 type occupancyIndex struct {
 	// perMp[mp] holds the jobs touching mp, sorted by StartTime.
 	perMp [bgp.NumMidplanes][]joblog.Job
+	// maxEnd[mp][k] is the latest EndTime among perMp[mp][:k+1]; it
+	// bounds runningOn's walk back.
+	maxEnd [bgp.NumMidplanes][]time.Time
 	// byEnd holds all jobs sorted by EndTime (the log's native order).
 	byEnd []joblog.Job
 }
@@ -32,8 +35,22 @@ func newOccupancyIndex(jobs *joblog.Log) *occupancyIndex {
 	for mp := range ix.perMp {
 		js := ix.perMp[mp]
 		sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
+		ix.maxEnd[mp] = prefixMaxEnd(js)
 	}
 	return ix
+}
+
+// prefixMaxEnd returns the running maximum of EndTime over js.
+func prefixMaxEnd(js []joblog.Job) []time.Time {
+	out := make([]time.Time, len(js))
+	var m time.Time
+	for k := range js {
+		if k == 0 || js[k].EndTime.After(m) {
+			m = js[k].EndTime
+		}
+		out[k] = m
+	}
+	return out
 }
 
 // runningOn returns the job running on midplane mp at time t, if any.
@@ -41,10 +58,11 @@ func (ix *occupancyIndex) runningOn(mp int, t time.Time) (joblog.Job, bool) {
 	js := ix.perMp[mp]
 	// Last job with StartTime <= t.
 	i := sort.Search(len(js), func(k int) bool { return js[k].StartTime.After(t) }) - 1
-	// Inline system kills can leave a sub-minute tail where the next
-	// allocation has already started; walk back over at most a couple of
-	// entries.
-	for k := i; k >= 0 && k >= i-2; k-- {
+	// Inline system kills can leave a sub-minute tail in which later
+	// allocations already start, and short ones even end; walk back
+	// until no earlier job ends after t. Usually that is one step.
+	ends := ix.maxEnd[mp]
+	for k := i; k >= 0 && ends[k].After(t); k-- {
 		if js[k].RunningAt(t) {
 			return js[k], true
 		}

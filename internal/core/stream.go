@@ -47,9 +47,11 @@ type OccupancyBuilder struct {
 	// raw holds each midplane's jobs in append (byEnd) order — the exact
 	// input permutation newOccupancyIndex hands to its sort.
 	raw [bgp.NumMidplanes][]joblog.Job
-	// sorted caches the sorted copy per midplane; dirty marks midplanes
-	// whose cache is stale. A snapshot re-sorts only dirty midplanes.
+	// sorted caches the sorted copy per midplane and maxEnd its EndTime
+	// prefix maximum; dirty marks midplanes whose cache is stale. A
+	// snapshot re-sorts only dirty midplanes.
 	sorted [bgp.NumMidplanes][]joblog.Job
+	maxEnd [bgp.NumMidplanes][]time.Time
 	dirty  [bgp.NumMidplanes]bool
 }
 
@@ -77,9 +79,11 @@ func (b *OccupancyBuilder) Snapshot() *Occupancy {
 			js := append([]joblog.Job(nil), b.raw[mp]...)
 			sort.Slice(js, func(a, c int) bool { return js[a].StartTime.Before(js[c].StartTime) })
 			b.sorted[mp] = js
+			b.maxEnd[mp] = prefixMaxEnd(js)
 			b.dirty[mp] = false
 		}
 		ix.perMp[mp] = b.sorted[mp]
+		ix.maxEnd[mp] = b.maxEnd[mp]
 	}
 	return &Occupancy{ix: ix}
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/bgp"
@@ -560,9 +561,14 @@ func ReadAllParallel(r io.Reader, workers int) ([]Job, error) {
 }
 
 // Log is an in-memory job log ordered by EndTime, with the aggregate
-// queries the co-analysis needs.
+// queries the co-analysis needs. It is immutable after NewLog, so the
+// indexes derived from it are built once, on first use, and shared by
+// every reader; a Log is safe for concurrent use.
 type Log struct {
 	jobs []Job
+
+	byExecOnce sync.Once
+	byExec     map[string][]Job
 }
 
 // NewLog returns a log over jobs ordered by (EndTime, ID).
@@ -597,29 +603,6 @@ func (l *Log) DistinctExecutables() (distinct, resubmitted int) {
 		}
 	}
 	return len(count), resubmitted
-}
-
-// RunningAt returns the jobs executing at time t.
-func (l *Log) RunningAt(t time.Time) []Job {
-	var out []Job
-	for _, j := range l.jobs {
-		if j.RunningAt(t) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// RunningOn returns the jobs executing at time t whose partition
-// contains midplane mp.
-func (l *Log) RunningOn(t time.Time, mp int) []Job {
-	var out []Job
-	for _, j := range l.jobs {
-		if j.RunningAt(t) && j.OnMidplane(mp) {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // MidplaneBusySeconds returns, per global midplane, the total seconds
@@ -657,15 +640,19 @@ func (l *Log) Span() (first, last time.Time) {
 	return first, l.jobs[len(l.jobs)-1].EndTime
 }
 
-// ByExecFile groups job indices by executable, each group ordered by
-// StartTime; used by resubmission analyses.
+// ByExecFile groups jobs by executable, each group ordered by
+// StartTime; used by resubmission analyses. The grouping is built once
+// per Log and shared: callers must not mutate the map or its slices.
 func (l *Log) ByExecFile() map[string][]Job {
-	m := make(map[string][]Job)
-	for _, j := range l.jobs {
-		m[j.ExecFile] = append(m[j.ExecFile], j)
-	}
-	for _, js := range m {
-		sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
-	}
-	return m
+	l.byExecOnce.Do(func() {
+		m := make(map[string][]Job)
+		for _, j := range l.jobs {
+			m[j.ExecFile] = append(m[j.ExecFile], j)
+		}
+		for _, js := range m {
+			sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
+		}
+		l.byExec = m
+	})
+	return l.byExec
 }

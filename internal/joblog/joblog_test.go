@@ -2,7 +2,11 @@ package joblog
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -154,14 +158,6 @@ func TestLogQueries(t *testing.T) {
 	if d != 2 || r != 1 {
 		t.Errorf("DistinctExecutables = %d,%d want 2,1", d, r)
 	}
-	run := l.RunningAt(t0.Add(30 * time.Minute))
-	if len(run) != 2 {
-		t.Errorf("RunningAt = %d jobs, want 2", len(run))
-	}
-	on := l.RunningOn(t0.Add(30*time.Minute), 2)
-	if len(on) != 1 || on[0].ID != 2 {
-		t.Errorf("RunningOn = %+v", on)
-	}
 	busy := l.MidplaneBusySeconds(0)
 	if busy[0] != 7200 { // two 1-hour jobs on midplane 0
 		t.Errorf("busy[0] = %v, want 7200", busy[0])
@@ -180,6 +176,51 @@ func TestLogQueries(t *testing.T) {
 	groups := l.ByExecFile()
 	if len(groups["/a"]) != 2 || !groups["/a"][0].StartTime.Before(groups["/a"][1].StartTime) {
 		t.Errorf("ByExecFile grouping wrong: %+v", groups["/a"])
+	}
+}
+
+// freshByExecFile is the grouping ByExecFile shares, rebuilt per call
+// with the same comparator and sort call.
+func freshByExecFile(l *Log) map[string][]Job {
+	m := make(map[string][]Job)
+	for _, j := range l.All() {
+		m[j.ExecFile] = append(m[j.ExecFile], j)
+	}
+	for _, js := range m {
+		sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
+	}
+	return m
+}
+
+func TestByExecFileSharedAndEqualToFreshBuild(t *testing.T) {
+	t0 := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
+	var jobs []Job
+	for i := 0; i < 300; i++ {
+		// Start times collide within an executable, so the unstable
+		// sort's tie order is part of what must match.
+		start := t0.Add(time.Duration(i*37%50) * time.Minute)
+		jobs = append(jobs, mkJob(int64(i), fmt.Sprintf("/app%d", i%7), start,
+			start.Add(time.Duration(1+i%5)*time.Hour), bgp.Partition{Start: i % 40, Size: 1}))
+	}
+	l := NewLog(jobs)
+	got := make([]map[string][]Job, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = l.ByExecFile()
+		}(i)
+	}
+	wg.Wait()
+	want := freshByExecFile(l)
+	for i, m := range got {
+		if reflect.ValueOf(m).Pointer() != reflect.ValueOf(got[0]).Pointer() {
+			t.Errorf("reader %d got its own grouping, want the shared one", i)
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Errorf("reader %d: shared grouping differs from a fresh build", i)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/filter"
-	"repro/internal/joblog"
 )
 
 // Result scores one predictor over a replayed event stream.
@@ -37,11 +36,16 @@ type Result struct {
 // Evaluate replays the time-ordered events through the predictor: at
 // each event it first asks whether the event's midplanes were alarmed
 // (scoring), then lets the predictor observe the event. Alarm time is
-// integrated on a fixed grid. jobs supplies occupancy for the
-// idle-location analysis (may be nil).
-func Evaluate(p Predictor, events []*filter.Event, jobs *joblog.Log) (Result, error) {
+// integrated on a fixed grid. idle flags, index-aligned with events,
+// the events that struck while no job ran on any of their midplanes
+// (core.Analysis.IdleEvents computes them); nil means no job log, so
+// no idle hits are counted.
+func Evaluate(p Predictor, events []*filter.Event, idle []bool) (Result, error) {
 	if len(events) == 0 {
 		return Result{}, fmt.Errorf("predict: no events")
+	}
+	if idle != nil && len(idle) != len(events) {
+		return Result{}, fmt.Errorf("predict: %d idle flags for %d events", len(idle), len(events))
 	}
 	p.Reset()
 	res := Result{Predictor: p.Name()}
@@ -64,18 +68,7 @@ func Evaluate(p Predictor, events []*filter.Event, jobs *joblog.Log) (Result, er
 			}
 			if alarmed {
 				res.Hits++
-				if jobs != nil && len(jobs.RunningAt(ev.First)) > 0 {
-					idle := true
-					for _, mp := range ev.Midplanes {
-						if len(jobs.RunningOn(ev.First, mp)) > 0 {
-							idle = false
-							break
-						}
-					}
-					if idle {
-						res.IdleHits++
-					}
-				} else if jobs != nil {
+				if idle != nil && idle[next-1] {
 					res.IdleHits++
 				}
 			} else {
@@ -121,11 +114,12 @@ func Evaluate(p Predictor, events []*filter.Event, jobs *joblog.Log) (Result, er
 	return res, nil
 }
 
-// Compare evaluates several predictors over the same stream.
-func Compare(ps []Predictor, events []*filter.Event, jobs *joblog.Log) ([]Result, error) {
+// Compare evaluates several predictors over the same stream and idle
+// flags (see Evaluate).
+func Compare(ps []Predictor, events []*filter.Event, idle []bool) ([]Result, error) {
 	out := make([]Result, 0, len(ps))
 	for _, p := range ps {
-		r, err := Evaluate(p, events, jobs)
+		r, err := Evaluate(p, events, idle)
 		if err != nil {
 			return nil, err
 		}

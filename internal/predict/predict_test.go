@@ -145,3 +145,44 @@ func TestCompareOrdersAndNames(t *testing.T) {
 		t.Error("chain should use less alarm time than always")
 	}
 }
+
+func TestEvaluateCountsIdleHits(t *testing.T) {
+	events := []*filter.Event{ev("a", 0, 1), ev("a", time.Hour, 2), ev("a", 2*time.Hour, 3)}
+	idle := []bool{true, false, true}
+	r, err := Evaluate(AlwaysPredictor{}, events, idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Hits != 3 || r.IdleHits != 2 {
+		t.Errorf("hits/idle hits = %d/%d, want 3/2", r.Hits, r.IdleHits)
+	}
+	if want := 2.0 / 3; r.AvoidableActionFraction != want {
+		t.Errorf("avoidable fraction = %v, want %v", r.AvoidableActionFraction, want)
+	}
+	// Idle misses are not avoidable actions: nothing was predicted.
+	never, err := Evaluate(NeverPredictor{}, events, idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if never.IdleHits != 0 {
+		t.Errorf("never: idle hits = %d", never.IdleHits)
+	}
+	// Nil flags mean no job log: hits, but no idle hits.
+	blind, err := Evaluate(AlwaysPredictor{}, events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind.Hits != 3 || blind.IdleHits != 0 {
+		t.Errorf("no job log: hits/idle hits = %d/%d, want 3/0", blind.Hits, blind.IdleHits)
+	}
+}
+
+func TestEvaluateRejectsMisalignedIdleFlags(t *testing.T) {
+	events := []*filter.Event{ev("a", 0, 1), ev("a", time.Hour, 1)}
+	if _, err := Evaluate(AlwaysPredictor{}, events, []bool{true}); err == nil {
+		t.Error("one idle flag for two events accepted")
+	}
+	if _, err := Compare([]Predictor{NeverPredictor{}}, events, []bool{true, true, true}); err == nil {
+		t.Error("Compare accepted three idle flags for two events")
+	}
+}

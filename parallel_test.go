@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -118,5 +119,48 @@ func TestEnsembleDeterministic(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("empty ensemble render")
+	}
+}
+
+// TestConcurrentRenderersShareOneReport renders the whole report from
+// several goroutines over one fresh Report, so the lazily built shared
+// indexes (the job log's per-executable grouping, the raw-log
+// aggregates) are first built under contention. Every copy must match
+// a report rendered alone. Run it under -race (make race does).
+func TestConcurrentRenderersShareOneReport(t *testing.T) {
+	cfg := QuickConfig(3)
+	cfg.Days = 20
+	solo, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := solo.RenderAll(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	shared, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]bytes.Buffer, 4)
+	errs := make([]error, len(outs))
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = shared.RenderAll(&outs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("renderer %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(outs[i].Bytes(), want.Bytes()) {
+			t.Errorf("renderer %d: report differs from a solo render (%d vs %d bytes)",
+				i, outs[i].Len(), want.Len())
+		}
 	}
 }

@@ -69,8 +69,11 @@ func (r *Report) RenderTableI(w io.Writer) error {
 	start, end := r.analysis.Span()
 	ls := r.logStats()
 	jobBytes := 0
-	for _, j := range r.jobs.All() {
-		jobBytes += len(j.MarshalLine()) + 1
+	var line []byte
+	jobs := r.jobs.All()
+	for i := range jobs {
+		line = jobs[i].AppendLine(line[:0])
+		jobBytes += len(line) + 1
 	}
 	t := report.NewTable("Table I: summary of the RAS log and job log",
 		"Log", "Days", "Start", "End", "Size", "Records")
