@@ -56,25 +56,8 @@ func Evaluate(p Predictor, events []*filter.Event, idle []bool) (Result, error) 
 	next := 0
 	for t := start; !t.After(end); t = t.Add(grid) {
 		// Feed events up to t.
-		for next < len(events) && !events[next].First.After(t) {
-			ev := events[next]
-			next++
-			alarmed := false
-			for _, mp := range ev.Midplanes {
-				if p.Alarmed(mp, ev.First) {
-					alarmed = true
-					break
-				}
-			}
-			if alarmed {
-				res.Hits++
-				if idle != nil && idle[next-1] {
-					res.IdleHits++
-				}
-			} else {
-				res.Misses++
-			}
-			p.Observe(ev)
+		for ; next < len(events) && !events[next].First.After(t); next++ {
+			res.score(p, events, idle, next)
 		}
 		// Integrate alarm load on the grid.
 		for mp := 0; mp < bgp.NumMidplanes; mp++ {
@@ -84,22 +67,8 @@ func Evaluate(p Predictor, events []*filter.Event, idle []bool) (Result, error) 
 		}
 	}
 	// Score any trailing events past the last grid point.
-	for next < len(events) {
-		ev := events[next]
-		next++
-		alarmed := false
-		for _, mp := range ev.Midplanes {
-			if p.Alarmed(mp, ev.First) {
-				alarmed = true
-				break
-			}
-		}
-		if alarmed {
-			res.Hits++
-		} else {
-			res.Misses++
-		}
-		p.Observe(ev)
+	for ; next < len(events); next++ {
+		res.score(p, events, idle, next)
 	}
 
 	if res.Hits+res.Misses > 0 {
@@ -112,6 +81,30 @@ func Evaluate(p Predictor, events []*filter.Event, idle []bool) (Result, error) 
 		res.AvoidableActionFraction = float64(res.IdleHits) / float64(res.Hits)
 	}
 	return res, nil
+}
+
+// score replays events[i]: a hit if any of its midplanes was alarmed
+// when it struck (an idle hit if idle flags it), a miss otherwise; then
+// p observes it.
+func (r *Result) score(p Predictor, events []*filter.Event, idle []bool, i int) {
+	ev := events[i]
+	alarmed := false
+	for _, mp := range ev.Midplanes {
+		if p.Alarmed(mp, ev.First) {
+			alarmed = true
+			break
+		}
+	}
+	switch {
+	case !alarmed:
+		r.Misses++
+	case idle != nil && idle[i]:
+		r.Hits++
+		r.IdleHits++
+	default:
+		r.Hits++
+	}
+	p.Observe(ev)
 }
 
 // Compare evaluates several predictors over the same stream and idle

@@ -186,3 +186,17 @@ func TestEvaluateRejectsMisalignedIdleFlags(t *testing.T) {
 		t.Error("Compare accepted three idle flags for two events")
 	}
 }
+
+func TestEvaluateScoresTrailingIdleHits(t *testing.T) {
+	// The hourly grid stops at 1h, so the 90-minute event is scored
+	// after the grid loop; its idle hit must count like any other.
+	events := []*filter.Event{ev("a", 0, 1), ev("a", 90*time.Minute, 2)}
+	r, err := Evaluate(AlwaysPredictor{}, events, []bool{true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Hits != 2 || r.IdleHits != 2 || r.AvoidableActionFraction != 1 {
+		t.Errorf("hits/idle hits/avoidable = %d/%d/%v, want 2/2/1",
+			r.Hits, r.IdleHits, r.AvoidableActionFraction)
+	}
+}
