@@ -34,9 +34,8 @@ func naiveRunningOn(l *joblog.Log, t time.Time, mp int) []joblog.Job {
 	return out
 }
 
-// naiveIdle is the idleness test the prediction study used to run per
-// hit: no job running anywhere, or none on any of the event's
-// midplanes.
+// naiveIdle reports an event's idleness by linear scans: no job
+// running anywhere, or none on any of the event's midplanes.
 func naiveIdle(l *joblog.Log, ev *filter.Event) bool {
 	if len(naiveRunningAt(l, ev.First)) == 0 {
 		return true

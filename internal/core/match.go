@@ -45,7 +45,7 @@ func prefixMaxEnd(js []joblog.Job) []time.Time {
 	out := make([]time.Time, len(js))
 	var m time.Time
 	for k := range js {
-		if k == 0 || js[k].EndTime.After(m) {
+		if js[k].EndTime.After(m) {
 			m = js[k].EndTime
 		}
 		out[k] = m

@@ -562,8 +562,8 @@ func ReadAllParallel(r io.Reader, workers int) ([]Job, error) {
 
 // Log is an in-memory job log ordered by EndTime, with the aggregate
 // queries the co-analysis needs. It is immutable after NewLog, so the
-// indexes derived from it are built once, on first use, and shared by
-// every reader; a Log is safe for concurrent use.
+// ByExecFile grouping is built once, on first use, and shared by every
+// reader; a Log is safe for concurrent use.
 type Log struct {
 	jobs []Job
 
