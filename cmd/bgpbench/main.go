@@ -15,8 +15,11 @@
 //
 // The gate: a benchmark regresses when its ns/op or B/op exceeds the
 // baseline by more than -tolerance (default 25%), or when its allocs/op
-// grows at all. When the current host metadata differs from the
-// baseline's (Go minor version, OS, arch or CPU count), the comparison
+// grows at all. Every benchmark runs at -cpu 1 (benchCPU): the
+// goroutine-spawning benchmarks' allocs/op waver by one between samples
+// when the scheduler has more than one P, and a gate that forbids any
+// allocs/op growth needs a count that repeats exactly. When the current
+// host metadata differs from the baseline's (Go minor version, OS, arch or CPU count), the comparison
 // is skipped with a warning — cross-host ns/op deltas are noise, and a
 // skipped gate is visible in the CI log rather than silently green on
 // bad data.
@@ -64,6 +67,11 @@ var benchSubset = []string{
 	"BenchmarkSchedRun",
 	"BenchmarkExtensionPrediction",
 }
+
+// benchCPU is the GOMAXPROCS every gated benchmark runs at (go test
+// -cpu). It is a constant, not a flag: a baseline and a fresh report
+// are only comparable when both were collected at the same value.
+const benchCPU = 1
 
 // benchPackages are the packages the subset lives in.
 var benchPackages = []string{"./internal/raslog", "./internal/joblog", "./internal/filter", "./internal/serve", "./internal/store", "."}
@@ -131,17 +139,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 // parses the output into a Report. The raw output is returned for
 // diagnostics when parsing or the run fails.
 func collect(dir, benchtime string, count int) (*Report, []byte, error) {
-	re := "^(" + strings.Join(benchSubset, "|") + ")$"
-	goArgs := []string{"test", "-run", "^$", "-bench", re,
-		"-benchtime", benchtime, "-count", fmt.Sprint(count), "-benchmem", "-timeout", "30m"}
-	goArgs = append(goArgs, benchPackages...)
-	cmd := exec.Command("go", goArgs...)
+	cmd := exec.Command("go", goTestArgs(benchtime, count)...)
 	cmd.Dir = dir
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf
-	// GOMAXPROCS is part of the emitted benchmark names; leave it to the
-	// host so the report reflects the machine being measured.
 	if err := cmd.Run(); err != nil {
 		return nil, buf.Bytes(), fmt.Errorf("go test -bench: %w", err)
 	}
@@ -156,13 +158,24 @@ func collect(dir, benchtime string, count int) (*Report, []byte, error) {
 	if err != nil {
 		return nil, buf.Bytes(), err
 	}
+	host := currentHost()
+	host.GOMAXPROCS = benchCPU
 	return &Report{
 		Schema:        SchemaV1,
-		GeneratedWith: currentHost(),
+		GeneratedWith: host,
 		Benchtime:     benchtime,
 		Count:         count,
 		Benchmarks:    benches,
 	}, nil, nil
+}
+
+// goTestArgs is the `go test` command line collect runs: the fixed
+// subset over benchPackages at -cpu benchCPU.
+func goTestArgs(benchtime string, count int) []string {
+	re := "^(" + strings.Join(benchSubset, "|") + ")$"
+	args := []string{"test", "-run", "^$", "-bench", re, "-cpu", fmt.Sprint(benchCPU),
+		"-benchtime", benchtime, "-count", fmt.Sprint(count), "-benchmem", "-timeout", "30m"}
+	return append(args, benchPackages...)
 }
 
 func cmdCompare(args []string, stdout, stderr io.Writer) int {

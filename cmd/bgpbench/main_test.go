@@ -63,6 +63,24 @@ func TestParseAndReduce(t *testing.T) {
 	}
 }
 
+// TestGoTestArgsPinCPU pins the gate's answer to wavering allocs/op:
+// every gated benchmark runs at one P, whatever the host offers.
+func TestGoTestArgsPinCPU(t *testing.T) {
+	args := goTestArgs("10x", 3)
+	found := false
+	for i := 0; i+1 < len(args); i++ {
+		if args[i] == "-cpu" {
+			found = true
+			if args[i+1] != "1" {
+				t.Errorf("-cpu %s, want 1", args[i+1])
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("go test args lack -cpu: %q", args)
+	}
+}
+
 func TestReduceRejectsWaveringAllocs(t *testing.T) {
 	in := `pkg: p
 BenchmarkX 	100	10 ns/op	1 B/op	1 allocs/op
@@ -252,6 +270,9 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !gated[key("repro", "BenchmarkExtensionPrediction")] {
 		t.Errorf("report lacks repro.BenchmarkExtensionPrediction (%+v)", rep.Benchmarks)
+	}
+	if rep.GeneratedWith.GOMAXPROCS != benchCPU {
+		t.Errorf("report records GOMAXPROCS %d, want %d", rep.GeneratedWith.GOMAXPROCS, benchCPU)
 	}
 	// Self-comparison must pass the gate.
 	regs := compareReports(rep, rep, 0.25)
