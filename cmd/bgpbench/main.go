@@ -15,10 +15,18 @@
 //
 // The gate: a benchmark regresses when its ns/op or B/op exceeds the
 // baseline by more than -tolerance (default 25%), or when its allocs/op
-// grows at all. Every benchmark runs at -cpu 1 (benchCPU): the
-// goroutine-spawning benchmarks' allocs/op waver by one between samples
-// when the scheduler has more than one P, and a gate that forbids any
-// allocs/op growth needs a count that repeats exactly. When the current
+// grows at all. A gate that forbids any allocs/op growth needs a count
+// that repeats exactly between samples, and the report is refused when
+// it does not. Two things made counts waver. With more than one P, the
+// goroutine-spawning benchmarks' allocs/op differ by one between
+// samples, so every benchmark runs at -cpu 1 (benchCPU). And a garbage
+// collection inside an op empties sync.Pools (fmt, encoding/json,
+// net/textproto on the serve path), whose refills then depend on when
+// the collector ran; -cpu 1 does not stop that. A benchmark whose count
+// depends on the collector (BenchmarkServeIngest,
+// BenchmarkStreamPipeline) turns automatic collection off and collects
+// before each op, off the clock: its ns/op leaves out collection time,
+// while B/op and allocs/op still count every allocation. When the current
 // host metadata differs from the baseline's (Go minor version, OS, arch or CPU count), the comparison
 // is skipped with a warning — cross-host ns/op deltas are noise, and a
 // skipped gate is visible in the CI log rather than silently green on

@@ -155,8 +155,8 @@ func parseBenchOutput(r io.Reader) ([]sample, error) {
 
 // reduce folds repeated samples (-count > 1) into one Benchmark per
 // (package, name): min ns/op and B/op across samples, and an error if
-// allocs/op wavers (it is deterministic; variation means a broken
-// benchmark).
+// allocs/op wavers (variation means the count depends on scheduling or
+// on when the collector ran; see the package comment).
 func reduce(samples []sample) ([]Benchmark, error) {
 	byKey := map[string]*Benchmark{}
 	var order []string
@@ -179,7 +179,7 @@ func reduce(samples []sample) ([]Benchmark, error) {
 			b.BytesPerOp = s.bytesOp
 		}
 		if s.haveMem && s.allocsOp != b.AllocsPerOp {
-			return nil, fmt.Errorf("%s: allocs/op wavers across samples (%v vs %v)", k, b.AllocsPerOp, s.allocsOp)
+			return nil, fmt.Errorf("%s: allocs/op wavers across samples (%v vs %v); if the count depends on when the collector runs, collect only between ops, off the clock", k, b.AllocsPerOp, s.allocsOp)
 		}
 		b.Samples++
 	}
