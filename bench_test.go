@@ -173,7 +173,7 @@ func BenchmarkStreamPipeline(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		evs, st, err := filter.PipelineFromLog(cfg, symtab.NewTable(), bytes.NewReader(corpus))
+		evs, st, err := filter.PipelineFromLog(cfg, symtab.NewTable(), bytes.NewReader(corpus), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

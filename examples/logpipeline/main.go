@@ -1,7 +1,7 @@
 // Log pipeline: generate the two logs to disk with bgpgen-equivalent
 // code, then read them back and run the analysis exactly as an operator
 // with real log files would — demonstrating the streaming readers and
-// writers and the filtering cascade stage by stage.
+// writers and the filtering cascade's per-stage funnel.
 //
 //	go run ./examples/logpipeline
 package main
@@ -59,18 +59,14 @@ func main() {
 	}
 	fmt.Printf("\nstreamed %d records; kept %d FATAL\n", total, len(fatal))
 
-	// 3. Run the filtering cascade stage by stage, showing the
+	// 3. Run the filtering cascade and print its Stats funnel: the
 	// compression each stage buys. (filter.PipelineFromLog does the
 	// stream + cascade in one call, on parallel decode shards.)
-	cfg := filter.DefaultConfig()
-	tab := symtab.NewTable()
-	t := filter.Temporal(tab, cfg.TemporalWindow, fatal)
-	s := filter.Spatial(cfg.SpatialWindow, t)
-	rules := filter.MineCausality(cfg, s)
-	c := filter.Causality(cfg.CausalityWindow, rules, s)
-	fmt.Printf("temporal:  %6d -> %5d (same location+code storms collapsed)\n", len(fatal), len(t))
-	fmt.Printf("spatial:   %6d -> %5d (parallel-job fan-out collapsed)\n", len(t), len(s))
-	fmt.Printf("causality: %6d -> %5d (%d mined rules)\n", len(s), len(c), len(rules))
+	evs, st := filter.Pipeline(filter.DefaultConfig(), symtab.NewTable(), fatal)
+	fmt.Printf("temporal:  %6d -> %5d (same location+code storms collapsed)\n", st.Input, st.AfterTemporal)
+	fmt.Printf("spatial:   %6d -> %5d (parallel-job fan-out collapsed)\n", st.AfterTemporal, st.AfterSpatial)
+	fmt.Printf("causality: %6d -> %5d (mined leader->follower symptoms dropped)\n", st.AfterSpatial, st.AfterCausality)
+	fmt.Printf("%d independent events, %.2f%% of the FATAL records removed\n", len(evs), 100*st.CompressionRatio())
 
 	// 4. Feed both files to the public API, as cmd/coanalyze does; Load
 	// decodes them with the sharded streaming codec.

@@ -108,42 +108,36 @@ func (s campaignSpan) Days() int {
 	return days
 }
 
-// Analyze runs the full pipeline over a RAS store and a job log.
+// Analyze runs the full pipeline over a RAS store and a job log: the
+// filter cascade over the store's FATAL records, an occupancy index
+// built job by job, and AnalyzeStream over both. Batch and streaming
+// callers share every stage.
 func Analyze(cfg Config, ras *raslog.Store, jobs *joblog.Log) (*Analysis, error) {
 	if ras == nil || jobs == nil {
 		return nil, fmt.Errorf("core: nil input log")
 	}
-	if jobs.Len() == 0 {
-		return nil, fmt.Errorf("core: empty job log")
+	tab := symtab.NewTable()
+	events, fstats := filter.Pipeline(cfg.Filter, tab, ras.Fatal())
+	var occ OccupancyBuilder
+	for _, j := range jobs.All() {
+		occ.Add(j)
 	}
-	if cfg.MatchTolerance <= 0 {
-		cfg.MatchTolerance = 5 * time.Minute
-	}
-	// The analysis-level knob governs the filter cascade too, unless
-	// the caller tuned the cascade separately.
-	if cfg.Filter.Parallelism == 0 {
-		cfg.Filter.Parallelism = cfg.Parallelism
-	}
-	a := &Analysis{cfg: cfg, Jobs: jobs, tab: symtab.NewTable()}
-
-	// Campaign span: union of both logs.
 	rFirst, rLast := ras.Span()
 	jFirst, jLast := jobs.Span()
-	a.span.start, a.span.end = UnionSpan(rFirst, rLast, jFirst, jLast)
-
-	// Stage 1: temporal-spatial-causality filtering. The pipeline interns
-	// codes and locations over the time-sorted stream before sharding, so
-	// ID numbering is independent of Parallelism.
-	a.Events, a.FilterStats = filter.Pipeline(cfg.Filter, a.tab, ras.Fatal())
-
-	// Stages 2-5 are shared with the streaming entry point.
-	a.occupancy = newOccupancyIndex(jobs)
-	a.finish()
-	return a, nil
+	start, end := UnionSpan(rFirst, rLast, jFirst, jLast)
+	return AnalyzeStream(cfg, StreamInput{
+		Tab:         tab,
+		Events:      events,
+		FilterStats: fstats,
+		Jobs:        jobs,
+		Occupancy:   occ.Snapshot(),
+		SpanStart:   start,
+		SpanEnd:     end,
+	})
 }
 
-// finish runs the co-analysis stages downstream of the filter cascade —
-// the tail shared by Analyze and AnalyzeStream. It expects a.Events,
+// finish runs the co-analysis stages downstream of the filter cascade.
+// It expects a.Events,
 // a.FilterStats, a.Jobs, a.occupancy and a.span to be set, with a.tab
 // holding the codes and locations the cascade interned.
 func (a *Analysis) finish() {

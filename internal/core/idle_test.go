@@ -79,7 +79,7 @@ func tailJobs() []joblog.Job {
 
 func TestRunningOnMatchesNaiveOnKillTails(t *testing.T) {
 	jl := joblog.NewLog(tailJobs())
-	ix := newOccupancyIndex(jl)
+	ix := occupancyOf(jl)
 	for mp := 0; mp < 8; mp++ {
 		for sec := -5; sec <= 410; sec++ {
 			at := t0.Add(time.Duration(sec) * time.Second)
@@ -101,7 +101,7 @@ func TestRunningOnMatchesNaiveOnKillTails(t *testing.T) {
 
 func TestIdleEventsMatchNaiveOnKillTails(t *testing.T) {
 	jl := joblog.NewLog(tailJobs())
-	a := &Analysis{Jobs: jl, occupancy: newOccupancyIndex(jl)}
+	a := &Analysis{Jobs: jl, occupancy: occupancyOf(jl)}
 	for sec := -5; sec <= 410; sec += 3 {
 		at := t0.Add(time.Duration(sec) * time.Second)
 		a.Events = append(a.Events,

@@ -25,21 +25,6 @@ type occupancyIndex struct {
 	byEnd []joblog.Job
 }
 
-func newOccupancyIndex(jobs *joblog.Log) *occupancyIndex {
-	ix := &occupancyIndex{byEnd: jobs.All()}
-	for _, j := range ix.byEnd {
-		for mp := j.Partition.Start; mp < j.Partition.End(); mp++ {
-			ix.perMp[mp] = append(ix.perMp[mp], j)
-		}
-	}
-	for mp := range ix.perMp {
-		js := ix.perMp[mp]
-		sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
-		ix.maxEnd[mp] = prefixMaxEnd(js)
-	}
-	return ix
-}
-
 // prefixMaxEnd returns the running maximum of EndTime over js.
 func prefixMaxEnd(js []joblog.Job) []time.Time {
 	out := make([]time.Time, len(js))

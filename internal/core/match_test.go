@@ -8,13 +8,23 @@ import (
 	"repro/internal/raslog"
 )
 
+// occupancyOf builds the occupancy index over a whole job log, as
+// Analyze does.
+func occupancyOf(jobs *joblog.Log) *occupancyIndex {
+	var b OccupancyBuilder
+	for _, j := range jobs.All() {
+		b.Add(j)
+	}
+	return b.Snapshot().ix
+}
+
 func TestOccupancyIndexRunningOn(t *testing.T) {
 	jobs := []joblog.Job{
 		mkJob(1, "/a", 0, 2*time.Hour, 0, 2),
 		mkJob(2, "/b", 3*time.Hour, 4*time.Hour, 0, 1),
 		mkJob(3, "/c", 0, 10*time.Hour, 4, 4),
 	}
-	ix := newOccupancyIndex(joblog.NewLog(jobs))
+	ix := occupancyOf(joblog.NewLog(jobs))
 
 	j, ok := ix.runningOn(0, t0.Add(time.Hour))
 	if !ok || j.ID != 1 {
@@ -46,7 +56,7 @@ func TestOccupancyIndexEndedWithin(t *testing.T) {
 		mkJob(2, "/b", 2*time.Hour, 3*time.Hour, 0, 1),
 		mkJob(3, "/c", 0, 90*time.Minute, 1, 1),
 	}
-	ix := newOccupancyIndex(joblog.NewLog(jobs))
+	ix := occupancyOf(joblog.NewLog(jobs))
 	got := ix.endedWithin(0, t0.Add(30*time.Minute), t0.Add(200*time.Minute))
 	if len(got) != 2 {
 		t.Fatalf("endedWithin = %d jobs, want 2", len(got))
@@ -65,7 +75,7 @@ func TestOccupancyIndexRanCleanBetween(t *testing.T) {
 		mkJob(1, "/a", 0, 1*time.Hour, 0, 1),
 		mkJob(2, "/b", 2*time.Hour, 3*time.Hour, 0, 1),
 	}
-	ix := newOccupancyIndex(joblog.NewLog(jobs))
+	ix := occupancyOf(joblog.NewLog(jobs))
 	none := map[int64]bool{}
 	if !ix.ranCleanBetween(0, t0.Add(90*time.Minute), t0.Add(4*time.Hour), none) {
 		t.Error("clean job 2 not detected")

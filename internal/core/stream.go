@@ -1,24 +1,12 @@
 package core
 
-// The streaming entry point: AnalyzeStream builds an Analysis from
+// The analysis entry point: AnalyzeStream builds an Analysis from
 // state a long-running ingester (internal/serve) maintains
 // incrementally — the filter cascade's Snapshot, an occupancy index
-// grown job by job, and a cloned symbol table — instead of from raw
-// stores. The contract, pinned by TestAnalyzeStreamMatchesAnalyze, is
-// that an Analysis built this way is indistinguishable from
-// Analyze(cfg, ras, jobs) over the same underlying records: every
-// exported field and every lazy derivation (the renderers call dozens)
-// agrees, because the downstream stages are literally the same code
-// (Analysis.finish) over equal inputs.
-//
-// Determinism note on the occupancy index: newOccupancyIndex sorts each
-// midplane's job list with the unstable sort.Slice. Two unstable sorts
-// agree only if they see the same input permutation, so
-// OccupancyBuilder appends jobs to each midplane's raw list in exactly
-// the order newOccupancyIndex does (byEnd job order) and sorts a fresh
-// copy of the whole raw list with the identical comparator. Identical
-// algorithm, input and comparator give an identical output permutation,
-// tie-broken runs included.
+// grown job by job, and a cloned symbol table. Analyze is the same
+// call over state built in one pass from whole logs, so batch and
+// streaming runs share every stage (TestAnalyzeStreamMatchesAnalyze
+// checks the streaming state against the batch one).
 
 import (
 	"fmt"
@@ -44,8 +32,7 @@ type Occupancy struct {
 // lock.
 type OccupancyBuilder struct {
 	byEnd []joblog.Job
-	// raw holds each midplane's jobs in append (byEnd) order — the exact
-	// input permutation newOccupancyIndex hands to its sort.
+	// raw holds each midplane's jobs in append (byEnd) order.
 	raw [bgp.NumMidplanes][]joblog.Job
 	// sorted caches the sorted copy per midplane and maxEnd its EndTime
 	// prefix maximum; dirty marks midplanes whose cache is stale. A
@@ -107,13 +94,12 @@ type StreamInput struct {
 	Occupancy *Occupancy
 	// SpanStart and SpanEnd delimit the campaign: the union of the RAS
 	// stream's record-time span — all records, noise included, not just
-	// the fatal survivors — and the job log's span, as in Analyze.
+	// the fatal survivors — and the job log's span (UnionSpan).
 	SpanStart, SpanEnd time.Time
 }
 
 // AnalyzeStream runs the co-analysis stages downstream of the filter
-// cascade over incrementally maintained state. The result is
-// indistinguishable from Analyze over the same underlying records.
+// cascade over incrementally maintained state.
 func AnalyzeStream(cfg Config, in StreamInput) (*Analysis, error) {
 	if in.Tab == nil || in.Jobs == nil || in.Occupancy == nil {
 		return nil, fmt.Errorf("core: nil stream input")
@@ -123,9 +109,6 @@ func AnalyzeStream(cfg Config, in StreamInput) (*Analysis, error) {
 	}
 	if cfg.MatchTolerance <= 0 {
 		cfg.MatchTolerance = 5 * time.Minute
-	}
-	if cfg.Filter.Parallelism == 0 {
-		cfg.Filter.Parallelism = cfg.Parallelism
 	}
 	a := &Analysis{
 		cfg:         cfg,
@@ -140,7 +123,7 @@ func AnalyzeStream(cfg Config, in StreamInput) (*Analysis, error) {
 	return a, nil
 }
 
-// UnionSpan merges the two logs' spans the way Analyze does: the RAS
+// UnionSpan merges the two logs' spans into the campaign span: the RAS
 // span, widened by the job span (with the job start winning when the
 // RAS side is empty).
 func UnionSpan(rasFirst, rasLast, jobFirst, jobLast time.Time) (start, end time.Time) {

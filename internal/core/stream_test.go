@@ -158,10 +158,26 @@ func TestOccupancySnapshotIsolation(t *testing.T) {
 			t.Fatalf("midplane %d list changed under an existing snapshot", mp)
 		}
 	}
-	// A full-log snapshot must equal the batch index.
+	// A full-log snapshot lists, per midplane, exactly the jobs whose
+	// partition covers it, sorted by StartTime.
 	full := ob.Snapshot()
-	want := newOccupancyIndex(camp.Jobs)
-	if !reflect.DeepEqual(full.ix.perMp, want.perMp) {
-		t.Fatal("full snapshot diverges from the batch index")
+	for mp, js := range full.ix.perMp {
+		want := map[int64]bool{}
+		for _, j := range jobs {
+			if j.OnMidplane(mp) {
+				want[j.ID] = true
+			}
+		}
+		if len(js) != len(want) {
+			t.Fatalf("midplane %d lists %d jobs, want %d", mp, len(js), len(want))
+		}
+		for k, j := range js {
+			if !want[j.ID] {
+				t.Fatalf("midplane %d lists job %d, which does not run there", mp, j.ID)
+			}
+			if k > 0 && j.StartTime.Before(js[k-1].StartTime) {
+				t.Fatalf("midplane %d list not sorted by StartTime at %d", mp, k)
+			}
+		}
 	}
 }

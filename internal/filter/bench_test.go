@@ -2,7 +2,6 @@ package filter
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -48,7 +47,6 @@ func benchFatalStream(n int) []raslog.Record {
 func BenchmarkFilterCascade(b *testing.B) {
 	recs := benchFatalStream(10000)
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,11 +57,9 @@ func BenchmarkFilterCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterCascadeLegacy is the string-keyed reference cascade —
-// the implementation this package had before the symtab refactor,
-// preserved here verbatim in structure (struct keys of raw strings,
-// string-keyed maps in every stage) — over the identical corpus. The
-// bench gate holds the ID path's win over this reference.
+// BenchmarkFilterCascadeLegacy is the string-keyed reference cascade
+// (reference_test.go) over the identical corpus. The bench gate holds
+// the ID path's win over this reference.
 func BenchmarkFilterCascadeLegacy(b *testing.B) {
 	recs := benchFatalStream(10000)
 	cfg := DefaultConfig()
@@ -75,130 +71,4 @@ func BenchmarkFilterCascadeLegacy(b *testing.B) {
 			b.Fatal("cascade produced no events")
 		}
 	}
-}
-
-// legacyEvent mirrors Event with the pre-refactor string Code.
-type legacyEvent struct {
-	Code        string
-	Component   raslog.Component
-	First, Last time.Time
-	Midplanes   []int
-	Size        int
-}
-
-type legacyLocKey struct{ loc, code string }
-
-type legacyPair struct{ a, b string }
-
-func legacyCascade(cfg Config, recs []raslog.Record) []*legacyEvent {
-	t := legacyTemporal(cfg.TemporalWindow, recs)
-	s := legacySpatial(cfg.SpatialWindow, t)
-	rules := legacyMine(cfg, s)
-	return legacyCausality(cfg.CausalityWindow, rules, s)
-}
-
-func legacyTemporal(window time.Duration, recs []raslog.Record) []*legacyEvent {
-	open := make(map[legacyLocKey]*legacyEvent)
-	lastSeen := make(map[legacyLocKey]time.Time)
-	var out []*legacyEvent
-	for i := range recs {
-		r := &recs[i]
-		k := legacyLocKey{loc: r.Location, code: r.ErrCode}
-		ev, ok := open[k]
-		if ok && r.EventTime.Sub(lastSeen[k]) <= window {
-			ev.Last = r.EventTime
-			ev.Size++
-			lastSeen[k] = r.EventTime
-			continue
-		}
-		ev = &legacyEvent{
-			Code: r.ErrCode, Component: r.Component,
-			First: r.EventTime, Last: r.EventTime,
-			Midplanes: raslog.LocationMidplanes(r.Location), Size: 1,
-		}
-		open[k] = ev
-		lastSeen[k] = r.EventTime
-		out = append(out, ev)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].First.Before(out[j].First) })
-	return out
-}
-
-func legacySpatial(window time.Duration, events []*legacyEvent) []*legacyEvent {
-	open := make(map[string]*legacyEvent)
-	var out []*legacyEvent
-	for _, ev := range events {
-		cur, ok := open[ev.Code]
-		if ok && ev.First.Sub(cur.Last) <= window {
-			if ev.Last.After(cur.Last) {
-				cur.Last = ev.Last
-			}
-			cur.Size += ev.Size
-			cur.Midplanes = mergeInts(cur.Midplanes, ev.Midplanes)
-			continue
-		}
-		merged := &legacyEvent{
-			Code: ev.Code, Component: ev.Component,
-			First: ev.First, Last: ev.Last,
-			Midplanes: append([]int(nil), ev.Midplanes...), Size: ev.Size,
-		}
-		open[ev.Code] = merged
-		out = append(out, merged)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].First.Before(out[j].First) })
-	return out
-}
-
-func legacyMine(cfg Config, events []*legacyEvent) map[legacyPair]bool {
-	co := make(map[legacyPair]int)
-	total := make(map[string]int)
-	for i, ev := range events {
-		total[ev.Code]++
-		seen := make(map[string]bool)
-		for j := i - 1; j >= 0; j-- {
-			lead := events[j]
-			if ev.First.Sub(lead.First) > cfg.CausalityWindow {
-				break
-			}
-			if lead.Code == ev.Code || seen[lead.Code] {
-				continue
-			}
-			seen[lead.Code] = true
-			co[legacyPair{lead.Code, ev.Code}]++
-		}
-	}
-	rules := make(map[legacyPair]bool)
-	for p, n := range co {
-		if n < cfg.CausalityMinSupport {
-			continue
-		}
-		if float64(n)/float64(total[p.b]) < cfg.CausalityMinConfidence {
-			continue
-		}
-		rules[p] = true
-	}
-	return rules
-}
-
-func legacyCausality(window time.Duration, rules map[legacyPair]bool, events []*legacyEvent) []*legacyEvent {
-	leadersOf := make(map[string][]string)
-	for p := range rules {
-		leadersOf[p.b] = append(leadersOf[p.b], p.a)
-	}
-	lastAt := make(map[string]time.Time)
-	var out []*legacyEvent
-	for _, ev := range events {
-		drop := false
-		for _, lead := range leadersOf[ev.Code] {
-			if t, ok := lastAt[lead]; ok && ev.First.Sub(t) <= window && ev.First.After(t) {
-				drop = true
-				break
-			}
-		}
-		lastAt[ev.Code] = ev.First
-		if !drop {
-			out = append(out, ev)
-		}
-	}
-	return out
 }

@@ -7,11 +7,13 @@
 // Job-related filtering — the paper's contribution — needs the job log
 // and therefore lives in internal/core.
 //
-// The cascade works over interned symbols (internal/symtab): records
-// are columnarized once, sequentially, into a struct-of-arrays store
-// (internal/store), and every grouping stage keys on dense integer IDs
-// — the temporal pass on a (LocationID, ErrcodeID) pair packed into a
-// single uint64 — instead of hashing strings per record.
+// The cascade is one ordered, single-pass state machine (Incremental):
+// batch callers (Pipeline) and the streaming daemon feed it the same
+// way. It works over interned symbols (internal/symtab), interning each
+// record's ERRCODE and location in stream order, and every grouping
+// stage keys on dense integer IDs — the temporal pass on a
+// (LocationID, ErrcodeID) pair packed into a single uint64 — instead of
+// hashing strings per record.
 package filter
 
 import (
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/raslog"
-	"repro/internal/store"
 	"repro/internal/symtab"
 )
 
@@ -55,15 +56,6 @@ func (e *Event) OnMidplane(mp int) bool {
 
 // Config holds the cascade thresholds.
 type Config struct {
-	// Parallelism bounds the worker count of the concurrent stage
-	// runners (0 = GOMAXPROCS, 1 = sequential). Every worker count
-	// produces byte-identical output: symbols are interned sequentially
-	// before any sharding (so ID numbering never depends on the worker
-	// count), the temporal and spatial passes shard by their cluster key
-	// ((LocationID, ErrcodeID), ErrcodeID) and merge in first-record
-	// order, and causality mining merges commutative counts, so the
-	// cascade's result never depends on scheduling.
-	Parallelism int
 	// TemporalWindow collapses records with the same (location, code)
 	// whose gap is at most this (Liang et al. use 5 minutes).
 	TemporalWindow time.Duration
@@ -113,38 +105,34 @@ func (s Stats) CompressionRatio() float64 {
 
 // Pipeline runs the full cascade over the FATAL records of a store and
 // returns the independent events in time order, with their symbols
-// interned into tab. The temporal, spatial and causality-mining passes
-// run on cfg.Parallelism workers; the output — including the IDs tab
-// assigns — is byte-identical to the sequential cascade for any worker
-// count (see Config.Parallelism).
+// interned into tab. It feeds every record, in order, into one
+// Incremental and returns its Snapshot: the batch and streaming
+// cascades are the same code.
+//
+// fatal must be in (EventTime, RecID) order, as raslog.Store.Fatal
+// presents it; Pipeline panics with Feed's error on a record behind
+// its predecessor.
 func Pipeline(cfg Config, tab *symtab.Table, fatal []raslog.Record) ([]*Event, Stats) {
-	var st Stats
-	st.Input = len(fatal)
-	// Interning happens here, sequentially, over the time-sorted input —
-	// before any sharding — so ID numbering is parallelism-independent.
-	cols := raslog.Columnarize(tab, fatal)
-	perLoc := locMidplanes(tab, cols)
-	t := temporalSharded(cfg.Parallelism, cfg.TemporalWindow, cols, fatal, perLoc)
-	st.AfterTemporal = len(t)
-	s := spatialSharded(cfg.Parallelism, cfg.SpatialWindow, t, tab.Errcodes.Len())
-	st.AfterSpatial = len(s)
-	rules := mineCausalitySharded(cfg.Parallelism, cfg, s, tab.Errcodes.Len())
-	c := Causality(cfg.CausalityWindow, rules, s)
-	st.AfterCausality = len(c)
-	return c, st
+	inc := NewIncremental(cfg, tab)
+	for i := range fatal {
+		if err := inc.Feed(&fatal[i]); err != nil {
+			panic(err)
+		}
+	}
+	return inc.Snapshot()
 }
 
 // PipelineFromLog streams a raw RAS log and runs the cascade over its
 // FATAL records without ever materializing the non-fatal bulk: the
 // sharded streaming decoder (bounded-memory chunks over the
-// internal/parallel pool, cfg.Parallelism workers) discards non-FATAL
-// records inside the shards, and the survivors are sorted into the
-// (EventTime, RecID) order raslog.Store would have presented. The
-// events, stats and symtab IDs are identical to
-// Pipeline(cfg, tab, store.Fatal()) over the same log, for any worker
-// count.
-func PipelineFromLog(cfg Config, tab *symtab.Table, r io.Reader) ([]*Event, Stats, error) {
-	fatal, err := raslog.ReadMatchingParallel(r, cfg.Parallelism, (*raslog.Record).Fatal)
+// internal/parallel pool, on the given number of workers; 0 =
+// GOMAXPROCS) discards non-FATAL records inside the shards, and the
+// survivors are sorted into the (EventTime, RecID) order raslog.Store
+// would have presented. The events, stats and symtab IDs are identical
+// to Pipeline(cfg, tab, store.Fatal()) over the same log, for any
+// worker count.
+func PipelineFromLog(cfg Config, tab *symtab.Table, r io.Reader, workers int) ([]*Event, Stats, error) {
+	fatal, err := raslog.ReadMatchingParallel(r, workers, (*raslog.Record).Fatal)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("filter: reading RAS log: %w", err)
 	}
@@ -164,65 +152,9 @@ func packKey(loc symtab.LocationID, code symtab.ErrcodeID) uint64 {
 	return uint64(uint32(loc))<<32 | uint64(uint32(code))
 }
 
-// locMidplanes resolves each distinct LocationID seen in cols to its
-// global midplane indices, once per location instead of once per
-// record. The returned slices are shared by every event at that
-// location (read-only downstream).
-func locMidplanes(tab *symtab.Table, cols *store.Events) [][]int {
-	perLoc := make([][]int, tab.Locations.Len())
-	done := make([]bool, tab.Locations.Len())
-	for _, l := range cols.Loc {
-		if !done[l] {
-			done[l] = true
-			perLoc[l] = raslog.LocationMidplanes(tab.Locations.Name(l))
-		}
-	}
-	return perLoc
-}
-
-// Temporal collapses same-(location, code) records whose inter-record
-// gap is at most window, interning symbols into tab. Records must be
-// time-ordered. The result is one Event per cluster, still
-// location-specific.
-func Temporal(tab *symtab.Table, window time.Duration, recs []raslog.Record) []*Event {
-	cols := raslog.Columnarize(tab, recs)
-	out := untag(temporalCluster(window, cols, recs, allIndices(len(recs)), locMidplanes(tab, cols)))
-	sortEvents(out)
-	return out
-}
-
-// Spatial merges same-code events (from different locations) whose gap
-// is at most window. Input must be time-ordered (Temporal output is).
-func Spatial(window time.Duration, events []*Event) []*Event {
-	out := untag(spatialCluster(window, events, allIndices(len(events)), maxCode(events)+1))
-	sortEvents(out)
-	return out
-}
-
-// maxCode returns the largest ErrcodeID among events (-1 when empty);
-// stages that run without the table in hand size their dense
-// per-code state from it.
-func maxCode(events []*Event) int {
-	m := -1
-	for _, ev := range events {
-		if int(ev.Code) > m {
-			m = int(ev.Code)
-		}
-	}
-	return m
-}
-
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// Rule is a mined causality rule: occurrences of Follower within the
+// rule is a mined causality rule: occurrences of Follower within the
 // window after Leader are symptoms of the Leader.
-type Rule struct {
+type rule struct {
 	Leader, Follower symtab.ErrcodeID
 	// Support is the number of observed co-occurrences.
 	Support int
@@ -230,22 +162,13 @@ type Rule struct {
 	Confidence float64
 }
 
-// MineCausality scans the event stream for leader→follower pairs that
-// co-occur within the causality window with enough support and
-// confidence. Self-pairs are excluded (temporal filtering owns those).
-func MineCausality(cfg Config, events []*Event) []Rule {
-	n := maxCode(events) + 1
-	pc := mineChunk(cfg, events, 0, len(events), n)
-	return rulesFromCounts(cfg, pc.co, pc.total)
-}
-
 // rulesFromCounts turns mined co-occurrence counts into the rule set,
 // sorted by (Leader, Follower) ID — first-seen symbol order.
-func rulesFromCounts(cfg Config, coCount map[uint64]int, total []int) []Rule {
+func rulesFromCounts(cfg Config, coCount map[uint64]int, total []int) []rule {
 	// Few pairs survive the support/confidence cuts; a small fixed
 	// capacity avoids both per-iteration growth and a len(coCount)
 	// allocation that would dwarf the survivors.
-	rules := make([]Rule, 0, min(len(coCount), 64))
+	rules := make([]rule, 0, min(len(coCount), 64))
 	for p, n := range coCount {
 		if n < cfg.CausalityMinSupport {
 			continue
@@ -255,7 +178,7 @@ func rulesFromCounts(cfg Config, coCount map[uint64]int, total []int) []Rule {
 		if conf < cfg.CausalityMinConfidence {
 			continue
 		}
-		rules = append(rules, Rule{Leader: lead, Follower: follow, Support: n, Confidence: conf})
+		rules = append(rules, rule{Leader: lead, Follower: follow, Support: n, Confidence: conf})
 	}
 	sort.Slice(rules, func(i, j int) bool {
 		if rules[i].Leader != rules[j].Leader {
@@ -266,24 +189,26 @@ func rulesFromCounts(cfg Config, coCount map[uint64]int, total []int) []Rule {
 	return rules
 }
 
-// Causality drops follower events that occur within the window after
-// their leader, per the mined rules.
-func Causality(window time.Duration, rules []Rule, events []*Event) []*Event {
-	n := maxCode(events) + 1
-	for _, r := range rules {
-		if int(r.Leader) >= n {
-			n = int(r.Leader) + 1
-		}
-		if int(r.Follower) >= n {
-			n = int(r.Follower) + 1
-		}
-	}
-	leadersOf := make([][]symtab.ErrcodeID, n)
+// unpackPair splits a packed (leader, follower) ErrcodeID pair.
+func unpackPair(p uint64) (lead, follow symtab.ErrcodeID) {
+	return symtab.ErrcodeID(p >> 32), symtab.ErrcodeID(uint32(p))
+}
+
+// packPair packs a (leader, follower) ErrcodeID pair into one uint64.
+func packPair(lead, follow symtab.ErrcodeID) uint64 {
+	return uint64(uint32(lead))<<32 | uint64(uint32(follow))
+}
+
+// causality drops follower events that occur within the window after
+// their leader, per the mined rules. Every event code and rule code is
+// below nCodes.
+func causality(window time.Duration, rules []rule, events []*Event, nCodes int) []*Event {
+	leadersOf := make([][]symtab.ErrcodeID, nCodes)
 	for _, r := range rules {
 		leadersOf[r.Follower] = append(leadersOf[r.Follower], r.Leader)
 	}
-	lastAt := make([]int64, n)
-	seen := make([]bool, n)
+	lastAt := make([]int64, nCodes)
+	seen := make([]bool, nCodes)
 	out := make([]*Event, 0, len(events))
 	for _, ev := range events {
 		first := ev.First.UnixNano()
@@ -301,10 +226,6 @@ func Causality(window time.Duration, rules []Rule, events []*Event) []*Event {
 		}
 	}
 	return out
-}
-
-func sortEvents(evs []*Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].First.Before(evs[j].First) })
 }
 
 func mergeInts(a, b []int) []int {

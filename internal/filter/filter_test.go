@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -28,21 +29,43 @@ func cid(t *testing.T, tab *symtab.Table, name string) symtab.ErrcodeID {
 	return id
 }
 
+// temporalOnly returns a config under which Pipeline reduces to its
+// temporal stage with the given window: no gap is at most the minimum
+// Duration, so the spatial stage never merges, and no causality rule
+// reaches MaxInt support.
+func temporalOnly(window time.Duration) Config {
+	cfg := DefaultConfig()
+	cfg.TemporalWindow = window
+	cfg.SpatialWindow = math.MinInt64
+	cfg.CausalityMinSupport = math.MaxInt
+	return cfg
+}
+
 func TestTemporalCollapsesDuplicates(t *testing.T) {
 	recs := []raslog.Record{
 		rec("a", "R00-M0", 0),
+		rec("a", "R00-M1", 30*time.Second), // different location: own cluster
+		rec("b", "R00-M0", 30*time.Second), // different code: own cluster
 		rec("a", "R00-M0", time.Minute),    // within window: same cluster
 		rec("a", "R00-M0", 3*time.Minute),  // chained: gap 2 min from last
 		rec("a", "R00-M0", 20*time.Minute), // new cluster
-		rec("a", "R00-M1", 30*time.Second), // different location: own cluster
-		rec("b", "R00-M0", 30*time.Second), // different code: own cluster
 	}
-	evs := Temporal(symtab.NewTable(), 5*time.Minute, recs)
-	if len(evs) != 4 {
-		t.Fatalf("Temporal: %d events, want 4", len(evs))
+	evs, st := Pipeline(temporalOnly(5*time.Minute), symtab.NewTable(), recs)
+	if len(evs) != 4 || st.AfterTemporal != 4 {
+		t.Fatalf("temporal: %d events, stats %+v, want 4", len(evs), st)
 	}
 	if evs[0].Size != 3 || !evs[0].Last.Equal(t0.Add(3*time.Minute)) {
 		t.Errorf("first cluster = size %d last %v", evs[0].Size, evs[0].Last)
+	}
+
+	// The full cascade merges the R00-M1 record into the first cluster
+	// spatially; the temporal count in the funnel is unchanged.
+	evs, st = Pipeline(DefaultConfig(), symtab.NewTable(), recs)
+	if st.AfterTemporal != 4 || st.AfterSpatial != 3 || len(evs) != 3 {
+		t.Fatalf("cascade: %d events, stats %+v", len(evs), st)
+	}
+	if evs[0].Size != 4 || len(evs[0].Midplanes) != 2 {
+		t.Errorf("first event = size %d midplanes %v", evs[0].Size, evs[0].Midplanes)
 	}
 }
 
@@ -53,9 +76,9 @@ func TestTemporalSlidingWindow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		recs = append(recs, rec("a", "R00-M0", time.Duration(i)*4*time.Minute))
 	}
-	evs := Temporal(symtab.NewTable(), 5*time.Minute, recs)
-	if len(evs) != 1 || evs[0].Size != 10 {
-		t.Fatalf("storm not collapsed: %d events", len(evs))
+	evs, st := Pipeline(DefaultConfig(), symtab.NewTable(), recs)
+	if len(evs) != 1 || evs[0].Size != 10 || st.AfterTemporal != 1 {
+		t.Fatalf("storm not collapsed: %d events, stats %+v", len(evs), st)
 	}
 }
 
@@ -63,9 +86,9 @@ func TestSpatialMergesAcrossLocations(t *testing.T) {
 	recs := []raslog.Record{
 		rec("a", "R00-M0", 0),
 		rec("a", "R00-M1", time.Minute),
+		rec("b", "R00-M0", time.Minute),
 		rec("a", "R01-M0", 2*time.Minute),
 		rec("a", "R10-M0", time.Hour), // far later: separate event
-		rec("b", "R00-M0", time.Minute),
 	}
 	tab := symtab.NewTable()
 	evs, st := Pipeline(DefaultConfig(), tab, recs)
@@ -76,10 +99,8 @@ func TestSpatialMergesAcrossLocations(t *testing.T) {
 		t.Fatalf("pipeline: %d events, want 3", len(evs))
 	}
 	first := evs[0]
-	if first.Code == cid(t, tab, "a") {
-		if len(first.Midplanes) != 3 {
-			t.Errorf("merged midplanes = %v", first.Midplanes)
-		}
+	if first.Code != cid(t, tab, "a") || len(first.Midplanes) != 3 {
+		t.Errorf("first event = code %d midplanes %v, want a on 3", first.Code, first.Midplanes)
 	}
 	// Events must be time-ordered.
 	for i := 1; i < len(evs); i++ {
@@ -90,7 +111,7 @@ func TestSpatialMergesAcrossLocations(t *testing.T) {
 }
 
 func TestOnMidplane(t *testing.T) {
-	evs := Temporal(symtab.NewTable(), time.Minute, []raslog.Record{rec("a", "R01", 0)})
+	evs, _ := Pipeline(DefaultConfig(), symtab.NewTable(), []raslog.Record{rec("a", "R01", 0)})
 	if len(evs) != 1 {
 		t.Fatal("want one event")
 	}
@@ -99,8 +120,11 @@ func TestOnMidplane(t *testing.T) {
 	}
 }
 
-func TestMineCausalityFindsPlantedRule(t *testing.T) {
-	// Plant: every "b" follows an "a" within 2 minutes; also unrelated "c".
+// plantedRule returns six rounds of "a", then "b" two minutes later,
+// then an unrelated "c" half an hour later: every "b" follows an "a"
+// within the causality window, so the cascade mines a->b with support
+// 6 and confidence 1.
+func plantedRule() []raslog.Record {
 	var recs []raslog.Record
 	for i := 0; i < 6; i++ {
 		base := time.Duration(i) * time.Hour
@@ -110,50 +134,55 @@ func TestMineCausalityFindsPlantedRule(t *testing.T) {
 			rec("c", "R02-M0", base+30*time.Minute),
 		)
 	}
+	return recs
+}
+
+func TestMineCausalityFindsPlantedRule(t *testing.T) {
+	recs := plantedRule()
+	// The rule holds at its exact support (6) and full confidence: every
+	// "b" is dropped, and no spurious rule touches "c".
 	cfg := DefaultConfig()
+	cfg.CausalityMinSupport = 6
+	cfg.CausalityMinConfidence = 1
 	tab := symtab.NewTable()
-	evs := Spatial(cfg.SpatialWindow, Temporal(tab, cfg.TemporalWindow, recs))
-	rules := MineCausality(cfg, evs)
-	a, b, c := cid(t, tab, "a"), cid(t, tab, "b"), cid(t, tab, "c")
-	found := false
-	for _, r := range rules {
-		if r.Leader == a && r.Follower == b {
-			found = true
-			if r.Support < 6 || r.Confidence < 0.99 {
-				t.Errorf("rule stats = %+v", r)
-			}
-		}
-		if r.Follower == c {
-			t.Errorf("spurious rule onto c: %+v", r)
-		}
+	evs, st := Pipeline(cfg, tab, recs)
+	if st.AfterSpatial != 18 || st.AfterCausality != 12 || len(evs) != 12 {
+		t.Fatalf("planted rule: %d events, stats %+v, want 12 of 18", len(evs), st)
 	}
-	if !found {
-		t.Fatal("planted a->b rule not mined")
-	}
-	// Applying the rules drops every b.
-	kept := Causality(cfg.CausalityWindow, rules, evs)
-	for _, ev := range kept {
+	b, c := cid(t, tab, "b"), cid(t, tab, "c")
+	nc := 0
+	for _, ev := range evs {
 		if ev.Code == b {
 			t.Errorf("b event at %v survived causality filtering", ev.First)
 		}
+		if ev.Code == c {
+			nc++
+		}
 	}
-	if len(kept) != 12 {
-		t.Errorf("kept %d events, want 12 (6 a + 6 c)", len(kept))
+	if nc != 6 {
+		t.Errorf("kept %d c events, want 6", nc)
+	}
+
+	// One more co-occurrence than observed is required: no rule, nothing
+	// dropped.
+	cfg.CausalityMinSupport = 7
+	if _, st := Pipeline(cfg, symtab.NewTable(), recs); st.AfterCausality != 18 {
+		t.Errorf("support-7 cascade dropped events: stats %+v", st)
 	}
 }
 
 func TestCausalityKeepsIndependentFollowers(t *testing.T) {
-	// A "b" far from any "a" survives even with an a->b rule.
+	// A "b" far from any "a" survives even though a->b is mined (support
+	// 6, confidence 6/7).
+	recs := append(plantedRule(), rec("b", "R03-M0", 9*time.Hour))
 	tab := symtab.NewTable()
-	a, b := tab.Errcodes.Intern("a"), tab.Errcodes.Intern("b")
-	rules := []Rule{{Leader: a, Follower: b, Support: 5, Confidence: 1}}
-	evs := []*Event{
-		{Code: a, First: t0, Last: t0},
-		{Code: b, First: t0.Add(time.Hour), Last: t0.Add(time.Hour)},
+	evs, st := Pipeline(DefaultConfig(), tab, recs)
+	if st.AfterSpatial != 19 || len(evs) != 13 {
+		t.Fatalf("%d events, stats %+v, want 13 of 19", len(evs), st)
 	}
-	kept := Causality(10*time.Minute, rules, evs)
-	if len(kept) != 2 {
-		t.Fatalf("independent follower dropped: kept %d", len(kept))
+	last := evs[len(evs)-1]
+	if last.Code != cid(t, tab, "b") || !last.First.Equal(t0.Add(9*time.Hour)) {
+		t.Fatalf("independent follower dropped: last event %+v", *last)
 	}
 }
 
@@ -185,5 +214,26 @@ func TestStatsZero(t *testing.T) {
 	evs, st := Pipeline(DefaultConfig(), symtab.NewTable(), nil)
 	if len(evs) != 0 || st.CompressionRatio() != 0 {
 		t.Errorf("empty pipeline: %d events, ratio %v", len(evs), st.CompressionRatio())
+	}
+}
+
+// TestPipelinePanicsOnUnsortedInput pins Pipeline's precondition: a
+// record behind its predecessor panics with Feed's error.
+func TestPipelinePanicsOnUnsortedInput(t *testing.T) {
+	recs := []raslog.Record{rec("a", "R00-M0", time.Minute), rec("a", "R00-M0", 0)}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Pipeline(DefaultConfig(), symtab.NewTable(), recs)
+	}()
+	err, ok := got.(error)
+	if !ok {
+		t.Fatalf("Pipeline over unsorted input: recovered %v, want Feed's error", got)
+	}
+	inc := NewIncremental(DefaultConfig(), symtab.NewTable())
+	feedAll(t, inc, recs[:1])
+	want := inc.Feed(&recs[1])
+	if want == nil || err.Error() != want.Error() {
+		t.Fatalf("panic value %v, want Feed's error %v", err, want)
 	}
 }

@@ -1,33 +1,31 @@
 package filter
 
-// This file is the streaming form of the cascade: an Incremental
-// accepts FATAL records one at a time (in the (EventTime, RecID) order
-// raslog.Store presents) and maintains the temporal and spatial
-// clustering plus the causality co-occurrence counts as running state,
-// so a long-running service never re-scans the raw record stream. The
-// contract, pinned by TestIncrementalMatchesPipeline, is exact
-// equivalence: after feeding any prefix of a time-sorted stream,
-// Snapshot() returns events and stats deeply equal to
-// Pipeline(cfg, tab, prefix) over the same records — including the
-// symtab IDs, which are interned per record in Columnarize order.
+// This file is the cascade itself: an Incremental accepts FATAL
+// records one at a time, in the (EventTime, RecID) order raslog.Store
+// presents, and maintains the temporal and spatial clustering plus the
+// causality co-occurrence counts as running state, so a long-running
+// service never re-scans the raw record stream. Pipeline is a loop
+// that feeds one Incremental and takes its Snapshot; the independent,
+// string-keyed reference cascade in reference_test.go pins the result.
+// Symbols are interned per record in stream order (ERRCODE, then
+// location), so the symtab numbering is first-seen order.
 //
 // Why streaming clustering is sound here: records arrive time-sorted,
 // so once the watermark (the latest record time seen) has moved more
 // than TemporalWindow past a temporal cluster's last record, no future
 // record can extend it — the cluster is final and flows to the spatial
-// stage in creation order, which is exactly the order the batch stages
-// process (the batch shards untag by first-constituent index, and the
-// stable time sort preserves that order because First is nondecreasing
-// along it). A spatial cluster becomes immutable once the feed
-// frontier — the First of the oldest still-queued temporal cluster, or
-// the watermark when none is queued — has moved more than SpatialWindow
-// past its Last: every event fed later has First at or past the
-// frontier and so can never satisfy the merge test. Causality
-// co-occurrence counts depend only on the First timestamps of spatial
-// clusters in creation order, which never change after creation, so
-// they are accumulated at creation time; only the rule derivation and
-// the follower-drop pass — linear in the collapsed event count — run
-// per Snapshot.
+// stage in creation order. Creation order is First order, because
+// First is nondecreasing along it, so the spatial stage sees temporal
+// clusters exactly as a stable time sort would present them. A spatial
+// cluster becomes immutable once the feed frontier — the First of the
+// oldest still-queued temporal cluster, or the watermark when none is
+// queued — has moved more than SpatialWindow past its Last: every event
+// fed later has First at or past the frontier and so can never satisfy
+// the merge test. Causality co-occurrence counts depend only on the
+// First timestamps of spatial clusters in creation order, which never
+// change after creation, so they are accumulated at creation time; only
+// the rule derivation and the follower-drop pass — linear in the
+// collapsed event count — run per Snapshot.
 //
 // Snapshot is a shadow finalization: still-open clusters are cloned and
 // flushed through a copy of the downstream state, so the returned
@@ -38,6 +36,7 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/raslog"
@@ -56,22 +55,25 @@ type tempCluster struct {
 	superseded bool
 }
 
-// spatCluster is one spatial cluster; sealed clusters are immutable
-// and shared with every later Snapshot.
+// spatCluster is one spatial cluster, allocated together with its
+// Event; sealed clusters are immutable and their Event is shared with
+// every later Snapshot.
 type spatCluster struct {
-	ev     *Event
+	ev     Event
 	sealed bool
 }
 
-// Incremental is the streaming cascade state. It is not safe for
-// concurrent use; the serving layer feeds it from a single ingest
-// goroutine and publishes only Snapshot results.
+// Incremental is the cascade state, fed whole by Pipeline and record
+// by record by the serving layer. It is not safe for concurrent use;
+// the serving layer feeds it from a single ingest goroutine and
+// publishes only Snapshot results.
 type Incremental struct {
 	cfg Config
 	tab *symtab.Table
 
-	// perLoc caches LocationID -> global midplane indices, grown as new
-	// locations intern (the streaming twin of locMidplanes).
+	// perLoc caches LocationID -> global midplane indices (nil for an
+	// unparseable location). Each location is parsed once, when its ID
+	// first appears; perLoc covers exactly the IDs below len(perLoc).
 	perLoc [][]int
 
 	input     int   // FATAL records fed (Stats.Input)
@@ -86,9 +88,8 @@ type Incremental struct {
 	tQueue []*tempCluster
 	tCount int // clusters ever created (Stats.AfterTemporal)
 
-	// Spatial stage: the most recent cluster per ErrcodeID (dense, the
-	// streaming twin of spatialCluster's open slice) and all clusters in
-	// creation order.
+	// Spatial stage: the most recent cluster per ErrcodeID (dense) and
+	// all clusters in creation order.
 	sLast   []*spatCluster
 	spatial []*spatCluster
 	// firstUnsealed is a low-water mark: every cluster before it is
@@ -98,8 +99,8 @@ type Incremental struct {
 	firstUnsealed int
 
 	// Causality counts over spatial clusters, accumulated at creation
-	// (First timestamps are immutable). seen/stamp implement the
-	// per-event leader dedup of mineChunk without per-event allocation.
+	// (First timestamps are immutable). seen/stamp dedup each event's
+	// leader codes without per-event allocation.
 	co    map[uint64]int
 	total []int
 	seen  []int
@@ -123,10 +124,9 @@ func (inc *Incremental) Watermark() int64 { return inc.watermark }
 // Input returns the number of FATAL records fed so far.
 func (inc *Incremental) Input() int { return inc.input }
 
-// Feed ingests one FATAL record. Records must arrive in the
-// (EventTime, RecID) order the batch pipeline sorts into; a record
-// behind the stream is rejected with an error and leaves the state
-// untouched.
+// Feed ingests one FATAL record. Records must arrive in
+// (EventTime, RecID) order; a record behind the stream is rejected with
+// an error and leaves the state untouched.
 func (inc *Incremental) Feed(rec *raslog.Record) error {
 	t := rec.EventTime.UnixNano()
 	if inc.started && (t < inc.watermark || (t == inc.watermark && rec.RecID < inc.lastRecID)) {
@@ -136,15 +136,14 @@ func (inc *Incremental) Feed(rec *raslog.Record) error {
 	inc.started = true
 	inc.input++
 
-	// Intern in Columnarize field order (code, then location) so ID
-	// numbering matches the batch pipeline over the same stream.
+	// Intern code, then location: every path into the cascade (and the
+	// serving layer's segment rows) uses this order, so the numbering is
+	// the same for the same stream.
 	code := inc.tab.Errcodes.Intern(rec.ErrCode)
 	loc := inc.tab.Locations.Intern(rec.Location)
 	for int(loc) >= len(inc.perLoc) {
-		inc.perLoc = append(inc.perLoc, nil)
-	}
-	if inc.perLoc[loc] == nil {
-		inc.perLoc[loc] = raslog.LocationMidplanes(rec.Location)
+		id := symtab.LocationID(len(inc.perLoc))
+		inc.perLoc = append(inc.perLoc, raslog.LocationMidplanes(inc.tab.Locations.Name(id)))
 	}
 
 	k := packKey(loc, code)
@@ -185,8 +184,8 @@ func (inc *Incremental) Feed(rec *raslog.Record) error {
 // behind the feed frontier seal.
 func (inc *Incremental) advance() {
 	w := int64(inc.cfg.TemporalWindow)
-	for len(inc.tQueue) > 0 {
-		c := inc.tQueue[0]
+	n := 0
+	for _, c := range inc.tQueue {
 		if !c.superseded && inc.watermark-c.lastSeen <= w {
 			break // may still grow; later clusters wait to preserve order
 		}
@@ -194,10 +193,12 @@ func (inc *Incremental) advance() {
 			delete(inc.tOpen, c.key)
 			c.superseded = true
 		}
-		inc.tQueue[0] = nil
-		inc.tQueue = inc.tQueue[1:]
 		inc.feedSpatial(&c.ev)
+		n++
 	}
+	// Compact in place: re-slicing from the front would shrink the
+	// capacity and make the next append reallocate.
+	inc.tQueue = slices.Delete(inc.tQueue, 0, n)
 
 	frontier := inc.frontier()
 	sw := int64(inc.cfg.SpatialWindow)
@@ -222,7 +223,8 @@ func (inc *Incremental) frontier() int64 {
 }
 
 // feedSpatial merges one final temporal event into the live spatial
-// stage, mirroring spatialCluster exactly.
+// stage: into the code's latest cluster when the gap from its Last is
+// at most SpatialWindow, else into a new cluster.
 func (inc *Incremental) feedSpatial(ev *Event) {
 	inc.growCode(ev.Code)
 	cur := inc.sLast[ev.Code]
@@ -238,7 +240,7 @@ func (inc *Incremental) feedSpatial(ev *Event) {
 		cur.ev.Midplanes = mergeInts(cur.ev.Midplanes, ev.Midplanes)
 		return
 	}
-	merged := &spatCluster{ev: &Event{
+	merged := &spatCluster{ev: Event{
 		Code:      ev.Code,
 		Component: ev.Component,
 		First:     ev.First,
@@ -248,7 +250,7 @@ func (inc *Incremental) feedSpatial(ev *Event) {
 	}}
 	inc.sLast[ev.Code] = merged
 	inc.spatial = append(inc.spatial, merged)
-	inc.countCausality(merged.ev, inc.co, inc.total,
+	inc.countCausality(&merged.ev, inc.co, inc.total,
 		spatialFirsts{live: inc.spatial, n: len(inc.spatial) - 1})
 }
 
@@ -274,15 +276,14 @@ func (s spatialFirsts) len() int { return s.n + len(s.tail) }
 
 func (s spatialFirsts) at(i int) *Event {
 	if i < s.n {
-		return s.live[i].ev
+		return &s.live[i].ev
 	}
 	return s.tail[i-s.n]
 }
 
 // countCausality adds one new spatial cluster's contribution to the
-// co-occurrence counts, mirroring one iteration of mineChunk: total of
-// its code, plus one co-occurrence per distinct earlier leader code
-// within the causality window. The lookback reads only First fields,
+// co-occurrence counts: total of its code, plus one co-occurrence per
+// distinct earlier leader code within the causality window. The lookback reads only First fields,
 // which are immutable, so counting at creation time equals mining the
 // final list.
 func (inc *Incremental) countCausality(ev *Event, co map[uint64]int, total []int, prev spatialFirsts) {
@@ -303,8 +304,7 @@ func (inc *Incremental) countCausality(ev *Event, co map[uint64]int, total []int
 }
 
 // Snapshot finalizes the stream as if it ended now and returns the
-// surviving events (time-ordered, immutable) and the cascade stats —
-// exactly what Pipeline would return over the records fed so far. The
+// surviving events (time-ordered, immutable) and the cascade stats. The
 // live clustering state is not modified: sealed spatial clusters are
 // shared between snapshots, everything still mutable is cloned and the
 // still-queued temporal clusters are flushed through shadow copies of
@@ -316,10 +316,10 @@ func (inc *Incremental) Snapshot() ([]*Event, Stats) {
 	out := make([]*Event, len(inc.spatial), len(inc.spatial)+len(inc.tQueue))
 	for i, c := range inc.spatial {
 		if c.sealed {
-			out[i] = c.ev
+			out[i] = &c.ev
 			continue
 		}
-		cp := *c.ev
+		cp := c.ev
 		clones[c] = &cp
 		out[i] = &cp
 	}
@@ -349,11 +349,11 @@ func (inc *Incremental) Snapshot() ([]*Event, Stats) {
 				}
 				// Sealed: immutable and more than a window behind every
 				// queued First, so the merge test below always fails.
-				return c.ev
+				return &c.ev
 			}
 			return nil
 		}
-		var tail []*Event
+		tail := make([]*Event, 0, len(inc.tQueue))
 		for _, tc := range inc.tQueue {
 			ev := tc.ev // struct copy; the live cluster may still grow
 			if cur := last(ev.Code); cur != nil && ev.First.Sub(cur.Last) <= inc.cfg.SpatialWindow {
@@ -385,7 +385,7 @@ func (inc *Incremental) Snapshot() ([]*Event, Stats) {
 	}
 
 	rules := rulesFromCounts(inc.cfg, co, total)
-	events := Causality(inc.cfg.CausalityWindow, rules, out)
+	events := causality(inc.cfg.CausalityWindow, rules, out, len(total))
 	return events, Stats{
 		Input:          inc.input,
 		AfterTemporal:  inc.tCount,

@@ -22,47 +22,19 @@ func feedAll(t *testing.T, inc *Incremental, recs []raslog.Record) {
 	}
 }
 
-// checkEquivalent asserts a snapshot of inc equals the batch pipeline
-// over the same prefix, including the symtab numbering.
+// checkEquivalent asserts a snapshot of inc equals the reference
+// cascade over the same prefix, including first-seen symtab numbering.
 func checkEquivalent(t *testing.T, label string, cfg Config, inc *Incremental, incTab *symtab.Table, prefix []raslog.Record) {
 	t.Helper()
-	gotEv, gotSt := inc.Snapshot()
-	wantTab := symtab.NewTable()
-	wantEv, wantSt := Pipeline(cfg, wantTab, prefix)
-	if gotSt != wantSt {
-		t.Fatalf("%s: stats = %+v, want %+v", label, gotSt, wantSt)
-	}
-	if len(gotEv) != len(wantEv) {
-		t.Fatalf("%s: %d events, want %d", label, len(gotEv), len(wantEv))
-	}
-	for i := range gotEv {
-		if !reflect.DeepEqual(gotEv[i], wantEv[i]) {
-			t.Fatalf("%s: event %d = %+v, want %+v", label, i, *gotEv[i], *wantEv[i])
-		}
-	}
-	if g, w := incTab.Errcodes.Len(), wantTab.Errcodes.Len(); g != w {
-		t.Fatalf("%s: %d errcodes interned, want %d", label, g, w)
-	}
-	for id := 0; id < incTab.Errcodes.Len(); id++ {
-		if g, w := incTab.Errcodes.Name(symtab.ErrcodeID(id)), wantTab.Errcodes.Name(symtab.ErrcodeID(id)); g != w {
-			t.Fatalf("%s: errcode %d = %q, want %q", label, id, g, w)
-		}
-	}
-	if g, w := incTab.Locations.Len(), wantTab.Locations.Len(); g != w {
-		t.Fatalf("%s: %d locations interned, want %d", label, g, w)
-	}
-	for id := 0; id < incTab.Locations.Len(); id++ {
-		if g, w := incTab.Locations.Name(symtab.LocationID(id)), wantTab.Locations.Name(symtab.LocationID(id)); g != w {
-			t.Fatalf("%s: location %d = %q, want %q", label, id, g, w)
-		}
-	}
+	ev, st := inc.Snapshot()
+	checkReference(t, label, cfg, incTab, prefix, ev, st)
 }
 
 // TestIncrementalMatchesPipeline pins the streaming cascade's contract:
 // at any prefix of a simulated campaign's fatal stream — including
 // mid-burst points where temporal and spatial clusters are still open —
-// Snapshot equals the batch Pipeline over that prefix, and interleaved
-// snapshots never perturb later results.
+// Snapshot equals the reference cascade over that prefix, and
+// interleaved snapshots never perturb later results.
 func TestIncrementalMatchesPipeline(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		seed := seed
@@ -190,5 +162,30 @@ func TestIncrementalRejectsRegression(t *testing.T) {
 	dup := mk(2, base.Add(time.Minute))
 	if err := inc.Feed(&dup); err != nil {
 		t.Fatalf("Feed rejected an equal-(time,RecID) record: %v", err)
+	}
+}
+
+// TestFeedUnparseableLocationAllocFree pins that a location is parsed
+// once, when its ID first appears: feeding more records at a location
+// that does not parse, inside the temporal window of their cluster,
+// allocates nothing.
+func TestFeedUnparseableLocationAllocFree(t *testing.T) {
+	const loc = "not-a-location"
+	if mps := raslog.LocationMidplanes(loc); mps != nil {
+		t.Fatalf("%q parses to %v; the test needs an unparseable location", loc, mps)
+	}
+	inc := NewIncremental(DefaultConfig(), symtab.NewTable())
+	r := rec("_bgp_err_a", loc, 0)
+	feedAll(t, inc, []raslog.Record{r})
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := inc.Feed(&r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Feed at an unparseable location: %v allocs/op, want 0", allocs)
+	}
+	if _, st := inc.Snapshot(); st.Input != 102 || st.AfterTemporal != 1 {
+		t.Fatalf("stats %+v, want 102 records in one temporal cluster", st)
 	}
 }

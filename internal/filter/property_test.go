@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,7 +42,7 @@ func TestTemporalIdempotentOnItsOutputQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		recs := randomFatalStream(seed, 200)
 		tab := symtab.NewTable()
-		first := Temporal(tab, 5*time.Minute, recs)
+		first, _ := Pipeline(temporalOnly(5*time.Minute), tab, recs)
 		// Rebuild records from the event heads.
 		heads := make([]raslog.Record, 0, len(first))
 		for _, ev := range first {
@@ -51,7 +52,7 @@ func TestTemporalIdempotentOnItsOutputQuick(t *testing.T) {
 				Location: bgp.MidplaneLocation(ev.Midplanes[0]).String(),
 			})
 		}
-		second := Temporal(symtab.NewTable(), 5*time.Minute, heads)
+		second, _ := Pipeline(temporalOnly(5*time.Minute), symtab.NewTable(), heads)
 		// Heads may still merge if two clusters of the same key start
 		// within the window of each other — never more events.
 		return len(second) <= len(first)
@@ -62,15 +63,14 @@ func TestTemporalIdempotentOnItsOutputQuick(t *testing.T) {
 }
 
 func TestPipelineNeverGrowsQuick(t *testing.T) {
-	// Property: each stage only removes events.
+	// Property: each stage only removes events, and the funnel's last
+	// count is the output.
 	f := func(seed int64) bool {
 		recs := randomFatalStream(seed, 300)
-		cfg := DefaultConfig()
-		tOut := Temporal(symtab.NewTable(), cfg.TemporalWindow, recs)
-		sOut := Spatial(cfg.SpatialWindow, tOut)
-		rules := MineCausality(cfg, sOut)
-		cOut := Causality(cfg.CausalityWindow, rules, sOut)
-		return len(tOut) <= len(recs) && len(sOut) <= len(tOut) && len(cOut) <= len(sOut)
+		evs, st := Pipeline(DefaultConfig(), symtab.NewTable(), recs)
+		return st.Input == len(recs) && st.AfterTemporal <= st.Input &&
+			st.AfterSpatial <= st.AfterTemporal && st.AfterCausality <= st.AfterSpatial &&
+			len(evs) == st.AfterCausality
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -79,16 +79,17 @@ func TestPipelineNeverGrowsQuick(t *testing.T) {
 
 func TestPipelineConservesRecordMassQuick(t *testing.T) {
 	// Property: the sizes of temporal-spatial clusters sum to the input
-	// record count.
+	// record count (causality is disabled so every cluster survives).
 	f := func(seed int64) bool {
 		recs := randomFatalStream(seed, 250)
 		cfg := DefaultConfig()
-		sOut := Spatial(cfg.SpatialWindow, Temporal(symtab.NewTable(), cfg.TemporalWindow, recs))
+		cfg.CausalityMinSupport = math.MaxInt
+		evs, st := Pipeline(cfg, symtab.NewTable(), recs)
 		total := 0
-		for _, ev := range sOut {
+		for _, ev := range evs {
 			total += ev.Size
 		}
-		return total == len(recs)
+		return total == len(recs) && len(evs) == st.AfterSpatial
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestEventsTimeOrderedAndMidplanesSortedQuick(t *testing.T) {
 func TestTemporalZeroWindowKeepsEverything(t *testing.T) {
 	recs := randomFatalStream(1, 100)
 	// With a zero window, only records at the *same instant* merge.
-	evs := Temporal(symtab.NewTable(), 0, recs)
+	evs, _ := Pipeline(temporalOnly(0), symtab.NewTable(), recs)
 	distinct := map[string]int{}
 	for _, r := range recs {
 		distinct[r.Location+"|"+r.ErrCode+"|"+r.EventTime.String()]++

@@ -47,9 +47,8 @@ func TestPipelineFromLogMatchesStore(t *testing.T) {
 	want := wantTab.Freeze()
 
 	for _, workers := range []int{1, 2, 8} {
-		cfg.Parallelism = workers
 		tab := symtab.NewTable()
-		gotEv, gotSt, err := PipelineFromLog(cfg, tab, bytes.NewReader(log))
+		gotEv, gotSt, err := PipelineFromLog(cfg, tab, bytes.NewReader(log), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -77,7 +76,7 @@ func TestPipelineFromLogMatchesStore(t *testing.T) {
 func TestPipelineFromLogPropagatesDecodeError(t *testing.T) {
 	recs := syntheticRecords(50)
 	log := append(streamLog(t, recs), []byte("corrupt line\n")...)
-	_, _, err := PipelineFromLog(DefaultConfig(), symtab.NewTable(), bytes.NewReader(log))
+	_, _, err := PipelineFromLog(DefaultConfig(), symtab.NewTable(), bytes.NewReader(log), 0)
 	if err == nil || !strings.Contains(err.Error(), "line 51") {
 		t.Fatalf("want decode error naming line 51, got %v", err)
 	}

@@ -132,12 +132,9 @@ var rootList = []Root{
 	{"filter.Incremental.Feed", PerEvent},
 	{"filter.Pipeline", PerCall},
 	{"filter.PipelineFromLog", PerCall},
-	{"filter.Spatial", PerCall},
-	{"filter.Temporal", PerCall},
 	{"joblog.Job.AppendLine", PerEvent},
 	{"joblog.Job.UnmarshalFields", PerEvent},
 	{"joblog.Reader.Next", PerEvent},
-	{"raslog.Columnarize", PerCall},
 	{"raslog.Reader.Next", PerEvent},
 	{"raslog.Record.AppendLine", PerEvent},
 	{"raslog.Record.UnmarshalFields", PerEvent},

@@ -1,5 +1,5 @@
 // Fixture mirror of the cascade: package NAME filter puts Pipeline and
-// Temporal in hotpath's root table as per-call roots — invoked once
+// PipelineFromLog in hotpath's root table as per-call roots — invoked once
 // per batch, so only their loop bodies (and everything called from
 // them) are per-event.
 package filter
@@ -30,10 +30,10 @@ func Pipeline(events [][]byte) []string {
 	return out
 }
 
-// Temporal exercises the cross-package call boundary: a hot loop
+// PipelineFromLog exercises the cross-package call boundary: a hot loop
 // calling an allocation-bearing helper in another package is flagged
 // at the call site via the helper's exported AllocFact.
-func Temporal(events [][]byte) int {
+func PipelineFromLog(events [][]byte) int {
 	total := 0
 	for range events {
 		total += allochelper.Clean(total) // no diagnostic: allocation-free helper

@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/linescan"
-	"repro/internal/store"
-	"repro/internal/symtab"
 	"repro/internal/tailio"
 )
 
@@ -273,24 +271,6 @@ func LocationMidplanes(loc string) []int {
 		return nil
 	}
 	return l.Midplanes()
-}
-
-// Columnarize interns each record's ERRCODE and location into tab and
-// appends one row per record to a fresh columnar store. It runs
-// sequentially over recs in the order given — the pipeline passes the
-// time-sorted (EventTime, RecID) stream here before any sharding, which
-// is what makes symtab ID numbering independent of the -parallelism
-// knob. The retained strings were already interned per-stream by the
-// decoder, so decode→store adds no copies of them.
-func Columnarize(tab *symtab.Table, recs []Record) *store.Events {
-	ev := store.NewEvents(len(recs))
-	for i := range recs {
-		r := &recs[i]
-		ev.Append(r.RecID, r.EventTime.UnixNano(),
-			tab.Errcodes.Intern(r.ErrCode), tab.Locations.Intern(r.Location),
-			int32(r.Component), int32(r.Severity))
-	}
-	return ev
 }
 
 // CountByMidplane tallies records per global midplane index. Records

@@ -8,10 +8,11 @@
 //
 // Determinism is load-bearing: IDs are assigned in first-seen order, so
 // any two runs that intern the same names in the same sequence produce
-// the same numbering. The pipeline guarantees that sequence is the
-// time-sorted record order regardless of the -parallelism knob by
-// interning before sharding (filter.Pipeline) and in byEnd job order
-// (core.Analyze).
+// the same numbering. The pipeline guarantees that sequence regardless
+// of the -parallelism knob: the filter cascade interns each record's
+// ERRCODE, then its location, in time-sorted record order
+// (filter.Incremental.Feed), and the analysis interns jobs in byEnd
+// order (core.AnalyzeStream).
 //
 // The distinct ID types exist so the idkind analyzer (and the compiler)
 // can reject cross-kind mixups like indexing an ErrcodeID-keyed column

@@ -41,9 +41,10 @@ type Config struct {
 	// MatchTolerance is the job-end-to-event matching slack; zero means
 	// the default (5 minutes).
 	MatchTolerance time.Duration
-	// Parallelism bounds the worker count of every fan-out — the filter
-	// cascade shards, the per-midplane and per-cause fits, and ensemble
-	// campaigns (0 = GOMAXPROCS, 1 = sequential). For a fixed seed the
+	// Parallelism bounds the worker count of every fan-out — the log
+	// decoders, the per-midplane and per-cause fits, and ensemble
+	// campaigns (0 = GOMAXPROCS, 1 = sequential). The filter cascade is
+	// one ordered pass and does not fan out. For a fixed seed the
 	// report is byte-identical at every setting; see internal/parallel
 	// for the determinism contract.
 	Parallelism int
