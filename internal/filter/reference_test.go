@@ -49,11 +49,12 @@ func checkReference(t *testing.T, label string, cfg Config, tab *symtab.Table, r
 	var codes, locs []string
 	seenCode, seenLoc := map[string]bool{}, map[string]bool{}
 	for i := range recs {
-		if r := &recs[i]; !seenCode[r.ErrCode] {
+		r := &recs[i]
+		if !seenCode[r.ErrCode] {
 			seenCode[r.ErrCode] = true
 			codes = append(codes, r.ErrCode)
 		}
-		if r := &recs[i]; !seenLoc[r.Location] {
+		if !seenLoc[r.Location] {
 			seenLoc[r.Location] = true
 			locs = append(locs, r.Location)
 		}
