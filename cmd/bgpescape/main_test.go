@@ -17,6 +17,9 @@ import (
 func TestEscapePackagesCoverHotpathRoots(t *testing.T) {
 	gated := make(map[string]bool)
 	for _, p := range escapePackages {
+		if p == "." {
+			p = "repro" // the module's root package
+		}
 		gated[p[strings.LastIndex(p, "/")+1:]] = true
 	}
 	for _, r := range hotpath.Roots() {

@@ -39,7 +39,7 @@ func TestRunWritesAnalyzableLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Jobs().Len() == 0 || rep.RAS().Len() == 0 {
+	if rep.Jobs().Len() == 0 || rep.Summary().TotalRecords == 0 {
 		t.Error("loaded empty logs")
 	}
 }

@@ -13,11 +13,9 @@ package main
 // over the same logs.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -50,53 +48,28 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 	defer rf.Close()
 
 	// One sequential pass: accumulate the raw-log aggregates the report
-	// needs (the batch path derives them from the retained store; here
-	// nothing is retained) and spool every row toward its sorted run.
-	// The budget's currency is the record's encoded line length — the
-	// same bytes Table I counts — so "budget smaller than the event
+	// needs (nothing is retained) and spool every row toward its sorted
+	// run. The budget's currency is the record's encoded line length —
+	// the same bytes Table I counts — so "budget smaller than the event
 	// payload" guarantees at least one spill.
 	var (
-		stats           repro.LogStats
-		rasFirst        int64 // min/max event time over ALL records
-		rasLast         int64
-		firstT, firstID int64 // FirstFatal key: min (EventTime, RecID)
-		sp              = store.NewSpool(spillDir, budget)
-		rd              = raslog.NewReader(rf)
+		stats repro.LogStats
+		sp    = store.NewSpool(spillDir, budget)
+		rd    = raslog.NewReader(rf)
 	)
-	for {
-		rec, err := rd.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("reading RAS log: line %d: %w", rd.Line(), err)
-		}
-		t := rec.EventTime.UnixNano()
-		weight := int64(len(rec.MarshalLine()) + 1)
-		stats.RASRecords++
-		stats.RASBytes += int(weight)
-		if stats.RASRecords == 1 || t < rasFirst {
-			rasFirst = t
-		}
-		if stats.RASRecords == 1 || t > rasLast {
-			rasLast = t
-		}
-		if rec.Fatal() {
-			stats.FatalRecords++
-			// First fatal in (EventTime, RecID) order; strict less keeps
-			// the earliest arrival on full ties, matching the stable sort
-			// of the batch store.
-			if !stats.HasFatal || t < firstT || (t == firstT && rec.RecID < firstID) {
-				stats.FirstFatal = rec
-				stats.HasFatal = true
-				firstT, firstID = t, rec.RecID
-			}
-		}
-		err = sp.Add(rec.RecID, t, rec.ErrCode, rec.Location,
-			int32(rec.Component), int32(rec.Severity), rec.Fatal(), weight)
+	for rd.Next() {
+		rec := rd.Record()
+		before := stats.RASBytes
+		stats.ObserveRAS(rec)
+		// The row's weight is the line bytes ObserveRAS just counted.
+		err = sp.Add(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
+			int32(rec.Component), int32(rec.Severity), rec.Fatal(), int64(stats.RASBytes-before))
 		if err != nil {
 			return err
 		}
+	}
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("reading RAS log: line %d: %w", rd.Line(), err)
 	}
 
 	cat, spStats, err := sp.Finish()
@@ -151,7 +124,7 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 		bld.Add(j)
 	}
 	jFirst, jLast := jl.Span()
-	start, end := core.UnionSpan(nsTime(rasFirst), nsTime(rasLast), jFirst, jLast)
+	start, end := core.UnionSpan(stats.First, stats.Last, jFirst, jLast)
 	a, err := core.AnalyzeStream(acfg, core.StreamInput{
 		Tab:         tab,
 		Events:      events,
@@ -174,13 +147,4 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 		return fmt.Errorf("unknown artifact %q; want all or one of %s", artifact, keys())
 	}
 	return render(rep, stdout)
-}
-
-// nsTime converts unix nanoseconds to a UTC time, mapping 0 (no
-// records seen) to the zero time so UnionSpan ignores the empty side.
-func nsTime(ns int64) time.Time {
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns).UTC()
 }

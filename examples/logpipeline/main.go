@@ -61,7 +61,8 @@ func main() {
 
 	// 3. Run the filtering cascade and print its Stats funnel: the
 	// compression each stage buys. (filter.PipelineFromLog does the
-	// stream + cascade in one call, on parallel decode shards.)
+	// stream + cascade in one call: raslog.ReadFatal's parallel decode
+	// shards validate every line and keep only the FATAL records.)
 	evs, st := filter.Pipeline(filter.DefaultConfig(), symtab.NewTable(), fatal)
 	fmt.Printf("temporal:  %6d -> %5d (same location+code storms collapsed)\n", st.Input, st.AfterTemporal)
 	fmt.Printf("spatial:   %6d -> %5d (parallel-job fan-out collapsed)\n", st.AfterTemporal, st.AfterSpatial)

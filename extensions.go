@@ -183,8 +183,8 @@ type SensitivityPoint struct {
 // window settings — the ablation behind the choice of the 5-minute
 // threshold the paper inherits from Liang et al.
 func (r *Report) FilterSensitivity(windows []time.Duration) ([]SensitivityPoint, error) {
-	if r.ras == nil {
-		return nil, fmt.Errorf("repro: the sensitivity ablation re-runs the cascade over the raw RAS store, which streaming reports do not retain")
+	if r.fatal == nil {
+		return nil, fmt.Errorf("repro: the sensitivity ablation re-runs the cascade over the FATAL records, which streaming reports do not retain")
 	}
 	if len(windows) == 0 {
 		windows = []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour}
@@ -194,7 +194,7 @@ func (r *Report) FilterSensitivity(windows []time.Duration) ([]SensitivityPoint,
 		cfg := core.DefaultConfig()
 		cfg.Filter.TemporalWindow = win
 		cfg.Filter.SpatialWindow = win
-		a, err := core.Analyze(cfg, r.ras, r.jobs)
+		a, err := core.AnalyzeFatal(cfg, r.fatal, r.stats.First, r.stats.Last, r.jobs)
 		if err != nil {
 			return nil, err
 		}

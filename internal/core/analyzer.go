@@ -116,15 +116,26 @@ func Analyze(cfg Config, ras *raslog.Store, jobs *joblog.Log) (*Analysis, error)
 	if ras == nil || jobs == nil {
 		return nil, fmt.Errorf("core: nil input log")
 	}
+	rFirst, rLast := ras.Span()
+	return AnalyzeFatal(cfg, ras.Fatal(), rFirst, rLast, jobs)
+}
+
+// AnalyzeFatal is Analyze over a RAS log reduced to what the analysis
+// reads: its FATAL records in (EventTime, RecID) order and the
+// event-time span of all its records, noise included (the span
+// raslog.ReadFatal's Totals carry).
+func AnalyzeFatal(cfg Config, fatal []raslog.Record, rasFirst, rasLast time.Time, jobs *joblog.Log) (*Analysis, error) {
+	if jobs == nil {
+		return nil, fmt.Errorf("core: nil input log")
+	}
 	tab := symtab.NewTable()
-	events, fstats := filter.Pipeline(cfg.Filter, tab, ras.Fatal())
+	events, fstats := filter.Pipeline(cfg.Filter, tab, fatal)
 	var occ OccupancyBuilder
 	for _, j := range jobs.All() {
 		occ.Add(j)
 	}
-	rFirst, rLast := ras.Span()
 	jFirst, jLast := jobs.Span()
-	start, end := UnionSpan(rFirst, rLast, jFirst, jLast)
+	start, end := UnionSpan(rasFirst, rasLast, jFirst, jLast)
 	return AnalyzeStream(cfg, StreamInput{
 		Tab:         tab,
 		Events:      events,

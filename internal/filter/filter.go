@@ -123,25 +123,16 @@ func Pipeline(cfg Config, tab *symtab.Table, fatal []raslog.Record) ([]*Event, S
 }
 
 // PipelineFromLog streams a raw RAS log and runs the cascade over its
-// FATAL records without ever materializing the non-fatal bulk: the
-// sharded streaming decoder (bounded-memory chunks over the
-// internal/parallel pool, on the given number of workers; 0 =
-// GOMAXPROCS) discards non-FATAL records inside the shards, and the
-// survivors are sorted into the (EventTime, RecID) order raslog.Store
-// would have presented. The events, stats and symtab IDs are identical
-// to Pipeline(cfg, tab, store.Fatal()) over the same log, for any
-// worker count.
-func PipelineFromLog(cfg Config, tab *symtab.Table, r io.Reader, workers int) ([]*Event, Stats, error) {
-	fatal, err := raslog.ReadMatchingParallel(r, workers, (*raslog.Record).Fatal)
+// FATAL records without ever materializing the non-fatal bulk:
+// raslog.ReadFatal validates every line but keeps only FATAL records,
+// in the (EventTime, RecID) order raslog.Store would have presented.
+// The events, stats and symtab IDs are identical to
+// Pipeline(cfg, tab, store.Fatal()) over the same log.
+func PipelineFromLog(cfg Config, tab *symtab.Table, r io.Reader) ([]*Event, Stats, error) {
+	fatal, _, err := raslog.ReadFatal(r, 0)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("filter: reading RAS log: %w", err)
 	}
-	sort.SliceStable(fatal, func(i, j int) bool {
-		if !fatal[i].EventTime.Equal(fatal[j].EventTime) {
-			return fatal[i].EventTime.Before(fatal[j].EventTime)
-		}
-		return fatal[i].RecID < fatal[j].RecID
-	})
 	ev, st := Pipeline(cfg, tab, fatal)
 	return ev, st, nil
 }

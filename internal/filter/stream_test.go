@@ -34,8 +34,9 @@ func streamLog(t *testing.T, recs []raslog.Record) []byte {
 }
 
 // TestPipelineFromLogMatchesStore checks the streaming entry point
-// against the load-everything path: same events, same stats, for any
-// worker count, even when the file is not time-ordered.
+// against the load-everything path: same events, same stats, same
+// symbol numbering, even when the file is not time-ordered. The decode's
+// worker-count determinism is raslog's TestReadFatalMatchesSequential.
 func TestPipelineFromLogMatchesStore(t *testing.T) {
 	recs := syntheticRecords(900)
 	log := streamLog(t, recs)
@@ -46,37 +47,35 @@ func TestPipelineFromLogMatchesStore(t *testing.T) {
 	wantEv, wantSt := Pipeline(cfg, wantTab, store.Fatal())
 	want := wantTab.Freeze()
 
-	for _, workers := range []int{1, 2, 8} {
-		tab := symtab.NewTable()
-		gotEv, gotSt, err := PipelineFromLog(cfg, tab, bytes.NewReader(log), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	tab := symtab.NewTable()
+	gotEv, gotSt, err := PipelineFromLog(cfg, tab, bytes.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotSt != wantSt {
+		t.Fatalf("stats %+v, want %+v", gotSt, wantSt)
+	}
+	if len(gotEv) != len(wantEv) {
+		t.Fatalf("%d events, want %d", len(gotEv), len(wantEv))
+	}
+	for i := range gotEv {
+		if !eventsEqual(gotEv[i], wantEv[i]) {
+			t.Fatalf("event %d differs:\n got %+v\nwant %+v", i, gotEv[i], wantEv[i])
 		}
-		if gotSt != wantSt {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, gotSt, wantSt)
-		}
-		if len(gotEv) != len(wantEv) {
-			t.Fatalf("workers=%d: %d events, want %d", workers, len(gotEv), len(wantEv))
-		}
-		for i := range gotEv {
-			if !eventsEqual(gotEv[i], wantEv[i]) {
-				t.Fatalf("workers=%d: event %d differs:\n got %+v\nwant %+v", workers, i, gotEv[i], wantEv[i])
-			}
-		}
-		// The event Code comparisons above are only meaningful because
-		// the streaming path must also assign identical IDs.
-		got := tab.Freeze()
-		if !reflect.DeepEqual(got.Errcodes.All(), want.Errcodes.All()) ||
-			!reflect.DeepEqual(got.Locations.All(), want.Locations.All()) {
-			t.Fatalf("workers=%d: symtab numbering diverges from store path", workers)
-		}
+	}
+	// The event Code comparisons above are only meaningful because the
+	// streaming path must also assign identical IDs.
+	got := tab.Freeze()
+	if !reflect.DeepEqual(got.Errcodes.All(), want.Errcodes.All()) ||
+		!reflect.DeepEqual(got.Locations.All(), want.Locations.All()) {
+		t.Fatal("symtab numbering diverges from store path")
 	}
 }
 
 func TestPipelineFromLogPropagatesDecodeError(t *testing.T) {
 	recs := syntheticRecords(50)
 	log := append(streamLog(t, recs), []byte("corrupt line\n")...)
-	_, _, err := PipelineFromLog(DefaultConfig(), symtab.NewTable(), bytes.NewReader(log), 0)
+	_, _, err := PipelineFromLog(DefaultConfig(), symtab.NewTable(), bytes.NewReader(log))
 	if err == nil || !strings.Contains(err.Error(), "line 51") {
 		t.Fatalf("want decode error naming line 51, got %v", err)
 	}

@@ -225,6 +225,35 @@ func TestJobParallelDecodeMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestJobManyWavesMatchesSequential decodes over tiny chunks, so chunk
+// buffers are recycled across many waves; under -race, any decoded
+// field aliasing a recycled buffer would differ from the sequential
+// decode.
+func TestJobManyWavesMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var b strings.Builder
+	for i := 0; i < 1200; i++ {
+		b.WriteString(legacyMarshalLine(randomJob(rng)))
+		b.WriteString("\n")
+	}
+	want, err := NewReader(strings.NewReader(b.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readAll(strings.NewReader(b.String()), linescan.Options{Workers: 4, ChunkBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d jobs, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("job %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestJobReaderTooLongLine is the over-cap regression test on the job
 // side: the error must name the line instead of truncating the read.
 func TestJobReaderTooLongLine(t *testing.T) {

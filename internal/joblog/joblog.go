@@ -540,7 +540,11 @@ func (r *Reader) ReadAll() ([]Job, error) {
 // errors are identical to ReadAll on the same input for any worker
 // count.
 func ReadAllParallel(r io.Reader, workers int) ([]Job, error) {
-	return linescan.DecodeAll(r, linescan.Options{Workers: workers}, func() linescan.ShardFunc[Job] {
+	return readAll(r, linescan.Options{Workers: workers})
+}
+
+func readAll(r io.Reader, opts linescan.Options) ([]Job, error) {
+	return linescan.DecodeAll(r, opts, func() linescan.ShardFunc[Job] {
 		dec := newDecoder()
 		return func(chunk []byte, firstLine int) ([]Job, error) {
 			var out []Job

@@ -55,7 +55,9 @@ type Options struct {
 // ShardFunc decodes one chunk of whole lines whose first line has the
 // given 1-based number. On a malformed line it returns the values
 // decoded before the error plus an error naming the line, exactly as a
-// sequential scan would.
+// sequential scan would. The chunk buffer is reused once the chunk's
+// wave is merged, so the values must not alias it: copy every retained
+// byte (string(b) does).
 type ShardFunc[T any] func(chunk []byte, firstLine int) ([]T, error)
 
 // shardOut pairs one chunk's decoded values with its parse error, so
@@ -114,6 +116,11 @@ func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) (
 			vals, err := shards[i](wave[i].data, wave[i].firstLine)
 			return shardOut[T]{vals: vals, err: err}, nil
 		})
+		// The wave's shards are done, so its buffers can carry the next
+		// wave; decoded values must not alias them (ShardFunc).
+		for i := range wave {
+			c.recycle(wave[i].data)
+		}
 		for _, so := range outs {
 			out = append(out, so.vals...)
 			if so.err != nil {
@@ -157,23 +164,25 @@ func ForEachLine(chunk []byte, firstLine int, fn func(line []byte, n int) error)
 type chunker struct {
 	r          io.Reader
 	chunkBytes int
-	carry      []byte // partial trailing line of the previous chunk
-	line       int    // 1-based number of the next chunk's first line
-	err        error  // sticky read error (io.EOF included)
-	zeroReads  int    // consecutive (0, nil) reads, for the no-progress guard
+	carry      []byte   // partial trailing line of the previous chunk
+	free       [][]byte // buffers of merged waves, ready for reuse
+	line       int      // 1-based number of the next chunk's first line
+	err        error    // sticky read error (io.EOF included)
+	zeroReads  int      // consecutive (0, nil) reads, for the no-progress guard
 }
 
 // next returns the next line-aligned chunk and the 1-based number of
-// its first line. The returned buffer is freshly allocated and owned by
-// the caller (chunks of one wave are parsed concurrently). Returns
-// io.EOF after the last chunk.
+// its first line. The returned buffer is owned by the caller until it
+// hands it back through recycle (chunks of one wave are parsed
+// concurrently, so each has its own). Returns io.EOF after the last
+// chunk.
 func (c *chunker) next() ([]byte, int, error) {
 	if len(c.carry) == 0 && c.err != nil {
 		return nil, 0, c.err
 	}
-	buf := make([]byte, 0, c.chunkBytes+len(c.carry))
+	buf := c.buffer(c.chunkBytes + len(c.carry))
 	buf = append(buf, c.carry...)
-	c.carry = nil
+	c.carry = c.carry[:0]
 	for len(buf) < c.chunkBytes && c.err == nil {
 		buf = c.fill(buf)
 	}
@@ -203,7 +212,7 @@ func (c *chunker) next() ([]byte, int, error) {
 		c.line++
 		return buf, first, nil
 	}
-	c.carry = append([]byte(nil), buf[cut+1:]...)
+	c.carry = append(c.carry, buf[cut+1:]...)
 	data := buf[:cut+1]
 	first := c.line
 	c.line += bytes.Count(data, nlSep)
@@ -211,6 +220,26 @@ func (c *chunker) next() ([]byte, int, error) {
 }
 
 var nlSep = []byte{'\n'}
+
+// buffer returns an empty buffer with at least size bytes of capacity,
+// reusing a recycled one when one is large enough.
+func (c *chunker) buffer(size int) []byte {
+	for len(c.free) > 0 {
+		b := c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+		if cap(b) >= size {
+			return b[:0]
+		}
+	}
+	// Headroom lets the buffer serve later chunks whose carried partial
+	// line is longer.
+	return make([]byte, 0, size+c.chunkBytes/16)
+}
+
+// recycle returns a chunk buffer whose contents are no longer read.
+func (c *chunker) recycle(b []byte) {
+	c.free = append(c.free, b[:0])
+}
 
 // fill reads once into buf's spare capacity (growing it when full) and
 // records a sticky error.

@@ -137,7 +137,9 @@ var rootList = []Root{
 	{"joblog.Reader.Next", PerEvent},
 	{"raslog.Reader.Next", PerEvent},
 	{"raslog.Record.AppendLine", PerEvent},
+	{"raslog.Record.MarshaledLen", PerEvent},
 	{"raslog.Record.UnmarshalFields", PerEvent},
+	{"repro.LogStats.ObserveRAS", PerEvent},
 	{"serve.Engine.IngestJobs", PerCall},
 	{"serve.Engine.IngestRAS", PerCall},
 	{"serve.Engine.Publish", PerCall},

@@ -236,37 +236,6 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestReadMatchingParallelFilters(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var b strings.Builder
-	for i := 0; i < 400; i++ {
-		b.WriteString(legacyMarshalLine(randomRecord(rng)))
-		b.WriteString("\n")
-	}
-	all, err := NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Record
-	for _, r := range all {
-		if r.Fatal() {
-			want = append(want, r)
-		}
-	}
-	got, err := ReadMatchingParallel(strings.NewReader(b.String()), 4, (*Record).Fatal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("kept %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
 // TestReaderTooLongLine is the satellite bugfix regression test: a line
 // over the 4 MiB scanner cap must surface as an error naming the line,
 // not a silent truncated read — on both the sequential and the parallel

@@ -3,6 +3,8 @@ package raslog
 import (
 	"fmt"
 	"io"
+	"sort"
+	"time"
 
 	"repro/internal/linescan"
 )
@@ -14,16 +16,11 @@ import (
 // returned records and error are byte-identical to ReadAll on the same
 // input for any worker count.
 func ReadAllParallel(r io.Reader, workers int) ([]Record, error) {
-	return ReadMatchingParallel(r, workers, nil)
+	return readAll(r, linescan.Options{Workers: workers})
 }
 
-// ReadMatchingParallel is ReadAllParallel with a per-record filter
-// applied inside the shards, so records the caller would drop (e.g.
-// everything below FATAL in the co-analysis pipeline) never reach the
-// merged slice. A nil keep retains every record. keep runs concurrently
-// and must not touch shared mutable state.
-func ReadMatchingParallel(r io.Reader, workers int, keep func(*Record) bool) ([]Record, error) {
-	return linescan.DecodeAll(r, linescan.Options{Workers: workers}, func() linescan.ShardFunc[Record] {
+func readAll(r io.Reader, opts linescan.Options) ([]Record, error) {
+	return linescan.DecodeAll(r, opts, func() linescan.ShardFunc[Record] {
 		fs := fieldScratch{it: newIntern()}
 		return func(chunk []byte, firstLine int) ([]Record, error) {
 			var out []Record
@@ -35,12 +32,127 @@ func ReadMatchingParallel(r io.Reader, workers int, keep func(*Record) bool) ([]
 				if err := rec.unmarshalFields(line, &fs); err != nil {
 					return fmt.Errorf("line %d: %w", n, err)
 				}
-				if keep == nil || keep(&rec) {
-					out = append(out, rec)
-				}
+				out = append(out, rec)
 				return nil
 			})
 			return out, err
 		}
 	})
+}
+
+// Totals are the whole-log aggregates of a RAS stream, noise included:
+// what Table I reports about the records the co-analysis never reads.
+type Totals struct {
+	// Records counts every record.
+	Records int
+	// Bytes is the re-marshaled log size (Record.MarshaledLen plus a
+	// newline per record), the size Table I reports.
+	Bytes int
+	// Fatal counts FATAL-severity records.
+	Fatal int
+	// First and Last are the minimum and maximum EventTime over every
+	// record; both are zero when Records is 0.
+	First, Last time.Time
+}
+
+// observe folds one record, given by its event time, severity and
+// re-marshaled line length (newline included).
+func (t *Totals) observe(at time.Time, fatal bool, lineLen int) {
+	t.merge(Totals{Records: 1, Bytes: lineLen, Fatal: btoi(fatal), First: at, Last: at})
+}
+
+// merge folds o, the totals of a later part of the stream, into t.
+func (t *Totals) merge(o Totals) {
+	if o.Records == 0 {
+		return
+	}
+	if t.Records == 0 || o.First.Before(t.First) {
+		t.First = o.First
+	}
+	if t.Records == 0 || o.Last.After(t.Last) {
+		t.Last = o.Last
+	}
+	t.Records += o.Records
+	t.Bytes += o.Bytes
+	t.Fatal += o.Fatal
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ReadFatal decodes a RAS log stream for the co-analysis, which reads
+// only FATAL records: it returns those records in (EventTime, RecID)
+// order — file order among full ties, as Store presents them — plus the
+// Totals of the whole stream. Every line is validated exactly as
+// ReadAll validates it, with the same error and line number, but only
+// FATAL lines are materialized; a noise line is accounted from its raw
+// fields. The shards are ReadAllParallel's (workers follows the same
+// convention), and the result is identical for any worker count. On
+// error, the records and totals cover the lines before the bad one.
+func ReadFatal(r io.Reader, workers int) ([]Record, Totals, error) {
+	return readFatal(r, linescan.Options{Workers: workers})
+}
+
+// fatalChunk is one chunk's share of a ReadFatal decode.
+type fatalChunk struct {
+	fatal []Record
+	tot   Totals
+}
+
+func readFatal(r io.Reader, opts linescan.Options) ([]Record, Totals, error) {
+	chunks, err := linescan.DecodeAll(r, opts, func() linescan.ShardFunc[fatalChunk] {
+		fs := fieldScratch{it: newIntern()}
+		return func(chunk []byte, firstLine int) ([]fatalChunk, error) {
+			var c fatalChunk
+			err := linescan.ForEachLine(chunk, firstLine, func(line []byte, n int) error {
+				if len(line) == 0 {
+					return nil
+				}
+				var lf lineFields
+				if err := lf.parse(line); err != nil {
+					return fmt.Errorf("line %d: %w", n, err)
+				}
+				fatal := lf.sev == SevFatal
+				c.tot.observe(lf.t, fatal, lf.marshaledLen(&fs)+1)
+				if fatal {
+					var rec Record
+					lf.fill(&rec, &fs)
+					c.fatal = append(c.fatal, rec)
+				}
+				return nil
+			})
+			return []fatalChunk{c}, err
+		}
+	})
+	var tot Totals
+	n := 0
+	for i := range chunks {
+		n += len(chunks[i].fatal)
+	}
+	fatal := make([]Record, 0, n)
+	for i := range chunks {
+		fatal = append(fatal, chunks[i].fatal...)
+		tot.merge(chunks[i].tot)
+	}
+	SortStable(fatal)
+	return fatal, tot, err
+}
+
+// Before reports whether a sorts strictly before b in (EventTime,
+// RecID) order, the order of the co-analysis streams.
+func Before(a, b *Record) bool {
+	if !a.EventTime.Equal(b.EventTime) {
+		return a.EventTime.Before(b.EventTime)
+	}
+	return a.RecID < b.RecID
+}
+
+// SortStable sorts recs into (EventTime, RecID) order, keeping input
+// order among full ties.
+func SortStable(recs []Record) {
+	sort.SliceStable(recs, func(i, j int) bool { return Before(&recs[i], &recs[j]) })
 }

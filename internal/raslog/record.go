@@ -45,15 +45,15 @@ const (
 	SevFatal
 )
 
-var severityNames = map[Severity]string{
+var severityNames = [...]string{
 	SevDebug: "DEBUG", SevTrace: "TRACE", SevInfo: "INFO",
 	SevWarning: "WARNING", SevError: "ERROR", SevFatal: "FATAL",
 }
 
 // String returns the CMCS spelling of the severity.
 func (s Severity) String() string {
-	if n, ok := severityNames[s]; ok {
-		return n
+	if s > SevUnknown && int(s) < len(severityNames) {
+		return severityNames[s]
 	}
 	return "UNKNOWN"
 }
@@ -109,7 +109,7 @@ const (
 	CompDiags
 )
 
-var componentNames = map[Component]string{
+var componentNames = [...]string{
 	CompApplication: "APPLICATION", CompKernel: "KERNEL", CompMC: "MC",
 	CompMMCS: "MMCS", CompBareMetal: "BAREMETAL", CompCard: "CARD",
 	CompDiags: "DIAGS",
@@ -122,8 +122,8 @@ var Components = []Component{
 
 // String returns the CMCS spelling of the component.
 func (c Component) String() string {
-	if n, ok := componentNames[c]; ok {
-		return n
+	if c > CompUnknown && int(c) < len(componentNames) {
+		return componentNames[c]
 	}
 	return "UNKNOWN"
 }
@@ -433,20 +433,47 @@ func (r *Record) UnmarshalFields(line []byte) error {
 }
 
 func (r *Record) unmarshalFields(line []byte, fs *fieldScratch) error {
-	var f [numFields][]byte
+	var lf lineFields
+	if err := lf.parse(line); err != nil {
+		return err
+	}
+	lf.fill(r, fs)
+	return nil
+}
+
+// lineFields is one split and validated log line: the typed fields
+// parsed, the string fields still raw (escaped) bytes. A decoder can
+// look at the severity and the event time and account a record's
+// re-marshaled size without materializing its strings.
+type lineFields struct {
+	f    [numFields][]byte
+	id   int64
+	comp Component
+	sev  Severity
+	t    time.Time
+}
+
+// stringFields indexes the free-text fields of the line layout, in
+// column order.
+var stringFields = [...]int{1, 3, 4, 7, 8, 9, 10}
+
+// parse splits line and validates the recid, component, severity and
+// event time, in that order, so the first error is the one a full
+// decode reports.
+func (lf *lineFields) parse(line []byte) error {
 	n := 0
 	rest := line
 	for {
 		i := bytes.IndexByte(rest, '|')
 		if i < 0 {
 			if n < numFields {
-				f[n] = rest
+				lf.f[n] = rest
 			}
 			n++
 			break
 		}
 		if n < numFields {
-			f[n] = rest[:i]
+			lf.f[n] = rest[:i]
 		}
 		n++
 		rest = rest[i+1:]
@@ -454,39 +481,112 @@ func (r *Record) unmarshalFields(line []byte, fs *fieldScratch) error {
 	if n != numFields {
 		return fmt.Errorf("%w: %d fields, want %d", ErrBadRecord, n, numFields)
 	}
-	id, ok := parseInt64Bytes(f[0])
-	if !ok {
-		return fmt.Errorf("%w: recid %q", ErrBadRecord, f[0])
+	var ok bool
+	if lf.id, ok = parseInt64Bytes(lf.f[0]); !ok {
+		return fmt.Errorf("%w: recid %q", ErrBadRecord, lf.f[0])
 	}
-	comp, ok := parseComponentBytes(f[2])
-	if !ok {
-		return fmt.Errorf("%w: raslog: unknown component %q", ErrBadRecord, f[2])
+	if lf.comp, ok = parseComponentBytes(lf.f[2]); !ok {
+		return fmt.Errorf("%w: raslog: unknown component %q", ErrBadRecord, lf.f[2])
 	}
-	sev, ok := parseSeverityBytes(f[5])
-	if !ok {
-		return fmt.Errorf("%w: raslog: unknown severity %q", ErrBadRecord, f[5])
+	if lf.sev, ok = parseSeverityBytes(lf.f[5]); !ok {
+		return fmt.Errorf("%w: raslog: unknown severity %q", ErrBadRecord, lf.f[5])
 	}
-	t, ok := parseEventTimeBytes(f[6])
-	if !ok {
+	if lf.t, ok = parseEventTimeBytes(lf.f[6]); !ok {
 		// The fast path is exact for well-formed timestamps; delegate
 		// near-misses to time.Parse so acceptance matches it bit for bit.
 		var err error
-		if t, err = ParseEventTime(string(f[6])); err != nil {
-			return fmt.Errorf("%w: event time %q", ErrBadRecord, f[6])
+		if lf.t, err = ParseEventTime(string(lf.f[6])); err != nil {
+			return fmt.Errorf("%w: event time %q", ErrBadRecord, lf.f[6])
 		}
 	}
-	r.RecID = id
-	r.Component = comp
-	r.Severity = sev
-	r.EventTime = t
-	r.MsgID = fs.str(f[1])
-	r.SubComponent = fs.str(f[3])
-	r.ErrCode = fs.str(f[4])
-	r.Flags = fs.str(f[7])
-	r.Location = fs.str(f[8])
-	r.Serial = fs.str(f[9])
-	r.Message = fs.str(f[10])
 	return nil
+}
+
+// fill materializes the parsed line into r.
+func (lf *lineFields) fill(r *Record, fs *fieldScratch) {
+	r.RecID = lf.id
+	r.Component = lf.comp
+	r.Severity = lf.sev
+	r.EventTime = lf.t
+	r.MsgID = fs.str(lf.f[1])
+	r.SubComponent = fs.str(lf.f[3])
+	r.ErrCode = fs.str(lf.f[4])
+	r.Flags = fs.str(lf.f[7])
+	r.Location = fs.str(lf.f[8])
+	r.Serial = fs.str(lf.f[9])
+	r.Message = fs.str(lf.f[10])
+}
+
+// marshaledLen is MarshaledLen of the record the line decodes to,
+// computed from the raw fields. A field without a backslash decodes to
+// itself and cannot hold '|' or a newline, so its escaped length is
+// its raw length; a field with one is unescaped into scratch first.
+func (lf *lineFields) marshaledLen(fs *fieldScratch) int {
+	n := fixedLen(lf.id, lf.comp, lf.sev, lf.t)
+	for _, i := range stringFields {
+		b := lf.f[i]
+		if bytes.IndexByte(b, '\\') < 0 {
+			n += len(b)
+			continue
+		}
+		fs.buf = unescapeInto(fs.buf, b)
+		n += escapedLen(fs.buf)
+	}
+	return n
+}
+
+// MarshaledLen returns len(r.MarshalLine()) without allocating or
+// formatting: the digits of the RecID, the component and severity
+// names, the timestamp, the ten separators and each string field's
+// escaped length.
+func (r *Record) MarshaledLen() int {
+	return fixedLen(r.RecID, r.Component, r.Severity, r.EventTime) +
+		escapedLen(r.MsgID) + escapedLen(r.SubComponent) + escapedLen(r.ErrCode) +
+		escapedLen(r.Flags) + escapedLen(r.Location) + escapedLen(r.Serial) +
+		escapedLen(r.Message)
+}
+
+// fixedLen is the marshaled length of a line's non-string columns plus
+// its numFields-1 separators.
+func fixedLen(id int64, comp Component, sev Severity, t time.Time) int {
+	return intLen(id) + len(comp.String()) + len(sev.String()) + timeLen(t) + numFields - 1
+}
+
+// escapedLen is len(appendEscaped(nil, s)).
+func escapedLen[S ~string | ~[]byte](s S) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '\\' || c == '|' || c == '\n' {
+			n++
+		}
+	}
+	return n
+}
+
+// intLen is len(strconv.AppendInt(nil, v, 10)).
+func intLen(v int64) int {
+	n := 1
+	u := uint64(v)
+	if v < 0 {
+		n++
+		u = -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// timeLen is the length of t in EventTimeLayout: 22 bytes around the
+// year, which time.Format pads to four digits and signs when negative.
+func timeLen(t time.Time) int {
+	y := t.UTC().Year()
+	n := 22
+	if y < 0 {
+		n++
+		y = -y
+	}
+	return n + max(4, intLen(int64(y)))
 }
 
 // UnmarshalLine parses one line of the log file.

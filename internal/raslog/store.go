@@ -167,12 +167,7 @@ type Store struct {
 // time-ordered stream.
 func NewStore(recs []Record) *Store {
 	s := &Store{recs: append([]Record(nil), recs...)}
-	sort.SliceStable(s.recs, func(i, j int) bool {
-		if !s.recs[i].EventTime.Equal(s.recs[j].EventTime) {
-			return s.recs[i].EventTime.Before(s.recs[j].EventTime)
-		}
-		return s.recs[i].RecID < s.recs[j].RecID
-	})
+	SortStable(s.recs)
 	return s
 }
 

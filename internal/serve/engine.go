@@ -81,9 +81,6 @@ type Engine struct {
 	stats repro.LogStats
 	segs  store.SegmentSet
 
-	// rasFirst/rasLast span ALL ingested RAS records (noise included),
-	// matching the batch pipeline's use of the full store's span.
-	rasFirst, rasLast time.Time
 	// lastRecTime/lastRecID is the ordering cursor over the full RAS
 	// stream; batches must be nondecreasing in (EventTime, RecID).
 	lastRecTime int64
@@ -188,10 +185,6 @@ func (e *Engine) IngestRAS(recs []raslog.Record) error {
 		rec := &recs[i]
 		e.dirty = true
 		e.stats.ObserveRAS(rec)
-		if e.rasFirst.IsZero() {
-			e.rasFirst = rec.EventTime
-		}
-		e.rasLast = rec.EventTime
 		e.lastRecTime = rec.EventTime.UnixNano()
 		e.lastRecID = rec.RecID
 		if !rec.Fatal() {
@@ -259,8 +252,8 @@ func (e *Engine) queueSeal(seg *store.Segment) error {
 			RASRecords:    e.stats.RASRecords,
 			RASBytes:      e.stats.RASBytes,
 			FatalRecords:  e.stats.FatalRecords,
-			RASFirstNS:    timeNS(e.rasFirst),
-			RASLastNS:     timeNS(e.rasLast),
+			RASFirstNS:    timeNS(e.stats.First),
+			RASLastNS:     timeNS(e.stats.Last),
 			LastRecTimeNS: e.lastRecTime,
 			LastRecID:     e.lastRecID,
 			MinTimeNS:     seg.MinTime,
@@ -370,14 +363,13 @@ func (e *Engine) Publish() (*Epoch, error) {
 	jobs := e.jobs[:len(e.jobs):len(e.jobs)]
 	stats := e.stats
 	segs := e.segs.Snapshot()
-	rasFirst, rasLast := e.rasFirst, e.rasLast
 	watermark := e.inc.Watermark()
 	seq := e.epochSeq + 1
 	e.mu.Unlock()
 
 	jl := joblog.NewLog(jobs)
 	jFirst, jLast := jl.Span()
-	start, end := core.UnionSpan(rasFirst, rasLast, jFirst, jLast)
+	start, end := core.UnionSpan(stats.First, stats.Last, jFirst, jLast)
 	a, err := core.AnalyzeStream(e.cfg.Analysis, core.StreamInput{
 		Tab:         tab,
 		Events:      events,

@@ -216,11 +216,11 @@ func (e *Engine) recover() error {
 		RASRecords:   last.RASRecords,
 		RASBytes:     last.RASBytes,
 		FatalRecords: last.FatalRecords,
+		First:        nsTime(last.RASFirstNS),
+		Last:         nsTime(last.RASLastNS),
 		FirstFatal:   firstFatal,
 		HasFatal:     haveFatal,
 	}
-	e.rasFirst = nsTime(last.RASFirstNS)
-	e.rasLast = nsTime(last.RASLastNS)
 	e.lastRecTime = last.LastRecTimeNS
 	e.lastRecID = last.LastRecID
 	return nil

@@ -327,7 +327,7 @@ func (ep *Epoch) buildVulnerability() vulnerabilityPayload {
 	return out
 }
 
-// spanDays mirrors the batch report's day count (repro.analyzeStores).
+// spanDays mirrors the batch report's day count (repro.NewStreamReport).
 func spanDays(start, end time.Time) int {
 	return int(end.Sub(start).Hours()/24) + 1
 }

@@ -1,0 +1,298 @@
+package repro
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/joblog"
+	"repro/internal/raslog"
+)
+
+// The paper-scale fixture: a 30-day campaign at Intrepid's 62 noise
+// records per FATAL one, serialized to both line formats.
+var (
+	paperLogsOnce       sync.Once
+	paperRAS, paperJobs []byte
+	paperLogsErr        error
+)
+
+func paperLogs(tb testing.TB) (ras, jobs []byte) {
+	tb.Helper()
+	paperLogsOnce.Do(func() {
+		r, err := Run(Config{Seed: 1, Days: 30, NoisePerFatal: 62})
+		if err != nil {
+			paperLogsErr = err
+			return
+		}
+		paperRAS = marshalRAS(r.RAS().All())
+		for _, j := range r.Jobs().All() {
+			paperJobs = j.AppendLine(paperJobs)
+			paperJobs = append(paperJobs, '\n')
+		}
+	})
+	if paperLogsErr != nil {
+		tb.Fatal(paperLogsErr)
+	}
+	return paperRAS, paperJobs
+}
+
+func marshalRAS(recs []raslog.Record) []byte {
+	var buf []byte
+	for i := range recs {
+		buf = recs[i].AppendLine(buf)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// storeComposition is what Load composed before it stopped retaining
+// the noise records: decode every record, sort them all into a Store,
+// analyze the Store, and count Table I's bytes by marshaling each
+// record.
+func storeComposition(t *testing.T, ras, jobs []byte) (*Report, *raslog.Store, error) {
+	t.Helper()
+	recs, err := raslog.ReadAllParallel(bytes.NewReader(ras), 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("repro: reading RAS log: %w", err)
+	}
+	js, err := joblog.ReadAllParallel(bytes.NewReader(jobs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, jl := raslog.NewStore(recs), joblog.NewLog(js)
+	a, err := core.Analyze(core.DefaultConfig(), st, jl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ls LogStats
+	for _, r := range st.All() {
+		ls.RASRecords++
+		ls.RASBytes += len(r.MarshalLine()) + 1
+		if r.Fatal() {
+			ls.FatalRecords++
+		}
+	}
+	ls.First, ls.Last = st.Span()
+	if fatal := st.Fatal(); len(fatal) > 0 {
+		ls.FirstFatal, ls.HasFatal = fatal[0], true
+	}
+	return NewStreamReport(a, jl, ls), st, nil
+}
+
+// TestLoadMatchesStoreComposition checks that Load, which keeps only
+// the FATAL records, renders every artifact and the Summary exactly as
+// the retain-everything composition did — on the paper-scale campaign
+// and on a shuffled copy with duplicate (EventTime, RecID) FATAL lines
+// — and that the sweep ablation re-run over the FATAL records matches
+// core.Analyze over the full store.
+func TestLoadMatchesStoreComposition(t *testing.T) {
+	ras, jobs := paperLogs(t)
+	for name, log := range map[string][]byte{
+		"paper":      ras,
+		"duplicates": withDuplicateFatal(t, ras),
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, err := Load(DefaultConfig(0), bytes.NewReader(log), bytes.NewReader(jobs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, st, err := storeComposition(t, log, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.RAS() != nil {
+				t.Error("a loaded report retains the RAS store")
+			}
+			if got.stats != want.stats {
+				t.Fatalf("log stats %+v, want %+v", got.stats, want.stats)
+			}
+			if name == "duplicates" && got.stats.FirstFatal.Message != "duplicate filed before" {
+				t.Fatalf("Table II example %+v is not the first-filed tie", got.stats.FirstFatal)
+			}
+			if g, w := fmt.Sprintf("%+v", got.Summary()), fmt.Sprintf("%+v", want.Summary()); g != w {
+				t.Errorf("summary differs:\n got %s\nwant %s", g, w)
+			}
+			for art, render := range Artifacts() {
+				if art == "sweep" {
+					continue // want is a streaming report; compared below
+				}
+				var gb, wb bytes.Buffer
+				gerr, werr := render(got, &gb), render(want, &wb)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) || gb.String() != wb.String() {
+					t.Errorf("artifact %s differs (err %v, want %v)", art, gerr, werr)
+				}
+			}
+			windows := []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour}
+			points, err := got.FilterSensitivity(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, win := range windows {
+				cfg := core.DefaultConfig()
+				cfg.Filter.TemporalWindow, cfg.Filter.SpatialWindow = win, win
+				a, err := core.Analyze(cfg, st, want.Jobs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				wp := SensitivityPoint{Window: win, Events: len(a.Events), Interruptions: len(a.Interruptions)}
+				if points[i] != wp {
+					t.Errorf("sweep point %d = %+v, want %+v", i, points[i], wp)
+				}
+			}
+		})
+	}
+}
+
+// withDuplicateFatal returns ras in a shuffled line order with two
+// copies of its first FATAL record — same EventTime and RecID, other
+// messages — one before and one after it, so Table II's example and
+// the FATAL stream depend on ties keeping file order.
+func withDuplicateFatal(t *testing.T, ras []byte) []byte {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(ras), "\n"), "\n")
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	first := -1
+	var firstRec raslog.Record
+	for i, l := range lines {
+		r, err := raslog.UnmarshalLine(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Fatal() && (first < 0 || raslog.Before(&r, &firstRec)) {
+			first, firstRec = i, r
+		}
+	}
+	dup := func(msg string) string {
+		r := firstRec
+		r.Message = msg
+		return r.MarshalLine()
+	}
+	out := append([]string(nil), lines[:first]...)
+	out = append(out, dup("duplicate filed before"), lines[first], dup("duplicate filed after"))
+	out = append(out, lines[first+1:]...)
+	return []byte(strings.Join(out, "\n") + "\n")
+}
+
+// TestLoadErrorsMatchStoreComposition checks that a malformed line in
+// a noise record and in a FATAL record fail Load with the error the
+// full decode reports.
+func TestLoadErrorsMatchStoreComposition(t *testing.T) {
+	ras, jobs := paperLogs(t)
+	lines := strings.Split(string(ras), "\n")
+	for _, fatal := range []bool{false, true} {
+		bad := append([]string(nil), lines...)
+		for i := len(bad) / 2; i < len(bad); i++ {
+			if r, err := raslog.UnmarshalLine(bad[i]); err == nil && r.Fatal() == fatal {
+				bad[i] = strings.Replace(bad[i], "|"+r.Severity.String()+"|", "|LOUD|", 1)
+				break
+			}
+		}
+		log := []byte(strings.Join(bad, "\n"))
+		_, err := Load(DefaultConfig(0), bytes.NewReader(log), bytes.NewReader(jobs))
+		_, _, wantErr := storeComposition(t, log, jobs)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Errorf("fatal=%v: error %v, want %v", fatal, err, wantErr)
+		}
+	}
+}
+
+// TestObserveRASAllocFree pins ObserveRAS, which runs once per record
+// in every driver, to zero allocations.
+func TestObserveRASAllocFree(t *testing.T) {
+	st := quickReport(t).RAS()
+	recs := append(st.All()[:32:32], st.Fatal()[:32]...)
+	var ls LogStats
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range recs {
+			ls.ObserveRAS(&recs[i])
+		}
+	}); n != 0 {
+		t.Fatalf("ObserveRAS allocates %v times per run", n)
+	}
+}
+
+// TestObserveRASOrderIndependent checks that observing records in any
+// order gives what observing them sorted gives, ties included: among
+// full (EventTime, RecID) ties the earliest observed is FirstFatal, as
+// the stable sort keeps it first. Chunk aggregates merged in order
+// agree too.
+func TestObserveRASOrderIndependent(t *testing.T) {
+	base := time.Date(2008, 4, 1, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(7))
+	var recs []raslog.Record
+	for i := 0; i < 400; i++ {
+		sev := raslog.SevInfo
+		if i%3 == 0 {
+			sev = raslog.SevFatal
+		}
+		recs = append(recs, raslog.Record{
+			RecID:     int64(rng.Intn(3)),
+			Component: raslog.CompKernel,
+			Severity:  sev,
+			EventTime: base.Add(time.Duration(rng.Intn(20)) * time.Second),
+			Message:   fmt.Sprintf("arrival %d", i),
+		})
+	}
+	sorted := append([]raslog.Record(nil), recs...)
+	raslog.SortStable(sorted)
+	var want, got, merged LogStats
+	for i := range sorted {
+		want.ObserveRAS(&sorted[i])
+	}
+	for i := range recs {
+		got.ObserveRAS(&recs[i])
+	}
+	for start := 0; start < len(recs); start += 45 {
+		var part LogStats
+		for i := start; i < min(start+45, len(recs)); i++ {
+			part.ObserveRAS(&recs[i])
+		}
+		merged.Merge(&part)
+	}
+	if want.FirstFatal != firstFatal(sorted) {
+		t.Fatalf("sorted FirstFatal %+v is not the first FATAL record", want.FirstFatal)
+	}
+	if got != want {
+		t.Fatalf("shuffled %+v\n  sorted %+v", got, want)
+	}
+	if merged != want {
+		t.Fatalf("merged %+v\n  sorted %+v", merged, want)
+	}
+}
+
+func firstFatal(recs []raslog.Record) raslog.Record {
+	for _, r := range recs {
+		if r.Fatal() {
+			return r
+		}
+	}
+	return raslog.Record{}
+}
+
+// BenchmarkLoad measures batch coanalyze in process: Load plus
+// RenderAll over the serialized 30-day, 62-noise-per-FATAL campaign
+// (paper-batch's logs). Run with -benchmem to see the decode and
+// retention cost; it is not in the bgpbench-gated set.
+func BenchmarkLoad(b *testing.B) {
+	ras, jobs := paperLogs(b)
+	b.SetBytes(int64(len(ras) + len(jobs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Load(DefaultConfig(0), bytes.NewReader(ras), bytes.NewReader(jobs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := rep.RenderAll(&out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

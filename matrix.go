@@ -58,11 +58,10 @@ func RunMatrix(cfg Config) ([]PolicyOutcome, error) {
 	}
 	out := make([]PolicyOutcome, 0, len(runs))
 	for _, run := range runs {
-		rep, err := analyzeStores(cfg, run.Campaign.RAS, run.Campaign.Jobs)
+		rep, err := analyzeCampaign(cfg, run.Campaign)
 		if err != nil {
 			return nil, fmt.Errorf("repro: policy %s: %w", run.Policy, err)
 		}
-		rep.truth = &run.Campaign.Result.Truth
 		out = append(out, PolicyOutcome{Policy: run.Policy, Report: rep, Stats: rep.PolicyStats()})
 	}
 	return out, nil

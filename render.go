@@ -67,7 +67,7 @@ func (r *Report) RenderAll(w io.Writer) error {
 // RenderTableI writes the log-summary table (Table I).
 func (r *Report) RenderTableI(w io.Writer) error {
 	start, end := r.analysis.Span()
-	ls := r.logStats()
+	ls := &r.stats
 	jobBytes := 0
 	var line []byte
 	jobs := r.jobs.All()
@@ -100,7 +100,7 @@ func byteSize(n int) string {
 // RenderTableII writes one example RAS record (Table II): the first
 // FATAL record in (EventTime, RecID) order.
 func (r *Report) RenderTableII(w io.Writer) error {
-	ls := r.logStats()
+	ls := &r.stats
 	if !ls.HasFatal {
 		return fmt.Errorf("repro: no FATAL records in the RAS log")
 	}

@@ -18,7 +18,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -74,21 +73,21 @@ func QuickConfig(seed int64) Config {
 // paper's evaluation.
 type Report struct {
 	analysis *core.Analysis
-	// ras is nil for streaming reports (NewStreamReport); the renderers
-	// needing raw-log aggregates read logStats() instead, and the one
-	// needing the full store (RenderSensitivity) errors without it.
-	ras  *raslog.Store
-	jobs *joblog.Log
-	// truth is non-nil only for simulated campaigns; external logs have
-	// no oracle.
+	jobs     *joblog.Log
+	// fatal holds the FATAL records in (EventTime, RecID) order, all
+	// the RAS log the analysis reads; RenderSensitivity re-runs the
+	// cascade over them. It is nil only for streaming reports
+	// (NewStreamReport), which do not retain records.
+	fatal []raslog.Record
+	// stats are the raw-log aggregates (Table I's sizes, Table II's
+	// example record, the Summary counters), set by every constructor.
+	stats LogStats
+	// ras and truth are non-nil only for simulated campaigns: loaded
+	// and streaming reports neither keep the noise records nor have an
+	// oracle.
+	ras   *raslog.Store
 	truth *sched.GroundTruth
 	days  int
-
-	// rasStats is injected by NewStreamReport (statsSet true) or derived
-	// lazily from ras under statsOnce.
-	statsOnce sync.Once
-	statsSet  bool
-	rasStats  LogStats
 }
 
 // Run simulates a campaign and analyzes it.
@@ -100,10 +99,22 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := analyzeStores(cfg, camp.RAS, camp.Jobs)
+	return analyzeCampaign(cfg, camp)
+}
+
+// analyzeCampaign analyzes a simulated campaign, keeping its store and
+// ground truth.
+func analyzeCampaign(cfg Config, camp *simulate.Campaign) (*Report, error) {
+	var stats LogStats
+	all := camp.RAS.All()
+	for i := range all {
+		stats.ObserveRAS(&all[i])
+	}
+	rep, err := analyze(cfg, camp.RAS.Fatal(), stats, camp.Jobs)
 	if err != nil {
 		return nil, err
 	}
+	rep.ras = camp.RAS
 	rep.truth = &camp.Result.Truth
 	return rep, nil
 }
@@ -111,10 +122,12 @@ func Run(cfg Config) (*Report, error) {
 // Load analyzes externally supplied logs in this module's line formats
 // (see internal/raslog and internal/joblog for the schema; cmd/bgpgen
 // writes compatible files). Both logs are decoded by the sharded
-// streaming codec honoring cfg.Parallelism; the resulting analysis is
-// byte-identical at every worker count.
+// streaming codecs honoring cfg.Parallelism. The RAS decode validates
+// every line but keeps only the FATAL records the analysis reads, and
+// folds the rest into Table I's aggregates (raslog.ReadFatal). The
+// analysis is byte-identical at every worker count.
 func Load(cfg Config, rasLog, jobLog io.Reader) (*Report, error) {
-	recs, err := raslog.ReadAllParallel(rasLog, cfg.Parallelism)
+	fatal, tot, err := raslog.ReadFatal(rasLog, cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading RAS log: %w", err)
 	}
@@ -122,7 +135,7 @@ func Load(cfg Config, rasLog, jobLog io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading job log: %w", err)
 	}
-	return analyzeStores(cfg, raslog.NewStore(recs), joblog.NewLog(jobs))
+	return analyze(cfg, fatal, statsFromTotals(tot, fatal), joblog.NewLog(jobs))
 }
 
 func simConfig(cfg Config) simulate.Config {
@@ -134,30 +147,33 @@ func simConfig(cfg Config) simulate.Config {
 	}
 }
 
-func analyzeStores(cfg Config, ras *raslog.Store, jobs *joblog.Log) (*Report, error) {
+// analyze runs the co-analysis over a RAS log's FATAL records, in
+// (EventTime, RecID) order, and its aggregates.
+func analyze(cfg Config, fatal []raslog.Record, stats LogStats, jobs *joblog.Log) (*Report, error) {
 	acfg := core.DefaultConfig()
 	if cfg.MatchTolerance > 0 {
 		acfg.MatchTolerance = cfg.MatchTolerance
 	}
 	acfg.Parallelism = cfg.Parallelism
-	a, err := core.Analyze(acfg, ras, jobs)
+	a, err := core.AnalyzeFatal(acfg, fatal, stats.First, stats.Last, jobs)
 	if err != nil {
 		return nil, err
 	}
-	start, end := a.Span()
-	return &Report{
-		analysis: a,
-		ras:      ras,
-		jobs:     jobs,
-		days:     int(end.Sub(start).Hours()/24) + 1,
-	}, nil
+	if fatal == nil {
+		fatal = []raslog.Record{} // non-nil: the sweep can re-run
+	}
+	rep := NewStreamReport(a, jobs, stats)
+	rep.fatal = fatal
+	return rep, nil
 }
 
 // Analysis exposes the underlying co-analysis for advanced callers
 // inside this module.
 func (r *Report) Analysis() *core.Analysis { return r.analysis }
 
-// RAS returns the RAS store under analysis.
+// RAS returns the RAS store of a simulated campaign, or nil: loaded
+// and streaming reports keep only the FATAL records and the raw-log
+// aggregates.
 func (r *Report) RAS() *raslog.Store { return r.ras }
 
 // Jobs returns the job log under analysis.

@@ -1,18 +1,20 @@
 package repro
 
-// Streaming-report support: a long-running ingester (internal/serve)
-// never retains the raw RAS store — the noise bulk dominates it — so
+// Raw-log aggregates and streaming reports: no report built from logs
+// keeps the non-fatal records, which are nearly all of a RAS log, so
 // the few renderers that consume raw-log aggregates (Table I's sizes,
 // Table II's example record, the Summary counters) read them from
-// LogStats, which the ingester accumulates record by record and a
-// batch Report derives lazily from its retained store. NewStreamReport
-// assembles a Report from a streaming analysis plus those aggregates;
-// everything else renders from the Analysis and the job log exactly as
-// in the batch path, which is what makes the serve-vs-batch
-// byte-equivalence tests possible.
+// LogStats. A long-running ingester (internal/serve) and coanalyze
+// -mem-budget accumulate it record by record, Load folds it from
+// raslog.ReadFatal's Totals, and Run from the simulated store.
+// NewStreamReport assembles a Report from a streaming analysis plus
+// those aggregates; everything else renders from the Analysis and the
+// job log exactly as in the batch path, which is what makes the
+// serve-vs-batch byte-equivalence tests possible.
 
 import (
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/joblog"
@@ -29,57 +31,77 @@ type LogStats struct {
 	RASBytes int
 	// FatalRecords counts FATAL-severity records.
 	FatalRecords int
+	// First and Last are the minimum and maximum EventTime over all
+	// records, noise included; zero when RASRecords is 0.
+	First, Last time.Time
 	// FirstFatal is the first FATAL record in (EventTime, RecID) order —
-	// Table II's example. HasFatal guards its validity.
+	// Table II's example; among full ties, the earliest observed, as the
+	// stable sort of the batch store orders them. HasFatal guards its
+	// validity.
 	FirstFatal raslog.Record
 	HasFatal   bool
 }
 
-// ObserveRAS folds one RAS record into the aggregates. Call in
-// (EventTime, RecID) order so FirstFatal matches the batch store's
-// sorted order.
+// ObserveRAS folds one RAS record into the aggregates, in any order.
+// It does not allocate.
 func (ls *LogStats) ObserveRAS(rec *raslog.Record) {
-	ls.RASRecords++
-	ls.RASBytes += len(rec.MarshalLine()) + 1
+	o := LogStats{RASRecords: 1, RASBytes: rec.MarshaledLen() + 1, First: rec.EventTime, Last: rec.EventTime}
 	if rec.Fatal() {
-		ls.FatalRecords++
-		if !ls.HasFatal {
-			ls.FirstFatal = *rec
-			ls.HasFatal = true
-		}
+		o.FatalRecords, o.FirstFatal, o.HasFatal = 1, *rec, true
+	}
+	ls.Merge(&o)
+}
+
+// Merge folds o, the aggregates of records observed after ls's, into
+// ls: the chunk totals of one stream merge in stream order.
+func (ls *LogStats) Merge(o *LogStats) {
+	if o.RASRecords == 0 {
+		return
+	}
+	if ls.RASRecords == 0 || o.First.Before(ls.First) {
+		ls.First = o.First
+	}
+	if ls.RASRecords == 0 || o.Last.After(ls.Last) {
+		ls.Last = o.Last
+	}
+	ls.RASRecords += o.RASRecords
+	ls.RASBytes += o.RASBytes
+	ls.FatalRecords += o.FatalRecords
+	// Strictly before: on a full tie the earlier observation stays.
+	if o.HasFatal && (!ls.HasFatal || raslog.Before(&o.FirstFatal, &ls.FirstFatal)) {
+		ls.FirstFatal, ls.HasFatal = o.FirstFatal, true
 	}
 }
 
-// logStats returns the raw-log aggregates, deriving them from the
-// retained store on first use for batch reports. Safe for concurrent
-// renderers.
-func (r *Report) logStats() *LogStats {
-	r.statsOnce.Do(func() {
-		if r.statsSet || r.ras == nil {
-			return
-		}
-		recs := r.ras.All()
-		for i := range recs {
-			r.rasStats.ObserveRAS(&recs[i])
-		}
-		r.statsSet = true
-	})
-	return &r.rasStats
+// statsFromTotals assembles the aggregates of a FATAL-only decode: its
+// whole-log totals plus its sorted FATAL records.
+func statsFromTotals(tot raslog.Totals, fatal []raslog.Record) LogStats {
+	ls := LogStats{
+		RASRecords:   tot.Records,
+		RASBytes:     tot.Bytes,
+		FatalRecords: tot.Fatal,
+		First:        tot.First,
+		Last:         tot.Last,
+	}
+	if len(fatal) > 0 {
+		ls.FirstFatal, ls.HasFatal = fatal[0], true
+	}
+	return ls
 }
 
 // NewStreamReport assembles a Report from a streaming analysis
 // (core.AnalyzeStream) and pre-accumulated raw-log aggregates. The
 // resulting report renders every artifact identically to a batch
-// Report over the same records, except those needing the full raw RAS
-// store (RenderSensitivity), which return an error instead.
+// Report over the same records, except the one re-running the cascade
+// over the FATAL records (RenderSensitivity), which returns an error
+// instead.
 func NewStreamReport(a *core.Analysis, jobs *joblog.Log, rasStats LogStats) *Report {
 	start, end := a.Span()
 	return &Report{
 		analysis: a,
 		jobs:     jobs,
 		days:     int(end.Sub(start).Hours()/24) + 1,
-		rasStats: rasStats,
-		statsSet: true,
+		stats:    rasStats,
 	}
 }
 

@@ -57,7 +57,7 @@ type Summary struct {
 // (e.g. too few interruptions in a tiny campaign) leave zero values.
 func (r *Report) Summary() Summary {
 	a := r.analysis
-	ls := r.logStats()
+	ls := &r.stats
 	s := Summary{
 		Days:         r.days,
 		TotalRecords: ls.RASRecords,
