@@ -69,16 +69,17 @@ smoke-golden:
 membound:
 	./scripts/membound.sh
 
-# Short fuzz smoke of the line parsers, the location-code grammar, the
-# symbol-table round trip, the ingest endpoints, and the seal/persist/
-# restore durability boundary (the checked-in corpora and seed inputs
-# always run as part of `test`; this explores further). The symtab
-# target runs under -race: its fuzz body exercises frozen snapshots
-# under concurrent readers.
+# Short fuzz smoke of the line parsers, the job line's length count,
+# the location-code grammar, the symbol-table round trip, the ingest
+# endpoints, and the seal/persist/restore durability boundary (the
+# checked-in corpora and seed inputs always run as part of `test`; this
+# explores further). The symtab target runs under -race: its fuzz body
+# exercises frozen snapshots under concurrent readers.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/raslog -fuzz FuzzParseRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/joblog -fuzz FuzzParseJob -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/joblog -fuzz FuzzJobMarshaledLen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bgp -fuzz FuzzParseLocation -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/symtab -fuzz FuzzSymtab -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -fuzz FuzzIngestBatch -fuzztime $(FUZZTIME)

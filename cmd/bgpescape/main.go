@@ -58,6 +58,7 @@ import (
 // repro, home of LogStats.ObserveRAS.
 var escapePackages = []string{
 	".",
+	"./internal/bgp",
 	"./internal/core",
 	"./internal/filter",
 	"./internal/joblog",
@@ -67,13 +68,14 @@ var escapePackages = []string{
 	"./internal/symtab",
 }
 
-// codecPackages are the ingest codec packages whose per-event roots
-// carry the zero-escape hard assertion (rule 3). The cascade's
+// codecPackages are the ingest codec packages (and bgp, whose
+// partition encoder the job codec calls) whose per-event roots carry
+// the zero-escape hard assertion (rule 3). The cascade's
 // per-event roots are excluded deliberately: inlined interner
 // initialization (filter.Incremental.Feed) and cold reject-path error
 // values (store.Segment.AppendRow) escape by design and are governed
 // by the baseline diff instead.
-var codecPackages = map[string]bool{"raslog": true, "joblog": true}
+var codecPackages = map[string]bool{"raslog": true, "joblog": true, "bgp": true}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

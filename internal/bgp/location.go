@@ -214,25 +214,49 @@ func (l Location) Midplanes() []int {
 
 // String renders the canonical CMCS location code, e.g. "R23-M0-N08-J09".
 func (l Location) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "R%d%d", l.Row, l.Col)
+	var buf [24]byte
+	return string(l.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the canonical CMCS location code (String's bytes)
+// to dst without formatting through fmt. An unknown kind renders as
+// "R??".
+func (l Location) AppendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, 'R')
+	dst = strconv.AppendInt(dst, int64(l.Row), 10)
+	dst = strconv.AppendInt(dst, int64(l.Col), 10)
 	switch l.Kind {
 	case KindRack:
-		return b.String()
+		return dst
 	case KindMidplane:
-		fmt.Fprintf(&b, "-M%d", l.Mid)
+		return appendMid(dst, l.Mid)
 	case KindServiceCard:
-		fmt.Fprintf(&b, "-M%d-S", l.Mid)
+		return append(appendMid(dst, l.Mid), '-', 'S')
 	case KindLinkCard:
-		fmt.Fprintf(&b, "-M%d-L%d", l.Mid, l.Card)
+		return strconv.AppendInt(append(appendMid(dst, l.Mid), '-', 'L'), int64(l.Card), 10)
 	case KindNodeCard:
-		fmt.Fprintf(&b, "-M%d-N%02d", l.Mid, l.Card)
+		return appendPad2(append(appendMid(dst, l.Mid), '-', 'N'), l.Card)
 	case KindComputeNode:
-		fmt.Fprintf(&b, "-M%d-N%02d-J%02d", l.Mid, l.Card, l.Node)
+		dst = appendPad2(append(appendMid(dst, l.Mid), '-', 'N'), l.Card)
+		return appendPad2(append(dst, '-', 'J'), l.Node)
 	default:
-		return "R??"
+		return append(dst[:n], "R??"...)
 	}
-	return b.String()
+}
+
+// appendMid appends the "-M<mid>" midplane segment.
+func appendMid(dst []byte, mid int) []byte {
+	return strconv.AppendInt(append(dst, '-', 'M'), int64(mid), 10)
+}
+
+// appendPad2 appends v the way fmt's %02d does: a leading zero for a
+// single non-negative digit, plain digits (and sign) otherwise.
+func appendPad2(dst []byte, v int) []byte {
+	if v >= 0 && v < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(v), 10)
 }
 
 // ParseLocation parses a CMCS location code. Accepted forms:

@@ -91,22 +91,30 @@ func (p Partition) Nodes() int { return p.Size * NodesPerMidplane }
 // "R10-R11" for a multi-rack block, "R23-M0..R24-M1" for general
 // midplane ranges).
 func (p Partition) String() string {
+	var buf [24]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the partition's String form to dst without
+// formatting through fmt.
+func (p Partition) AppendTo(dst []byte) []byte {
 	first := MidplaneLocation(p.Start)
-	last := MidplaneLocation(p.End() - 1)
 	if p.Size == 1 {
-		return first.String()
+		return first.AppendTo(dst)
 	}
+	last := MidplaneLocation(p.End() - 1)
 	// Whole-rack-aligned blocks print as rack ranges, like the
 	// Intrepid job log ("R10-R11").
 	if p.Start%MidplanesPerRack == 0 && p.Size%MidplanesPerRack == 0 {
 		fr := RackLocation(first.Row, first.Col)
 		lr := RackLocation(last.Row, last.Col)
+		dst = fr.AppendTo(dst)
 		if fr == lr {
-			return fr.String()
+			return dst
 		}
-		return fr.String() + "-" + lr.String()
+		return lr.AppendTo(append(dst, '-'))
 	}
-	return first.String() + ".." + last.String()
+	return last.AppendTo(append(first.AppendTo(dst), '.', '.'))
 }
 
 // ParsePartition parses the formats emitted by Partition.String.

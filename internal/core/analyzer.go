@@ -110,7 +110,7 @@ func (s campaignSpan) Days() int {
 
 // Analyze runs the full pipeline over a RAS store and a job log: the
 // filter cascade over the store's FATAL records, an occupancy index
-// built job by job, and AnalyzeStream over both. Batch and streaming
+// over the log's jobs, and AnalyzeStream over both. Batch and streaming
 // callers share every stage.
 func Analyze(cfg Config, ras *raslog.Store, jobs *joblog.Log) (*Analysis, error) {
 	if ras == nil || jobs == nil {
@@ -130,9 +130,13 @@ func AnalyzeFatal(cfg Config, fatal []raslog.Record, rasFirst, rasLast time.Time
 	}
 	tab := symtab.NewTable()
 	events, fstats := filter.Pipeline(cfg.Filter, tab, fatal)
-	var occ OccupancyBuilder
-	for _, j := range jobs.All() {
-		occ.Add(j)
+	// A Log is immutable, so the occupancy index views its job slice
+	// instead of copying it job by job; the capacity clip makes any
+	// later Add reallocate rather than write into the log.
+	all := jobs.All()
+	occ := OccupancyBuilder{byEnd: all[:len(all):len(all)]}
+	for p := range all {
+		occ.index(int32(p))
 	}
 	jFirst, jLast := jobs.Span()
 	start, end := UnionSpan(rasFirst, rasLast, jFirst, jLast)

@@ -91,12 +91,13 @@ func (a *Analysis) RelocationExamples(max int) []RelocationExample {
 func (a *Analysis) cleanJobAfter(prev, cur joblog.Job, interrupted map[int64]bool) (joblog.Job, bool) {
 	horizon := cur.EndTime.Add(7 * 24 * 3600 * 1e9)
 	for mp := prev.Partition.Start; mp < prev.Partition.End(); mp++ {
-		for _, j := range a.occupancy.perMp[mp] {
+		for _, p := range a.occupancy.perMp[mp] {
+			j := &a.occupancy.byEnd[p]
 			if j.StartTime.After(horizon) {
 				break
 			}
 			if j.StartTime.After(prev.EndTime) && j.EndTime.Before(horizon) && !interrupted[j.ID] {
-				return j, true
+				return *j, true
 			}
 		}
 	}

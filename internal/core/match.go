@@ -16,8 +16,10 @@ import (
 // allocation is exclusive, so per-midplane intervals do not overlap
 // (beyond the seconds-scale detection slack of inline kills).
 type occupancyIndex struct {
-	// perMp[mp] holds the jobs touching mp, sorted by StartTime.
-	perMp [bgp.NumMidplanes][]joblog.Job
+	// perMp[mp] holds the positions in byEnd of the jobs touching mp,
+	// sorted by StartTime. A job on 80 midplanes is listed 80 times as
+	// a 4-byte position, never copied.
+	perMp [bgp.NumMidplanes][]int32
 	// maxEnd[mp][k] is the latest EndTime among perMp[mp][:k+1]; it
 	// bounds runningOn's walk back.
 	maxEnd [bgp.NumMidplanes][]time.Time
@@ -25,13 +27,14 @@ type occupancyIndex struct {
 	byEnd []joblog.Job
 }
 
-// prefixMaxEnd returns the running maximum of EndTime over js.
-func prefixMaxEnd(js []joblog.Job) []time.Time {
-	out := make([]time.Time, len(js))
+// prefixMaxEnd returns the running maximum of EndTime over the jobs at
+// positions idx of jobs.
+func prefixMaxEnd(jobs []joblog.Job, idx []int32) []time.Time {
+	out := make([]time.Time, len(idx))
 	var m time.Time
-	for k := range js {
-		if js[k].EndTime.After(m) {
-			m = js[k].EndTime
+	for k, p := range idx {
+		if jobs[p].EndTime.After(m) {
+			m = jobs[p].EndTime
 		}
 		out[k] = m
 	}
@@ -40,34 +43,35 @@ func prefixMaxEnd(js []joblog.Job) []time.Time {
 
 // runningOn returns the job running on midplane mp at time t, if any.
 func (ix *occupancyIndex) runningOn(mp int, t time.Time) (joblog.Job, bool) {
-	js := ix.perMp[mp]
+	js, jobs := ix.perMp[mp], ix.byEnd
 	// Last job with StartTime <= t.
-	i := sort.Search(len(js), func(k int) bool { return js[k].StartTime.After(t) }) - 1
+	i := sort.Search(len(js), func(k int) bool { return jobs[js[k]].StartTime.After(t) }) - 1
 	// Inline system kills can leave a sub-minute tail in which later
 	// allocations already start, and short ones even end; walk back
 	// until no earlier job ends after t. Usually that is one step.
 	ends := ix.maxEnd[mp]
 	for k := i; k >= 0 && ends[k].After(t); k-- {
-		if js[k].RunningAt(t) {
-			return js[k], true
+		if j := &jobs[js[k]]; j.RunningAt(t) {
+			return *j, true
 		}
 	}
 	return joblog.Job{}, false
 }
 
-// endedWithin returns the jobs on midplane mp whose EndTime lies in
-// [from, to].
-func (ix *occupancyIndex) endedWithin(mp int, from, to time.Time) []joblog.Job {
-	js := ix.perMp[mp]
+// endedWithin returns the positions in byEnd of the jobs on midplane
+// mp whose EndTime lies in [from, to], in StartTime order.
+func (ix *occupancyIndex) endedWithin(mp int, from, to time.Time) []int32 {
+	js, jobs := ix.perMp[mp], ix.byEnd
 	// Sized for the common case (a handful of jobs end inside any one
 	// window) without paying len(js) capacity on every call.
-	out := make([]joblog.Job, 0, min(len(js), 8))
-	for _, j := range js {
+	out := make([]int32, 0, min(len(js), 8))
+	for _, p := range js {
+		j := &jobs[p]
 		if j.StartTime.After(to) {
 			break
 		}
 		if !j.EndTime.Before(from) && !j.EndTime.After(to) {
-			out = append(out, j)
+			out = append(out, p)
 		}
 	}
 	return out
@@ -78,13 +82,14 @@ func (ix *occupancyIndex) endedWithin(mp int, from, to time.Time) []joblog.Job {
 // interrupted job IDs). This is the "no job executed between these two
 // events" test of the job-related filter.
 func (ix *occupancyIndex) ranCleanBetween(mp int, from, to time.Time, interrupted map[int64]bool) bool {
-	js := ix.perMp[mp]
-	lo := sort.Search(len(js), func(k int) bool { return js[k].StartTime.After(from) })
-	for k := lo; k < len(js); k++ {
-		if js[k].StartTime.After(to) {
+	js, jobs := ix.perMp[mp], ix.byEnd
+	lo := sort.Search(len(js), func(k int) bool { return jobs[js[k]].StartTime.After(from) })
+	for _, p := range js[lo:] {
+		j := &jobs[p]
+		if j.StartTime.After(to) {
 			break
 		}
-		if js[k].EndTime.Before(to) && !interrupted[js[k].ID] {
+		if j.EndTime.Before(to) && !interrupted[j.ID] {
 			return true
 		}
 	}
@@ -109,9 +114,10 @@ func (a *Analysis) match() {
 		to := ev.Last.Add(tol)
 		seen := make(map[int64]bool)
 		for _, mp := range ev.Midplanes {
-			var best joblog.Job
+			var best *joblog.Job
 			bestDist := time.Duration(-1)
-			for _, j := range a.occupancy.endedWithin(mp, from, to) {
+			for _, p := range a.occupancy.endedWithin(mp, from, to) {
+				j := &a.occupancy.byEnd[p]
 				if seen[j.ID] || claimed[j.ID] {
 					continue
 				}
@@ -134,7 +140,7 @@ func (a *Analysis) match() {
 			execID, _ := a.tab.Execs.Lookup(best.ExecFile)
 			jobID, _ := a.tab.Jobs.Lookup(best.ID)
 			a.Interruptions = append(a.Interruptions,
-				Interruption{Job: best, Event: ev, Exec: execID, JobID: jobID})
+				Interruption{Job: *best, Event: ev, Exec: execID, JobID: jobID})
 			a.interByEvent[ev] = append(a.interByEvent[ev], len(a.Interruptions)-1)
 		}
 	}

@@ -62,7 +62,7 @@ func TestOccupancyIndexEndedWithin(t *testing.T) {
 		t.Fatalf("endedWithin = %d jobs, want 2", len(got))
 	}
 	got = ix.endedWithin(1, t0, t0.Add(2*time.Hour))
-	if len(got) != 1 || got[0].ID != 3 {
+	if len(got) != 1 || ix.byEnd[got[0]].ID != 3 {
 		t.Errorf("endedWithin(1) = %+v", got)
 	}
 	if got := ix.endedWithin(5, t0, t0.Add(24*time.Hour)); len(got) != 0 {

@@ -27,17 +27,18 @@ type Occupancy struct {
 
 // OccupancyBuilder grows the job-occupancy index incrementally. Add
 // jobs in byEnd order — (EndTime, ID) ascending, the order
-// joblog.Log.All presents — and Snapshot at publication points. Not
-// safe for concurrent use; the serving layer owns it under its ingest
-// lock.
+// joblog.Log.All presents — and Snapshot at publication points. Each
+// job is stored once; the per-midplane lists hold its int32 position
+// in that one slice. Not safe for concurrent use; the serving layer
+// owns it under its ingest lock.
 type OccupancyBuilder struct {
 	byEnd []joblog.Job
-	// raw holds each midplane's jobs in append (byEnd) order.
-	raw [bgp.NumMidplanes][]joblog.Job
+	// raw holds each midplane's job positions in append (byEnd) order.
+	raw [bgp.NumMidplanes][]int32
 	// sorted caches the sorted copy per midplane and maxEnd its EndTime
 	// prefix maximum; dirty marks midplanes whose cache is stale. A
 	// snapshot re-sorts only dirty midplanes.
-	sorted [bgp.NumMidplanes][]joblog.Job
+	sorted [bgp.NumMidplanes][]int32
 	maxEnd [bgp.NumMidplanes][]time.Time
 	dirty  [bgp.NumMidplanes]bool
 }
@@ -46,8 +47,15 @@ type OccupancyBuilder struct {
 // layer validates that before calling.
 func (b *OccupancyBuilder) Add(j joblog.Job) {
 	b.byEnd = append(b.byEnd, j)
-	for mp := j.Partition.Start; mp < j.Partition.End(); mp++ {
-		b.raw[mp] = append(b.raw[mp], j)
+	b.index(int32(len(b.byEnd) - 1))
+}
+
+// index lists the job at position pos of byEnd on every midplane it
+// covers.
+func (b *OccupancyBuilder) index(pos int32) {
+	p := b.byEnd[pos].Partition
+	for mp := p.Start; mp < p.End(); mp++ {
+		b.raw[mp] = append(b.raw[mp], pos)
 		b.dirty[mp] = true
 	}
 }
@@ -58,15 +66,20 @@ func (b *OccupancyBuilder) Len() int { return len(b.byEnd) }
 // Snapshot returns an immutable index over the jobs added so far. The
 // per-midplane lists are fresh sorted copies (cached until the midplane
 // next changes), and the byEnd view is clipped so later appends cannot
-// reach it — snapshots never observe subsequent Adds.
+// reach it — snapshots never observe subsequent Adds, and every
+// position a snapshot holds is below its view's length.
 func (b *OccupancyBuilder) Snapshot() *Occupancy {
-	ix := &occupancyIndex{byEnd: b.byEnd[:len(b.byEnd):len(b.byEnd)]}
+	jobs := b.byEnd[:len(b.byEnd):len(b.byEnd)]
+	ix := &occupancyIndex{byEnd: jobs}
 	for mp := range b.raw {
 		if b.dirty[mp] {
-			js := append([]joblog.Job(nil), b.raw[mp]...)
-			sort.Slice(js, func(a, c int) bool { return js[a].StartTime.Before(js[c].StartTime) })
-			b.sorted[mp] = js
-			b.maxEnd[mp] = prefixMaxEnd(js)
+			idx := append([]int32(nil), b.raw[mp]...)
+			// The same comparisons on the same initial order as a sort
+			// of the jobs themselves, so equal StartTimes keep the
+			// permutation the per-midplane derivations depend on.
+			sort.Slice(idx, func(a, c int) bool { return jobs[idx[a]].StartTime.Before(jobs[idx[c]].StartTime) })
+			b.sorted[mp] = idx
+			b.maxEnd[mp] = prefixMaxEnd(jobs, idx)
 			b.dirty[mp] = false
 		}
 		ix.perMp[mp] = b.sorted[mp]

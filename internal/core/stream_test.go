@@ -123,7 +123,9 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 
 // TestOccupancySnapshotIsolation pins that a snapshot never observes
 // jobs added after it was taken, and that re-snapshotting without new
-// adds shares the cached sorted lists.
+// adds shares the cached sorted lists. The per-midplane lists hold
+// positions into the snapshot's byEnd view; both the positions and the
+// jobs they resolve to must stay put.
 func TestOccupancySnapshotIsolation(t *testing.T) {
 	t.Parallel()
 	camp, err := simulate.Run(simulate.Config{Seed: 5, Days: 6, NoisePerFatal: 0})
@@ -143,25 +145,43 @@ func TestOccupancySnapshotIsolation(t *testing.T) {
 	if got := len(snap.ix.byEnd); got != half {
 		t.Fatalf("snapshot sees %d jobs, want %d", got, half)
 	}
-	before := make([][]joblog.Job, len(snap.ix.perMp))
+	resolve := func(ix *occupancyIndex, mp int) []joblog.Job {
+		out := make([]joblog.Job, 0, len(ix.perMp[mp]))
+		for _, p := range ix.perMp[mp] {
+			if int(p) >= len(ix.byEnd) {
+				t.Fatalf("midplane %d holds position %d beyond the %d-job view", mp, p, len(ix.byEnd))
+			}
+			out = append(out, ix.byEnd[p])
+		}
+		return out
+	}
+	posBefore := make([][]int32, len(snap.ix.perMp))
+	resolvedBefore := make([][]joblog.Job, len(snap.ix.perMp))
 	for mp := range snap.ix.perMp {
-		before[mp] = append([]joblog.Job(nil), snap.ix.perMp[mp]...)
+		posBefore[mp] = append([]int32(nil), snap.ix.perMp[mp]...)
+		resolvedBefore[mp] = resolve(snap.ix, mp)
 	}
 	for _, j := range jobs[half:] {
 		ob.Add(j)
 	}
+	// Re-sorting the now-dirty midplanes must not touch the lists the
+	// earlier snapshot holds either.
+	full := ob.Snapshot()
 	if got := len(snap.ix.byEnd); got != half {
 		t.Fatalf("snapshot grew to %d jobs after later adds", got)
 	}
 	for mp := range snap.ix.perMp {
-		if !reflect.DeepEqual(before[mp], snap.ix.perMp[mp]) {
+		if !reflect.DeepEqual(posBefore[mp], snap.ix.perMp[mp]) {
 			t.Fatalf("midplane %d list changed under an existing snapshot", mp)
+		}
+		if !reflect.DeepEqual(resolvedBefore[mp], resolve(snap.ix, mp)) {
+			t.Fatalf("midplane %d jobs changed under an existing snapshot", mp)
 		}
 	}
 	// A full-log snapshot lists, per midplane, exactly the jobs whose
 	// partition covers it, sorted by StartTime.
-	full := ob.Snapshot()
-	for mp, js := range full.ix.perMp {
+	for mp := range full.ix.perMp {
+		js := resolve(full.ix, mp)
 		want := map[int64]bool{}
 		for _, j := range jobs {
 			if j.OnMidplane(mp) {

@@ -1,6 +1,7 @@
 package joblog
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -80,4 +81,123 @@ func FuzzParseJob(f *testing.F) {
 			t.Fatalf("marshaling not a fixed point:\nfirst:  %q\nsecond: %q", line2, line3)
 		}
 	})
+}
+
+// marshaledLenSeeds are jobs at the edges of MarshaledLen's arithmetic:
+// epochs whose two-decimal rounding carries (…9.995 s, …9.999 s, just
+// below a power of ten), exact powers of ten, negative and pre-1970
+// times, extreme and negative IDs, the escaped bytes in every string
+// field, and every partition shape.
+func marshaledLenSeeds() []Job {
+	at := time.Unix
+	base := Job{ID: 8935, Name: "N.A.", ExecFile: "/home/u/app.exe", User: "alice", Project: "climate",
+		QueueTime: at(1209600000, 0), StartTime: at(1209603000, 5e6), EndTime: at(1209606600, 994e6),
+		Partition: bgp.Partition{Start: 16, Size: 4}}
+	var out []Job
+	times := []time.Time{
+		at(9, 995e6), at(9, 999e6), at(99, 999999999), at(999999999, 995e6), at(999999999, 990e6),
+		at(999999999, 989999999), at(1e9, 0), at(1e10, 0), at(10, 0), at(1, 0), at(0, 0),
+		at(0, 5e6), at(0, 4999999), at(0, -1), at(-1, 0), at(-9, -995e6), at(-1e9, 0),
+		at(-999999999, -995e6), at(-86400*365*30, 123e6), at(1<<40, 999e6),
+		time.Unix(0, math.MaxInt64), time.Unix(0, math.MinInt64), time.Unix(0, math.MinInt64+1),
+		{}, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC),
+	}
+	for i, tm := range times {
+		j := base
+		switch i % 3 {
+		case 0:
+			j.QueueTime = tm
+		case 1:
+			j.StartTime = tm
+		default:
+			j.EndTime = tm
+		}
+		out = append(out, j)
+	}
+	for _, id := range []int64{0, -1, 9, 10, -10, math.MinInt64, math.MaxInt64} {
+		j := base
+		j.ID = id
+		out = append(out, j)
+	}
+	for f := 0; f < 4; f++ {
+		j := base
+		esc := []*string{&j.Name, &j.ExecFile, &j.User, &j.Project}[f]
+		*esc = `a|b\c||\\` + "\n"
+		out = append(out, j)
+	}
+	for _, p := range []bgp.Partition{
+		{Start: 38, Size: 1}, {Start: 38, Size: 2}, {Start: 16, Size: 4}, {Start: 0, Size: 80},
+		{Start: 1, Size: 2}, {Start: 47, Size: 16}, {Start: 0, Size: 0}, {Start: -3, Size: 7},
+		{Start: math.MaxInt, Size: 3}, {Start: math.MinInt, Size: -1},
+	} {
+		j := base
+		j.Partition = p
+		out = append(out, j)
+	}
+	return out
+}
+
+// FuzzJobMarshaledLen pins MarshaledLen to the bytes AppendLine writes,
+// for any field values: Table I counts the job log's size from it.
+func FuzzJobMarshaledLen(f *testing.F) {
+	for _, j := range marshaledLenSeeds() {
+		f.Add(j.ID, j.Name, j.ExecFile, j.QueueTime.Unix(), int64(j.QueueTime.Nanosecond()),
+			j.StartTime.Unix(), int64(j.StartTime.Nanosecond()), j.EndTime.Unix(), int64(j.EndTime.Nanosecond()),
+			j.Partition.Start, j.Partition.Size, j.User, j.Project)
+	}
+	f.Fuzz(func(t *testing.T, id int64, name, exec string, qs, qn, ss, sn, es, en int64,
+		start, size int, user, project string) {
+		j := Job{ID: id, Name: name, ExecFile: exec,
+			QueueTime: time.Unix(qs, qn), StartTime: time.Unix(ss, sn), EndTime: time.Unix(es, en),
+			Partition: bgp.Partition{Start: start, Size: size}, User: user, Project: project}
+		if got, want := j.MarshaledLen(), len(j.AppendLine(nil)); got != want {
+			t.Fatalf("MarshaledLen = %d, len(AppendLine) = %d\nline: %q", got, want, j.AppendLine(nil))
+		}
+	})
+}
+
+func TestJobMarshaledLenAndAppendLineAllocateNothing(t *testing.T) {
+	jobs := marshaledLenSeeds()
+	// Pathological partitions render past AppendTo's stack buffer; the
+	// allocation-free contract covers the machine's geometry.
+	valid := jobs[:0]
+	for _, j := range jobs {
+		if j.Partition.Valid() {
+			valid = append(valid, j)
+		}
+	}
+	n := 0
+	if a := testing.AllocsPerRun(50, func() {
+		for i := range valid {
+			n += valid[i].MarshaledLen()
+		}
+	}); a != 0 {
+		t.Errorf("MarshaledLen allocates %v times per run", a)
+	}
+	buf := make([]byte, 0, 512)
+	if a := testing.AllocsPerRun(50, func() {
+		for i := range valid {
+			buf = valid[i].AppendLine(buf[:0])
+		}
+	}); a != 0 {
+		t.Errorf("AppendLine allocates %v times per run", a)
+	}
+	if n == 0 {
+		t.Fatal("no lengths summed")
+	}
+}
+
+func TestLogMarshaledBytes(t *testing.T) {
+	jobs := marshaledLenSeeds()
+	want := 0
+	for _, j := range jobs {
+		want += len(j.AppendLine(nil)) + 1
+	}
+	l := NewLog(jobs)
+	if got := l.MarshaledBytes(); got != want {
+		t.Fatalf("MarshaledBytes = %d, want %d", got, want)
+	}
+	if got := l.MarshaledBytes(); got != want {
+		t.Fatalf("second MarshaledBytes = %d, want %d", got, want)
+	}
 }

@@ -267,12 +267,72 @@ func (j *Job) AppendLine(dst []byte) []byte {
 	dst = append(dst, '|')
 	dst = appendEpoch(dst, j.EndTime)
 	dst = append(dst, '|')
-	dst = append(dst, j.Partition.String()...)
+	dst = j.Partition.AppendTo(dst)
 	dst = append(dst, '|')
 	dst = appendEscaped(dst, j.User)
 	dst = append(dst, '|')
 	dst = appendEscaped(dst, j.Project)
 	return dst
+}
+
+// MarshaledLen returns len(j.AppendLine(nil)) without allocating or
+// formatting: the digits of the ID, each string field's escaped length,
+// the three epochs' lengths, the partition's length and the eight
+// separators.
+func (j *Job) MarshaledLen() int {
+	var buf [32]byte
+	return intLen(j.ID) + escapedLen(j.Name) + escapedLen(j.ExecFile) +
+		epochLen(j.QueueTime) + epochLen(j.StartTime) + epochLen(j.EndTime) +
+		len(j.Partition.AppendTo(buf[:0])) + escapedLen(j.User) + escapedLen(j.Project) +
+		numFields - 1
+}
+
+// intLen is len(strconv.AppendInt(nil, v, 10)).
+func intLen(v int64) int {
+	n := 1
+	u := uint64(v)
+	if v < 0 {
+		n++
+		u = -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// escapedLen is len(appendEscaped(nil, s)).
+func escapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '\\' || c == '|' {
+			n++
+		}
+	}
+	return n
+}
+
+// epochLen is len(appendEpoch(nil, t)): a sign for negative times, the
+// whole seconds' digits, the point and two decimals. It is read off
+// UnixNano in integer arithmetic. The float quotient appendEpoch rounds
+// lies within a microsecond of the exact one, so with a fraction below
+// .99 s it rounds to the same whole seconds; only from .99 on can the
+// rounding carry into another digit, and that case formats for real.
+func epochLen(t time.Time) int {
+	ns := t.UnixNano()
+	u := uint64(ns)
+	if ns < 0 {
+		u = -u
+	}
+	if u%1e9 >= 99e7 {
+		var buf [32]byte
+		return len(appendEpoch(buf[:0], t))
+	}
+	n := intLen(int64(u/1e9)) + len(".00")
+	if ns < 0 {
+		n++
+	}
+	return n
 }
 
 // MarshalLine renders the job as one line of the log file.
@@ -566,13 +626,17 @@ func readAll(r io.Reader, opts linescan.Options) ([]Job, error) {
 
 // Log is an in-memory job log ordered by EndTime, with the aggregate
 // queries the co-analysis needs. It is immutable after NewLog, so the
-// ByExecFile grouping is built once, on first use, and shared by every
-// reader; a Log is safe for concurrent use.
+// ByExecFile grouping and the MarshaledBytes total are built once, on
+// first use, and shared by every reader; a Log is safe for concurrent
+// use.
 type Log struct {
 	jobs []Job
 
 	byExecOnce sync.Once
 	byExec     map[string][]Job
+
+	marshaledOnce sync.Once
+	marshaled     int
 }
 
 // NewLog returns a log over jobs ordered by (EndTime, ID).
@@ -659,4 +723,18 @@ func (l *Log) ByExecFile() map[string][]Job {
 		l.byExec = m
 	})
 	return l.byExec
+}
+
+// MarshaledBytes returns the size of the log re-marshaled one job per
+// line: the sum of Job.MarshaledLen plus a newline per job. It is
+// computed once per Log.
+func (l *Log) MarshaledBytes() int {
+	l.marshaledOnce.Do(func() {
+		n := 0
+		for i := range l.jobs {
+			n += l.jobs[i].MarshaledLen() + 1
+		}
+		l.marshaled = n
+	})
+	return l.marshaled
 }

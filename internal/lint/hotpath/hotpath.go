@@ -126,6 +126,7 @@ type Root struct {
 // filter cascade, the serving engine's ingest/query/publish entry
 // points, and the per-scan analysis passes. Keep sorted by Sym.
 var rootList = []Root{
+	{"bgp.Partition.AppendTo", PerEvent},
 	{"core.Analysis.Features", PerCall},
 	{"core.Analyze", PerCall},
 	{"core.AnalyzeStream", PerCall},
@@ -133,6 +134,7 @@ var rootList = []Root{
 	{"filter.Pipeline", PerCall},
 	{"filter.PipelineFromLog", PerCall},
 	{"joblog.Job.AppendLine", PerEvent},
+	{"joblog.Job.MarshaledLen", PerEvent},
 	{"joblog.Job.UnmarshalFields", PerEvent},
 	{"joblog.Reader.Next", PerEvent},
 	{"raslog.Reader.Next", PerEvent},

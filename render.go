@@ -68,19 +68,12 @@ func (r *Report) RenderAll(w io.Writer) error {
 func (r *Report) RenderTableI(w io.Writer) error {
 	start, end := r.analysis.Span()
 	ls := &r.stats
-	jobBytes := 0
-	var line []byte
-	jobs := r.jobs.All()
-	for i := range jobs {
-		line = jobs[i].AppendLine(line[:0])
-		jobBytes += len(line) + 1
-	}
 	t := report.NewTable("Table I: summary of the RAS log and job log",
 		"Log", "Days", "Start", "End", "Size", "Records")
 	t.AddRow("RAS", r.days, start.Format("2006-01-02"), end.Format("2006-01-02"),
 		byteSize(ls.RASBytes), ls.RASRecords)
 	t.AddRow("Job", r.days, start.Format("2006-01-02"), end.Format("2006-01-02"),
-		byteSize(jobBytes), r.jobs.Len())
+		byteSize(r.jobs.MarshaledBytes()), r.jobs.Len())
 	return t.Render(w)
 }
 

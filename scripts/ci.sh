@@ -131,6 +131,9 @@ echo "== membound (bounded-memory spill/merge equivalence)"
 echo "== fuzz smoke (${FUZZTIME:=10s} per target)"
 go test ./internal/raslog -fuzz FuzzParseRecord -fuzztime "$FUZZTIME"
 go test ./internal/joblog -fuzz FuzzParseJob -fuzztime "$FUZZTIME"
+# Table I counts the job log's bytes from Job.MarshaledLen; it must
+# equal the length AppendLine writes for any field values.
+go test ./internal/joblog -fuzz FuzzJobMarshaledLen -fuzztime "$FUZZTIME"
 go test ./internal/bgp -fuzz FuzzParseLocation -fuzztime "$FUZZTIME"
 # -race: the symtab fuzz body reads frozen snapshots from concurrent
 # goroutines; the corpus cache makes the explored inputs accumulate.
