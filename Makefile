@@ -1,8 +1,8 @@
-# Tier-1 gate: `make check` is what CI runs on every change — build,
-# vet, tests, the race-detector pass that guards the parallel
-# analysis engine (see internal/parallel and TestParallelMatchesSequential),
-# and the bgplint determinism analyzers (see internal/lint and DESIGN.md
-# "Determinism invariants").
+# Tier-1 gate: `make check` is what CI runs on every change (through
+# scripts/ci.sh, which adds `make fuzz`) — build, vet, tests, the
+# race-detector pass, the smokes, the membound gate, and the bgplint
+# determinism analyzers (see internal/lint and DESIGN.md "Determinism
+# invariants").
 
 GO ?= go
 
@@ -19,8 +19,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Every concurrency change must survive the race detector; the
-# equivalence, sharding and serve hammer tests run under it here. The
+# Every concurrency change must survive the race detector: the sharded
+# log decode (TestParallelMatchesSequential), the ensemble and matrix
+# campaign pools, and the serve hammer tests run under it here. The
 # hammer tests only exercise real interleavings with enough parallelism,
 # so force at least four Ps even on small CI runners.
 RACE_PROCS = $(shell np=$$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 4); if [ "$$np" -lt 4 ]; then np=4; fi; echo $$np)
@@ -64,8 +65,8 @@ smoke-golden:
 # Bounded-memory equivalence gate: coanalyze a multi-campaign log under
 # GOMEMLIMIT with a -mem-budget far below the event payload (forcing
 # spill + zone-map-filtered reload) and diff the output against the
-# unconstrained run. A ci.sh drift check keeps this script, this
-# target, and the CI membound job pointing at the same gate.
+# unconstrained run. The CI membound job runs the same script; a
+# ci.sh check keeps it there.
 membound:
 	./scripts/membound.sh
 

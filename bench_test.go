@@ -480,98 +480,13 @@ func BenchmarkSchedRun(b *testing.B) {
 
 func newBenchRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
-// --- parallel-engine benches ---
-
-// benchAnalysis re-analyzes the benchmark campaign at a fixed
-// parallelism so the fan-out benchmarks below can contrast worker
-// counts on identical inputs. Cached per level.
-var (
-	benchAnalysesMu sync.Mutex
-	benchAnalyses   = map[int]*core.Analysis{}
-)
-
-func benchAnalysis(b *testing.B, parallelism int) *core.Analysis {
-	b.Helper()
-	rep := benchReport(b)
-	benchAnalysesMu.Lock()
-	defer benchAnalysesMu.Unlock()
-	if a, ok := benchAnalyses[parallelism]; ok {
-		return a
-	}
-	cfg := core.DefaultConfig()
-	cfg.Parallelism = parallelism
-	a, err := core.Analyze(cfg, rep.RAS(), rep.Jobs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchAnalyses[parallelism] = a
-	return a
-}
-
-// benchParallelisms are the worker counts the parallel benches sweep:
-// sequential, two fixed fan-outs, and 0 = GOMAXPROCS.
-var benchParallelisms = []int{1, 4, 8, 0}
+// --- ensemble bench ---
 
 func parName(p int) string {
 	if p == 0 {
 		return "p=gomaxprocs"
 	}
 	return "p=" + strconv.Itoa(p)
-}
-
-// BenchmarkFigure4_MidplanesParallel contrasts the per-midplane series
-// computation across worker counts.
-func BenchmarkFigure4_MidplanesParallel(b *testing.B) {
-	for _, p := range benchParallelisms {
-		a := benchAnalysis(b, p)
-		b.Run(parName(p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mc := a.MidplaneCharacteristics(32)
-				if mc.TopMidplanes[0] < 0 {
-					b.Fatal("bad top midplane")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure4_MidplaneFitsParallel contrasts the 80-midplane
-// Weibull fit census — the heaviest analysis fan-out — across worker
-// counts.
-func BenchmarkFigure4_MidplaneFitsParallel(b *testing.B) {
-	for _, p := range benchParallelisms {
-		a := benchAnalysis(b, p)
-		b.Run(parName(p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mf := a.MidplaneFits(5)
-				if mf.Fitted == 0 {
-					b.Fatal("no fitted midplanes")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTableV_InterruptionFitsParallel contrasts the per-cause
-// interruption fits across worker counts.
-func BenchmarkTableV_InterruptionFitsParallel(b *testing.B) {
-	for _, p := range benchParallelisms {
-		a := benchAnalysis(b, p)
-		b.Run(parName(p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ir, err := a.InterruptionRates()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ir.System.N == 0 {
-					b.Fatal("no system interruptions")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkEnsemble measures a multi-seed campaign (simulate + analyze

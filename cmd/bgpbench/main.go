@@ -44,28 +44,24 @@ import (
 )
 
 // benchSubset is the named benchmark set the gate watches: the codec
-// microbenchmarks (with their pre-rewrite *Legacy counterparts so the
-// speedup itself is regression-gated), the streaming pipeline, the
-// symtab-keyed grouping paths (the filter cascade against its
-// string-keyed legacy reference, and the co-analysis grouping stages),
-// the serving daemon's ingest and query paths, the segmented store's
-// encode/scan/merge paths, and a small scheduler campaign per
-// registered policy (BenchmarkSchedRun expands into one sub-benchmark
-// per policy, so each counterfactual is gated individually), and the
-// §VII prediction study over the quick campaign.
+// microbenchmarks, the streaming pipeline, the symtab-keyed grouping
+// paths (the filter cascade and the co-analysis grouping stages), the
+// serving daemon's ingest and query paths, the segmented store's
+// encode/scan/merge paths, a small scheduler campaign per registered
+// policy (BenchmarkSchedRun expands into one sub-benchmark per policy,
+// so each counterfactual is gated individually), and the §VII
+// prediction study over the quick campaign. The *Legacy oracles of the
+// codec and cascade property tests are not gated: nothing outside
+// their tests runs them.
 var benchSubset = []string{
 	"BenchmarkRASUnmarshal",
 	"BenchmarkRASUnmarshalFields",
-	"BenchmarkRASUnmarshalLegacy",
 	"BenchmarkRASMarshal",
-	"BenchmarkRASMarshalLegacy",
 	"BenchmarkRASDecodeParallel",
 	"BenchmarkJobUnmarshal",
-	"BenchmarkJobUnmarshalLegacy",
 	"BenchmarkJobMarshal",
 	"BenchmarkStreamPipeline",
 	"BenchmarkFilterCascade",
-	"BenchmarkFilterCascadeLegacy",
 	"BenchmarkCoanalysisGrouping",
 	"BenchmarkServeIngest",
 	"BenchmarkServeQuery",

@@ -7,6 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro"
+	"repro/internal/linescan"
+	"repro/internal/simulate"
 )
 
 // -update regenerates the golden file:
@@ -18,10 +22,9 @@ const goldenPath = "testdata/report_seed1.golden"
 
 // TestGoldenReport renders the full report at seed 1 (quick campaign)
 // and compares it byte for byte against the checked-in golden file.
-// This is the byte-identity oracle the parallel paths are verified
-// against: the default run exercises the parallel engine at GOMAXPROCS
-// workers, and any scheduling-dependent divergence — ordering, float
-// summation, map iteration — shows up here as a diff.
+// This is the byte-identity oracle every refactor is verified against:
+// any divergence — ordering, float summation, map iteration — shows up
+// here as a diff.
 func TestGoldenReport(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-quick", "-seed", "1"}, &out, &errOut); err != nil {
@@ -50,22 +53,31 @@ func TestGoldenReport(t *testing.T) {
 	}
 }
 
-// TestGoldenReportParallelismInvariant renders the same report with the
-// fan-outs forced sequential and at 8 workers; both must match the
-// golden file exactly.
+// TestGoldenReportParallelismInvariant analyzes the quick seed-1
+// campaign's written logs through the -ras/-job path with the chunked
+// decode forced sequential and at 8 workers; the two reports must be
+// byte-identical. Each log spans several decode chunks, so -parallelism
+// 8 really shards the decode.
 func TestGoldenReportParallelismInvariant(t *testing.T) {
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run TestGoldenReport with -update first)", err)
+	q := repro.QuickConfig(1)
+	rasP, jobP := writeCampaignLogs(t, simulate.Config{Seed: q.Seed, Days: q.Days, NoisePerFatal: q.NoisePerFatal})
+	for _, p := range []string{rasP, jobP} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() <= linescan.DefaultChunkBytes {
+			t.Fatalf("%s is one decode chunk or unreadable (%v)", p, err)
+		}
 	}
-	for _, p := range []string{"1", "8"} {
-		var out, errOut bytes.Buffer
-		if err := run([]string{"-quick", "-seed", "1", "-parallelism", p}, &out, &errOut); err != nil {
-			t.Fatal(err)
+	var outs [2]bytes.Buffer
+	for i, p := range []string{"1", "8"} {
+		var errOut bytes.Buffer
+		if err := run([]string{"-ras", rasP, "-job", jobP, "-parallelism", p}, &outs[i], &errOut); err != nil {
+			t.Fatalf("-parallelism %s: %v", p, err)
 		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-parallelism %s diverges from golden:\n%s", p, firstDiff(out.Bytes(), want))
-		}
+	}
+	if !bytes.Contains(outs[0].Bytes(), []byte("Table I:")) {
+		t.Fatal("-parallelism 1 rendered no report")
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Errorf("-parallelism 8 diverges from -parallelism 1:\n%s", firstDiff(outs[1].Bytes(), outs[0].Bytes()))
 	}
 }
 

@@ -68,19 +68,17 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunExternalLogs exercises the -ras/-job path: write a small
-// campaign's logs to disk, analyze the files through the streaming
-// loader, and check the analysis matches the simulated campaign's.
-func TestRunExternalLogs(t *testing.T) {
-	// Same knobs run's "-days 14 -seed 3" resolves to, so the two
-	// summaries must match byte for byte.
-	camp, err := simulate.Run(simulate.Config{Seed: 3, Days: 14, NoisePerFatal: 62})
+// writeCampaignLogs simulates a campaign and writes its RAS and job logs
+// into a test temp dir, returning the two paths.
+func writeCampaignLogs(t *testing.T, cfg simulate.Config) (rasP, jobP string) {
+	t.Helper()
+	camp, err := simulate.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	rasP := filepath.Join(dir, "ras.log")
-	jobP := filepath.Join(dir, "job.log")
+	rasP = filepath.Join(dir, "ras.log")
+	jobP = filepath.Join(dir, "job.log")
 	rf, err := os.Create(rasP)
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +96,16 @@ func TestRunExternalLogs(t *testing.T) {
 	if err := jf.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return rasP, jobP
+}
+
+// TestRunExternalLogs exercises the -ras/-job path: write a small
+// campaign's logs to disk, analyze the files through the streaming
+// loader, and check the analysis matches the simulated campaign's.
+func TestRunExternalLogs(t *testing.T) {
+	// Same knobs run's "-days 14 -seed 3" resolves to, so the two
+	// summaries must match byte for byte.
+	rasP, jobP := writeCampaignLogs(t, simulate.Config{Seed: 3, Days: 14, NoisePerFatal: 62})
 
 	var fromSim, fromLogs, errOut bytes.Buffer
 	if err := run([]string{"-days", "14", "-seed", "3", "-summary"}, &fromSim, &errOut); err != nil {

@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rasP        = fs.String("ras", "ras.log", "RAS log path")
 		jobP        = fs.String("job", "job.log", "job log path")
 		artifact    = fs.String("artifact", "all", "artifact to print: all, or one of "+keys())
-		parallelism = fs.Int("parallelism", 0, "worker bound for log decode and analysis fan-outs (0 = GOMAXPROCS, 1 = sequential)")
+		parallelism = fs.Int("parallelism", 0, "worker bound for the chunked log decode (0 = GOMAXPROCS, 1 = sequential)")
 		memBudget   = fs.Int64("mem-budget", 0, "bound the in-memory event payload to this many bytes, spilling sorted segment runs to disk and merging them back with zone-map pushdown; output is byte-identical to the unconstrained run (0 = analyze fully in memory)")
 		spillDir    = fs.String("spill-dir", "", "directory for -mem-budget segment runs (empty = a temp dir, removed on exit)")
 		matrix      = fs.Bool("policy-matrix", false, "co-analyze the per-policy log pairs a bgpgen -policy-matrix run wrote next to -ras/-job (ras.<policy>.log) and print the cross-policy comparison")
@@ -51,34 +51,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *matrix {
 		return runPolicyMatrix(*rasP, *jobP, *parallelism, stdout)
 	}
+	// Resolve the artifact before any log is opened, so a bad name
+	// fails fast instead of after a full decode (and spool).
+	render := (*repro.Report).RenderAll
+	if *artifact != "all" {
+		r, ok := artifacts[*artifact]
+		if !ok {
+			return fmt.Errorf("unknown artifact %q; want all or one of %s", *artifact, keys())
+		}
+		render = r
+	}
+
+	var rep *repro.Report
+	var err error
 	if *memBudget > 0 {
-		return runMembound(*memBudget, *spillDir, *rasP, *jobP, *artifact, *parallelism, stdout, stderr)
+		rep, err = runMembound(*memBudget, *spillDir, *rasP, *jobP, *parallelism, stderr)
+	} else {
+		cfg := repro.DefaultConfig(0)
+		cfg.Parallelism = *parallelism
+		rep, err = loadPair(cfg, *rasP, *jobP)
 	}
-
-	rf, err := os.Open(*rasP)
 	if err != nil {
 		return err
-	}
-	defer rf.Close()
-	jf, err := os.Open(*jobP)
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-
-	cfg := repro.DefaultConfig(0)
-	cfg.Parallelism = *parallelism
-	rep, err := repro.Load(cfg, rf, jf)
-	if err != nil {
-		return err
-	}
-
-	if *artifact == "all" {
-		return rep.RenderAll(stdout)
-	}
-	render, ok := artifacts[*artifact]
-	if !ok {
-		return fmt.Errorf("unknown artifact %q; want all or one of %s", *artifact, keys())
 	}
 	return render(rep, stdout)
 }

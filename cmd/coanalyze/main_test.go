@@ -80,12 +80,27 @@ func TestRunAllArtifacts(t *testing.T) {
 	}
 }
 
+// TestRunUnknownArtifact checks that a bad -artifact is rejected before
+// any log is read: under -mem-budget nothing is spooled, and a missing
+// -ras still reports the artifact, not the file.
 func TestRunUnknownArtifact(t *testing.T) {
 	rasP, jobP := writeFixtureLogs(t)
-	var out, errOut bytes.Buffer
-	err := run([]string{"-ras", rasP, "-job", jobP, "-artifact", "bogus"}, &out, &errOut)
-	if err == nil || !strings.Contains(err.Error(), "unknown artifact") {
-		t.Errorf("err = %v", err)
+	spill := filepath.Join(t.TempDir(), "spill")
+	for _, args := range [][]string{
+		{"-ras", rasP, "-job", jobP},
+		{"-ras", rasP, "-job", jobP, "-mem-budget", "4096", "-spill-dir", spill},
+		{"-ras", filepath.Join(t.TempDir(), "no-such.log"), "-job", jobP},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(append(args, "-artifact", "bogus"), &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), "unknown artifact") {
+			t.Errorf("%v: err = %v", args, err)
+		}
+	}
+	if ents, err := os.ReadDir(spill); err == nil && len(ents) > 0 {
+		t.Errorf("spill dir holds %d entries after a rejected -artifact", len(ents))
+	} else if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
 	}
 }
 

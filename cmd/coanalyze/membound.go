@@ -26,24 +26,24 @@ import (
 	"repro/internal/symtab"
 )
 
-// runMembound analyzes rasLog/jobLog under a spill budget and renders
-// the requested artifact. spillDir holds the segment runs; when empty
-// a temporary directory is used and removed afterwards.
-func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelism int, stdout, stderr io.Writer) error {
+// runMembound analyzes rasLog/jobLog under a spill budget and returns
+// the report. spillDir holds the segment runs; when empty a temporary
+// directory is used and removed afterwards.
+func runMembound(budget int64, spillDir, rasP, jobP string, parallelism int, stderr io.Writer) (*repro.Report, error) {
 	if spillDir == "" {
 		dir, err := os.MkdirTemp("", "coanalyze-spill-")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 		spillDir = dir
 	} else if err := os.MkdirAll(spillDir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
 
 	rf, err := os.Open(rasP)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer rf.Close()
 
@@ -65,16 +65,16 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 		err = sp.Add(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
 			int32(rec.Component), int32(rec.Severity), rec.Fatal(), int64(stats.RASBytes-before))
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := rd.Err(); err != nil {
-		return fmt.Errorf("reading RAS log: line %d: %w", rd.Line(), err)
+		return nil, fmt.Errorf("reading RAS log: line %d: %w", rd.Line(), err)
 	}
 
 	cat, spStats, err := sp.Finish()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cat.Close()
 	fmt.Fprintf(stderr, "coanalyze: mem-budget %d: rows=%d runs=%d budget_flushes=%d spilled_bytes=%d\n",
@@ -82,12 +82,12 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 
 	jf, err := os.Open(jobP)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer jf.Close()
 	jobs, err := joblog.ReadAllParallel(jf, parallelism)
 	if err != nil {
-		return fmt.Errorf("reading job log: %w", err)
+		return nil, fmt.Errorf("reading job log: %w", err)
 	}
 	jl := joblog.NewLog(jobs)
 
@@ -95,23 +95,22 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 	// the rows the cascade consumes. The query's FATAL mask lets the
 	// zone maps refute every noise-only run from its header.
 	acfg := core.DefaultConfig()
-	acfg.Parallelism = parallelism
 	tab := symtab.NewTable()
 	inc := filter.NewIncremental(acfg.Filter, tab)
 	mr, err := cat.Merge(filter.CascadeQuery())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for {
 		row, ok, err := mr.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
 		}
 		if err := inc.FeedRow(row); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	ms := mr.Stats()
@@ -135,16 +134,7 @@ func runMembound(budget int64, spillDir, rasP, jobP, artifact string, parallelis
 		SpanEnd:     end,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := repro.NewStreamReport(a, jl, stats)
-
-	if artifact == "all" {
-		return rep.RenderAll(stdout)
-	}
-	render, ok := artifacts[artifact]
-	if !ok {
-		return fmt.Errorf("unknown artifact %q; want all or one of %s", artifact, keys())
-	}
-	return render(rep, stdout)
+	return repro.NewStreamReport(a, jl, stats), nil
 }

@@ -63,9 +63,8 @@ func RunEnsemble(cfg Config) (*Ensemble, error) {
 	for i := range seeds {
 		seeds[i] = cfg.Seed + int64(i)
 	}
-	// One worker per campaign at the outer level; each campaign's own
-	// fan-outs still honor cfg.Parallelism, so a sequential request
-	// (Parallelism 1) stays fully sequential.
+	// One worker per campaign; a campaign runs and analyzes without
+	// fanning out, so Parallelism 1 is fully sequential.
 	summaries, err := parallel.Map(context.Background(), cfg.Parallelism, n, func(i int) (Summary, error) {
 		c := cfg
 		c.Seed = seeds[i]

@@ -29,13 +29,6 @@ type Config struct {
 	// MatchTolerance is the slack allowed between a job's end time and
 	// the matched event's time span.
 	MatchTolerance time.Duration
-	// Parallelism bounds the worker count of the analysis fan-outs —
-	// the per-midplane fit census, the per-midplane characteristic
-	// series, and the per-cause interruption fits (0 = GOMAXPROCS,
-	// 1 = sequential). Results are byte-identical at every setting:
-	// workers only compute independent slots and the merge folds them
-	// in a fixed order.
-	Parallelism int
 }
 
 // DefaultConfig returns the thresholds used throughout the paper's

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bgp"
 	"repro/internal/filter"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -98,56 +96,36 @@ type MidplaneFitCensus struct {
 	MeanShape float64
 }
 
-// midplaneFit is one midplane's slot in the fit census fan-out.
-type midplaneFit struct {
-	fitted           bool
-	shape            float64
-	weibullPreferred bool
-}
-
 // MidplaneFits fits the failure interarrival of every midplane with at
 // least minEvents independent events and summarizes the outcome — the
-// paper's finding that the Weibull still fits at midplane level. The 80
-// per-midplane fits fan out across the analysis worker pool; the census
-// folds the slots in midplane order, so the summary (including the
-// floating-point MeanShape sum) is byte-identical at any parallelism.
+// paper's finding that the Weibull still fits at midplane level. The
+// census folds the fits in midplane order.
 func (a *Analysis) MidplaneFits(minEvents int) MidplaneFitCensus {
 	if minEvents < 3 {
 		minEvents = 3
 	}
-	fits, _ := parallel.Map(context.Background(), a.cfg.Parallelism, bgp.NumMidplanes,
-		func(mp int) (midplaneFit, error) {
-			n := 0
-			for _, ev := range a.Independent {
-				if ev.OnMidplane(mp) {
-					n++
-				}
-			}
-			if n < minEvents {
-				return midplaneFit{}, nil
-			}
-			fit, err := a.MidplaneInterarrivalFit(mp)
-			if err != nil {
-				return midplaneFit{}, nil
-			}
-			return midplaneFit{
-				fitted:           true,
-				shape:            fit.Weibull.Shape,
-				weibullPreferred: fit.WeibullPreferred(),
-			}, nil
-		})
 	c := MidplaneFitCensus{MinEvents: minEvents}
 	shapeSum := 0.0
-	for _, f := range fits {
-		if !f.fitted {
+	for mp := 0; mp < bgp.NumMidplanes; mp++ {
+		n := 0
+		for _, ev := range a.Independent {
+			if ev.OnMidplane(mp) {
+				n++
+			}
+		}
+		if n < minEvents {
+			continue
+		}
+		fit, err := a.MidplaneInterarrivalFit(mp)
+		if err != nil {
 			continue
 		}
 		c.Fitted++
-		shapeSum += f.shape
-		if f.weibullPreferred {
+		shapeSum += fit.Weibull.Shape
+		if fit.WeibullPreferred() {
 			c.WeibullPreferred++
 		}
-		if f.shape < 1 {
+		if fit.Weibull.Shape < 1 {
 			c.ShapeBelowOne++
 		}
 	}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/filter"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -153,41 +151,22 @@ type InterruptionRates struct {
 }
 
 // InterruptionRates fits interruption interarrival distributions by
-// cause and relates MTTI to MTBF. The two per-cause fits and the
-// systemwide failure fit behind the MTTI/MTBF ratio run as concurrent
-// stages on the analysis worker pool; errors are checked in the same
-// order as the sequential code, so results and error text are
-// identical at any parallelism.
+// cause and relates MTTI to MTBF.
 func (a *Analysis) InterruptionRates() (InterruptionRates, error) {
 	var ir InterruptionRates
 	sys, app := a.InterruptionsByClass()
 	sysGaps := interruptionGaps(sys)
 	appGaps := interruptionGaps(app)
-	var (
-		sysErr, appErr, fcErr error
-		fc                    FailureCharacteristics
-	)
-	parallel.Do(context.Background(), a.cfg.Parallelism,
-		func() error {
-			ir.System, sysErr = stats.FitInterarrivals(sysGaps)
-			ir.SystemECDF = stats.NewECDF(sysGaps)
-			return nil
-		},
-		func() error {
-			ir.Application, appErr = stats.FitInterarrivals(appGaps)
-			ir.ApplicationECDF = stats.NewECDF(appGaps)
-			return nil
-		},
-		func() error { fc, fcErr = a.FailureCharacteristics(); return nil },
-	)
-	if sysErr != nil {
-		return InterruptionRates{}, fmt.Errorf("core: system interruption fit: %w", sysErr)
+	var err error
+	if ir.System, err = stats.FitInterarrivals(sysGaps); err != nil {
+		return InterruptionRates{}, fmt.Errorf("core: system interruption fit: %w", err)
 	}
-	if appErr != nil {
-		ir.SystemECDF, ir.ApplicationECDF = nil, nil
-		return InterruptionRates{System: ir.System}, fmt.Errorf("core: application interruption fit: %w", appErr)
+	if ir.Application, err = stats.FitInterarrivals(appGaps); err != nil {
+		return InterruptionRates{System: ir.System}, fmt.Errorf("core: application interruption fit: %w", err)
 	}
-	if fcErr == nil && fc.After.Weibull.Mean() > 0 {
+	ir.SystemECDF = stats.NewECDF(sysGaps)
+	ir.ApplicationECDF = stats.NewECDF(appGaps)
+	if fc, err := a.FailureCharacteristics(); err == nil && fc.After.Weibull.Mean() > 0 {
 		ir.MTTIOverMTBF = ir.System.Weibull.Mean() / fc.After.Weibull.Mean()
 	}
 	if m := ir.System.Weibull.Mean(); m > 0 {

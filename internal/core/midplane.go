@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/bgp"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -36,27 +34,19 @@ type MidplaneCharacteristics struct {
 }
 
 // MidplaneCharacteristics computes Figure 4's three series over the
-// independent events and the job log. The three independent series
-// (fatal counts, raw workload, wide workload) are computed as
-// concurrent stages on the analysis worker pool; each stage writes only
-// its own array, so the result is identical at any parallelism.
+// independent events and the job log.
 func (a *Analysis) MidplaneCharacteristics(wideSize int) MidplaneCharacteristics {
 	if wideSize <= 0 {
 		wideSize = 32
 	}
 	mc := MidplaneCharacteristics{WideSize: wideSize}
-	parallel.Do(context.Background(), a.cfg.Parallelism,
-		func() error {
-			for _, ev := range a.Independent {
-				for _, mp := range ev.Midplanes {
-					mc.FatalEvents[mp]++
-				}
-			}
-			return nil
-		},
-		func() error { mc.WorkloadSec = a.Jobs.MidplaneBusySeconds(0); return nil },
-		func() error { mc.WideWorkloadSec = a.Jobs.MidplaneBusySeconds(wideSize); return nil },
-	)
+	for _, ev := range a.Independent {
+		for _, mp := range ev.Midplanes {
+			mc.FatalEvents[mp]++
+		}
+	}
+	mc.WorkloadSec = a.Jobs.MidplaneBusySeconds(0)
+	mc.WideWorkloadSec = a.Jobs.MidplaneBusySeconds(wideSize)
 
 	fatal := make([]float64, bgp.NumMidplanes)
 	for i, n := range mc.FatalEvents {

@@ -56,19 +56,3 @@ func BenchmarkFilterCascade(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFilterCascadeLegacy is the string-keyed reference cascade
-// (reference_test.go) over the identical corpus. The bench gate holds
-// the ID path's win over this reference.
-func BenchmarkFilterCascadeLegacy(b *testing.B) {
-	recs := benchFatalStream(10000)
-	cfg := DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		evs := legacyCascade(cfg, recs)
-		if len(evs) == 0 {
-			b.Fatal("cascade produced no events")
-		}
-	}
-}

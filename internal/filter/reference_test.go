@@ -104,13 +104,6 @@ type legacyLocKey struct{ loc, code string }
 
 type legacyPair struct{ a, b string }
 
-func legacyCascade(cfg Config, recs []raslog.Record) []*legacyEvent {
-	t := legacyTemporal(cfg.TemporalWindow, recs)
-	s := legacySpatial(cfg.SpatialWindow, t)
-	rules := legacyMine(cfg, s)
-	return legacyCausality(cfg.CausalityWindow, rules, s)
-}
-
 func legacyTemporal(window time.Duration, recs []raslog.Record) []*legacyEvent {
 	open := make(map[legacyLocKey]*legacyEvent)
 	lastSeen := make(map[legacyLocKey]time.Time)

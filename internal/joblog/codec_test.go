@@ -302,34 +302,6 @@ func BenchmarkJobUnmarshal(b *testing.B) {
 	}
 }
 
-func BenchmarkJobUnmarshalLegacy(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	var sb strings.Builder
-	const n = 4096
-	for i := 0; i < n; i++ {
-		sb.WriteString(legacyMarshalLine(randomJob(rng)))
-		sb.WriteString("\n")
-	}
-	in := sb.String()
-	b.SetBytes(int64(len(in) / n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	s := bufio.NewScanner(strings.NewReader(in))
-	for i := 0; i < b.N; i++ {
-		if !s.Scan() {
-			b.StopTimer()
-			s = bufio.NewScanner(strings.NewReader(in))
-			b.StartTimer()
-			if !s.Scan() {
-				b.Fatal("empty corpus")
-			}
-		}
-		if _, err := legacyUnmarshalLine(s.Text()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkJobMarshal(b *testing.B) {
 	j := randomJob(rand.New(rand.NewSource(8)))
 	buf := make([]byte, 0, 256)

@@ -1,27 +1,17 @@
 // Package sharedfold defines the bgplint analyzer that guards the
-// parallel engine's determinism contract at its call sites.
+// parallel pool's determinism contract at its call sites.
 //
 // internal/parallel promises byte-identical results at any worker
 // count because every task writes only its own output slots and the
-// pool merges them in index order. Two shapes of task exist, with two
-// contracts:
+// pool merges them in index order. ForEach/Map run ONE closure once
+// per index, concurrently. Any write to captured state is shared
+// between iterations: it races and makes output scheduling-dependent.
+// Only writes through index-keyed slice/array slots (results[i] = ...)
+// and the closure's return value are safe.
 //
-//   - ForEach/Map run ONE closure once per index, concurrently. Any
-//     write to captured state is shared between iterations: it races
-//     and makes output scheduling-dependent. Only writes through
-//     index-keyed slice/array slots (results[i] = ...) and the
-//     closure's return value are safe.
-//
-//   - Do runs N DISTINCT closures once each. Its documented contract
-//     is "each task must write only its own outputs": a closure may
-//     write captured variables, but no piece of state may be written
-//     by two different task closures. Overlap is checked at struct
-//     field-path granularity (ir.System vs ir.Application are
-//     disjoint outputs of one result struct).
-//
-// This is the race-and-determinism bug class PR 1's pool was designed
-// out of; the race detector only catches it when two writes actually
-// collide during a test run, sharedfold rejects it statically.
+// The race detector only catches this bug class when two writes
+// actually collide during a test run; sharedfold rejects it
+// statically.
 package sharedfold
 
 import (
@@ -36,11 +26,9 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedfold",
-	Doc: "flag parallel.ForEach/Map/Do task closures that write shared captured state\n\n" +
+	Doc: "flag parallel.ForEach/Map task closures that write shared captured state\n\n" +
 		"ForEach/Map tasks run the same closure concurrently per index: they must\n" +
-		"write only index-keyed slots or return values. Do tasks are distinct\n" +
-		"closures that may each write their own captured outputs, but no two may\n" +
-		"write the same state.",
+		"write only index-keyed slots or return values.",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*SummaryFact)(nil)},
 }
@@ -58,7 +46,7 @@ func (*SummaryFact) AFact() {}
 // poolFuncs are the fan-out entry points whose task closures run
 // concurrently. Matching is by function name within a package named
 // "parallel", so the analyzer also fires on its test fixtures.
-var poolFuncs = map[string]bool{"ForEach": true, "Map": true, "Do": true}
+var poolFuncs = map[string]bool{"ForEach": true, "Map": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	count := 0
@@ -78,17 +66,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "parallel" || !poolFuncs[fn.Name()] {
 			return
 		}
-		var tasks []*ast.FuncLit
 		for _, arg := range call.Args {
 			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-				tasks = append(tasks, lit)
-			}
-		}
-		if fn.Name() == "Do" {
-			checkDo(pass, tasks)
-		} else {
-			for _, task := range tasks {
-				checkPerIndexTask(pass, fn.Name(), task)
+				checkPerIndexTask(pass, fn.Name(), lit)
 			}
 		}
 	})
@@ -99,8 +79,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // closure.
 type write struct {
 	pos  token.Pos
-	obj  types.Object // root storage
-	path []string     // field path from the root, e.g. [ir System]
+	path []string // field path from the root storage, e.g. [ir System]
 	kind writeKind
 	verb string // for diagnostics: "assignment to", "increment of", ...
 }
@@ -108,12 +87,12 @@ type write struct {
 type writeKind int
 
 const (
-	writePlain writeKind = iota // x = ..., x.f = ..., *p = ...
-	writeSliceIndex             // xs[i] = ...: the per-index slot idiom
-	writeMapIndex               // m[k] = ...: a concurrent map write when shared
+	writePlain      writeKind = iota // x = ..., x.f = ..., *p = ...
+	writeSliceIndex                  // xs[i] = ...: the per-index slot idiom
+	writeMapIndex                    // m[k] = ...: a concurrent map write when shared
 )
 
-// checkPerIndexTask enforces the strict ForEach/Map contract: the one
+// checkPerIndexTask enforces the ForEach/Map contract: the one
 // closure runs for every index, so every captured write except a
 // slice/array index slot is shared state.
 func checkPerIndexTask(pass *analysis.Pass, pool string, task *ast.FuncLit) {
@@ -131,51 +110,6 @@ func checkPerIndexTask(pass *analysis.Pass, pool string, task *ast.FuncLit) {
 				w.verb, pathString(w), pool)
 		}
 	}
-}
-
-// checkDo enforces Do's "each task writes only its own outputs"
-// contract: writes are fine until two distinct closures touch
-// overlapping state.
-func checkDo(pass *analysis.Pass, tasks []*ast.FuncLit) {
-	type taggedWrite struct {
-		task int
-		w    write
-	}
-	var all []taggedWrite
-	for i, task := range tasks {
-		for _, w := range collectWrites(pass, task) {
-			all = append(all, taggedWrite{task: i, w: w})
-		}
-	}
-	for _, tw := range all {
-		for _, other := range all {
-			if other.task != tw.task && overlap(tw.w, other.w) {
-				pass.Reportf(tw.w.pos,
-					"parallel.Do task closures %d and %d both write %s; concurrent tasks must write disjoint outputs (sharedfold)",
-					tw.task+1, other.task+1, pathString(tw.w))
-				break
-			}
-		}
-	}
-}
-
-// overlap reports whether two writes can alias: same root object and
-// one field path a prefix of the other (writing ir overlaps writing
-// ir.System; ir.System and ir.Application are disjoint).
-func overlap(a, b write) bool {
-	if a.obj != b.obj {
-		return false
-	}
-	n := len(a.path)
-	if len(b.path) < n {
-		n = len(b.path)
-	}
-	for i := 0; i < n; i++ {
-		if a.path[i] != b.path[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // collectWrites gathers every mutation of captured state in the task
@@ -225,7 +159,7 @@ func classifyWrite(info *types.Info, task *ast.FuncLit, lhs ast.Expr, verb strin
 	if obj == nil || !capturedBy(task, obj) {
 		return write{}, false
 	}
-	w.obj, w.path = obj, path
+	w.path = path
 	return w, true
 }
 

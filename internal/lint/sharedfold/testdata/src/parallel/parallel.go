@@ -24,7 +24,3 @@ func Map(workers, n int, fn func(i int) (int, error)) ([]int, error) {
 	})
 	return out, err
 }
-
-func Do(workers int, fns ...func() error) error {
-	return ForEach(workers, len(fns), func(i int) error { return fns[i]() })
-}

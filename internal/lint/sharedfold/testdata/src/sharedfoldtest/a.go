@@ -60,59 +60,6 @@ func badMapWrite(n int) map[int]int {
 	return m
 }
 
-type fits struct {
-	System      float64
-	Application float64
-}
-
-func goodDoDisjointOutputs(n int) (float64, float64, error) {
-	// Do's contract: distinct closures, each writing only its own
-	// captured outputs — the sanctioned concurrent-stage pattern.
-	var ir fits
-	var sysErr, appErr error
-	err := parallel.Do(0,
-		func() error {
-			ir.System, sysErr = 1.0, nil // ok: only this task writes ir.System
-			return sysErr
-		},
-		func() error {
-			ir.Application, appErr = 2.0, nil // ok: disjoint field
-			return appErr
-		},
-	)
-	return ir.System, ir.Application, err
-}
-
-func badDoSharedErr(n int) error {
-	var firstErr error
-	_ = parallel.Do(0,
-		func() error {
-			firstErr = nil // want `task closures 1 and 2 both write firstErr`
-			return nil
-		},
-		func() error {
-			firstErr = nil // want `task closures 2 and 1 both write firstErr`
-			return nil
-		},
-	)
-	return firstErr
-}
-
-func badDoWholeVsField(n int) fits {
-	var ir fits
-	_ = parallel.Do(0,
-		func() error {
-			ir = fits{} // want `task closures 1 and 2 both write ir`
-			return nil
-		},
-		func() error {
-			ir.System = 1 // want `task closures 2 and 1 both write ir\.System`
-			return nil
-		},
-	)
-	return ir
-}
-
 func badNestedClosure(n int) int {
 	total := 0
 	_ = parallel.ForEach(0, n, func(i int) error {

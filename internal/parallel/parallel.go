@@ -1,6 +1,9 @@
-// Package parallel is the execution layer for the analysis fan-outs:
-// a bounded worker pool with context cancellation, index-ordered error
-// aggregation, and a deterministic order-preserving result merge.
+// Package parallel is the worker pool for the module's two kinds of
+// fan-out whose work unit is large enough to pay for a goroutine: the
+// shards of a chunked log decode (internal/linescan) and whole
+// campaigns (ensembles and policy matrices). It is a bounded pool with
+// context cancellation, index-ordered error aggregation, and a
+// deterministic order-preserving result merge.
 //
 // The determinism contract every helper honors: for a fixed input, the
 // returned values (results, error text, ordering) are byte-identical
@@ -101,33 +104,4 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 		return nil
 	})
 	return out, err
-}
-
-// Do runs a fixed set of heterogeneous tasks under ForEach's pool —
-// the concurrent-stage runner for analysis phases that compute
-// independent artifacts. Each task must write only its own outputs.
-func Do(ctx context.Context, workers int, fns ...func() error) error {
-	return ForEach(ctx, workers, len(fns), func(i int) error { return fns[i]() })
-}
-
-// Chunks splits the index range [0, n) into at most Workers(workers)
-// contiguous [lo, hi) spans of near-equal length, for shard-per-worker
-// algorithms that merge partial aggregates afterwards.
-func Chunks(workers, n int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	out := make([][2]int, 0, w)
-	for g := 0; g < w; g++ {
-		lo := g * n / w
-		hi := (g + 1) * n / w
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
 }

@@ -118,41 +118,3 @@ func TestForEachEmptyAndSingle(t *testing.T) {
 		t.Fatalf("n=1: err=%v ran=%d", err, ran[0])
 	}
 }
-
-func TestDo(t *testing.T) {
-	var a, b, c int
-	err := Do(context.Background(), 3,
-		func() error { a = 1; return nil },
-		func() error { b = 2; return errors.New("mid failed") },
-		func() error { c = 3; return nil },
-	)
-	if err == nil || err.Error() != "mid failed" {
-		t.Fatalf("error = %v", err)
-	}
-	if a != 1 || b != 2 || c != 3 {
-		t.Fatalf("tasks skipped: %d %d %d", a, b, c)
-	}
-}
-
-func TestChunksCoverRange(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 7, 100} {
-		for _, n := range []int{0, 1, 5, 80, 1000} {
-			chunks := Chunks(w, n)
-			covered := 0
-			prev := 0
-			for _, c := range chunks {
-				if c[0] != prev || c[1] <= c[0] {
-					t.Fatalf("w=%d n=%d: bad chunk %v after %d", w, n, c, prev)
-				}
-				covered += c[1] - c[0]
-				prev = c[1]
-			}
-			if covered != n {
-				t.Fatalf("w=%d n=%d: covered %d", w, n, covered)
-			}
-			if n > 0 && len(chunks) > Workers(w) {
-				t.Fatalf("w=%d n=%d: %d chunks", w, n, len(chunks))
-			}
-		}
-	}
-}

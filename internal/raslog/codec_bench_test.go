@@ -1,7 +1,6 @@
 package raslog
 
 import (
-	"bufio"
 	"math/rand"
 	"strings"
 	"testing"
@@ -63,29 +62,6 @@ func BenchmarkRASUnmarshalFields(b *testing.B) {
 	}
 }
 
-// BenchmarkRASUnmarshalLegacy is the pre-rewrite baseline: a
-// bufio.Scanner Text() walk through the strings.Split parser.
-func BenchmarkRASUnmarshalLegacy(b *testing.B) {
-	in := benchCorpus(benchRecords)
-	b.SetBytes(int64(len(in) / benchRecords))
-	b.ReportAllocs()
-	b.ResetTimer()
-	s := bufio.NewScanner(strings.NewReader(in))
-	for i := 0; i < b.N; i++ {
-		if !s.Scan() {
-			b.StopTimer()
-			s = bufio.NewScanner(strings.NewReader(in))
-			b.StartTimer()
-			if !s.Scan() {
-				b.Fatal("empty corpus")
-			}
-		}
-		if _, err := legacyUnmarshalLine(s.Text()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRASMarshal measures AppendLine into a reused buffer.
 func BenchmarkRASMarshal(b *testing.B) {
 	r := sampleRecord()
@@ -97,18 +73,6 @@ func BenchmarkRASMarshal(b *testing.B) {
 		buf = r.AppendLine(buf[:0])
 	}
 	_ = buf
-}
-
-// BenchmarkRASMarshalLegacy is the Sprintf+Join baseline for
-// BenchmarkRASMarshal.
-func BenchmarkRASMarshalLegacy(b *testing.B) {
-	r := sampleRecord()
-	b.SetBytes(int64(len(r.MarshalLine())))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = legacyMarshalLine(r)
-	}
 }
 
 // BenchmarkRASDecodeParallel measures the sharded streaming decode

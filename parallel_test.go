@@ -5,29 +5,55 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/linescan"
+	"repro/internal/simulate"
 )
 
-// TestParallelMatchesSequential is the tentpole equivalence oracle: the
-// full analysis at Parallelism 1 (all fan-outs forced sequential) and
-// Parallelism 8 must produce deep-equal structured results and a
-// byte-identical rendered report for the same seed. Run it under -race
-// to check the pool itself (make race / scripts/ci.sh do).
+// TestParallelMatchesSequential is the equivalence oracle of the
+// chunked log decode, the one fan-out a single analysis runs: Load over
+// the quick campaign's written logs at Parallelism 1 (one sequential
+// decode) and Parallelism 8 (sharded decode, merged in chunk order)
+// must produce deep-equal structured results and a byte-identical
+// rendered report. Run it under -race to check the pool and the
+// shards' merge (make race does).
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := QuickConfig(1)
-	cfg.Days = 30 // keep the -race run quick; shapes are unaffected
-
-	seqCfg := cfg
-	seqCfg.Parallelism = 1
-	parCfg := cfg
-	parCfg.Parallelism = 8
-
-	seqRep, err := Run(seqCfg)
+	camp, err := simulate.Run(simConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRep, err := Run(parCfg)
-	if err != nil {
+	var ras, jobs bytes.Buffer
+	if err := camp.WriteLogs(&ras, &jobs); err != nil {
 		t.Fatal(err)
+	}
+	// Each log must span several decode chunks, or p=8 would decode
+	// exactly as p=1 does.
+	for name, n := range map[string]int{"RAS": ras.Len(), "job": jobs.Len()} {
+		if n <= linescan.DefaultChunkBytes {
+			t.Fatalf("%s log is %d bytes, one decode chunk; the oracle would compare a decode with itself", name, n)
+		}
+	}
+
+	load := func(p int) *Report {
+		t.Helper()
+		c := cfg
+		c.Parallelism = p
+		rep, err := Load(c, bytes.NewReader(ras.Bytes()), bytes.NewReader(jobs.Bytes()))
+		if err != nil {
+			t.Fatalf("Load at Parallelism %d: %v", p, err)
+		}
+		return rep
+	}
+	seqRep, parRep := load(1), load(8)
+	if !reflect.DeepEqual(seqRep.fatal, parRep.fatal) {
+		t.Errorf("decoded FATAL records diverge: %d vs %d", len(seqRep.fatal), len(parRep.fatal))
+	}
+	if !reflect.DeepEqual(seqRep.stats, parRep.stats) {
+		t.Errorf("raw-log aggregates diverge:\nseq: %+v\npar: %+v", seqRep.stats, parRep.stats)
+	}
+	if !reflect.DeepEqual(seqRep.Jobs().All(), parRep.Jobs().All()) {
+		t.Errorf("decoded job logs diverge: %d vs %d jobs", len(seqRep.Jobs().All()), len(parRep.Jobs().All()))
 	}
 
 	// Structured equivalence, stage by stage.

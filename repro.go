@@ -40,12 +40,12 @@ type Config struct {
 	// MatchTolerance is the job-end-to-event matching slack; zero means
 	// the default (5 minutes).
 	MatchTolerance time.Duration
-	// Parallelism bounds the worker count of every fan-out — the log
-	// decoders, the per-midplane and per-cause fits, and ensemble
-	// campaigns (0 = GOMAXPROCS, 1 = sequential). The filter cascade is
-	// one ordered pass and does not fan out. For a fixed seed the
-	// report is byte-identical at every setting; see internal/parallel
-	// for the determinism contract.
+	// Parallelism bounds the worker count of every fan-out — the
+	// chunked log decode in Load, and the campaigns of RunEnsemble and
+	// RunMatrix (0 = GOMAXPROCS, 1 = sequential). The analysis itself
+	// is one sequential pass. For a fixed input the report is
+	// byte-identical at every setting; see internal/parallel for the
+	// determinism contract.
 	Parallelism int
 	// Seeds is the number of campaigns RunEnsemble simulates, at seeds
 	// Seed, Seed+1, ..., Seed+Seeds-1 (0 or 1 means a single campaign).
@@ -154,7 +154,6 @@ func analyze(cfg Config, fatal []raslog.Record, stats LogStats, jobs *joblog.Log
 	if cfg.MatchTolerance > 0 {
 		acfg.MatchTolerance = cfg.MatchTolerance
 	}
-	acfg.Parallelism = cfg.Parallelism
 	a, err := core.AnalyzeFatal(acfg, fatal, stats.First, stats.Last, jobs)
 	if err != nil {
 		return nil, err

@@ -1,35 +1,11 @@
 #!/usr/bin/env bash
-# CI gate: build, vet, full tests, race-detector pass, and a short fuzz
-# smoke of the line parsers. Mirrors `make check` plus fuzzing; keep the
-# two in sync.
+# CI gate: `make check` (build, vet, lint, tests, race-detector pass,
+# smokes, membound) and `make fuzz` at a short FUZZTIME, plus the
+# cross-file checks make cannot express: the baseline filenames and
+# package lists that the Makefile, cmd/bgpbench and the CI workflow
+# each spell, and the optional third-party linters.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Drift check: this script mirrors `make check` (plus fuzzing); the
-# comment used to be the only enforcement. CI_STEPS is the set of make
-# check steps this script implements — if the Makefile's check recipe
-# gains or loses a step without this script following, fail loudly.
-CI_STEPS="build vet lint test race smoke membound"
-MAKE_STEPS=$(sed -n 's/^check:[[:space:]]*//p' Makefile)
-echo "== drift check (ci.sh vs make check)"
-for s in $MAKE_STEPS; do
-	case " $CI_STEPS " in
-	*" $s "*) ;;
-	*)
-		echo "ci.sh drift: 'make check' runs '$s' but ci.sh does not — update ci.sh (and CI_STEPS)" >&2
-		exit 1
-		;;
-	esac
-done
-for s in $CI_STEPS; do
-	case " $MAKE_STEPS " in
-	*" $s "*) ;;
-	*)
-		echo "ci.sh drift: ci.sh runs '$s' but 'make check' does not — update the Makefile check recipe" >&2
-		exit 1
-		;;
-	esac
-done
 
 # The bench gate lives in the workflow, not here, but its baseline
 # filename is spelled in three places; if `make bench-baseline` writes a
@@ -57,15 +33,8 @@ if [ "$MAKE_BENCH_PKGS" != "$TOOL_BENCH_PKGS" ]; then
 	exit 1
 fi
 
-# The membound gate is one script spelled in three places: the Makefile
-# membound target, the standalone CI membound job, and this script's
-# own invocation below. If the Makefile target points elsewhere (or the
-# workflow drops the job), fail loudly.
-MEMBOUND_SCRIPT=$(sed -n '/^membound:/{n;s/^[[:space:]]*//p;}' Makefile | awk '{print $1}')
-if [ "$MEMBOUND_SCRIPT" != "./scripts/membound.sh" ]; then
-	echo "ci.sh drift: 'make membound' runs '$MEMBOUND_SCRIPT' but ci.sh runs ./scripts/membound.sh" >&2
-	exit 1
-fi
+# `make membound` runs inside `make check` below; the workflow's
+# standalone membound job must run the same script.
 if ! grep -q 'scripts/membound.sh' .github/workflows/ci.yml; then
 	echo "ci.sh drift: the CI workflow has no membound job running scripts/membound.sh" >&2
 	exit 1
@@ -84,15 +53,8 @@ if [ ! -f "$ESCAPE_BASELINE" ]; then
 	exit 1
 fi
 
-echo "== go build"
-go build ./...
-
-echo "== go vet"
-go vet ./...
-
-echo "== bgplint (determinism, domain & concurrency analyzers; baseline-gated, SARIF artifact)"
-go build -o bin/bgplint ./cmd/bgplint
-./bin/bgplint -baseline lint.baseline.json -sarif bgplint.sarif ./... ./cmd/... ./examples/...
+echo "== make check"
+make check
 
 # Third-party linters run when available; the build environment is
 # offline, so they are gated rather than installed here.
@@ -109,45 +71,7 @@ else
 	echo "== govulncheck (not installed; skipped)"
 fi
 
-echo "== go test"
-go test ./...
-
-# The serve hammer tests only exercise real interleavings with enough
-# parallelism; force at least four Ps even on small CI runners.
-NP=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 4)
-if [ "$NP" -lt 4 ]; then NP=4; fi
-echo "== go test -race (GOMAXPROCS=$NP)"
-GOMAXPROCS=$NP go test -race ./...
-
-echo "== bgpd smoke (end-to-end daemon golden diff)"
-./scripts/smoke_bgpd.sh
-
-echo "== policy smoke (matrix digests + cross-policy comparison)"
-./scripts/smoke_policies.sh
-
-echo "== membound (bounded-memory spill/merge equivalence)"
-./scripts/membound.sh
-
-echo "== fuzz smoke (${FUZZTIME:=10s} per target)"
-go test ./internal/raslog -fuzz FuzzParseRecord -fuzztime "$FUZZTIME"
-go test ./internal/joblog -fuzz FuzzParseJob -fuzztime "$FUZZTIME"
-# Table I counts the job log's bytes from Job.MarshaledLen; it must
-# equal the length AppendLine writes for any field values.
-go test ./internal/joblog -fuzz FuzzJobMarshaledLen -fuzztime "$FUZZTIME"
-go test ./internal/bgp -fuzz FuzzParseLocation -fuzztime "$FUZZTIME"
-# -race: the symtab fuzz body reads frozen snapshots from concurrent
-# goroutines; the corpus cache makes the explored inputs accumulate.
-go test -race ./internal/symtab -fuzz FuzzSymtab -fuzztime "$FUZZTIME"
-# Ingest-endpoint fuzz: malformed POST bodies must never panic the
-# daemon or leave a partially applied batch behind.
-go test ./internal/serve -fuzz FuzzIngestBatch -fuzztime "$FUZZTIME"
-# Durability-boundary fuzz: seal → persist → recover must reproduce the
-# sealed state exactly, and restored segments must reject appends.
-go test ./internal/serve -fuzz FuzzSegmentSealRestore -fuzztime "$FUZZTIME"
-# Segment-codec fuzz: arbitrary bytes must decode to a structured
-# *FormatError or to a segment whose re-encoding is the consumed
-# prefix — never a panic. The corpus accumulates in the same
-# ~/.cache/go-build/fuzz cache the workflow persists across runs.
-go test ./internal/store -fuzz FuzzSegmentCodec -fuzztime "$FUZZTIME"
+echo "== make fuzz (${FUZZTIME:=10s} per target)"
+make fuzz FUZZTIME="$FUZZTIME"
 
 echo "CI OK"
