@@ -74,10 +74,11 @@ func main() {
 		streak int
 	}
 	var hs []hist
-	for exec, jobs := range rep.Jobs().ByExecFile() {
+	all := rep.Jobs().All()
+	for exec, runs := range rep.Jobs().ByExecFile() {
 		streak, maxStreak := 0, 0
-		for _, j := range jobs {
-			if interrupted[j.ID] {
+		for _, p := range runs {
+			if interrupted[all[p].ID] {
 				streak++
 				if streak > maxStreak {
 					maxStreak = streak

@@ -160,7 +160,7 @@ func (a *Analysis) classify() {
 	// while an old location later hosts an uninterrupted job ->
 	// application (Figure 2).
 	interrupted := a.InterruptedJobIDs()
-	execRuns := a.execRunsByID()
+	jobs, execRuns := a.Jobs.All(), a.execRunsByID()
 	for code, ins := range byCode {
 		if _, done := a.Classification[code]; done {
 			continue
@@ -188,7 +188,7 @@ func (a *Analysis) classify() {
 				}
 				// A resubmission chain: no clean run of this executable
 				// between the two interrupted attempts.
-				if execRanCleanBetween(execRuns[exec], prev.Job.EndTime, cur.Job.StartTime, interrupted) {
+				if execRanCleanBetween(jobs, execRuns[exec], prev.Job.EndTime, cur.Job.StartTime, interrupted) {
 					continue
 				}
 				// Did the old location host a clean job after the move?
@@ -213,14 +213,14 @@ func (a *Analysis) classify() {
 	a.classifyByCorrelation()
 }
 
-// execRunsByID re-keys ByExecFile's string-keyed grouping by typed
-// ExecID, so the cascade (classify Rule 3, Figure 2 extraction) looks
-// runs up by interned ID rather than display name. Executables that
-// never appear in an interruption have no interned ID and are dropped;
-// nothing looks them up.
-func (a *Analysis) execRunsByID() map[symtab.ExecID][]joblog.Job {
+// execRunsByID re-keys ByExecFile's string-keyed grouping of positions
+// into a.Jobs.All() by typed ExecID, so the cascade (classify Rule 3,
+// Figure 2 extraction) looks runs up by interned ID rather than display
+// name. Executables that never appear in an interruption have no
+// interned ID and are dropped; nothing looks them up.
+func (a *Analysis) execRunsByID() map[symtab.ExecID][]int32 {
 	byName := a.Jobs.ByExecFile()
-	runs := make(map[symtab.ExecID][]joblog.Job, len(byName))
+	runs := make(map[symtab.ExecID][]int32, len(byName))
 	for name, js := range byName {
 		if id, ok := a.tab.Execs.Lookup(name); ok {
 			runs[id] = js
@@ -230,10 +230,11 @@ func (a *Analysis) execRunsByID() map[symtab.ExecID][]joblog.Job {
 }
 
 // execRanCleanBetween reports whether any run of the executable (given
-// its time-ordered runs) started and ended inside (from, to) without
-// being interrupted.
-func execRanCleanBetween(runs []joblog.Job, from, to time.Time, interrupted map[int64]bool) bool {
-	for _, j := range runs {
+// its StartTime-ordered runs as positions into jobs) started and ended
+// inside (from, to) without being interrupted.
+func execRanCleanBetween(jobs []joblog.Job, runs []int32, from, to time.Time, interrupted map[int64]bool) bool {
+	for _, p := range runs {
+		j := &jobs[p]
 		if j.StartTime.After(to) {
 			break
 		}

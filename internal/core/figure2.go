@@ -31,7 +31,7 @@ func (a *Analysis) RelocationExamples(max int) []RelocationExample {
 		max = 3
 	}
 	interrupted := a.InterruptedJobIDs()
-	execRuns := a.execRunsByID()
+	jobs, execRuns := a.Jobs.All(), a.execRunsByID()
 
 	byCodeExec := make(map[symtab.ErrcodeID]map[symtab.ExecID][]Interruption)
 	for _, in := range a.Interruptions {
@@ -62,7 +62,7 @@ func (a *Analysis) RelocationExamples(max int) []RelocationExample {
 				if prev.Job.Partition == cur.Job.Partition {
 					continue
 				}
-				if execRanCleanBetween(execRuns[exec], prev.Job.EndTime, cur.Job.StartTime, interrupted) {
+				if execRanCleanBetween(jobs, execRuns[exec], prev.Job.EndTime, cur.Job.StartTime, interrupted) {
 					continue
 				}
 				clean, ok := a.cleanJobAfter(prev.Job, cur.Job, interrupted)

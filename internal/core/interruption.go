@@ -69,10 +69,11 @@ func (a *Analysis) Bursts(window time.Duration) BurstStats {
 
 	// Longest consecutive-interruption streak per executable.
 	interrupted := a.InterruptedJobIDs()
-	for _, jobs := range a.Jobs.ByExecFile() {
+	all := a.Jobs.All()
+	for _, runs := range a.Jobs.ByExecFile() {
 		streak := 0
-		for _, j := range jobs {
-			if interrupted[j.ID] {
+		for _, p := range runs {
+			if interrupted[all[p].ID] {
 				streak++
 				if streak > bs.MaxPerJobStreak {
 					bs.MaxPerJobStreak = streak

@@ -132,17 +132,19 @@ func (a *Analysis) JobFilter() JobFilterStats {
 // and counts how many landed on the identical partition.
 func (a *Analysis) sameLocationResubmits() (same, total int) {
 	interrupted := a.InterruptedJobIDs()
-	for _, jobs := range a.Jobs.ByExecFile() {
-		for i := 0; i < len(jobs)-1; i++ {
-			if !interrupted[jobs[i].ID] {
+	all := a.Jobs.All()
+	for _, runs := range a.Jobs.ByExecFile() {
+		for i := 0; i < len(runs)-1; i++ {
+			cur := &all[runs[i]]
+			if !interrupted[cur.ID] {
 				continue
 			}
-			next := jobs[i+1]
-			if next.QueueTime.Before(jobs[i].EndTime) {
+			next := &all[runs[i+1]]
+			if next.QueueTime.Before(cur.EndTime) {
 				continue // overlapping submissions, not a reaction
 			}
 			total++
-			if next.Partition == jobs[i].Partition {
+			if next.Partition == cur.Partition {
 				same++
 			}
 		}

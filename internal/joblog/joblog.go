@@ -607,7 +607,8 @@ func readAll(r io.Reader, opts linescan.Options) ([]Job, error) {
 	return linescan.DecodeAll(r, opts, func() linescan.ShardFunc[Job] {
 		dec := newDecoder()
 		return func(chunk []byte, firstLine int) ([]Job, error) {
-			var out []Job
+			// One job per line at most, so the shard never regrows.
+			out := make([]Job, 0, bytes.Count(chunk, []byte{'\n'})+1)
 			err := linescan.ForEachLine(chunk, firstLine, func(line []byte, n int) error {
 				if len(line) == 0 {
 					return nil
@@ -633,7 +634,7 @@ type Log struct {
 	jobs []Job
 
 	byExecOnce sync.Once
-	byExec     map[string][]Job
+	byExec     map[string][]int32
 
 	marshaledOnce sync.Once
 	marshaled     int
@@ -659,18 +660,16 @@ func (l *Log) Len() int { return len(l.jobs) }
 func (l *Log) All() []Job { return l.jobs }
 
 // DistinctExecutables returns the number of distinct ExecFiles and the
-// number of ExecFiles submitted more than once.
+// number of ExecFiles submitted more than once, read off the shared
+// ByExecFile grouping.
 func (l *Log) DistinctExecutables() (distinct, resubmitted int) {
-	count := make(map[string]int)
-	for _, j := range l.jobs {
-		count[j.ExecFile]++
-	}
-	for _, n := range count {
-		if n > 1 {
+	groups := l.ByExecFile()
+	for _, ps := range groups {
+		if len(ps) > 1 {
 			resubmitted++
 		}
 	}
-	return len(count), resubmitted
+	return len(groups), resubmitted
 }
 
 // MidplaneBusySeconds returns, per global midplane, the total seconds
@@ -708,17 +707,37 @@ func (l *Log) Span() (first, last time.Time) {
 	return first, l.jobs[len(l.jobs)-1].EndTime
 }
 
-// ByExecFile groups jobs by executable, each group ordered by
-// StartTime; used by resubmission analyses. The grouping is built once
-// per Log and shared: callers must not mutate the map or its slices.
-func (l *Log) ByExecFile() map[string][]Job {
+// ByExecFile groups the jobs by executable as positions into All(),
+// each group ordered by StartTime; used by resubmission analyses. All
+// groups share one backing array of Len() positions, and each group is
+// capped at its length, so an append to one reallocates rather than
+// overwriting the next. The grouping is built once per Log and shared:
+// callers must not mutate the map or its slices.
+func (l *Log) ByExecFile() map[string][]int32 {
 	l.byExecOnce.Do(func() {
-		m := make(map[string][]Job)
-		for _, j := range l.jobs {
-			m[j.ExecFile] = append(m[j.ExecFile], j)
+		count := make(map[string]int)
+		for i := range l.jobs {
+			count[l.jobs[i].ExecFile]++
 		}
-		for _, js := range m {
-			sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
+		pos := make([]int32, len(l.jobs))
+		m := make(map[string][]int32, len(count))
+		off := 0
+		for i := range l.jobs {
+			exec := l.jobs[i].ExecFile
+			ps, ok := m[exec]
+			if !ok {
+				// Carve groups in first-appearance order, so the layout
+				// of the backing array does not depend on map order.
+				n := count[exec]
+				ps = pos[off : off : off+n]
+				off += n
+			}
+			m[exec] = append(ps, int32(i))
+		}
+		for _, ps := range m {
+			sort.Slice(ps, func(a, b int) bool {
+				return l.jobs[ps[a]].StartTime.Before(l.jobs[ps[b]].StartTime)
+			})
 		}
 		l.byExec = m
 	})

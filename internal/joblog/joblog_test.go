@@ -174,8 +174,8 @@ func TestLogQueries(t *testing.T) {
 		t.Errorf("Span = %v..%v", first, last)
 	}
 	groups := l.ByExecFile()
-	if len(groups["/a"]) != 2 || !groups["/a"][0].StartTime.Before(groups["/a"][1].StartTime) {
-		t.Errorf("ByExecFile grouping wrong: %+v", groups["/a"])
+	if a := groups["/a"]; len(a) != 2 || all[a[0]].ID != 1 || all[a[1]].ID != 3 {
+		t.Errorf("ByExecFile grouping wrong: %v", a)
 	}
 }
 
@@ -192,18 +192,23 @@ func freshByExecFile(l *Log) map[string][]Job {
 	return m
 }
 
-func TestByExecFileSharedAndEqualToFreshBuild(t *testing.T) {
+// tieFixtureLog is 300 jobs over seven executables whose start times
+// collide within an executable, so the unstable sort's tie order is
+// part of what a grouping must reproduce.
+func tieFixtureLog() *Log {
 	t0 := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
 	var jobs []Job
 	for i := 0; i < 300; i++ {
-		// Start times collide within an executable, so the unstable
-		// sort's tie order is part of what must match.
 		start := t0.Add(time.Duration(i*37%50) * time.Minute)
 		jobs = append(jobs, mkJob(int64(i), fmt.Sprintf("/app%d", i%7), start,
 			start.Add(time.Duration(1+i%5)*time.Hour), bgp.Partition{Start: i % 40, Size: 1}))
 	}
-	l := NewLog(jobs)
-	got := make([]map[string][]Job, 8)
+	return NewLog(jobs)
+}
+
+func TestByExecFileSharedAndEqualToFreshBuild(t *testing.T) {
+	l := tieFixtureLog()
+	got := make([]map[string][]int32, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
@@ -213,13 +218,59 @@ func TestByExecFileSharedAndEqualToFreshBuild(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	want := freshByExecFile(l)
 	for i, m := range got {
 		if reflect.ValueOf(m).Pointer() != reflect.ValueOf(got[0]).Pointer() {
 			t.Errorf("reader %d got its own grouping, want the shared one", i)
 		}
-		if !reflect.DeepEqual(m, want) {
-			t.Errorf("reader %d: shared grouping differs from a fresh build", i)
+	}
+
+	want := freshByExecFile(l)
+	resolved := make(map[string][]Job, len(got[0]))
+	seen := make([]int, l.Len())
+	for exec, ps := range got[0] {
+		if cap(ps) != len(ps) {
+			t.Errorf("group %s: cap %d, len %d; an append would overwrite its neighbour", exec, cap(ps), len(ps))
+		}
+		for _, p := range ps {
+			resolved[exec] = append(resolved[exec], l.All()[p])
+			seen[p]++
+		}
+	}
+	if !reflect.DeepEqual(resolved, want) {
+		t.Error("shared grouping, resolved through All(), differs from a fresh build")
+	}
+	for p, n := range seen {
+		if n != 1 {
+			t.Errorf("position %d appears %d times, want once", p, n)
+		}
+	}
+}
+
+// freshDistinctExecutables is the count-map computation
+// DistinctExecutables made before it read the shared grouping.
+func freshDistinctExecutables(l *Log) (distinct, resubmitted int) {
+	count := make(map[string]int)
+	for _, j := range l.All() {
+		count[j.ExecFile]++
+	}
+	for _, n := range count {
+		if n > 1 {
+			resubmitted++
+		}
+	}
+	return len(count), resubmitted
+}
+
+func TestDistinctExecutablesMatchesCountMap(t *testing.T) {
+	// The tie fixture gives every executable several runs; the extra
+	// job adds one run only.
+	t0 := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
+	jobs := append(append([]Job(nil), tieFixtureLog().All()...), mkJob(1000, "/once", t0, t0.Add(time.Hour), bgp.Partition{Size: 1}))
+	for name, l := range map[string]*Log{"ties": NewLog(jobs), "empty": NewLog(nil)} {
+		d, r := l.DistinctExecutables()
+		wd, wr := freshDistinctExecutables(l)
+		if d != wd || r != wr {
+			t.Errorf("%s: DistinctExecutables = %d,%d, want %d,%d", name, d, r, wd, wr)
 		}
 	}
 }

@@ -39,7 +39,7 @@ type Predictor interface {
 // event rate exceeds a threshold: the machinery behind "this midplane
 // has been failing a lot lately".
 type RatePredictor struct {
-	// Tau is the decay time constant.
+	// Tau is the decay time constant; it must not be negative.
 	Tau time.Duration
 	// Threshold is the alarm level in decayed events.
 	Threshold float64
@@ -84,8 +84,14 @@ func (p *RatePredictor) Observe(ev *filter.Event) {
 	}
 }
 
-// Alarmed implements Predictor.
+// Alarmed implements Predictor. A stored score below the threshold
+// answers without the Exp: with Tau >= 0, decayed is 0, the score
+// itself, or the score times exp(-x) with x > 0, which is at most 1, so
+// it cannot climb back to a threshold the score is already under.
 func (p *RatePredictor) Alarmed(mp int, t time.Time) bool {
+	if p.score[mp] < p.Threshold {
+		return false
+	}
 	return p.decayed(mp, t) >= p.Threshold
 }
 

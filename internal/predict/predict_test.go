@@ -1,9 +1,12 @@
 package predict
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/filter"
 	"repro/internal/raslog"
 	"repro/internal/symtab"
@@ -198,5 +201,87 @@ func TestEvaluateScoresTrailingIdleHits(t *testing.T) {
 	if r.Hits != 2 || r.IdleHits != 2 || r.AvoidableActionFraction != 1 {
 		t.Errorf("hits/idle hits/avoidable = %d/%d/%v, want 2/2/1",
 			r.Hits, r.IdleHits, r.AvoidableActionFraction)
+	}
+}
+
+// alwaysDecays is RatePredictor answering every Alarmed query through
+// decayed, without the below-threshold short-circuit.
+type alwaysDecays struct{ *RatePredictor }
+
+func (p alwaysDecays) Alarmed(mp int, t time.Time) bool {
+	return p.decayed(mp, t) >= p.Threshold
+}
+
+// randomStream returns n time-ordered events on a few hot midplanes;
+// about a third share the previous event's time, so queries at an
+// event's own time hit decayed's dt <= 0 branch.
+func randomStream(rng *rand.Rand, n int) []*filter.Event {
+	hot := []int{3, 17, 40, 79}
+	events := make([]*filter.Event, 0, n)
+	at := time.Duration(0)
+	for i := 0; i < n; i++ {
+		if i == 0 || rng.Intn(3) != 0 {
+			at += time.Duration(rng.Int63n(int64(6 * time.Hour)))
+		}
+		mps := []int{hot[rng.Intn(len(hot))]}
+		if rng.Intn(4) == 0 {
+			mps = append(mps, rng.Intn(bgp.NumMidplanes))
+		}
+		events = append(events, ev("x", at, mps...))
+	}
+	return events
+}
+
+func TestRatePredictorShortCircuitIsExact(t *testing.T) {
+	taus := []time.Duration{time.Second, time.Minute, time.Hour, 24 * time.Hour, 30 * 24 * time.Hour}
+	thresholds := []float64{0.25, 0.75, 1, 1.5, 3}
+	for seed := int64(1); seed <= 5; seed++ {
+		events := randomStream(rand.New(rand.NewSource(seed)), 120)
+		for _, tau := range taus {
+			for _, thr := range thresholds {
+				p := NewRatePredictor(tau, thr)
+				next := 0
+				check := func(at time.Time) {
+					for mp := 0; mp < bgp.NumMidplanes; mp++ {
+						if got, want := p.Alarmed(mp, at), p.decayed(mp, at) >= thr; got != want {
+							t.Fatalf("seed %d tau %v thr %v: Alarmed(%d, %v) = %v, decayed says %v",
+								seed, tau, thr, mp, at, got, want)
+						}
+					}
+				}
+				end := events[len(events)-1].First
+				for at := events[0].First; !at.After(end); at = at.Add(time.Hour) {
+					for ; next < len(events) && !events[next].First.After(at); next++ {
+						check(events[next].First)
+						p.Observe(events[next])
+						check(events[next].First)
+					}
+					check(at)
+				}
+
+				got, err := Evaluate(NewRatePredictor(tau, thr), events, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Evaluate(alwaysDecays{NewRatePredictor(tau, thr)}, events, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d tau %v thr %v: Evaluate = %+v, without the short-circuit %+v",
+						seed, tau, thr, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRatePredictorAlarmsAtScoreEqualToThreshold(t *testing.T) {
+	// One event leaves a stored score of exactly 1; queried at the
+	// event's own time there is no decay, so a threshold of 1 alarms.
+	p := NewRatePredictor(time.Hour, 1)
+	p.Observe(ev("x", 0, 5))
+	if !p.Alarmed(5, t0) {
+		t.Error("a score equal to the threshold must alarm")
 	}
 }

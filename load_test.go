@@ -14,33 +14,43 @@ import (
 	"repro/internal/raslog"
 )
 
-// The paper-scale fixture: a 30-day campaign at Intrepid's 62 noise
-// records per FATAL one, serialized to both line formats.
-var (
-	paperLogsOnce       sync.Once
-	paperRAS, paperJobs []byte
-	paperLogsErr        error
-)
+// campaignLogs is a 30-day, seed-1 campaign at some noise records per
+// FATAL one, serialized to both line formats once per test binary.
+type campaignLogs struct {
+	once      sync.Once
+	noise     float64
+	ras, jobs []byte
+	err       error
+}
 
-func paperLogs(tb testing.TB) (ras, jobs []byte) {
+func (c *campaignLogs) get(tb testing.TB) (ras, jobs []byte) {
 	tb.Helper()
-	paperLogsOnce.Do(func() {
-		r, err := Run(Config{Seed: 1, Days: 30, NoisePerFatal: 62})
+	c.once.Do(func() {
+		r, err := Run(Config{Seed: 1, Days: 30, NoisePerFatal: c.noise})
 		if err != nil {
-			paperLogsErr = err
+			c.err = err
 			return
 		}
-		paperRAS = marshalRAS(r.RAS().All())
+		c.ras = marshalRAS(r.RAS().All())
 		for _, j := range r.Jobs().All() {
-			paperJobs = j.AppendLine(paperJobs)
-			paperJobs = append(paperJobs, '\n')
+			c.jobs = j.AppendLine(c.jobs)
+			c.jobs = append(c.jobs, '\n')
 		}
 	})
-	if paperLogsErr != nil {
-		tb.Fatal(paperLogsErr)
+	if c.err != nil {
+		tb.Fatal(c.err)
 	}
-	return paperRAS, paperJobs
+	return c.ras, c.jobs
 }
+
+var (
+	// paperCampaign has Intrepid's 62 noise records per FATAL one
+	// (paper-batch's shape): the RAS decode does most of the work.
+	paperCampaign = &campaignLogs{noise: 62}
+	// lightCampaign has 0.5 noise records per FATAL one (noise-light's
+	// shape): the job side, analysis and rendering do most of the work.
+	lightCampaign = &campaignLogs{noise: 0.5}
+)
 
 func marshalRAS(recs []raslog.Record) []byte {
 	var buf []byte
@@ -92,7 +102,7 @@ func storeComposition(t *testing.T, ras, jobs []byte) (*Report, *raslog.Store, e
 // — and that the sweep ablation re-run over the FATAL records matches
 // core.Analyze over the full store.
 func TestLoadMatchesStoreComposition(t *testing.T) {
-	ras, jobs := paperLogs(t)
+	ras, jobs := paperCampaign.get(t)
 	for name, log := range map[string][]byte{
 		"paper":      ras,
 		"duplicates": withDuplicateFatal(t, ras),
@@ -184,7 +194,7 @@ func withDuplicateFatal(t *testing.T, ras []byte) []byte {
 // a noise record and in a FATAL record fail Load with the error the
 // full decode reports.
 func TestLoadErrorsMatchStoreComposition(t *testing.T) {
-	ras, jobs := paperLogs(t)
+	ras, jobs := paperCampaign.get(t)
 	lines := strings.Split(string(ras), "\n")
 	for _, fatal := range []bool{false, true} {
 		bad := append([]string(nil), lines...)
@@ -277,22 +287,28 @@ func firstFatal(recs []raslog.Record) raslog.Record {
 }
 
 // BenchmarkLoad measures batch coanalyze in process: Load plus
-// RenderAll over the serialized 30-day, 62-noise-per-FATAL campaign
-// (paper-batch's logs). Run with -benchmem to see the decode and
-// retention cost; it is not in the bgpbench-gated set.
+// RenderAll over the serialized 30-day seed-1 campaign, at the paper's
+// 62 noise records per FATAL one (paper-batch's logs) and at 0.5
+// (noise-light's shape). Run with -benchmem and -cpuprofile to see
+// where decode, analysis and rendering spend; it is not in the
+// bgpbench-gated set.
 func BenchmarkLoad(b *testing.B) {
-	ras, jobs := paperLogs(b)
-	b.SetBytes(int64(len(ras) + len(jobs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := Load(DefaultConfig(0), bytes.NewReader(ras), bytes.NewReader(jobs))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var out bytes.Buffer
-		if err := rep.RenderAll(&out); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []*campaignLogs{paperCampaign, lightCampaign} {
+		b.Run(fmt.Sprintf("noise=%g", c.noise), func(b *testing.B) {
+			ras, jobs := c.get(b)
+			b.SetBytes(int64(len(ras) + len(jobs)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := Load(DefaultConfig(0), bytes.NewReader(ras), bytes.NewReader(jobs))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var out bytes.Buffer
+				if err := rep.RenderAll(&out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
