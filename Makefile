@@ -63,8 +63,9 @@ smoke-golden:
 	./scripts/smoke_policies.sh -update
 
 # Bounded-memory equivalence gate: coanalyze a multi-campaign log under
-# GOMEMLIMIT with a -mem-budget far below the event payload (forcing
-# spill + zone-map-filtered reload) and diff the output against the
+# GOMEMLIMIT with a -mem-budget far below the FATAL event payload
+# (forcing spill + merged reload), check that the runs hold the log's
+# FATAL rows and nothing else, and diff the output against the
 # unconstrained run. The CI membound job runs the same script; a
 # ci.sh check keeps it there.
 membound:

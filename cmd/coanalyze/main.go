@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jobP        = fs.String("job", "job.log", "job log path")
 		artifact    = fs.String("artifact", "all", "artifact to print: all, or one of "+keys())
 		parallelism = fs.Int("parallelism", 0, "worker bound for the chunked log decode (0 = GOMAXPROCS, 1 = sequential)")
-		memBudget   = fs.Int64("mem-budget", 0, "bound the in-memory event payload to this many bytes, spilling sorted segment runs to disk and merging them back with zone-map pushdown; output is byte-identical to the unconstrained run (0 = analyze fully in memory)")
+		memBudget   = fs.Int64("mem-budget", 0, "bound the in-memory FATAL event payload to this many bytes (encoded line bytes): noise records are counted at decode and never spooled, FATAL records spill to sorted segment runs on disk and merge back; output is byte-identical to the unconstrained run (0 = analyze fully in memory)")
 		spillDir    = fs.String("spill-dir", "", "directory for -mem-budget segment runs (empty = a temp dir, removed on exit)")
 		matrix      = fs.Bool("policy-matrix", false, "co-analyze the per-policy log pairs a bgpgen -policy-matrix run wrote next to -ras/-job (ras.<policy>.log) and print the cross-policy comparison")
 	)

@@ -14,11 +14,17 @@ import (
 
 // writeFixtureLogs produces small log files once per test binary.
 func writeFixtureLogs(t *testing.T) (rasP, jobP string) {
+	return writeLogs(t, 1)
+}
+
+// writeLogs writes the fixture campaign with noise non-FATAL records
+// per FATAL one.
+func writeLogs(t *testing.T, noise float64) (rasP, jobP string) {
 	t.Helper()
 	dir := t.TempDir()
 	rasP = filepath.Join(dir, "ras.log")
 	jobP = filepath.Join(dir, "job.log")
-	camp, err := simulate.Run(simulate.Config{Seed: 5, Days: 10, NoisePerFatal: 1})
+	camp, err := simulate.Run(simulate.Config{Seed: 5, Days: 10, NoisePerFatal: noise})
 	if err != nil {
 		t.Fatal(err)
 	}

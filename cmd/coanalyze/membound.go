@@ -1,13 +1,14 @@
 package main
 
 // The bounded-memory analysis path behind -mem-budget: instead of
-// decoding the whole RAS log into one in-memory store, a single
-// sequential pass spools rows into sorted on-disk segment runs
-// (store.Spool flushes whenever the buffered payload exceeds the
-// budget), then the runs merge back — with zone-map pushdown skipping
-// every noise-only run unread — into the streaming filter cascade, and
-// the analysis proceeds exactly as the serving layer's epoch
-// publication does. Every stage downstream of the raw decode is the
+// holding the FATAL records in memory, the parallel FATAL-only decode
+// (raslog.ScanFatal) counts every noise record toward Table I's totals
+// at decode and spools only the FATAL rows, which are all the cascade
+// reads, into sorted on-disk segment runs (store.Spool flushes whenever
+// the buffered FATAL event payload exceeds the budget). The runs merge
+// back into the streaming filter cascade, and the analysis proceeds
+// exactly as the serving layer's epoch publication does. Noise rows
+// never reach disk. Every stage downstream of the raw decode is the
 // same code the batch path is already proven byte-equivalent to, so
 // the rendered artifacts are byte-identical to an unconstrained run
 // over the same logs.
@@ -47,30 +48,29 @@ func runMembound(budget int64, spillDir, rasP, jobP string, parallelism int, std
 	}
 	defer rf.Close()
 
-	// One sequential pass: accumulate the raw-log aggregates the report
-	// needs (nothing is retained) and spool every row toward its sorted
-	// run. The budget's currency is the record's encoded line length —
-	// the same bytes Table I counts — so "budget smaller than the event
-	// payload" guarantees at least one spill.
+	// One parallel FATAL-only decode: noise records are validated and
+	// counted into the totals, and each FATAL record is spooled toward
+	// its sorted run in file order. The budget's currency is the
+	// record's encoded line length — the bytes Table I counts — so a
+	// budget smaller than the FATAL event payload guarantees a spill.
 	var (
-		stats repro.LogStats
 		sp    = store.NewSpool(spillDir, budget)
-		rd    = raslog.NewReader(rf)
+		first *raslog.Record // Table II's example record
 	)
-	for rd.Next() {
-		rec := rd.Record()
-		before := stats.RASBytes
-		stats.ObserveRAS(rec)
-		// The row's weight is the line bytes ObserveRAS just counted.
-		err = sp.Add(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
-			int32(rec.Component), int32(rec.Severity), rec.Fatal(), int64(stats.RASBytes-before))
-		if err != nil {
-			return nil, err
+	tot, err := raslog.ScanFatal(rf, parallelism, func(rec *raslog.Record) error {
+		// Strictly before: on a full tie the first one seen stays, as in
+		// the batch path's stable sort.
+		if first == nil || raslog.Before(rec, first) {
+			r := *rec
+			first = &r
 		}
+		return sp.Add(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
+			int32(rec.Component), int32(rec.Severity), true, int64(rec.MarshaledLen()+1))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("reading RAS log: %w", err)
 	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("reading RAS log: line %d: %w", rd.Line(), err)
-	}
+	stats := repro.StatsFromTotals(tot, first)
 
 	cat, spStats, err := sp.Finish()
 	if err != nil {
@@ -92,8 +92,7 @@ func runMembound(budget int64, spillDir, rasP, jobP string, parallelism int, std
 	jl := joblog.NewLog(jobs)
 
 	// Merge the runs back into one (EventTime, RecID)-ordered stream of
-	// the rows the cascade consumes. The query's FATAL mask lets the
-	// zone maps refute every noise-only run from its header.
+	// the rows the cascade consumes.
 	acfg := core.DefaultConfig()
 	tab := symtab.NewTable()
 	inc := filter.NewIncremental(acfg.Filter, tab)

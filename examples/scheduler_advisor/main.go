@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"repro"
@@ -23,14 +25,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the advisor's feeds for the quick seed-1 campaign to w.
+func run(w io.Writer) error {
 	rep, err := repro.Run(repro.QuickConfig(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	a := rep.Analysis()
 
 	// Feed 1a: event-type triage.
-	fmt.Println("== fatal-event triage for the scheduler ==")
+	fmt.Fprintln(w, "== fatal-event triage for the scheduler ==")
 	type codeInfo struct {
 		code  string
 		id    core.Identification
@@ -40,12 +49,19 @@ func main() {
 	for code, id := range a.Identification {
 		infos = append(infos, codeInfo{a.Syms.Errcodes.Name(code), id, a.Classification[code].Class})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].id.Events > infos[j].id.Events })
+	// Most events first; the code name breaks ties, so the lists do not
+	// follow map order.
+	sort.Slice(infos, func(i, j int) bool {
+		if infos[i].id.Events != infos[j].id.Events {
+			return infos[i].id.Events > infos[j].id.Events
+		}
+		return infos[i].code < infos[j].code
+	})
 	ignorable, actionable := 0, 0
 	for _, ci := range infos {
 		if ci.id.Verdict == core.VerdictNonFatal {
 			ignorable++
-			fmt.Printf("  IGNORE   %-34s %3d events never interrupted a running job\n", ci.code, ci.id.Events)
+			fmt.Fprintf(w, "  IGNORE   %-34s %3d events never interrupted a running job\n", ci.code, ci.id.Events)
 		}
 	}
 	for i, ci := range infos {
@@ -53,21 +69,21 @@ func main() {
 			continue
 		}
 		actionable++
-		fmt.Printf("  WATCH    %-34s %3d events, %2d interrupting, origin=%s\n",
+		fmt.Fprintf(w, "  WATCH    %-34s %3d events, %2d interrupting, origin=%s\n",
 			ci.code, ci.id.Events, ci.id.Case1, ci.class)
 	}
-	fmt.Printf("  (%d ignorable types, %d high-volume actionable types shown)\n\n", ignorable, actionable)
+	fmt.Fprintf(w, "  (%d ignorable types, %d high-volume actionable types shown)\n\n", ignorable, actionable)
 
 	// Feed 1b: unreliable locations right now.
-	fmt.Println("== unreliable midplanes (drain candidates) ==")
+	fmt.Fprintln(w, "== unreliable midplanes (drain candidates) ==")
 	mc := a.MidplaneCharacteristics(32)
 	for _, mp := range mc.TopMidplanes[:6] {
-		fmt.Printf("  %-7s %2d independent fatal events\n", bgp.MidplaneLocation(mp), mc.FatalEvents[mp])
+		fmt.Fprintf(w, "  %-7s %2d independent fatal events\n", bgp.MidplaneLocation(mp), mc.FatalEvents[mp])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Feed 2: per-executable interruption history (Fig. 7's k).
-	fmt.Println("== executables with consecutive-interruption history ==")
+	fmt.Fprintln(w, "== executables with consecutive-interruption history ==")
 	interrupted := a.InterruptedJobIDs()
 	type hist struct {
 		exec   string
@@ -106,8 +122,9 @@ func main() {
 		if k > 3 {
 			k = 3
 		}
-		fmt.Printf("  peak k=%d  %-42s next-run interruption risk ~%.0f%% (system) / ~%.0f%% (application)\n",
+		fmt.Fprintf(w, "  peak k=%d  %-42s next-run interruption risk ~%.0f%% (system) / ~%.0f%% (application)\n",
 			h.streak, h.exec, 100*rs.System[k], 100*rs.Application[k])
 	}
-	fmt.Printf("  (%d executables experienced consecutive interruptions)\n", len(hs))
+	fmt.Fprintf(w, "  (%d executables experienced consecutive interruptions)\n", len(hs))
+	return nil
 }

@@ -41,8 +41,8 @@ func TooLongError(line int) error {
 	return fmt.Errorf("line %d: %w (line exceeds %d bytes)", line, bufio.ErrTooLong, MaxLineBytes)
 }
 
-// Options tunes DecodeAll. The zero value selects GOMAXPROCS workers
-// and DefaultChunkBytes chunks.
+// Options tunes Decode and DecodeAll. The zero value selects
+// GOMAXPROCS workers and DefaultChunkBytes chunks.
 type Options struct {
 	// Workers follows the module-wide Parallelism convention
 	// (0 = GOMAXPROCS, 1 = sequential; see internal/parallel).
@@ -67,15 +67,34 @@ type shardOut[T any] struct {
 	err  error
 }
 
-// DecodeAll streams r through newShard-produced workers in waves of at
-// most Workers chunks and merges the decoded values in chunk order.
-// Each worker slot calls newShard once and reuses the returned ShardFunc
-// across waves, so shards may keep worker-local state (e.g. string
-// intern tables); newShard itself may be called from concurrent
-// goroutines and must not touch shared mutable state. Reads stay bounded: one wave of chunk buffers is
-// resident at a time. The returned slice and error match a sequential
-// decode of the same stream byte for byte.
+// DecodeAll is Decode collecting every value: the returned slice and
+// error match a sequential decode of the same stream byte for byte.
 func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) ([]T, error) {
+	var out []T
+	err := Decode(r, opts, newShard, func(vals []T) error {
+		out = append(out, vals...)
+		return nil
+	})
+	return out, err
+}
+
+// Decode streams r through newShard-produced workers in waves of at
+// most Workers chunks and hands each chunk's decoded values to emit, in
+// chunk order, once the chunk's wave is done. Each worker slot calls
+// newShard once and reuses the returned ShardFunc across waves, so
+// shards may keep worker-local state (e.g. string intern tables);
+// newShard itself may be called from concurrent goroutines and must not
+// touch shared mutable state. emit runs on the calling goroutine
+// between waves and is not called for a chunk that decoded no values.
+// Reads stay bounded: one wave of chunk buffers and decoded values is
+// resident at a time.
+//
+// The values emitted and the error returned match a sequential decode
+// of the same stream: on a malformed line, the values before it are
+// emitted and the shard's error (naming the line) is returned; nothing
+// after it is decoded further. An emit error stops the decode and is
+// returned as is.
+func Decode[T any](r io.Reader, opts Options, newShard func() ShardFunc[T], emit func([]T) error) error {
 	w := parallel.Workers(opts.Workers)
 	size := opts.ChunkBytes
 	if size <= 0 {
@@ -86,7 +105,6 @@ func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) (
 	}
 	c := &chunker{r: r, chunkBytes: size, line: 1}
 	shards := make([]ShardFunc[T], w)
-	var out []T
 	for {
 		// Cut the next wave of chunks sequentially.
 		type chunk struct {
@@ -107,7 +125,7 @@ func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) (
 			wave = append(wave, chunk{data, firstLine})
 		}
 		if len(wave) == 0 {
-			return out, readErr
+			return readErr
 		}
 		outs, _ := parallel.Map(context.Background(), w, len(wave), func(i int) (shardOut[T], error) {
 			if shards[i] == nil {
@@ -122,15 +140,19 @@ func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) (
 			c.recycle(wave[i].data)
 		}
 		for _, so := range outs {
-			out = append(out, so.vals...)
+			if len(so.vals) > 0 {
+				if err := emit(so.vals); err != nil {
+					return err
+				}
+			}
 			if so.err != nil {
 				// Sequential semantics: values decoded before the first bad
 				// line survive, everything after it is discarded.
-				return out, so.err
+				return so.err
 			}
 		}
 		if readErr != nil {
-			return out, readErr
+			return readErr
 		}
 	}
 }
@@ -160,7 +182,7 @@ func ForEachLine(chunk []byte, firstLine int, fn func(line []byte, n int) error)
 }
 
 // chunker cuts the stream into line-aligned chunks. Not safe for
-// concurrent use; DecodeAll drives it from one goroutine.
+// concurrent use; Decode drives it from one goroutine.
 type chunker struct {
 	r          io.Reader
 	chunkBytes int

@@ -188,3 +188,98 @@ func TestShardStateIsPerWorker(t *testing.T) {
 		t.Errorf("made %d shards, want 1..4", n)
 	}
 }
+
+// decodeStream collects Decode's emitted values and counts the emit
+// calls, failing on an empty one.
+func decodeStream(in string, opts Options) (vals []string, emits int, err error) {
+	err = Decode(strings.NewReader(in), opts, decodeLines(Options{}), func(v []string) error {
+		if len(v) == 0 {
+			return errors.New("empty emit")
+		}
+		emits++
+		vals = append(vals, v...)
+		return nil
+	})
+	return vals, emits, err
+}
+
+// TestDecodeMatchesDecodeAll checks the streaming form against the
+// collecting one: the same values in the same order, the same error and
+// line number, at every worker count and chunk size, including a
+// malformed line that must surface after the values before it.
+func TestDecodeMatchesDecodeAll(t *testing.T) {
+	inputs := map[string]string{
+		"clean":      buildInput(800),
+		"empty":      "",
+		"no-newline": "a\nb\nc",
+		"bad-middle": buildInput(300) + "BAD\n" + buildInput(300),
+		"bad-first":  "BAD\n" + buildInput(50),
+		"bad-last":   buildInput(300) + "BAD",
+	}
+	for name, in := range inputs {
+		for _, workers := range []int{1, 2, 4} {
+			for _, chunk := range []int{16, 100, 1 << 20} {
+				opts := Options{Workers: workers, ChunkBytes: chunk}
+				want, wantErr := DecodeAll(strings.NewReader(in), opts, decodeLines(Options{}))
+				got, emits, err := decodeStream(in, opts)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("%s %+v: err %v, want %v", name, opts, err, wantErr)
+				}
+				if strings.HasPrefix(name, "bad-") && err == nil {
+					t.Fatalf("%s %+v: malformed line decoded cleanly", name, opts)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s %+v: %d values, want %d", name, opts, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s %+v: value %d = %q, want %q", name, opts, i, got[i], want[i])
+					}
+				}
+				if name == "clean" && chunk == 16 && emits < 2 {
+					t.Fatalf("%s %+v: %d emit calls, want one per chunk", name, opts, emits)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeEmitErrorStops requires an emit error to end the decode:
+// it is returned as is, no later chunk is emitted, and what was emitted
+// is a prefix of the full decode.
+func TestDecodeEmitErrorStops(t *testing.T) {
+	stop := errors.New("stop")
+	in := buildInput(1000)
+	opts := Options{ChunkBytes: 64}
+	want, err := DecodeAll(strings.NewReader(in), opts, decodeLines(Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		opts.Workers = workers
+		var got []string
+		calls := 0
+		err := Decode(strings.NewReader(in), opts, decodeLines(Options{}), func(v []string) error {
+			calls++
+			got = append(got, v...)
+			if calls == 3 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop {
+			t.Fatalf("w=%d: err %v, want the emit error", workers, err)
+		}
+		if calls != 3 {
+			t.Fatalf("w=%d: emit called %d times, want 3 (none after its error)", workers, calls)
+		}
+		if len(got) >= len(want) {
+			t.Fatalf("w=%d: emitted %d of %d values, want the decode to stop early", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("w=%d: value %d = %q, want %q", workers, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -87,24 +87,64 @@ func btoi(b bool) int {
 // ReadFatal decodes a RAS log stream for the co-analysis, which reads
 // only FATAL records: it returns those records in (EventTime, RecID)
 // order — file order among full ties, as Store presents them — plus the
-// Totals of the whole stream. Every line is validated exactly as
-// ReadAll validates it, with the same error and line number, but only
-// FATAL lines are materialized; a noise line is accounted from its raw
-// fields. The shards are ReadAllParallel's (workers follows the same
-// convention), and the result is identical for any worker count. On
-// error, the records and totals cover the lines before the bad one.
+// Totals of the whole stream. It is ScanFatal collected and
+// stable-sorted, with the same validation, errors and worker
+// convention. On error, the records and totals cover the lines before
+// the bad one.
 func ReadFatal(r io.Reader, workers int) ([]Record, Totals, error) {
 	return readFatal(r, linescan.Options{Workers: workers})
 }
 
-// fatalChunk is one chunk's share of a ReadFatal decode.
+// ScanFatal decodes a RAS log stream like ReadFatal but hands each
+// FATAL record to fn in file order instead of collecting them, one
+// decode wave at a time, and returns the Totals of the whole stream.
+// Every line is validated exactly as ReadAll validates it, with the
+// same error and line number, but only FATAL lines are materialized; a
+// noise line is accounted from its raw fields. The shards are
+// ReadAllParallel's (workers follows the same convention), and the
+// calls and totals are identical for any worker count. fn runs on the
+// calling goroutine and must not retain rec. On a malformed line, fn
+// has seen the FATAL records before it and the totals cover the lines
+// before it; an fn error stops the decode and is returned as is.
+func ScanFatal(r io.Reader, workers int, fn func(rec *Record) error) (Totals, error) {
+	return scanFatal(r, linescan.Options{Workers: workers}, func(recs []Record) error {
+		for i := range recs {
+			if err := fn(&recs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+func readFatal(r io.Reader, opts linescan.Options) ([]Record, Totals, error) {
+	var chunks [][]Record
+	n := 0
+	tot, err := scanFatal(r, opts, func(recs []Record) error {
+		chunks = append(chunks, recs)
+		n += len(recs)
+		return nil
+	})
+	fatal := make([]Record, 0, n)
+	for _, c := range chunks {
+		fatal = append(fatal, c...)
+	}
+	SortStable(fatal)
+	return fatal, tot, err
+}
+
+// fatalChunk is one chunk's share of a FATAL-only decode.
 type fatalChunk struct {
 	fatal []Record
 	tot   Totals
 }
 
-func readFatal(r io.Reader, opts linescan.Options) ([]Record, Totals, error) {
-	chunks, err := linescan.DecodeAll(r, opts, func() linescan.ShardFunc[fatalChunk] {
+// scanFatal is the FATAL-only decode: it hands each chunk's FATAL
+// records, in file order, to emit (which may keep the slice) and
+// returns the totals of the chunks decoded.
+func scanFatal(r io.Reader, opts linescan.Options, emit func(recs []Record) error) (Totals, error) {
+	var tot Totals
+	err := linescan.Decode(r, opts, func() linescan.ShardFunc[fatalChunk] {
 		fs := fieldScratch{it: newIntern()}
 		return func(chunk []byte, firstLine int) ([]fatalChunk, error) {
 			var c fatalChunk
@@ -127,19 +167,19 @@ func readFatal(r io.Reader, opts linescan.Options) ([]Record, Totals, error) {
 			})
 			return []fatalChunk{c}, err
 		}
+	}, func(cs []fatalChunk) error {
+		for i := range cs {
+			tot.merge(cs[i].tot)
+			if len(cs[i].fatal) == 0 {
+				continue
+			}
+			if err := emit(cs[i].fatal); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
-	var tot Totals
-	n := 0
-	for i := range chunks {
-		n += len(chunks[i].fatal)
-	}
-	fatal := make([]Record, 0, n)
-	for i := range chunks {
-		fatal = append(fatal, chunks[i].fatal...)
-		tot.merge(chunks[i].tot)
-	}
-	SortStable(fatal)
-	return fatal, tot, err
+	return tot, err
 }
 
 // Before reports whether a sorts strictly before b in (EventTime,

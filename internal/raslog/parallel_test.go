@@ -1,6 +1,7 @@
 package raslog
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -138,5 +139,102 @@ func TestReadAllManyWavesMatchesSequential(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestScanFatalMatchesReadFatal checks the streaming FATAL-only decode
+// against a sequential full decode and against ReadFatal: fn sees the
+// FATAL records in file order (a prefix of them on error), the totals
+// and error are ReadFatal's, and the collected records stable-sort to
+// ReadFatal's. The "tie" input puts two FATAL records that fully tie
+// on the minimum (EventTime, RecID) at the first and the last line, many
+// chunks apart: the first one seen must win, as in ReadFatal's stable
+// sort, so Table II's example record is the same on both paths.
+func TestScanFatalMatchesReadFatal(t *testing.T) {
+	clean := fatalCorpus(1200)
+	tie := func(msg string) string {
+		rec := randomRecord(rand.New(rand.NewSource(3)))
+		rec.Severity = SevFatal
+		rec.EventTime = time.Date(2008, 3, 31, 0, 0, 0, 0, time.UTC)
+		rec.RecID = 0
+		rec.Message = msg
+		return rec.MarshalLine() + "\n"
+	}
+	inputs := map[string]string{
+		"clean":       clean,
+		"empty":       "",
+		"tie":         tie("seen first") + clean + tie("seen last"),
+		"first-error": "garbage\n" + clean,
+		"bad-tail":    tie("seen first") + clean + "garbage\n" + tie("seen last"),
+	}
+	for name, in := range inputs {
+		all, seqErr := NewReader(strings.NewReader(in)).ReadAll()
+		var wantOrder []Record
+		for i := range all {
+			if all[i].Fatal() {
+				wantOrder = append(wantOrder, all[i])
+			}
+		}
+		for _, opts := range []linescan.Options{
+			{Workers: 1}, {Workers: 2}, {Workers: 4, ChunkBytes: 512}, {Workers: 1, ChunkBytes: 300},
+		} {
+			want, wantTot, wantErr := readFatal(strings.NewReader(in), opts)
+			var got []Record
+			var first *Record
+			tot, err := scanFatal(strings.NewReader(in), opts, func(recs []Record) error {
+				for i := range recs {
+					got = append(got, recs[i])
+					if first == nil || Before(&recs[i], first) {
+						first = &recs[i]
+					}
+				}
+				return nil
+			})
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s %+v: err %v, ReadFatal %v", name, opts, err, wantErr)
+			}
+			if (err == nil) != (seqErr == nil) || (err != nil && err.Error() != seqErr.Error()) {
+				t.Fatalf("%s %+v: err %v, sequential decode %v", name, opts, err, seqErr)
+			}
+			if tot != wantTot {
+				t.Fatalf("%s %+v: totals %+v, ReadFatal %+v", name, opts, tot, wantTot)
+			}
+			if len(got) != len(wantOrder) {
+				t.Fatalf("%s %+v: %d FATAL records, want %d", name, opts, len(got), len(wantOrder))
+			}
+			for i := range got {
+				if got[i] != wantOrder[i] {
+					t.Fatalf("%s %+v: record %d out of file order:\n got %+v\nwant %+v", name, opts, i, got[i], wantOrder[i])
+				}
+			}
+			SortStable(got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s %+v: sorted record %d differs from ReadFatal's", name, opts, i)
+				}
+			}
+			if len(want) > 0 && (first == nil || *first != want[0]) {
+				t.Fatalf("%s %+v: first FATAL record %+v, ReadFatal's %+v", name, opts, first, want[0])
+			}
+			if name == "tie" || name == "bad-tail" {
+				if first == nil || first.Message != "seen first" {
+					t.Fatalf("%s %+v: full tie resolved to %+v, want the record seen first", name, opts, first)
+				}
+			}
+		}
+	}
+}
+
+// TestScanFatalStopsOnCallbackError requires an fn error to end the
+// decode and come back as is.
+func TestScanFatalStopsOnCallbackError(t *testing.T) {
+	stop := errors.New("stop")
+	calls := 0
+	_, err := ScanFatal(strings.NewReader(fatalCorpus(300)), 2, func(*Record) error {
+		calls++
+		return stop
+	})
+	if err != stop || calls != 1 {
+		t.Fatalf("err %v after %d calls, want the callback's error after 1", err, calls)
 	}
 }

@@ -6,12 +6,15 @@ package store
 // buffered payload exceeds the budget it stable-sorts the larger class
 // buffer by (time, RecID) and commits it as one segment-file run. The
 // catalog of runs then merges back into one time-ordered stream.
+// coanalyze counts the noise records at decode and spools only the
+// FATAL rows the cascade reads, so its budget bounds the FATAL payload
+// and every one of its runs is a fatal run.
 //
 // Rows are partitioned into two class buffers — fatal and non-fatal —
-// so each run is pure-class. That is what gives the zone maps something
-// to refute: the filter cascade's query carries the FATAL severity
-// mask, so every noise run is skipped from its header alone, and only
-// fatal runs are reopened and merged.
+// so each run is pure-class, for callers that do spool noise. That is
+// what gives the zone maps something to refute: the filter cascade's
+// query carries the FATAL severity mask, so every noise run is skipped
+// from its header alone, and only fatal runs are reopened and merged.
 //
 // Determinism: within a class, rows flush in arrival order and each run
 // is stable-sorted, so rows with equal (time, RecID) keys appear in

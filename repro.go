@@ -135,7 +135,11 @@ func Load(cfg Config, rasLog, jobLog io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading job log: %w", err)
 	}
-	return analyze(cfg, fatal, statsFromTotals(tot, fatal), joblog.NewLog(jobs))
+	var first *raslog.Record
+	if len(fatal) > 0 {
+		first = &fatal[0]
+	}
+	return analyze(cfg, fatal, StatsFromTotals(tot, first), joblog.NewLog(jobs))
 }
 
 func simConfig(cfg Config) simulate.Config {

@@ -2,9 +2,12 @@
 # Bounded-memory equivalence gate: generate a multi-campaign log well
 # past the smoke campaign's scale, analyze it twice — unconstrained,
 # then under GOMEMLIMIT plus a ulimit backstop with a -mem-budget far
-# smaller than the event payload — and require (a) the bounded run
-# actually spilled and actually skipped noise-only runs via zone maps,
-# and (b) the two stdout renders are byte-identical.
+# smaller than the FATAL event payload — and require (a) the bounded
+# run actually spilled, (b) it spooled the log's FATAL records and
+# nothing else: the spooled rows, the merged FATAL rows and the log's
+# FATAL line count agree, and no segment run's severity zone map
+# admits a non-FATAL row, and (c) the two stdout renders are
+# byte-identical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,15 +63,39 @@ done
 
 status=0
 flushes=$(sed -n 's/.*budget_flushes=\([0-9]*\).*/\1/p' "$tmp/bounded.err")
-skipped=$(sed -n 's/.*zone_skipped=\([0-9]*\).*/\1/p' "$tmp/bounded.err")
+rows=$(sed -n 's/.* rows=\([0-9]*\).*/\1/p' "$tmp/bounded.err")
+merged=$(sed -n 's/.*fatal_rows=\([0-9]*\).*/\1/p' "$tmp/bounded.err")
+# SEVERITY is the sixth |-separated field; a raw | never occurs inside
+# a field (the codec escapes it as \p).
+fatal=$(awk -F'|' '$6 == "FATAL"' "$tmp/ras.log" | wc -l)
 if [ -z "$flushes" ] || [ "$flushes" -lt 1 ]; then
 	echo "membound: budget $budget forced no spill flush (budget_flushes=${flushes:-missing}):" >&2
 	cat "$tmp/bounded.err" >&2
 	status=1
 fi
-if [ -z "$skipped" ] || [ "$skipped" -lt 1 ]; then
-	echo "membound: merge skipped no segment via zone maps (zone_skipped=${skipped:-missing}):" >&2
+if [ "${rows:-x}" != "$fatal" ] || [ "${merged:-x}" != "$fatal" ]; then
+	echo "membound: spooled rows=${rows:-missing}, merged fatal_rows=${merged:-missing}, want both = $fatal FATAL records:" >&2
 	cat "$tmp/bounded.err" >&2
+	status=1
+fi
+# A segment file starts with the 8-byte magic and a 4-byte header
+# length; the header's severity bitmap (bit v set iff a row has
+# severity v) is the little-endian uint64 at file offset 40 (see
+# internal/store/codec.go, readHeader). FATAL is severity 6, so a
+# FATAL-only run has bitmap 64.
+segs=0
+for seg in "$tmp"/spill/*.seg; do
+	[ -e "$seg" ] || continue
+	segs=$((segs + 1))
+	magic=$(head -c 7 "$seg")
+	sev=$(od -An -t u8 -j 40 -N 8 --endian=little "$seg" | tr -d ' ')
+	if [ "$magic" != "BGPSEG1" ] || [ "$sev" != 64 ]; then
+		echo "membound: $(basename "$seg") (magic ${magic:-missing}) has severity bitmap ${sev:-missing}, want FATAL only (64)" >&2
+		status=1
+	fi
+done
+if [ "$segs" -lt 1 ]; then
+	echo "membound: no segment runs in the spill directory" >&2
 	status=1
 fi
 if ! cmp -s "$tmp/batch.out" "$tmp/bounded.out"; then
@@ -78,6 +105,6 @@ if ! cmp -s "$tmp/batch.out" "$tmp/bounded.out"; then
 fi
 
 if [ "$status" = 0 ]; then
-	echo "membound OK: $flushes budget flushes, $skipped zone-skipped runs, output byte-identical"
+	echo "membound OK: $flushes budget flushes, $rows FATAL rows spooled in $segs FATAL-only runs, output byte-identical"
 fi
 exit "$status"

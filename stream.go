@@ -4,9 +4,10 @@ package repro
 // keeps the non-fatal records, which are nearly all of a RAS log, so
 // the few renderers that consume raw-log aggregates (Table I's sizes,
 // Table II's example record, the Summary counters) read them from
-// LogStats. A long-running ingester (internal/serve) and coanalyze
-// -mem-budget accumulate it record by record, Load folds it from
-// raslog.ReadFatal's Totals, and Run from the simulated store.
+// LogStats. A long-running ingester (internal/serve) accumulates it
+// record by record, Load and coanalyze -mem-budget assemble it from the
+// FATAL-only decode's raslog.Totals, and Run folds it from the
+// simulated store.
 // NewStreamReport assembles a Report from a streaming analysis plus
 // those aggregates; everything else renders from the Analysis and the
 // job log exactly as in the batch path, which is what makes the
@@ -73,9 +74,10 @@ func (ls *LogStats) Merge(o *LogStats) {
 	}
 }
 
-// statsFromTotals assembles the aggregates of a FATAL-only decode: its
-// whole-log totals plus its sorted FATAL records.
-func statsFromTotals(tot raslog.Totals, fatal []raslog.Record) LogStats {
+// StatsFromTotals assembles the aggregates of a FATAL-only decode
+// (raslog.ReadFatal, raslog.ScanFatal): its whole-log totals plus its
+// first FATAL record in (EventTime, RecID) order, nil when it has none.
+func StatsFromTotals(tot raslog.Totals, firstFatal *raslog.Record) LogStats {
 	ls := LogStats{
 		RASRecords:   tot.Records,
 		RASBytes:     tot.Bytes,
@@ -83,8 +85,8 @@ func statsFromTotals(tot raslog.Totals, fatal []raslog.Record) LogStats {
 		First:        tot.First,
 		Last:         tot.Last,
 	}
-	if len(fatal) > 0 {
-		ls.FirstFatal, ls.HasFatal = fatal[0], true
+	if firstFatal != nil {
+		ls.FirstFatal, ls.HasFatal = *firstFatal, true
 	}
 	return ls
 }
