@@ -28,18 +28,19 @@ RACE_PROCS = $(shell np=$$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 4); if 
 race:
 	GOMAXPROCS=$(RACE_PROCS) $(GO) test -race ./...
 
-# Determinism, domain, concurrency & hot-path analyzers (atomicpub,
-# callgraph, commitseq, detrand, errcode, frozen, hotpath, idkind,
-# latebind, lockguard, maporder, seedtaint, sharedfold), gated against
-# the committed baseline: only NEW failing findings fail (exit 1;
-# exit 2 = tool failure). Warn-tier findings (hotpath, latebind,
-# idkind) print without failing; add -strict to gate them too.
-# Also runnable through the vet driver, which additionally covers
-# _test.go files: go vet -vettool=$(PWD)/bin/bgplint ./...
+# The twelve determinism, domain, concurrency & hot-path analyzers
+# (atomicpub, callgraph, commitseq, detrand, errcode, frozen, idkind,
+# latebind, lockguard, maporder, seedtaint, sharedfold), run in both
+# forms the CI lint job runs. The standalone form is gated against the
+# committed baseline: only NEW failing findings fail (exit 1; exit 2 =
+# tool failure). Warn-tier findings (latebind, idkind) print without
+# failing; add -strict to gate them too. The vet-driver form also
+# covers _test.go files and fails on any error-tier finding.
 LINT_PKGS = ./... ./cmd/... ./examples/...
 lint:
 	$(GO) build -o bin/bgplint ./cmd/bgplint
 	./bin/bgplint -baseline lint.baseline.json $(LINT_PKGS)
+	$(GO) vet -vettool=$(CURDIR)/bin/bgplint ./...
 
 # Snapshot current findings into the committed baseline (the
 # suppression workflow; see README "Linting"). Review the diff like
@@ -102,10 +103,11 @@ bench:
 bench-baseline:
 	$(GO) run ./cmd/bgpbench run -count 5 -benchtime 2000x -out bench.baseline.json
 
-# Compiler escape-analysis budget gate: rebuild the hot packages with
-# -gcflags=-json and fail on new heap-escape sites, lost inlining, or
-# any escape inside the per-event ingest codec roots (see cmd/bgpescape
-# and DESIGN.md "Hot-path invariants").
+# Compiler escape-analysis budget gate, the repo's static allocation
+# gate: rebuild the hot packages with -gcflags=-json and fail on new
+# heap-escape sites, lost inlining, or any escape inside the per-event
+# ingest codec roots (see cmd/bgpescape and DESIGN.md "Hot-path
+# invariants").
 escape:
 	$(GO) build -o bin/bgpescape ./cmd/bgpescape
 	./bin/bgpescape run -out escape-current.json

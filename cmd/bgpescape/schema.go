@@ -147,8 +147,8 @@ func funcSpans(src string) ([]funcSpan, error) {
 }
 
 // declName renders a FuncDecl as "Recv.Name" or "Name", stripping
-// pointers and type parameters from the receiver — the same shape
-// hotpath's root table uses after its package qualifier.
+// pointers and type parameters from the receiver — the shape
+// codecRoots uses.
 func declName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
@@ -272,9 +272,13 @@ func parseDiagFile(path, root string, counts map[string]*Escape, canInline, cann
 		}
 		fn := owner(spans, d.Range.Start.Line)
 		switch d.Code {
-		case "escapes":
-			if fn == "" {
-				continue // package-scope initializer: init-time only
+		case "escape", "escapes":
+			// go1.24 reports interface boxing, &T{} literals and most
+			// maps under "escape"; its empty-message lines are
+			// placeholders beside an "escapes" line at the same spot.
+			// Package-scope escapes (fn == "") are init-time only.
+			if fn == "" || d.Message == "" {
+				continue
 			}
 			e := Escape{File: rel, Func: fn, Message: d.Message}
 			if prev, ok := counts[e.key()]; ok {

@@ -1,8 +1,8 @@
 // Command bgplint is the multichecker for this repo's determinism,
 // parallel-safety, concurrency, and hot-path performance invariants:
 // the atomicpub, callgraph, commitseq, detrand, errcode, frozen,
-// hotpath, idkind, latebind, lockguard, maporder, seedtaint and
-// sharedfold analyzers (see internal/lint and DESIGN.md "Determinism
+// idkind, latebind, lockguard, maporder, seedtaint and sharedfold
+// analyzers (see internal/lint and DESIGN.md "Determinism
 // invariants" / "Concurrency invariants" / "Hot-path invariants").
 //
 // Standalone:
@@ -13,8 +13,8 @@
 // the ordinary build cache) and prints one line per finding,
 // vet-style. Exit status follows the CI contract: 0 clean, 1 failing
 // findings (after baseline suppression), 2 tool or load failure.
-// Error-tier findings always fail; warn-tier findings (hotpath,
-// latebind, idkind) print but fail only under -strict. Test files are
+// Error-tier findings always fail; warn-tier findings (latebind,
+// idkind) print but fail only under -strict. Test files are
 // not scanned in this mode.
 //
 // Reports and gating:

@@ -129,28 +129,28 @@ func TestExitCodeContract(t *testing.T) {
 }
 
 // TestWarnTierExitContract walks the warn-tier workflow on a fixture
-// whose only finding is a hotpath warning: it prints without failing,
+// whose only finding is an idkind warning: it prints without failing,
 // -strict promotes it to exit 1, a baseline records its severity, and
 // a baselined -strict run is clean again.
 func TestWarnTierExitContract(t *testing.T) {
 	dir := copyFixture(t, "warnfixture")
 	t.Chdir(dir)
 
-	code, out := runTool(t, "./filter")
+	code, out := runTool(t, "./rates")
 	if code != driver.ExitClean {
 		t.Fatalf("warn-only run: exit %d, want %d (warnings must not fail)\noutput:\n%s", code, driver.ExitClean, out)
 	}
-	if !strings.Contains(out, "fmt.Sprintf") || !strings.Contains(out, "hotpath") {
+	if !strings.Contains(out, "midplane-keyed container with a rack index") || !strings.Contains(out, "idkind") {
 		t.Fatalf("warn finding not printed:\n%s", out)
 	}
 
-	code, out = runTool(t, "-strict", "./filter")
+	code, out = runTool(t, "-strict", "./rates")
 	if code != driver.ExitFindings {
 		t.Fatalf("-strict run: exit %d, want %d (strict promotes warnings)\noutput:\n%s", code, driver.ExitFindings, out)
 	}
 
 	// The SARIF artifact carries the warning at its tier.
-	code, _ = runTool(t, "-sarif", "warn.sarif", "./filter")
+	code, _ = runTool(t, "-sarif", "warn.sarif", "./rates")
 	if code != driver.ExitClean {
 		t.Fatalf("sarif run: exit %d, want %d", code, driver.ExitClean)
 	}
@@ -163,7 +163,7 @@ func TestWarnTierExitContract(t *testing.T) {
 	}
 
 	// A baseline snapshot records the finding's severity tier...
-	code, _ = runTool(t, "-write-baseline", "warn.baseline.json", "./filter")
+	code, _ = runTool(t, "-write-baseline", "warn.baseline.json", "./rates")
 	if code != driver.ExitClean {
 		t.Fatalf("-write-baseline: exit %d, want %d", code, driver.ExitClean)
 	}
@@ -176,7 +176,7 @@ func TestWarnTierExitContract(t *testing.T) {
 	}
 
 	// ...and suppresses it even under -strict: only NEW findings gate.
-	code, out = runTool(t, "-strict", "-baseline", "warn.baseline.json", "./filter")
+	code, out = runTool(t, "-strict", "-baseline", "warn.baseline.json", "./rates")
 	if code != driver.ExitClean {
 		t.Fatalf("baselined -strict run: exit %d, want %d\noutput:\n%s", code, driver.ExitClean, out)
 	}

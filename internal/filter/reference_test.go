@@ -188,8 +188,18 @@ func legacyMine(cfg Config, events []*legacyEvent) map[legacyPair]bool {
 }
 
 func legacyCausality(window time.Duration, rules map[legacyPair]bool, events []*legacyEvent) []*legacyEvent {
-	leadersOf := make(map[string][]string)
+	pairs := make([]legacyPair, 0, len(rules))
 	for p := range rules {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].b != pairs[j].b {
+			return pairs[i].b < pairs[j].b
+		}
+		return pairs[i].a < pairs[j].a
+	})
+	leadersOf := make(map[string][]string)
+	for _, p := range pairs {
 		leadersOf[p.b] = append(leadersOf[p.b], p.a)
 	}
 	lastAt := make(map[string]time.Time)

@@ -545,22 +545,35 @@ func (r *Reader) Next() bool {
 			continue
 		}
 		if err := r.job.unmarshalFields(line, r.dec); err != nil {
-			r.err = fmt.Errorf("line %d: %w", r.line, err)
-			r.done = true
+			r.fail(err, true)
 			return false
 		}
 		return true
 	}
 	r.done = true
 	if err := r.s.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The scanner stalls at the over-long line without consuming
-			// it; the offending line is the one after the last good one.
-			err = linescan.TooLongError(r.line + 1)
-		}
-		r.err = err
+		r.fail(err, false)
 	}
 	return false
+}
+
+// fail ends the stream with err. A decode error is wrapped with its
+// line number; a scanner overflow becomes linescan.TooLongError for
+// the line after the last good one, because the scanner stalls at the
+// over-long line without consuming it. It stays out of line so the
+// error values it builds are not charged to Next, whose per-record
+// path is escape-free (cmd/bgpescape's codec rule).
+//
+//go:noinline
+func (r *Reader) fail(err error, decode bool) {
+	switch {
+	case decode:
+		err = fmt.Errorf("line %d: %w", r.line, err)
+	case errors.Is(err, bufio.ErrTooLong):
+		err = linescan.TooLongError(r.line + 1)
+	}
+	r.err = err
+	r.done = true
 }
 
 // Job returns the current job. The pointee is reused by Next; copy the

@@ -227,7 +227,13 @@ func TestByExecFileSharedAndEqualToFreshBuild(t *testing.T) {
 	want := freshByExecFile(l)
 	resolved := make(map[string][]Job, len(got[0]))
 	seen := make([]int, l.Len())
-	for exec, ps := range got[0] {
+	execs := make([]string, 0, len(got[0]))
+	for exec := range got[0] {
+		execs = append(execs, exec)
+	}
+	sort.Strings(execs)
+	for _, exec := range execs {
+		ps := got[0][exec]
 		if cap(ps) != len(ps) {
 			t.Errorf("group %s: cap %d, len %d; an append would overwrite its neighbour", exec, cap(ps), len(ps))
 		}

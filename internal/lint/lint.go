@@ -16,7 +16,6 @@ import (
 	"repro/internal/lint/detrand"
 	"repro/internal/lint/errcode"
 	"repro/internal/lint/frozen"
-	"repro/internal/lint/hotpath"
 	"repro/internal/lint/idkind"
 	"repro/internal/lint/latebind"
 	"repro/internal/lint/lockguard"
@@ -27,9 +26,11 @@ import (
 
 // ToolVersion labels SARIF output and the -V line; it is the single
 // place the suite version is spelled. Bump alongside analyzer
-// additions: 2.0 = determinism suite, 3.0 = concurrency suite,
-// 4.0 = hot-path performance suite (hotpath, latebind, warn tier).
-const ToolVersion = "4.0"
+// additions and removals: 2.0 = determinism suite, 3.0 = concurrency suite,
+// 4.0 = hot-path performance suite (hotpath, latebind, warn tier),
+// 5.0 = hotpath deleted: cmd/bgpescape's compiler-escape gate covers
+// the allocations it flagged.
+const ToolVersion = "5.0"
 
 // Severity tiers. SevError findings always gate CI; SevWarn findings
 // print but only gate under -strict (perf smells shouldn't hard-fail
@@ -52,7 +53,6 @@ func Analyzers() []*analysis.Analyzer {
 		detrand.Analyzer,
 		errcode.Analyzer,
 		frozen.Analyzer,
-		hotpath.Analyzer,
 		idkind.Analyzer,
 		latebind.Analyzer,
 		lockguard.Analyzer,
@@ -78,7 +78,6 @@ func Severity(analyzer string) string {
 		commitseq.Analyzer.Name:
 		return SevError
 	case idkind.Analyzer.Name,
-		hotpath.Analyzer.Name,
 		latebind.Analyzer.Name:
 		return SevWarn
 	case callgraph.Analyzer.Name:

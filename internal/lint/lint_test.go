@@ -13,7 +13,7 @@ import (
 	"repro/internal/lint/sarif"
 )
 
-// TestRegistry pins the analyzer suite's shape: thirteen analyzers in
+// TestRegistry pins the analyzer suite's shape: twelve analyzers in
 // stable alphabetical order, each with a name, a one-line doc summary,
 // and a severity in one of the three tiers. A new analyzer that forgets
 // a Severity case lands in SevWarn by design (never silently a gate),
@@ -21,8 +21,8 @@ import (
 // here and drift fails loudly.
 func TestRegistry(t *testing.T) {
 	analyzers := lint.Analyzers()
-	if len(analyzers) != 13 {
-		t.Fatalf("registry has %d analyzers, want 13", len(analyzers))
+	if len(analyzers) != 12 {
+		t.Fatalf("registry has %d analyzers, want 12", len(analyzers))
 	}
 	names := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
@@ -41,8 +41,7 @@ func TestRegistry(t *testing.T) {
 		"frozen": lint.SevError, "lockguard": lint.SevError,
 		"maporder": lint.SevError, "seedtaint": lint.SevError,
 		"sharedfold": lint.SevError,
-		"hotpath":    lint.SevWarn, "idkind": lint.SevWarn,
-		"latebind":  lint.SevWarn,
+		"idkind":     lint.SevWarn, "latebind": lint.SevWarn,
 		"callgraph": lint.SevNote,
 	}
 	for _, n := range names {
