@@ -1,14 +1,20 @@
 # Tier-1 gate: `make check` is what CI runs on every change (through
-# scripts/ci.sh, which adds `make fuzz`) — build, vet, tests, the
+# scripts/ci.sh, which adds `make fuzz`) — gofmt, build, vet, tests, the
 # race-detector pass, the smokes, the membound gate, and the bgplint
 # determinism analyzers (see internal/lint and DESIGN.md "Determinism
 # invariants").
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-baseline check smoke smoke-golden membound fuzz bench bench-baseline escape escape-baseline golden
+.PHONY: all fmt build vet test race lint lint-baseline check smoke smoke-golden membound fuzz bench bench-baseline escape escape-baseline golden
 
 all: check
+
+# Every Go file, analyzer fixtures included, must be gofmt output; the
+# benchmark's build tree (.bench_build, gitignored) is not source.
+fmt:
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' -not -path './.git/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l: not gofmt output (run gofmt -w):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -49,7 +55,7 @@ lint-baseline:
 	$(GO) build -o bin/bgplint ./cmd/bgplint
 	./bin/bgplint -write-baseline lint.baseline.json $(LINT_PKGS)
 
-check: build vet lint test race smoke membound
+check: fmt build vet lint test race smoke membound
 
 # End-to-end daemon smoke: boot bgpd over a deterministic sample
 # campaign, curl every endpoint family, and diff the answers against

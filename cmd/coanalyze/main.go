@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jobP        = fs.String("job", "job.log", "job log path")
 		artifact    = fs.String("artifact", "all", "artifact to print: all, or one of "+keys())
 		parallelism = fs.Int("parallelism", 0, "worker bound for the chunked log decode (0 = GOMAXPROCS, 1 = sequential)")
-		memBudget   = fs.Int64("mem-budget", 0, "bound the in-memory FATAL event payload to this many bytes (encoded line bytes): noise records are counted at decode and never spooled, FATAL records spill to sorted segment runs on disk and merge back; output is byte-identical to the unconstrained run (0 = analyze fully in memory)")
+		memBudget   = fs.Int64("mem-budget", 0, "bound the in-memory FATAL event payload to this many bytes (encoded line bytes): the sorted FATAL run the analysis merges spills to segment files on disk instead of staying resident; noise records are counted at decode and never spooled; output is byte-identical to the unconstrained run (0 = keep the run in memory)")
 		spillDir    = fs.String("spill-dir", "", "directory for -mem-budget segment runs (empty = a temp dir, removed on exit)")
 		matrix      = fs.Bool("policy-matrix", false, "co-analyze the per-policy log pairs a bgpgen -policy-matrix run wrote next to -ras/-job (ras.<policy>.log) and print the cross-policy comparison")
 	)
@@ -62,17 +62,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		render = r
 	}
 
-	var rep *repro.Report
-	var err error
+	// -mem-budget only bounds the spool that keeps the sorted FATAL
+	// run: without it the run stays in memory and no directory is
+	// touched; with it the run spills to segment files under dir.
+	dir := *spillDir
 	if *memBudget > 0 {
-		rep, err = runMembound(*memBudget, *spillDir, *rasP, *jobP, *parallelism, stderr)
-	} else {
-		cfg := repro.DefaultConfig(0)
-		cfg.Parallelism = *parallelism
-		rep, err = loadPair(cfg, *rasP, *jobP)
+		if dir == "" {
+			tmp, err := os.MkdirTemp("", "coanalyze-spill-")
+			if err != nil {
+				return err
+			}
+			defer os.RemoveAll(tmp)
+			dir = tmp
+		} else if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
 	}
+	cfg := repro.DefaultConfig(0)
+	cfg.Parallelism = *parallelism
+	rep, err := loadPair(cfg, *memBudget, dir, *rasP, *jobP)
 	if err != nil {
 		return err
+	}
+	defer rep.Close()
+	if *memBudget > 0 {
+		ss, ms := rep.RunStats()
+		fmt.Fprintf(stderr, "coanalyze: mem-budget %d: rows=%d runs=%d budget_flushes=%d spilled_bytes=%d\n",
+			*memBudget, ss.Rows, ss.Runs, ss.Flushes, ss.SpilledBytes)
+		fmt.Fprintf(stderr, "coanalyze: merge: segments=%d zone_skipped=%d scanned=%d fatal_rows=%d\n",
+			ms.Segments, ms.Skipped, ms.Scanned, ms.Rows)
 	}
 	return render(rep, stdout)
 }
@@ -91,7 +109,7 @@ func runPolicyMatrix(rasP, jobP string, parallelism int, stdout io.Writer) error
 		if _, err := os.Stat(rp); os.IsNotExist(err) {
 			continue
 		}
-		rep, err := loadPair(cfg, rp, jp)
+		rep, err := loadPair(cfg, 0, "", rp, jp)
 		if err != nil {
 			return fmt.Errorf("policy %s: %w", name, err)
 		}
@@ -111,7 +129,7 @@ func withPolicy(path, policy string) string {
 	return strings.TrimSuffix(path, ext) + "." + policy + ext
 }
 
-func loadPair(cfg repro.Config, rasP, jobP string) (*repro.Report, error) {
+func loadPair(cfg repro.Config, budget int64, spillDir, rasP, jobP string) (*repro.Report, error) {
 	rf, err := os.Open(rasP)
 	if err != nil {
 		return nil, err
@@ -122,7 +140,7 @@ func loadPair(cfg repro.Config, rasP, jobP string) (*repro.Report, error) {
 		return nil, err
 	}
 	defer jf.Close()
-	return repro.Load(cfg, rf, jf)
+	return repro.LoadBounded(cfg, budget, spillDir, rf, jf)
 }
 
 func keys() string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,40 @@ func writeLogs(t *testing.T, noise float64) (rasP, jobP string) {
 	}
 	jf.Close()
 	return rasP, jobP
+}
+
+// -update regenerates the golden files under testdata/:
+//
+//	go test ./cmd/coanalyze -run TestSweepGolden -update
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+const sweepGolden = "testdata/sweep.golden"
+
+// TestSweepGolden pins -artifact sweep, the filter-window ablation,
+// over the fixture logs byte for byte. The full-report goldens skip
+// it, because RenderAll does not render it.
+func TestSweepGolden(t *testing.T) {
+	rasP, jobP := writeFixtureLogs(t)
+	var out bytes.Buffer
+	if err := run([]string{"-ras", rasP, "-job", jobP, "-artifact", "sweep"}, &out, new(bytes.Buffer)); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(sweepGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sweepGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(sweepGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("-artifact sweep differs from %s:\n%s\nwant:\n%s", sweepGolden, &out, want)
+	}
 }
 
 func TestRunSingleArtifact(t *testing.T) {

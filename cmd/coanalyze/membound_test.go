@@ -60,6 +60,21 @@ func TestMemboundMatchesBatch(t *testing.T) {
 			rows, merged, fatal, diag)
 	}
 	assertFatalOnlySegments(t, spill)
+
+	// The window ablation replays the retained FATAL run, so it must
+	// work under the budget and equal batch too.
+	var wantSweep, gotSweep bytes.Buffer
+	if err := run([]string{"-ras", rasP, "-job", jobP, "-artifact", "sweep"}, &wantSweep, new(bytes.Buffer)); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-ras", rasP, "-job", jobP, "-artifact", "sweep", "-mem-budget", strconv.FormatInt(budget, 10),
+		"-spill-dir", filepath.Join(t.TempDir(), "sweep")}, &gotSweep, new(bytes.Buffer))
+	if err != nil {
+		t.Fatalf("-mem-budget %d -artifact sweep: %v", budget, err)
+	}
+	if !bytes.Equal(gotSweep.Bytes(), wantSweep.Bytes()) {
+		t.Fatalf("-mem-budget %d -artifact sweep:\n%s\nbatch:\n%s", budget, &gotSweep, &wantSweep)
+	}
 }
 
 // countFatal counts the FATAL records of a RAS log with the sequential

@@ -181,10 +181,13 @@ type SensitivityPoint struct {
 
 // FilterSensitivity re-runs the analysis at several temporal/spatial
 // window settings — the ablation behind the choice of the 5-minute
-// threshold the paper inherits from Liang et al.
+// threshold the paper inherits from Liang et al. It replays the
+// report's retained sorted FATAL run, resident or spilled, once per
+// window whose thresholds differ from the report's own analysis, and
+// takes that one's point from the report.
 func (r *Report) FilterSensitivity(windows []time.Duration) ([]SensitivityPoint, error) {
-	if r.fatal == nil {
-		return nil, fmt.Errorf("repro: the sensitivity ablation re-runs the cascade over the FATAL records, which streaming reports do not retain")
+	if r.run == nil {
+		return nil, fmt.Errorf("repro: the sensitivity ablation replays the sorted FATAL run, which streaming reports do not retain")
 	}
 	if len(windows) == 0 {
 		windows = []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour}
@@ -194,9 +197,12 @@ func (r *Report) FilterSensitivity(windows []time.Duration) ([]SensitivityPoint,
 		cfg := core.DefaultConfig()
 		cfg.Filter.TemporalWindow = win
 		cfg.Filter.SpatialWindow = win
-		a, err := core.AnalyzeFatal(cfg, r.fatal, r.stats.First, r.stats.Last, r.jobs)
-		if err != nil {
-			return nil, err
+		a := r.analysis
+		if a.Config() != cfg {
+			var err error
+			if a, _, err = core.AnalyzeRun(cfg, r.run, r.stats.First, r.stats.Last, r.jobs); err != nil {
+				return nil, err
+			}
 		}
 		out = append(out, SensitivityPoint{
 			Window:        win,

@@ -103,45 +103,16 @@ func (s campaignSpan) Days() int {
 
 // Analyze runs the full pipeline over a RAS store and a job log: the
 // filter cascade over the store's FATAL records, an occupancy index
-// over the log's jobs, and AnalyzeStream over both. Batch and streaming
-// callers share every stage.
+// over the log's jobs, and AnalyzeStream over both. It composes the
+// stages AnalyzeRun composes, over a store instead of a sorted run.
 func Analyze(cfg Config, ras *raslog.Store, jobs *joblog.Log) (*Analysis, error) {
 	if ras == nil || jobs == nil {
 		return nil, fmt.Errorf("core: nil input log")
 	}
-	rFirst, rLast := ras.Span()
-	return AnalyzeFatal(cfg, ras.Fatal(), rFirst, rLast, jobs)
-}
-
-// AnalyzeFatal is Analyze over a RAS log reduced to what the analysis
-// reads: its FATAL records in (EventTime, RecID) order and the
-// event-time span of all its records, noise included (the span
-// raslog.ReadFatal's Totals carry).
-func AnalyzeFatal(cfg Config, fatal []raslog.Record, rasFirst, rasLast time.Time, jobs *joblog.Log) (*Analysis, error) {
-	if jobs == nil {
-		return nil, fmt.Errorf("core: nil input log")
-	}
 	tab := symtab.NewTable()
-	events, fstats := filter.Pipeline(cfg.Filter, tab, fatal)
-	// A Log is immutable, so the occupancy index views its job slice
-	// instead of copying it job by job; the capacity clip makes any
-	// later Add reallocate rather than write into the log.
-	all := jobs.All()
-	occ := OccupancyBuilder{byEnd: all[:len(all):len(all)]}
-	for p := range all {
-		occ.index(int32(p))
-	}
-	jFirst, jLast := jobs.Span()
-	start, end := UnionSpan(rasFirst, rasLast, jFirst, jLast)
-	return AnalyzeStream(cfg, StreamInput{
-		Tab:         tab,
-		Events:      events,
-		FilterStats: fstats,
-		Jobs:        jobs,
-		Occupancy:   occ.Snapshot(),
-		SpanStart:   start,
-		SpanEnd:     end,
-	})
+	events, fstats := filter.Pipeline(cfg.Filter, tab, ras.Fatal())
+	rFirst, rLast := ras.Span()
+	return analyzeLog(cfg, tab, events, fstats, rFirst, rLast, jobs)
 }
 
 // finish runs the co-analysis stages downstream of the filter cascade.
@@ -181,6 +152,9 @@ func (a *Analysis) EventInterruptions(ev *filter.Event) []Interruption {
 	}
 	return out
 }
+
+// Config returns the thresholds the analysis ran with.
+func (a *Analysis) Config() Config { return a.cfg }
 
 // Span returns the campaign start and end.
 func (a *Analysis) Span() (start, end time.Time) { return a.span.start, a.span.end }

@@ -1,12 +1,13 @@
 package core
 
-// The analysis entry point: AnalyzeStream builds an Analysis from
+// The analysis entry points: AnalyzeStream builds an Analysis from
 // state a long-running ingester (internal/serve) maintains
 // incrementally — the filter cascade's Snapshot, an occupancy index
-// grown job by job, and a cloned symbol table. Analyze is the same
-// call over state built in one pass from whole logs, so batch and
-// streaming runs share every stage (TestAnalyzeStreamMatchesAnalyze
-// checks the streaming state against the batch one).
+// grown job by job, and a cloned symbol table. AnalyzeRun and Analyze
+// make the same call over state built in one pass from whole logs, so
+// batch and streaming runs share every stage
+// (TestAnalyzeStreamMatchesAnalyze checks the streaming state against
+// the batch one).
 
 import (
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/filter"
 	"repro/internal/joblog"
+	"repro/internal/store"
 	"repro/internal/symtab"
 )
 
@@ -88,6 +90,31 @@ func (b *OccupancyBuilder) Snapshot() *Occupancy {
 	return &Occupancy{ix: ix}
 }
 
+// analyzeLog runs AnalyzeStream over the cascade's output and a whole
+// job log. A Log is immutable, so the occupancy index views its job
+// slice instead of copying it job by job; the capacity clip makes any
+// later Add reallocate rather than write into the log. rasFirst and
+// rasLast are the event-time span of the whole RAS log, noise included.
+func analyzeLog(cfg Config, tab *symtab.Table, events []*filter.Event, fstats filter.Stats,
+	rasFirst, rasLast time.Time, jobs *joblog.Log) (*Analysis, error) {
+	all := jobs.All()
+	occ := OccupancyBuilder{byEnd: all[:len(all):len(all)]}
+	for p := range all {
+		occ.index(int32(p))
+	}
+	jFirst, jLast := jobs.Span()
+	start, end := UnionSpan(rasFirst, rasLast, jFirst, jLast)
+	return AnalyzeStream(cfg, StreamInput{
+		Tab:         tab,
+		Events:      events,
+		FilterStats: fstats,
+		Jobs:        jobs,
+		Occupancy:   occ.Snapshot(),
+		SpanStart:   start,
+		SpanEnd:     end,
+	})
+}
+
 // StreamInput is the incrementally maintained state AnalyzeStream
 // consumes. All of it must describe the same prefix of the event and
 // job streams, and none of it may be mutated afterwards — the Analysis
@@ -134,6 +161,39 @@ func AnalyzeStream(cfg Config, in StreamInput) (*Analysis, error) {
 	}
 	a.finish()
 	return a, nil
+}
+
+// AnalyzeRun is the one analysis driver: it merges run — the sorted
+// FATAL run a store.Spool's Finish returns, resident or spilled — once
+// through the streaming cascade and runs AnalyzeStream over the events
+// and an occupancy index viewing the job log (see analyzeLog). It
+// returns what the merge read alongside the analysis; run may be merged
+// again.
+func AnalyzeRun(cfg Config, run *store.Catalog, rasFirst, rasLast time.Time, jobs *joblog.Log) (*Analysis, store.ScanStats, error) {
+	if jobs == nil {
+		return nil, store.ScanStats{}, fmt.Errorf("core: nil input log")
+	}
+	tab := symtab.NewTable()
+	inc := filter.NewIncremental(cfg.Filter, tab)
+	mr, err := run.Merge(filter.CascadeQuery())
+	if err != nil {
+		return nil, store.ScanStats{}, err
+	}
+	for {
+		row, ok, err := mr.Next()
+		if err != nil {
+			return nil, mr.Stats(), err
+		}
+		if !ok {
+			break
+		}
+		if err := inc.FeedRow(row); err != nil {
+			return nil, mr.Stats(), err
+		}
+	}
+	events, fstats := inc.Snapshot()
+	a, err := analyzeLog(cfg, tab, events, fstats, rasFirst, rasLast, jobs)
+	return a, mr.Stats(), err
 }
 
 // UnionSpan merges the two logs' spans into the campaign span: the RAS

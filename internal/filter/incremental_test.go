@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/raslog"
 	"repro/internal/simulate"
+	"repro/internal/store"
 	"repro/internal/symtab"
 )
 
@@ -165,6 +166,12 @@ func TestIncrementalRejectsRegression(t *testing.T) {
 	}
 }
 
+// realisticRecID is a RecID of a production-sized log. Go boxes
+// integers below 256 and prints one-digit strings without allocating,
+// so an allocation test fed small IDs cannot see a RecID that is boxed
+// or formatted.
+const realisticRecID = 1<<40 + 12345
+
 // TestFeedUnparseableLocationAllocFree pins that a location is parsed
 // once, when its ID first appears: feeding more records at a location
 // that does not parse, inside the temporal window of their cluster,
@@ -176,6 +183,7 @@ func TestFeedUnparseableLocationAllocFree(t *testing.T) {
 	}
 	inc := NewIncremental(DefaultConfig(), symtab.NewTable())
 	r := rec("_bgp_err_a", loc, 0)
+	r.RecID = realisticRecID
 	feedAll(t, inc, []raslog.Record{r})
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := inc.Feed(&r); err != nil {
@@ -187,5 +195,36 @@ func TestFeedUnparseableLocationAllocFree(t *testing.T) {
 	}
 	if _, st := inc.Snapshot(); st.Input != 102 || st.AfterTemporal != 1 {
 		t.Fatalf("stats %+v, want 102 records in one temporal cluster", st)
+	}
+}
+
+// TestFeedRowAllocFree pins FeedRow, which every analysis path runs
+// once per merged FATAL row, to zero allocations in the steady state: a
+// row that extends its open temporal cluster, at a location already
+// parsed.
+func TestFeedRowAllocFree(t *testing.T) {
+	const loc = "R00-M0-N04-J12"
+	if raslog.LocationMidplanes(loc) == nil {
+		t.Fatalf("%q does not parse; the test needs a midplane location", loc)
+	}
+	inc := NewIncremental(DefaultConfig(), symtab.NewTable())
+	row := store.Row{
+		RecID: realisticRecID, TimeNS: t0.UnixNano(), Code: "_bgp_err_a", Loc: loc,
+		Comp: int32(raslog.CompKernel), Sev: int32(raslog.SevFatal),
+	}
+	if err := inc.FeedRow(row); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		row.RecID++
+		if err := inc.FeedRow(row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FeedRow: %v allocs/op, want 0", allocs)
+	}
+	if _, st := inc.Snapshot(); st.Input != 102 || st.AfterTemporal != 1 {
+		t.Fatalf("stats %+v, want 102 rows in one temporal cluster", st)
 	}
 }

@@ -6,9 +6,9 @@ package atomic
 // Pointer is a stub of atomic.Pointer[T].
 type Pointer[T any] struct{ p *T }
 
-func (x *Pointer[T]) Load() *T       { return x.p }
-func (x *Pointer[T]) Store(v *T)     { x.p = v }
-func (x *Pointer[T]) Swap(v *T) *T   { old := x.p; x.p = v; return old }
+func (x *Pointer[T]) Load() *T     { return x.p }
+func (x *Pointer[T]) Store(v *T)   { x.p = v }
+func (x *Pointer[T]) Swap(v *T) *T { old := x.p; x.p = v; return old }
 func (x *Pointer[T]) CompareAndSwap(old, new *T) bool {
 	if x.p == old {
 		x.p = new

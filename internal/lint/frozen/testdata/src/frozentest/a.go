@@ -47,8 +47,8 @@ func cloneMap(m map[string]int) map[string]int {
 // Bad mutates a frozen value: field/element writes and delete.
 func Bad(t *Table) *Snap {
 	s := t.Freeze()
-	s.Names[0] = "x"  // want `write through frozen value of s, frozen by Freeze`
-	s.Index["k"] = 1  // want `write through frozen value of s, frozen by Freeze`
+	s.Names[0] = "x"     // want `write through frozen value of s, frozen by Freeze`
+	s.Index["k"] = 1     // want `write through frozen value of s, frozen by Freeze`
 	delete(s.Index, "k") // want `delete from frozen value of s, frozen by Freeze`
 	return s
 }

@@ -110,7 +110,7 @@ type access struct {
 	typ   *types.Named // struct type owning the field
 	field string
 	write bool
-	fn    *types.Func  // enclosing declared function, nil at package scope
+	fn    *types.Func // enclosing declared function, nil at package scope
 	decl  *ast.FuncDecl
 }
 

@@ -72,7 +72,7 @@ var builtinSinks = map[string]map[string][]int{
 type checker struct {
 	pass   *analysis.Pass
 	graph  *callgraph.Result
-	sinks  map[*types.Func][]int       // package-local sink params, grown to fixpoint
+	sinks  map[*types.Func][]int // package-local sink params, grown to fixpoint
 	params map[*types.Func]map[*types.Var]int
 }
 

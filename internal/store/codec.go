@@ -224,16 +224,6 @@ func appendNames(dst []byte, names []string) []byte {
 	return dst
 }
 
-// WriteSegment writes the canonical encoding of d to w.
-func WriteSegment(w io.Writer, d *SegmentData) error {
-	b, err := AppendSegment(nil, d)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // CommitSegment durably writes d at path: the encoding lands in a .tmp
 // sibling, is fsynced, and is renamed into place, so a crash leaves
 // either the old file or the new one — never a torn segment. The rename

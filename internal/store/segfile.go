@@ -11,6 +11,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -122,14 +123,15 @@ type ScanStats struct {
 	Rows int64
 }
 
-// SegmentFile is one on-disk segment opened for reading. Opening reads
-// and verifies only the header; the column payload is touched lazily,
+// SegmentFile is one segment opened for reading. Opening reads and
+// verifies only the header; the column payload is touched lazily,
 // through the mapping when mmap is available and through buffered
-// sequential reads otherwise.
+// sequential reads otherwise. A resident segment has no file: its
+// encoding stands in for the mapping.
 type SegmentFile struct {
 	path string
-	f    *os.File
-	mm   []byte // whole-file mapping; nil on platforms without mmap
+	f    *os.File // nil for a resident segment
+	mm   []byte   // whole-file mapping or resident encoding; nil when streamed
 	zone ZoneMap
 	seq  int
 	size int64
@@ -185,7 +187,28 @@ func OpenSegment(path string) (*SegmentFile, error) {
 	return sf, nil
 }
 
-// Path returns the file path the segment was opened from.
+// residentSegment encodes d and opens the encoding in place of a file.
+// The columns section is the encoding's last Rows*RowBytes bytes before
+// the closing CRC, as OpenSegment's size check requires.
+func residentSegment(d *SegmentData) (*SegmentFile, error) {
+	enc, err := AppendSegment(nil, d)
+	if err != nil {
+		return nil, err
+	}
+	n := d.Events.Len()
+	sf := &SegmentFile{
+		mm:     enc,
+		seq:    d.Seq,
+		size:   int64(len(enc)),
+		colOff: int64(len(enc) - n*RowBytes - 4),
+		zone: ZoneMap{Rows: n, MinTime: d.MinTime, MaxTime: d.MaxTime,
+			SevBits: d.SevBits, CompBits: d.CompBits, Codes: d.Codes, Locs: d.Locs},
+	}
+	sf.zone.index()
+	return sf, nil
+}
+
+// Path returns the file path the segment was opened from ("" if resident).
 func (sf *SegmentFile) Path() string { return sf.path }
 
 // Seq returns the segment's sequence number.
@@ -198,10 +221,14 @@ func (sf *SegmentFile) Rows() int { return sf.zone.Rows }
 func (sf *SegmentFile) Zone() *ZoneMap { return &sf.zone }
 
 // Mapped reports whether the column payload is memory-mapped.
-func (sf *SegmentFile) Mapped() bool { return sf.mm != nil }
+func (sf *SegmentFile) Mapped() bool { return sf.f != nil && sf.mm != nil }
 
-// Close unmaps and closes the file.
+// Close unmaps and closes the file (drops a resident encoding).
 func (sf *SegmentFile) Close() error {
+	if sf.f == nil {
+		sf.mm = nil
+		return nil
+	}
 	var mErr error
 	if sf.mm != nil {
 		mErr = munmapFile(sf.mm)
@@ -215,7 +242,11 @@ func (sf *SegmentFile) Close() error {
 
 // ReadAll decodes the whole segment, re-verifying both CRCs.
 func (sf *SegmentFile) ReadAll() (*SegmentData, error) {
-	d, err := ReadSegment(bufio.NewReaderSize(io.NewSectionReader(sf.f, 0, sf.size), 1<<16))
+	var r io.Reader = io.NewSectionReader(sf.f, 0, sf.size)
+	if sf.f == nil {
+		r = bytes.NewReader(sf.mm)
+	}
+	d, err := ReadSegment(bufio.NewReaderSize(r, 1<<16))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", sf.path, err)
 	}
@@ -391,7 +422,7 @@ func (sf *SegmentFile) Scan(q Query, visit func(Row) error) (int64, error) {
 }
 
 // Catalog is a directory of segment files opened for reading, in
-// lexical (= sequence, = time) order.
+// lexical (= sequence, = time) order, or a spool's resident runs.
 type Catalog struct {
 	segs []*SegmentFile
 }
@@ -404,6 +435,11 @@ func OpenCatalog(dir string) (*Catalog, error) {
 		return nil, err
 	}
 	sort.Strings(names)
+	return openCatalog(names)
+}
+
+// openCatalog opens the named segment files, in order.
+func openCatalog(names []string) (*Catalog, error) {
 	c := &Catalog{}
 	for _, name := range names {
 		sf, err := OpenSegment(name)

@@ -1,14 +1,14 @@
 package store
 
-// Spool is the bounded-memory run writer behind coanalyze -mem-budget:
-// an external merge sort whose runs are segment files. Rows arrive in
-// file order (not time order); the spool buffers them, and whenever the
-// buffered payload exceeds the budget it stable-sorts the larger class
-// buffer by (time, RecID) and commits it as one segment-file run. The
-// catalog of runs then merges back into one time-ordered stream.
-// coanalyze counts the noise records at decode and spools only the
-// FATAL rows the cascade reads, so its budget bounds the FATAL payload
-// and every one of its runs is a fatal run.
+// Spool is the run writer behind every log analysis: an external merge
+// sort. Rows arrive in file order (not time order); each run is
+// stable-sorted by (time, RecID), and the catalog of runs merges back
+// into one time-ordered stream. Without a budget the runs stay
+// resident and nothing touches disk. With one (coanalyze -mem-budget),
+// whenever the buffered payload exceeds it the larger class buffer is
+// committed as a segment-file run. The analysis spools only the FATAL
+// rows the cascade reads, so the budget bounds the FATAL payload and
+// every run is a fatal run.
 //
 // Rows are partitioned into two class buffers — fatal and non-fatal —
 // so each run is pure-class, for callers that do spool noise. That is
@@ -38,7 +38,7 @@ import (
 type SpoolStats struct {
 	// Rows is the total rows added.
 	Rows int64
-	// Runs is the number of run files committed.
+	// Runs is the number of sorted runs, resident or committed.
 	Runs int
 	// Flushes is how many runs were forced out by the budget (Finish's
 	// final flushes are not counted).
@@ -93,13 +93,15 @@ type Spool struct {
 	fatal spoolBuf
 	noise spoolBuf
 
-	seq   int
-	stats SpoolStats
-	done  bool
+	seq      int
+	resident []*SegmentFile // the runs of a spool without a budget
+	paths    []string       // the runs committed under dir
+	stats    SpoolStats
+	done     bool
 }
 
-// NewSpool returns a spool writing its runs under dir. A budget <= 0
-// means unbounded buffering: Finish writes at most one run per class.
+// NewSpool returns a spool writing its runs under dir. With a budget
+// <= 0 it never flushes and keeps its runs in memory, untouched by dir.
 func NewSpool(dir string, budget int64) *Spool {
 	return &Spool{dir: dir, budget: budget}
 }
@@ -133,7 +135,7 @@ func (sp *Spool) Add(recID, timeNS int64, code, loc string, comp, sev int32, fat
 
 // flush stable-sorts b by (time, RecID), remaps its arrival-order local
 // IDs to the sorted first-seen numbering the segment format requires,
-// and commits the run.
+// and commits the run (keeps it resident without a budget).
 func (sp *Spool) flush(b *spoolBuf) error {
 	n := len(b.recID)
 	if n == 0 {
@@ -187,21 +189,32 @@ func (sp *Spool) flush(b *spoolBuf) error {
 		}
 		d.Events.Append(b.recID[i], t, lc, ll, b.comp[i], b.sev[i])
 	}
-	path := filepath.Join(sp.dir, SegmentFileName(sp.seq))
-	if err := CommitSegment(path, d); err != nil {
-		return err
+	if sp.budget <= 0 {
+		sf, err := residentSegment(d)
+		if err != nil {
+			return err
+		}
+		sp.resident = append(sp.resident, sf)
+	} else {
+		path := filepath.Join(sp.dir, SegmentFileName(sp.seq))
+		if err := CommitSegment(path, d); err != nil {
+			return err
+		}
+		sp.paths = append(sp.paths, path)
+		if st, err := os.Stat(path); err == nil {
+			sp.stats.SpilledBytes += st.Size()
+		}
 	}
 	sp.seq++
 	sp.stats.Runs++
-	if st, err := os.Stat(path); err == nil {
-		sp.stats.SpilledBytes += st.Size()
-	}
 	b.reset()
 	return nil
 }
 
 // Finish flushes the remaining class buffers and opens the catalog of
-// committed runs. The spool cannot be used afterwards.
+// runs: the resident ones, or the ones this spool committed under dir
+// (never a stale run another spool left there). The spool cannot be
+// used afterwards.
 func (sp *Spool) Finish() (*Catalog, SpoolStats, error) {
 	if sp.done {
 		return nil, sp.stats, fmt.Errorf("store: Finish called twice")
@@ -213,12 +226,10 @@ func (sp *Spool) Finish() (*Catalog, SpoolStats, error) {
 	if err := sp.flush(&sp.noise); err != nil {
 		return nil, sp.stats, err
 	}
-	cat, err := OpenCatalog(sp.dir)
+	cat, err := openCatalog(sp.paths)
 	if err != nil {
 		return nil, sp.stats, err
 	}
+	cat.segs = append(sp.resident, cat.segs...) // one of the two is empty
 	return cat, sp.stats, nil
 }
-
-// Stats returns the spool's counters so far.
-func (sp *Spool) Stats() SpoolStats { return sp.stats }

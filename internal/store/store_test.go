@@ -18,6 +18,23 @@ func TestEventsAppend(t *testing.T) {
 	}
 }
 
+// TestEventsAppendAllocFree pins Append, which every spool flush runs
+// once per row, to zero allocations into presized columns. The values
+// are far above the 0-255 range Go boxes without allocating.
+func TestEventsAppendAllocFree(t *testing.T) {
+	const runs = 100
+	e := NewEvents(runs + 1) // AllocsPerRun adds one warm-up call
+	allocs := testing.AllocsPerRun(runs, func() {
+		e.Append(1<<40+7, 1<<60+11, symtab.ErrcodeID(1<<20), symtab.LocationID(1<<21), 1<<10, 1<<11)
+	})
+	if allocs != 0 {
+		t.Fatalf("Append into presized Events: %v allocs/op, want 0", allocs)
+	}
+	if e.Len() != runs+1 {
+		t.Fatalf("Len = %d, want %d", e.Len(), runs+1)
+	}
+}
+
 func TestSet(t *testing.T) {
 	var s Set[symtab.ErrcodeID]
 	if s.Has(0) || s.Len() != 0 {

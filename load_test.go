@@ -214,10 +214,16 @@ func TestLoadErrorsMatchStoreComposition(t *testing.T) {
 }
 
 // TestObserveRASAllocFree pins ObserveRAS, which runs once per record
-// in every driver, to zero allocations.
+// of a simulated campaign and of the serving layer's ingest, to zero
+// allocations. The RecIDs are raised to a production log's size: Go
+// boxes integers below 256 without allocating, so small IDs would hide
+// a boxed or formatted RecID.
 func TestObserveRASAllocFree(t *testing.T) {
 	st := quickReport(t).RAS()
 	recs := append(st.All()[:32:32], st.Fatal()[:32]...)
+	for i := range recs {
+		recs[i].RecID += 1 << 40
+	}
 	var ls LogStats
 	if n := testing.AllocsPerRun(100, func() {
 		for i := range recs {

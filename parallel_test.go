@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/linescan"
 	"repro/internal/simulate"
+	"repro/internal/store"
 )
 
 // TestParallelMatchesSequential is the equivalence oracle of the
@@ -46,8 +47,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		return rep
 	}
 	seqRep, parRep := load(1), load(8)
-	if !reflect.DeepEqual(seqRep.fatal, parRep.fatal) {
-		t.Errorf("decoded FATAL records diverge: %d vs %d", len(seqRep.fatal), len(parRep.fatal))
+	if sr, pr := runData(t, seqRep), runData(t, parRep); !reflect.DeepEqual(sr, pr) {
+		t.Errorf("sorted FATAL runs diverge: %d vs %d runs", len(sr), len(pr))
 	}
 	if !reflect.DeepEqual(seqRep.stats, parRep.stats) {
 		t.Errorf("raw-log aggregates diverge:\nseq: %+v\npar: %+v", seqRep.stats, parRep.stats)
@@ -191,4 +192,18 @@ func TestConcurrentRenderersShareOneReport(t *testing.T) {
 				i, outs[i].Len(), want.Len())
 		}
 	}
+}
+
+// runData decodes every segment of a report's retained FATAL run.
+func runData(t *testing.T, rep *Report) []*store.SegmentData {
+	t.Helper()
+	var out []*store.SegmentData
+	for _, sf := range rep.run.Segments() {
+		d, err := sf.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, d)
+	}
+	return out
 }

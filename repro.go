@@ -25,6 +25,7 @@ import (
 	"repro/internal/raslog"
 	"repro/internal/sched"
 	"repro/internal/simulate"
+	"repro/internal/store"
 )
 
 // Config selects the campaign and analysis parameters.
@@ -74,11 +75,14 @@ func QuickConfig(seed int64) Config {
 type Report struct {
 	analysis *core.Analysis
 	jobs     *joblog.Log
-	// fatal holds the FATAL records in (EventTime, RecID) order, all
-	// the RAS log the analysis reads; RenderSensitivity re-runs the
-	// cascade over them. It is nil only for streaming reports
-	// (NewStreamReport), which do not retain records.
-	fatal []raslog.Record
+	// run is the sorted FATAL run the analysis merged, resident or
+	// spilled; RenderSensitivity replays it at the other windows. spool
+	// and merge are what sorting it and the analysis's merge of it did.
+	// run is nil only for streaming reports (NewStreamReport), which
+	// retain no records.
+	run   *store.Catalog
+	spool store.SpoolStats
+	merge store.ScanStats
 	// stats are the raw-log aggregates (Table I's sizes, Table II's
 	// example record, the Summary counters), set by every constructor.
 	stats LogStats
@@ -106,11 +110,17 @@ func Run(cfg Config) (*Report, error) {
 // ground truth.
 func analyzeCampaign(cfg Config, camp *simulate.Campaign) (*Report, error) {
 	var stats LogStats
+	sp := store.NewSpool("", 0)
 	all := camp.RAS.All()
 	for i := range all {
 		stats.ObserveRAS(&all[i])
+		if all[i].Fatal() {
+			if err := spoolFatal(sp, &all[i], 0); err != nil {
+				return nil, err
+			}
+		}
 	}
-	rep, err := analyze(cfg, camp.RAS.Fatal(), stats, camp.Jobs)
+	rep, err := analyzeRun(cfg, sp, stats, camp.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -121,25 +131,47 @@ func analyzeCampaign(cfg Config, camp *simulate.Campaign) (*Report, error) {
 
 // Load analyzes externally supplied logs in this module's line formats
 // (see internal/raslog and internal/joblog for the schema; cmd/bgpgen
-// writes compatible files). Both logs are decoded by the sharded
-// streaming codecs honoring cfg.Parallelism. The RAS decode validates
-// every line but keeps only the FATAL records the analysis reads, and
-// folds the rest into Table I's aggregates (raslog.ReadFatal). The
-// analysis is byte-identical at every worker count.
+// writes compatible files). It is LoadBounded without a budget: the
+// sorted FATAL run stays in memory.
 func Load(cfg Config, rasLog, jobLog io.Reader) (*Report, error) {
-	fatal, tot, err := raslog.ReadFatal(rasLog, cfg.Parallelism)
+	return LoadBounded(cfg, 0, "", rasLog, jobLog)
+}
+
+// LoadBounded analyzes externally supplied logs holding at most about
+// budget bytes of FATAL event payload, in encoded line bytes, in memory
+// (coanalyze -mem-budget): past the budget the RAS log's sorted FATAL
+// run spills to segment files under spillDir; with budget <= 0 it stays
+// resident and spillDir is not touched. Both logs are decoded by the
+// sharded streaming codecs honoring cfg.Parallelism. The RAS decode
+// validates every line, folds the noise into Table I's aggregates and
+// spools only the FATAL records the analysis reads (raslog.ScanFatal).
+// The report is byte-identical at every worker count and every budget.
+// It retains the run until Close.
+func LoadBounded(cfg Config, budget int64, spillDir string, rasLog, jobLog io.Reader) (*Report, error) {
+	sp := store.NewSpool(spillDir, budget)
+	var stats LogStats
+	tot, err := raslog.ScanFatal(rasLog, cfg.Parallelism, func(rec *raslog.Record) error {
+		// Table II's example. Strictly before: on a full tie the first
+		// one seen stays, as a stable sort orders them.
+		if !stats.HasFatal || raslog.Before(rec, &stats.FirstFatal) {
+			stats.FirstFatal, stats.HasFatal = *rec, true
+		}
+		var weight int64 // only a budget reads it
+		if budget > 0 {
+			weight = int64(rec.MarshaledLen() + 1)
+		}
+		return spoolFatal(sp, rec, weight)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading RAS log: %w", err)
 	}
+	stats.RASRecords, stats.RASBytes, stats.FatalRecords = tot.Records, tot.Bytes, tot.Fatal
+	stats.First, stats.Last = tot.First, tot.Last
 	jobs, err := joblog.ReadAllParallel(jobLog, cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading job log: %w", err)
 	}
-	var first *raslog.Record
-	if len(fatal) > 0 {
-		first = &fatal[0]
-	}
-	return analyze(cfg, fatal, StatsFromTotals(tot, first), joblog.NewLog(jobs))
+	return analyzeRun(cfg, sp, stats, joblog.NewLog(jobs))
 }
 
 func simConfig(cfg Config) simulate.Config {
@@ -151,28 +183,54 @@ func simConfig(cfg Config) simulate.Config {
 	}
 }
 
-// analyze runs the co-analysis over a RAS log's FATAL records, in
-// (EventTime, RecID) order, and its aggregates.
-func analyze(cfg Config, fatal []raslog.Record, stats LogStats, jobs *joblog.Log) (*Report, error) {
+// spoolFatal adds one FATAL record to sp with its weight toward sp's
+// budget.
+func spoolFatal(sp *store.Spool, rec *raslog.Record, weight int64) error {
+	return sp.Add(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
+		int32(rec.Component), int32(rec.Severity), true, weight)
+}
+
+// analyzeRun finishes sp, whose rows are a RAS log's FATAL records, and
+// runs the co-analysis over its sorted run (core.AnalyzeRun) with the
+// log's aggregates.
+func analyzeRun(cfg Config, sp *store.Spool, stats LogStats, jobs *joblog.Log) (*Report, error) {
+	run, ss, err := sp.Finish()
+	if err != nil {
+		return nil, err
+	}
 	acfg := core.DefaultConfig()
 	if cfg.MatchTolerance > 0 {
 		acfg.MatchTolerance = cfg.MatchTolerance
 	}
-	a, err := core.AnalyzeFatal(acfg, fatal, stats.First, stats.Last, jobs)
+	a, ms, err := core.AnalyzeRun(acfg, run, stats.First, stats.Last, jobs)
 	if err != nil {
+		run.Close()
 		return nil, err
 	}
-	if fatal == nil {
-		fatal = []raslog.Record{} // non-nil: the sweep can re-run
-	}
 	rep := NewStreamReport(a, jobs, stats)
-	rep.fatal = fatal
+	rep.run, rep.spool, rep.merge = run, ss, ms
 	return rep, nil
 }
 
 // Analysis exposes the underlying co-analysis for advanced callers
 // inside this module.
 func (r *Report) Analysis() *core.Analysis { return r.analysis }
+
+// RunStats returns what the spool that sorted the FATAL run did and
+// what the analysis's merge of the run consulted, skipped and yielded.
+func (r *Report) RunStats() (store.SpoolStats, store.ScanStats) { return r.spool, r.merge }
+
+// Close releases the retained FATAL run: the spilled segment files
+// when there are any. The report renders everything but the sweep
+// afterwards.
+func (r *Report) Close() error {
+	if r.run == nil {
+		return nil
+	}
+	err := r.run.Close()
+	r.run = nil
+	return err
+}
 
 // RAS returns the RAS store of a simulated campaign, or nil: loaded
 // and streaming reports keep only the FATAL records and the raw-log

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: `make check` (build, vet, lint, tests, race-detector pass,
+# CI gate: `make check` (gofmt, build, vet, lint, tests, race-detector pass,
 # smokes, membound) and `make fuzz` at a short FUZZTIME, plus the
 # cross-file checks make cannot express: the baseline filenames and
 # package lists that the Makefile, cmd/bgpbench and the CI workflow

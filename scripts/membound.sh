@@ -6,8 +6,8 @@
 # run actually spilled, (b) it spooled the log's FATAL records and
 # nothing else: the spooled rows, the merged FATAL rows and the log's
 # FATAL line count agree, and no segment run's severity zone map
-# admits a non-FATAL row, and (c) the two stdout renders are
-# byte-identical.
+# admits a non-FATAL row, (c) the two stdout renders are
+# byte-identical, and (d) so are the two -artifact sweep renders.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,7 +104,25 @@ if ! cmp -s "$tmp/batch.out" "$tmp/bounded.out"; then
 	status=1
 fi
 
+# The window ablation replays the retained sorted FATAL run (resident in
+# batch, spilled segment runs under the budget), so -artifact sweep must
+# work under -mem-budget and equal batch byte for byte.
+echo "== sweep, unconstrained and bounded"
+"$tmp/coanalyze" -ras "$tmp/ras.log" -job "$tmp/job.log" -artifact sweep \
+	>"$tmp/batch.sweep" 2>"$tmp/batch.sweep.err" || { cat "$tmp/batch.sweep.err" >&2; exit 1; }
+(
+	ulimit -v 4194304
+	GOMEMLIMIT=128MiB "$tmp/coanalyze" -ras "$tmp/ras.log" -job "$tmp/job.log" -artifact sweep \
+		-mem-budget "$budget" -spill-dir "$tmp/spill-sweep" \
+		>"$tmp/bounded.sweep" 2>"$tmp/bounded.sweep.err"
+) || { echo "membound: -mem-budget $budget -artifact sweep failed:" >&2; cat "$tmp/bounded.sweep.err" >&2; exit 1; }
+if ! cmp -s "$tmp/batch.sweep" "$tmp/bounded.sweep"; then
+	echo "membound: bounded -artifact sweep diverges from the unconstrained run:" >&2
+	diff -u "$tmp/batch.sweep" "$tmp/bounded.sweep" >&2
+	status=1
+fi
+
 if [ "$status" = 0 ]; then
-	echo "membound OK: $flushes budget flushes, $rows FATAL rows spooled in $segs FATAL-only runs, output byte-identical"
+	echo "membound OK: $flushes budget flushes, $rows FATAL rows spooled in $segs FATAL-only runs, output and sweep byte-identical"
 fi
 exit "$status"

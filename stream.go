@@ -5,9 +5,8 @@ package repro
 // the few renderers that consume raw-log aggregates (Table I's sizes,
 // Table II's example record, the Summary counters) read them from
 // LogStats. A long-running ingester (internal/serve) accumulates it
-// record by record, Load and coanalyze -mem-budget assemble it from the
-// FATAL-only decode's raslog.Totals, and Run folds it from the
-// simulated store.
+// record by record, LoadBounded assembles it from the FATAL-only
+// decode's raslog.Totals, and Run folds it from the simulated store.
 // NewStreamReport assembles a Report from a streaming analysis plus
 // those aggregates; everything else renders from the Analysis and the
 // job log exactly as in the batch path, which is what makes the
@@ -74,29 +73,12 @@ func (ls *LogStats) Merge(o *LogStats) {
 	}
 }
 
-// StatsFromTotals assembles the aggregates of a FATAL-only decode
-// (raslog.ReadFatal, raslog.ScanFatal): its whole-log totals plus its
-// first FATAL record in (EventTime, RecID) order, nil when it has none.
-func StatsFromTotals(tot raslog.Totals, firstFatal *raslog.Record) LogStats {
-	ls := LogStats{
-		RASRecords:   tot.Records,
-		RASBytes:     tot.Bytes,
-		FatalRecords: tot.Fatal,
-		First:        tot.First,
-		Last:         tot.Last,
-	}
-	if firstFatal != nil {
-		ls.FirstFatal, ls.HasFatal = *firstFatal, true
-	}
-	return ls
-}
-
 // NewStreamReport assembles a Report from a streaming analysis
 // (core.AnalyzeStream) and pre-accumulated raw-log aggregates. The
 // resulting report renders every artifact identically to a batch
-// Report over the same records, except the one re-running the cascade
-// over the FATAL records (RenderSensitivity), which returns an error
-// instead.
+// Report over the same records, except the one replaying the sorted
+// FATAL run (RenderSensitivity), which returns an error instead: the
+// report retains no run.
 func NewStreamReport(a *core.Analysis, jobs *joblog.Log, rasStats LogStats) *Report {
 	start, end := a.Span()
 	return &Report{
