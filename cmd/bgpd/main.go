@@ -173,22 +173,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 }
 
+// rasIngester is the engine's RAS ingest entry point.
+type rasIngester interface {
+	IngestRAS(recs []raslog.Record) error
+}
+
 // loadRAS bulk-ingests a complete RAS log. The engine's streaming
 // contract wants (EventTime, RecID) order, but a complete file is all
 // here already — sort it like the batch tools effectively do, then
 // feed bounded batches.
-func loadRAS(eng *serve.Engine, r io.Reader) error {
+func loadRAS(eng rasIngester, r io.Reader) error {
 	rd := raslog.NewReader(r)
 	recs, err := rd.ReadAll()
 	if err != nil {
 		return fmt.Errorf("line %d: %w", rd.Line(), err)
 	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		if !recs[i].EventTime.Equal(recs[j].EventTime) {
-			return recs[i].EventTime.Before(recs[j].EventTime)
-		}
-		return recs[i].RecID < recs[j].RecID
-	})
+	raslog.SortStable(recs)
 	for i := 0; i < len(recs); i += followBatch {
 		if err := eng.IngestRAS(recs[i:min(i+followBatch, len(recs))]); err != nil {
 			return err
@@ -243,12 +243,7 @@ func followRAS(ctx context.Context, eng *serve.Engine, f io.Reader, poll, flushE
 		// The writer appends in event order but breaks same-timestamp
 		// ties arbitrarily; restore the engine's (EventTime, RecID)
 		// order within the batch.
-		sort.SliceStable(batch, func(i, j int) bool {
-			if !batch[i].EventTime.Equal(batch[j].EventTime) {
-				return batch[i].EventTime.Before(batch[j].EventTime)
-			}
-			return batch[i].RecID < batch[j].RecID
-		})
+		raslog.SortStable(batch)
 		if err := eng.IngestRAS(batch); err != nil {
 			fmt.Fprintf(stderr, "bgpd: ras tail: %v (%d records dropped)\n", err, len(batch))
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -257,5 +258,56 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bad"}, &out, &errb); err == nil {
 		t.Error("unlistenable address: want error")
+	}
+}
+
+// rasRecorder records what loadRAS ingests, in ingest order.
+type rasRecorder struct{ got []raslog.Record }
+
+func (r *rasRecorder) IngestRAS(recs []raslog.Record) error {
+	r.got = append(r.got, recs...)
+	return nil
+}
+
+// TestLoadRASSortsShuffledLog checks that a shuffled RAS log with a
+// full (EventTime, RecID) tie ingests in the same order as the sorted
+// file: (EventTime, RecID) order, tied records in file order.
+func TestLoadRASSortsShuffledLog(t *testing.T) {
+	t0 := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
+	rec := func(id int64, at time.Duration, loc string) raslog.Record {
+		return raslog.Record{RecID: id, MsgID: "M", Component: raslog.CompKernel, SubComponent: "S",
+			ErrCode: "e", Severity: raslog.SevFatal, EventTime: t0.Add(at), Flags: "F",
+			Location: loc, Serial: "SN", Message: "m"}
+	}
+	sorted := []raslog.Record{
+		rec(1, 0, "R00-M0"),
+		rec(2, time.Second, "R00-M1"),
+		rec(2, time.Second, "R01-M0"), // full tie with the record before it
+		rec(3, time.Second, "R01-M1"),
+		rec(4, time.Minute, "R02-M0"),
+	}
+	// Every record moves, but the tied pair keeps its file order.
+	shuffled := []raslog.Record{sorted[4], sorted[1], sorted[3], sorted[0], sorted[2]}
+
+	ingest := func(recs []raslog.Record) []raslog.Record {
+		path := filepath.Join(t.TempDir(), "ras.log")
+		writeRAS(t, path, recs)
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var r rasRecorder
+		if err := loadRAS(&r, f); err != nil {
+			t.Fatal(err)
+		}
+		return r.got
+	}
+	want := ingest(sorted)
+	if !slices.Equal(want, sorted) {
+		t.Fatalf("sorted file ingested as %+v", want)
+	}
+	if got := ingest(shuffled); !slices.Equal(got, want) {
+		t.Errorf("shuffled file ingested as\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -12,12 +12,15 @@ import (
 	"repro/internal/sched"
 )
 
-// -update regenerates the digest golden:
+// -update regenerates the digest goldens:
 //
-//	go test ./cmd/bgpgen -run TestPolicyMatrixDigests -update
-var update = flag.Bool("update", false, "rewrite the policy digest golden")
+//	go test ./cmd/bgpgen -run 'TestPolicyMatrixDigests|TestNoiseDigests' -update
+var update = flag.Bool("update", false, "rewrite the digest goldens")
 
-const digestGolden = "testdata/policy_digests.txt"
+const (
+	digestGolden = "testdata/policy_digests.txt"
+	noiseGolden  = "testdata/noise_digests.txt"
+)
 
 // digestParams are the campaign parameters the digest golden pins.
 // scripts/smoke_policies.sh parses them back out of the golden's
@@ -52,26 +55,7 @@ func TestPolicyMatrixDigests(t *testing.T) {
 			fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256(data), filepath.Base(p))
 		}
 	}
-	got := b.String()
-
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(digestGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(digestGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", digestGolden)
-		return
-	}
-	want, err := os.ReadFile(digestGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Errorf("policy digests differ from %s:\ngot:\n%s\nwant:\n%s\n(run with -update if the change is intentional)",
-			digestGolden, got, want)
-	}
+	checkGolden(t, digestGolden, b.String())
 
 	// The matrix must be worker-count independent: rerun in parallel
 	// and compare the digests again.
@@ -96,5 +80,61 @@ func TestPolicyMatrixDigests(t *testing.T) {
 				t.Errorf("policy %s %s differs between sequential and parallel matrix", name, base)
 			}
 		}
+	}
+}
+
+// noiseParams are the campaign parameters the noise digest golden
+// pins: the default -noise (62 non-fatal records per FATAL one, the
+// paper's ratio), so generation sorts and writes a real noise volume.
+var noiseParams = []string{"-days", "10"}
+
+// TestNoiseDigests pins a sha256 per log of a single-policy campaign
+// at the paper's noise ratio and three seeds. The policy-matrix golden
+// runs at -noise 0.5 and so never sorts a realistic noise stream; this
+// one guards the generator's sort, renumbering and noise emission.
+func TestNoiseDigests(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	fmt.Fprintf(&b, "# params: %s\n", strings.Join(noiseParams, " "))
+	for _, seed := range []string{"1", "7", "23"} {
+		rasP := filepath.Join(dir, "ras."+seed+".log")
+		jobP := filepath.Join(dir, "job."+seed+".log")
+		var stderr strings.Builder
+		args := append(append([]string{"-seed", seed}, noiseParams...), "-ras", rasP, "-job", jobP)
+		if err := run(args, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{rasP, jobP} {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256(data), filepath.Base(p))
+		}
+	}
+	checkGolden(t, noiseGolden, b.String())
+}
+
+// checkGolden compares got against the golden file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("digests differ from %s:\ngot:\n%s\nwant:\n%s\n(run with -update if the change is intentional)",
+			path, got, want)
 	}
 }

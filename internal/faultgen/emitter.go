@@ -1,8 +1,8 @@
 package faultgen
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -163,6 +163,7 @@ func (e *Emitter) EmitNoise(start, end time.Time, nFatal int) {
 	if n <= 0 || span <= 0 {
 		return
 	}
+	e.recs = slices.Grow(e.recs, n)
 	sevs := []raslog.Severity{raslog.SevInfo, raslog.SevWarning, raslog.SevError}
 	sevW := []float64{0.62, 0.30, 0.08}
 	kinds := []struct {
@@ -216,15 +217,35 @@ func (e *Emitter) append(r raslog.Record) {
 	e.recs = append(e.recs, r)
 }
 
+// serial draws a hardware serial number, 44V<7 digits>K<4 digits>.
 func (e *Emitter) serial() string {
-	return fmt.Sprintf("44V%07dK%04d", e.rng.Intn(1e7), e.rng.Intn(1e4))
+	return formatSerial(e.rng.Intn(1e7), e.rng.Intn(1e4))
 }
 
-// Renumber sorts records by event time and reassigns sequential RecIDs,
-// matching the append-order semantics of the real log.
+// formatSerial is fmt.Sprintf("44V%07dK%04d", hi, lo) for hi in
+// [0, 1e7) and lo in [0, 1e4), written into a fixed array so the two
+// ints are not boxed.
+func formatSerial(hi, lo int) string {
+	b := [15]byte{'4', '4', 'V', 10: 'K'}
+	for i := 9; i >= 3; i-- {
+		b[i] = byte('0' + hi%10)
+		hi /= 10
+	}
+	for i := 14; i >= 11; i-- {
+		b[i] = byte('0' + lo%10)
+		lo /= 10
+	}
+	return string(b[:])
+}
+
+// Renumber returns a copy of recs sorted into (EventTime, RecID) order,
+// input order among full ties, with sequential RecIDs reassigned,
+// matching the append-order semantics of the real log. It copies recs
+// once and sorts the copy in place; the result is already in the order
+// raslog.NewStore keeps, so a store over it skips its sort.
 func Renumber(recs []raslog.Record) []raslog.Record {
-	s := raslog.NewStore(recs)
-	out := append([]raslog.Record(nil), s.All()...)
+	out := slices.Clone(recs)
+	raslog.SortStable(out)
 	for i := range out {
 		out[i].RecID = int64(i + 1)
 	}

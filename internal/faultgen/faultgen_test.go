@@ -1,6 +1,7 @@
 package faultgen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -238,6 +239,29 @@ func TestEmitterDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("record %d differs", i)
+		}
+	}
+}
+
+// TestSerialMatchesSprintf pins the serial number format to the
+// fmt.Sprintf("44V%07dK%04d") it replaced, draw for draw.
+func TestSerialMatchesSprintf(t *testing.T) {
+	const seed = 5
+	e := NewEmitter(DefaultEmitterConfig(), seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 10000; i++ {
+		want := fmt.Sprintf("44V%07dK%04d", rng.Intn(1e7), rng.Intn(1e4))
+		if got := e.serial(); got != want {
+			t.Fatalf("draw %d: serial = %q, want %q", i, got, want)
+		}
+	}
+}
+
+func TestFormatSerialEdges(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {9999999, 9999}, {0, 9999}, {9999999, 0}, {9999, 9999}, {1234567, 42}} {
+		want := fmt.Sprintf("44V%07dK%04d", c[0], c[1])
+		if got := formatSerial(c[0], c[1]); got != want {
+			t.Errorf("formatSerial(%d, %d) = %q, want %q", c[0], c[1], got, want)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package raslog
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/linescan"
@@ -191,8 +192,63 @@ func Before(a, b *Record) bool {
 	return a.RecID < b.RecID
 }
 
+// sortKey is what SortStable compares instead of a whole Record: the
+// (EventTime, RecID) order key plus the record's input position, which
+// breaks full ties in input order. An int position costs nothing over
+// an int32 one: the key pads to 40 bytes either way.
+type sortKey struct {
+	t   time.Time
+	id  int64
+	pos int
+}
+
 // SortStable sorts recs into (EventTime, RecID) order, keeping input
-// order among full ties.
+// order among full ties. It sorts compact (EventTime, RecID, position)
+// keys, then moves each record once by following the permutation's
+// cycles in place, so no second record-sized buffer is allocated. The
+// key order agrees with Before on every pair, monotonic clock readings
+// included, because it compares the time.Time values themselves.
 func SortStable(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return Before(&recs[i], &recs[j]) })
+	keys := make([]sortKey, len(recs))
+	for i := range recs {
+		keys[i] = sortKey{recs[i].EventTime, recs[i].RecID, i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := a.t.Compare(b.t); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	// Slot i takes the record at keys[i].pos. Walk each cycle once,
+	// marking a slot done by pointing its key at itself.
+	for i := range keys {
+		if keys[i].pos == i {
+			continue
+		}
+		held := recs[i]
+		j := i
+		for {
+			k := keys[j].pos
+			keys[j].pos = j
+			if k == i {
+				recs[j] = held
+				break
+			}
+			recs[j] = recs[k]
+			j = k
+		}
+	}
+}
+
+// isSorted reports whether recs is already in (EventTime, RecID) order.
+func isSorted(recs []Record) bool {
+	for i := 1; i < len(recs); i++ {
+		if Before(&recs[i], &recs[i-1]) {
+			return false
+		}
+	}
+	return true
 }

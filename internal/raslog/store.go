@@ -175,12 +175,15 @@ type Store struct {
 	recs []Record
 }
 
-// NewStore returns a store over recs; the records are sorted by
-// (EventTime, RecID) so downstream interarrival analysis sees a
-// time-ordered stream.
+// NewStore returns a store over a copy of recs, sorted by (EventTime,
+// RecID) so downstream interarrival analysis sees a time-ordered
+// stream. Input already in that order, such as Renumber's output, is
+// only copied: one pass over it skips the sort.
 func NewStore(recs []Record) *Store {
 	s := &Store{recs: append([]Record(nil), recs...)}
-	SortStable(s.recs)
+	if !isSorted(s.recs) {
+		SortStable(s.recs)
+	}
 	return s
 }
 
