@@ -14,12 +14,13 @@ import (
 
 // -update regenerates the digest goldens:
 //
-//	go test ./cmd/bgpgen -run 'TestPolicyMatrixDigests|TestNoiseDigests' -update
+//	go test ./cmd/bgpgen -run 'TestPolicyMatrixDigests|TestNoiseDigests|TestDeepQueueDigests' -update
 var update = flag.Bool("update", false, "rewrite the digest goldens")
 
 const (
-	digestGolden = "testdata/policy_digests.txt"
-	noiseGolden  = "testdata/noise_digests.txt"
+	digestGolden    = "testdata/policy_digests.txt"
+	noiseGolden     = "testdata/noise_digests.txt"
+	deepQueueGolden = "testdata/deep_queue_digests.txt"
 )
 
 // digestParams are the campaign parameters the digest golden pins.
@@ -113,6 +114,38 @@ func TestNoiseDigests(t *testing.T) {
 		}
 	}
 	checkGolden(t, noiseGolden, b.String())
+}
+
+// deepQueueParams are the campaign the end-to-end benchmark generates:
+// seed 1 over 30 days, FATAL stream only.
+var deepQueueParams = []string{"-seed", "1", "-days", "30", "-noise", "0"}
+
+// TestDeepQueueDigests pins a sha256 per log of a single-policy run of
+// every registered policy on the benchmark's campaign. The matrix
+// golden's 10-day campaign never queues more than a few hundred jobs;
+// this one queues up to about two thousand, so it pins the scheduler's
+// per-pass width memo, drain reservation and hold expiry under backlog.
+func TestDeepQueueDigests(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	fmt.Fprintf(&b, "# params: %s\n", strings.Join(deepQueueParams, " "))
+	for _, name := range sched.PolicyNames() {
+		rasP := filepath.Join(dir, "ras."+name+".log")
+		jobP := filepath.Join(dir, "job."+name+".log")
+		var stderr strings.Builder
+		args := append(append([]string{"-policy", name}, deepQueueParams...), "-ras", rasP, "-job", jobP)
+		if err := run(args, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{rasP, jobP} {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256(data), filepath.Base(p))
+		}
+	}
+	checkGolden(t, deepQueueGolden, b.String())
 }
 
 // checkGolden compares got against the golden file at path, or

@@ -163,22 +163,20 @@ func ParsePartition(s string) (Partition, error) {
 	return Partition{}, fmt.Errorf("%w: %q", ErrBadPartition, s)
 }
 
-// Machine tracks which midplanes are currently allocated, supporting
-// first-fit placement queries. It is not safe for concurrent use; the
-// scheduler serializes access.
+// Machine tracks which midplanes are currently allocated and answers
+// the scheduler's placement queries. It is not safe for concurrent use;
+// the scheduler serializes access.
 type Machine struct {
 	busy [NumMidplanes]bool
-	// drained marks midplanes administratively removed from service.
-	drained [NumMidplanes]bool
 }
 
 // NewMachine returns an empty machine.
 func NewMachine() *Machine { return &Machine{} }
 
-// Free reports whether every midplane of p is idle and in service.
+// Free reports whether every midplane of p is idle.
 func (m *Machine) Free(p Partition) bool {
 	for mp := p.Start; mp < p.End(); mp++ {
-		if m.busy[mp] || m.drained[mp] {
+		if m.busy[mp] {
 			return false
 		}
 	}
@@ -186,7 +184,7 @@ func (m *Machine) Free(p Partition) bool {
 }
 
 // Allocate marks the partition busy. It returns an error if any
-// midplane is already busy or drained.
+// midplane is already busy.
 func (m *Machine) Allocate(p Partition) error {
 	if !p.Valid() {
 		return fmt.Errorf("%w: %+v", ErrBadPartition, p)
@@ -207,69 +205,31 @@ func (m *Machine) Release(p Partition) {
 	}
 }
 
-// Drain removes a midplane from service (used for maintenance windows).
-func (m *Machine) Drain(mp int) { m.drained[mp] = true }
-
-// Undrain returns a midplane to service.
-func (m *Machine) Undrain(mp int) { m.drained[mp] = false }
-
-// Drained reports whether midplane mp is out of service.
-func (m *Machine) Drained(mp int) bool { return m.drained[mp] }
-
 // Busy reports whether midplane mp is allocated.
 func (m *Machine) Busy(mp int) bool { return m.busy[mp] }
 
-// BusyCount returns the number of allocated midplanes.
-func (m *Machine) BusyCount() int {
-	n := 0
-	for _, b := range m.busy {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// Candidates returns every aligned free partition of the given size, in
-// ascending start order. Partitions are aligned to their size (or to 16
-// for the irregular 48- and 80-midplane sizes) which approximates the
-// torus-wiring constraints of the real machine.
-func (m *Machine) Candidates(size int) []Partition {
+// AppendCandidates appends every aligned free partition of the given
+// size to dst, in ascending start order, and returns the extended
+// slice; an invalid size appends nothing. Partitions are aligned to
+// their size (or to 16 for the irregular 48- and 80-midplane sizes),
+// which approximates the torus-wiring constraints of the real machine.
+// At most NumMidplanes partitions are appended, so a dst with that
+// capacity never grows.
+func (m *Machine) AppendCandidates(dst []Partition, size int) []Partition {
 	if !ValidPartitionSize(size) {
-		return nil
+		return dst
 	}
 	align := size
 	if size == 48 || size == 80 {
 		align = 16
 	}
-	var out []Partition
 	for start := 0; start+size <= NumMidplanes; start += align {
 		p := Partition{Start: start, Size: size}
 		if m.Free(p) {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
-}
-
-// FirstFit returns the lowest-start free partition of the given size.
-func (m *Machine) FirstFit(size int) (Partition, bool) {
-	c := m.Candidates(size)
-	if len(c) == 0 {
-		return Partition{}, false
-	}
-	return c[0], true
-}
-
-// FreeMidplanes returns the indices of all idle, in-service midplanes.
-func (m *Machine) FreeMidplanes() []int {
-	var out []int
-	for mp := 0; mp < NumMidplanes; mp++ {
-		if !m.busy[mp] && !m.drained[mp] {
-			out = append(out, mp)
-		}
-	}
-	return out
+	return dst
 }
 
 // SortPartitions orders partitions by start then size; handy for

@@ -109,8 +109,14 @@ func TestMachineAllocateRelease(t *testing.T) {
 	if err := m.Allocate(p); err != nil {
 		t.Fatal(err)
 	}
-	if m.BusyCount() != 16 {
-		t.Errorf("BusyCount = %d, want 16", m.BusyCount())
+	busy := 0
+	for mp := 0; mp < NumMidplanes; mp++ {
+		if m.Busy(mp) {
+			busy++
+		}
+	}
+	if busy != 16 {
+		t.Errorf("%d busy midplanes, want 16", busy)
 	}
 	if err := m.Allocate(Partition{Start: 8, Size: 8}); err == nil {
 		t.Error("overlapping Allocate succeeded")
@@ -125,25 +131,10 @@ func TestMachineAllocateRelease(t *testing.T) {
 	}
 }
 
-func TestMachineDrain(t *testing.T) {
-	m := NewMachine()
-	m.Drain(3)
-	if !m.Drained(3) {
-		t.Fatal("Drained(3) = false")
-	}
-	if err := m.Allocate(Partition{Start: 0, Size: 4}); err == nil {
-		t.Error("Allocate over drained midplane succeeded")
-	}
-	m.Undrain(3)
-	if err := m.Allocate(Partition{Start: 0, Size: 4}); err != nil {
-		t.Errorf("Allocate after Undrain: %v", err)
-	}
-}
-
 func TestCandidatesAlignment(t *testing.T) {
 	m := NewMachine()
 	for _, size := range PartitionSizes {
-		cands := m.Candidates(size)
+		cands := m.AppendCandidates(nil, size)
 		if len(cands) == 0 {
 			t.Fatalf("no candidates for size %d on empty machine", size)
 		}
@@ -160,35 +151,54 @@ func TestCandidatesAlignment(t *testing.T) {
 			}
 		}
 	}
-	if got := m.Candidates(3); got != nil {
-		t.Errorf("Candidates(3) = %v, want nil", got)
+	if got := m.AppendCandidates(nil, 3); got != nil {
+		t.Errorf("AppendCandidates(nil, 3) = %v, want nil", got)
 	}
 }
 
-func TestFirstFitSkipsBusy(t *testing.T) {
+func TestAppendCandidatesSkipsBusy(t *testing.T) {
 	m := NewMachine()
 	if err := m.Allocate(Partition{Start: 0, Size: 8}); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := m.FirstFit(8)
-	if !ok || p.Start != 8 {
-		t.Errorf("FirstFit(8) = %+v ok=%v, want start 8", p, ok)
+	cands := m.AppendCandidates(nil, 8)
+	if len(cands) != NumMidplanes/8-1 || cands[0].Start != 8 {
+		t.Errorf("AppendCandidates(nil, 8) = %v, want every 8-aligned window from 8", cands)
 	}
-	// Fill the machine, then FirstFit must fail.
-	for {
-		q, ok := m.FirstFit(8)
-		if !ok {
-			break
+	// The result extends dst and keeps ascending start order.
+	dst := []Partition{{Start: 0, Size: 1}}
+	got := m.AppendCandidates(dst, 16)
+	if len(got) != 1+NumMidplanes/16-1 || got[0] != dst[0] || got[1].Start != 16 {
+		t.Errorf("AppendCandidates(dst, 16) = %v", got)
+	}
+	for i := 2; i < len(got); i++ {
+		if got[i].Start <= got[i-1].Start {
+			t.Errorf("candidates out of order: %v", got)
 		}
-		if err := m.Allocate(q); err != nil {
+	}
+	// Fill the machine; then no width has a candidate.
+	for _, c := range cands {
+		if err := m.Allocate(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := m.FirstFit(1); ok {
-		t.Error("FirstFit(1) succeeded on full machine")
+	for _, size := range PartitionSizes {
+		if got := m.AppendCandidates(nil, size); len(got) != 0 {
+			t.Errorf("AppendCandidates(nil, %d) on a full machine = %v", size, got)
+		}
 	}
-	if len(m.FreeMidplanes()) != 0 {
-		t.Error("FreeMidplanes non-empty on full machine")
+}
+
+func TestAppendCandidatesAllocatesNothing(t *testing.T) {
+	m := NewMachine()
+	buf := make([]Partition, 0, NumMidplanes)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, size := range PartitionSizes {
+			buf = m.AppendCandidates(buf[:0], size)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendCandidates into a NumMidplanes-capacity buffer allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -242,7 +242,7 @@ func formatSerial(hi, lo int) string {
 // input order among full ties, with sequential RecIDs reassigned,
 // matching the append-order semantics of the real log. It copies recs
 // once and sorts the copy in place; the result is already in the order
-// raslog.NewStore keeps, so a store over it skips its sort.
+// raslog.NewStore keeps, so a store over it neither sorts nor copies it.
 func Renumber(recs []raslog.Record) []raslog.Record {
 	out := slices.Clone(recs)
 	raslog.SortStable(out)

@@ -175,16 +175,18 @@ type Store struct {
 	recs []Record
 }
 
-// NewStore returns a store over a copy of recs, sorted by (EventTime,
-// RecID) so downstream interarrival analysis sees a time-ordered
-// stream. Input already in that order, such as Renumber's output, is
-// only copied: one pass over it skips the sort.
+// NewStore returns a store over recs, sorted by (EventTime, RecID) so
+// downstream interarrival analysis sees a time-ordered stream. The
+// store takes ownership of recs and copies nothing: it sorts them in
+// place when one pass finds them out of order, as SortStable does, and
+// keeps the slice, so the caller must not modify recs afterwards.
+// Input already in that order, such as Renumber's output, is left
+// untouched.
 func NewStore(recs []Record) *Store {
-	s := &Store{recs: append([]Record(nil), recs...)}
-	if !isSorted(s.recs) {
-		SortStable(s.recs)
+	if !isSorted(recs) {
+		SortStable(recs)
 	}
-	return s
+	return &Store{recs: recs}
 }
 
 // Len returns the number of records.

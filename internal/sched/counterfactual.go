@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -36,8 +37,8 @@ func (firstFitPolicy) Place(env Env, cands []bgp.Partition, size int) (bgp.Parti
 	if len(cands) == 0 {
 		return bgp.Partition{}, false
 	}
-	// Machine.Candidates scans starts in ascending order; the first
-	// candidate is the lowest-numbered fit. No RNG draws at all.
+	// Candidates come in ascending start order; the first is the
+	// lowest-numbered fit. No RNG draws at all.
 	return cands[0], true
 }
 
@@ -107,7 +108,10 @@ func (failureAwarePolicy) Place(env Env, cands []bgp.Partition, size int) (bgp.P
 	if len(cands) == 0 {
 		return bgp.Partition{}, false
 	}
-	safe := make([]bgp.Partition, 0, len(cands))
+	// No width has more than NumMidplanes windows, so the filtered list
+	// fits a fixed array on the stack.
+	var buf [bgp.NumMidplanes]bgp.Partition
+	safe := buf[:0]
 	for _, c := range cands {
 		if !suspect(env, c) {
 			safe = append(safe, c)
@@ -145,7 +149,7 @@ type sjfPolicy struct{}
 func (sjfPolicy) Name() string { return "sjf" }
 
 func (sjfPolicy) Order(env Env, queue []*waiting) {
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].runtime < queue[j].runtime })
+	slices.SortStableFunc(queue, func(a, b *waiting) int { return cmp.Compare(a.runtime, b.runtime) })
 }
 
 func (sjfPolicy) Place(env Env, cands []bgp.Partition, size int) (bgp.Partition, bool) {

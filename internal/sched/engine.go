@@ -86,7 +86,10 @@ type run struct {
 
 // waiting is one queued submission.
 type waiting struct {
-	exec       int
+	exec int
+	// size is the executable's width, cached at submission so a
+	// scheduling pass reads it without touching the executable table.
+	size       int
 	runtime    time.Duration
 	queueT     time.Time
 	resubmitOf int64
@@ -108,7 +111,7 @@ type faultState struct {
 // hold reserves a just-freed partition's midplanes for the interrupted
 // executable's expected resubmission, modelling Cobalt's per-partition
 // queue affinity on Intrepid (the mechanism behind the paper's 57.44%
-// same-partition resubmissions).
+// same-partition resubmissions). A zero until means no hold.
 type hold struct {
 	exec  int
 	until time.Time
@@ -152,7 +155,13 @@ type engine struct {
 	running  map[int64]*run
 	nextID   int64
 	bugCount map[int]int
-	held     map[int]hold
+	held     [bgp.NumMidplanes]hold
+
+	// avail is placeFor's candidate buffer: refilled for every policy
+	// scan and handed to Policy.Place, which must not retain it. No
+	// width has more than NumMidplanes aligned windows, so it never
+	// grows.
+	avail [bgp.NumMidplanes]bgp.Partition
 
 	// reservation state for draining ahead of wide jobs
 	reserved    [bgp.NumMidplanes]bool
@@ -200,7 +209,6 @@ func Run(cfg Config, gen *workload.Generator, model *faultgen.Model, emitCfg fau
 		running:  make(map[int64]*run),
 		nextID:   1,
 		bugCount: make(map[int]int),
-		held:     make(map[int]hold),
 		replay:   cfg.Candidates,
 	}
 	e.truth.Outcomes = make(map[int64]Outcome)
@@ -269,7 +277,7 @@ func (e *engine) dispatch(ev *event) {
 
 func (e *engine) onSubmit(ev *event) {
 	e.queue = append(e.queue, &waiting{
-		exec: ev.exec, runtime: ev.runtime, queueT: e.now,
+		exec: ev.exec, size: e.execs[ev.exec].Size, runtime: ev.runtime, queueT: e.now,
 		resubmitOf: ev.resubmitOf, chainFails: ev.chainFails,
 		prev: ev.prev, hasPrev: ev.hasPrev, tryPrev: ev.tryPrev,
 	})
@@ -342,9 +350,9 @@ func (e *engine) trySchedule() {
 	// wide job.
 	if e.reserver == nil {
 		for _, w := range e.queue {
-			if e.execs[w.exec].Size >= 32 && e.now.Sub(w.queueT) > reserveAfter {
+			if w.size >= 32 && e.now.Sub(w.queueT) > reserveAfter {
 				e.reserver = w
-				e.reservePart = e.policy.ReserveWindow(e, e.execs[w.exec].Size)
+				e.reservePart = e.policy.ReserveWindow(e, w.size)
 				for mp := e.reservePart.Start; mp < e.reservePart.End(); mp++ {
 					e.reserved[mp] = true
 				}
@@ -354,35 +362,44 @@ func (e *engine) trySchedule() {
 	}
 
 	// Single pass: startRun only ever shrinks capacity, so a job that
-	// fails to place cannot newly fit later in the same pass. A per-size
+	// fails to place cannot newly fit later in the same pass. A per-width
 	// memo prunes repeated policy scans for saturated widths; the
 	// previous-partition and reservation paths are job-specific and
-	// bypass the memo.
-	failedSize := make(map[int]bool)
-	kept := e.queue[:0]
-	for _, w := range e.queue {
-		part, ok := e.placeFor(w, failedSize)
-		if ok {
+	// bypass the memo. The memo is part of the placement rule, not only
+	// a pruning: a hold exempts its own executable, so a later job of a
+	// failed width could have fit on a window it holds, and the logs
+	// depend on it being skipped. The queue compacts in place, and only
+	// from its first placed job on, so a pass that places nothing writes
+	// nothing.
+	var failedSize [bgp.NumMidplanes + 1]bool
+	n := 0
+	for i, w := range e.queue {
+		if part, ok := e.placeFor(w, &failedSize); ok {
 			e.startRun(w, part)
-		} else {
-			kept = append(kept, w)
+			continue
 		}
+		if n != i {
+			e.queue[n] = w
+		}
+		n++
 	}
-	e.queue = kept
+	// Drop the tail's pointers so placed submissions can be collected.
+	clear(e.queue[n:])
+	e.queue = e.queue[:n]
 }
 
 // placeFor returns the partition w should run on, honouring drain
 // reservations, partition holds, previous-partition affinity, and the
-// region policy. failedSize memoizes widths whose policy scan already
-// failed in this pass.
-func (e *engine) placeFor(w *waiting, failedSize map[int]bool) (bgp.Partition, bool) {
+// region policy. failedSize memoizes, by width, the policy scans that
+// already failed in this pass.
+func (e *engine) placeFor(w *waiting, failedSize *[bgp.NumMidplanes + 1]bool) (bgp.Partition, bool) {
 	if w == e.reserver {
 		if e.machine.Free(e.reservePart) && !e.blocked(e.reservePart, w) {
 			return e.reservePart, true
 		}
 		return bgp.Partition{}, false
 	}
-	size := e.execs[w.exec].Size
+	size := w.size
 	if w.tryPrev && w.prev.Size == size &&
 		e.machine.Free(w.prev) && !e.blocked(w.prev, w) {
 		return w.prev, true
@@ -390,8 +407,9 @@ func (e *engine) placeFor(w *waiting, failedSize map[int]bool) (bgp.Partition, b
 	if failedSize[size] {
 		return bgp.Partition{}, false
 	}
-	var avail []bgp.Partition
-	for _, c := range e.machine.Candidates(size) {
+	cands := e.machine.AppendCandidates(e.avail[:0], size)
+	avail := cands[:0]
+	for _, c := range cands {
 		if !e.blocked(c, w) {
 			avail = append(avail, c)
 		}
@@ -410,9 +428,9 @@ func (e *engine) blocked(p bgp.Partition, w *waiting) bool {
 		if e.reserved[mp] && w != e.reserver {
 			return true
 		}
-		if h, ok := e.held[mp]; ok {
+		if h := &e.held[mp]; !h.until.IsZero() {
 			if h.until.Before(e.now) {
-				delete(e.held, mp)
+				*h = hold{} // expired: cleared lazily
 				continue
 			}
 			if h.exec != w.exec {
@@ -444,7 +462,7 @@ func (e *engine) startRun(w *waiting, part bgp.Partition) {
 	e.running[r.runID] = r
 	for mp := part.Start; mp < part.End(); mp++ {
 		e.mpOwner[mp] = r
-		delete(e.held, mp) // the hold (if any) is consumed or overridden
+		e.held[mp] = hold{} // the hold (if any) is consumed or overridden
 	}
 	e.push(&event{at: e.now.Add(e.policy.BootDelay(e)), kind: evStart, runID: r.runID})
 }

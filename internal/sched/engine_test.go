@@ -305,22 +305,22 @@ func TestPlaceIntrepid(t *testing.T) {
 	env := testEngine(t)
 	env.rng = newTestRand(1)
 	// Wide job prefers the wide region.
-	p, ok := placeIntrepid(env, m.Candidates(32), 32)
+	p, ok := placeIntrepid(env, m.AppendCandidates(nil, 32), 32)
 	if !ok || p.Start != 32 {
 		t.Errorf("wide placement = %+v, want start 32", p)
 	}
 	// Small job prefers the outer region.
-	p, ok = placeIntrepid(env, m.Candidates(1), 1)
+	p, ok = placeIntrepid(env, m.AppendCandidates(nil, 1), 1)
 	if !ok || p.Start < 64 {
 		t.Errorf("small placement = %+v, want start >= 64", p)
 	}
 	// Mid-size job stays below the wide region.
-	p, ok = placeIntrepid(env, m.Candidates(8), 8)
+	p, ok = placeIntrepid(env, m.AppendCandidates(nil, 8), 8)
 	if !ok || p.End() > 32 {
 		t.Errorf("mid placement = %+v, want end <= 32", p)
 	}
 	// 64-wide jobs fully cover the wide region.
-	p, ok = placeIntrepid(env, m.Candidates(64), 64)
+	p, ok = placeIntrepid(env, m.AppendCandidates(nil, 64), 64)
 	if !ok || overlap(p, wideRegionLo, wideRegionHi) != 32 {
 		t.Errorf("64-wide placement = %+v", p)
 	}

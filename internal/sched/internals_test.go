@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/errcat"
 	"repro/internal/faultgen"
+	"repro/internal/workload"
 )
 
 func testEngine(t *testing.T) *engine {
@@ -18,7 +20,6 @@ func testEngine(t *testing.T) *engine {
 		model:   model,
 		machine: bgp.NewMachine(),
 		faulty:  make(map[int]*faultState),
-		held:    make(map[int]hold),
 		start:   time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC),
 	}
 	e.now = e.start
@@ -105,7 +106,7 @@ func TestBlockedByHoldAndReservation(t *testing.T) {
 	if e.blocked(p, wOther) {
 		t.Error("expired hold still blocks")
 	}
-	if _, still := e.held[0]; still {
+	if e.held[0] != (hold{}) {
 		t.Error("expired hold not deleted")
 	}
 
@@ -161,5 +162,63 @@ func TestPickVictimsDeterministicBound(t *testing.T) {
 		if r.runID == 1 {
 			t.Error("excluded run selected as victim")
 		}
+	}
+}
+
+// TestTrySchedulePassAllocFree pins the cost of a scheduling pass that
+// places nothing: a deep queue over a machine with no usable window
+// must be scanned without a heap allocation. Only midplanes 10-11 and
+// 64-65 are free. 64-65 are held for an executable that is not queued,
+// and the region policy keeps the narrow widths off 10-11, so the
+// narrow widths still reach the candidate scan, the hold check and
+// the policy's Place. One job prefers a held previous partition, and
+// a starving 32-wide job drains [32, 64).
+func TestTrySchedulePassAllocFree(t *testing.T) {
+	for _, name := range []string{DefaultPolicy, "failure-aware"} {
+		t.Run(name, func(t *testing.T) {
+			e := testEngine(t)
+			e.rng = newTestRand(1)
+			policy, err := NewPolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.policy = policy
+			sizes := []int{1, 2, 4, 8, 16, 32, 48, 64, 80}
+			for i, s := range sizes {
+				e.execs = append(e.execs, workload.ExecSpec{Path: fmt.Sprintf("/x/%d", i), Size: s})
+			}
+			heldFor := len(e.execs)
+			e.execs = append(e.execs, workload.ExecSpec{Path: "/x/held", Size: 2})
+			for _, p := range []bgp.Partition{{Start: 0, Size: 8}, {Start: 8, Size: 2}, {Start: 12, Size: 4},
+				{Start: 16, Size: 16}, {Start: 32, Size: 32}, {Start: 66, Size: 2}, {Start: 68, Size: 4}, {Start: 72, Size: 8}} {
+				if err := e.machine.Allocate(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			until := e.now.Add(time.Hour)
+			e.held[64] = hold{exec: heldFor, until: until}
+			e.held[65] = hold{exec: heldFor, until: until}
+
+			const depth = 1000
+			for i := 0; i < depth; i++ {
+				exec := i % len(sizes)
+				e.queue = append(e.queue, &waiting{exec: exec, size: sizes[exec], runtime: time.Hour, queueT: e.now})
+			}
+			e.queue[5].queueT = e.now.Add(-time.Hour) // 32 wide
+			w := e.queue[3]
+			w.exec, w.size = 0, 1
+			w.prev, w.hasPrev, w.tryPrev = bgp.Partition{Start: 64, Size: 1}, true, true
+
+			allocs := testing.AllocsPerRun(20, e.trySchedule)
+			if len(e.queue) != depth {
+				t.Fatalf("pass placed %d jobs, want none", depth-len(e.queue))
+			}
+			if e.reserver != e.queue[5] || e.reservePart != (bgp.Partition{Start: 32, Size: 32}) {
+				t.Fatalf("drain reservation %+v for %p, want [32, 64) for the starving 32-wide job", e.reservePart, e.reserver)
+			}
+			if allocs != 0 {
+				t.Errorf("a scheduling pass over %d queued jobs allocates %.0f times, want 0", depth, allocs)
+			}
+		})
 	}
 }

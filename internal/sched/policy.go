@@ -35,7 +35,9 @@ type Policy interface {
 	Order(env Env, queue []*waiting)
 	// Place picks a partition among the free, unblocked candidates for
 	// a job of the given width. Returning ok == false leaves the job
-	// queued for the next pass.
+	// queued for the next pass. cands is engine scratch, in ascending
+	// start order, valid only for the duration of the call: the engine
+	// refills it for its next scan, so Place must not retain it.
 	Place(env Env, cands []bgp.Partition, size int) (bgp.Partition, bool)
 	// ReserveWindow picks the aligned window the engine drains for a
 	// starving wide job of the given width.

@@ -299,7 +299,7 @@ func TestFailureAwareAvoidsSuspectPartitions(t *testing.T) {
 	// but never on a window touching 70.
 	e.faulty[70] = &faultState{}
 	for i := 0; i < 50; i++ {
-		part, ok := p.Place(e, e.machine.Candidates(1), 1)
+		part, ok := p.Place(e, e.machine.AppendCandidates(nil, 1), 1)
 		if !ok {
 			t.Fatal("no placement")
 		}
@@ -312,7 +312,7 @@ func TestFailureAwareAvoidsSuspectPartitions(t *testing.T) {
 	e.lastFatal[71] = e.now.Add(-time.Hour)
 	e.lastFatalSet[71] = true
 	for i := 0; i < 50; i++ {
-		part, ok := p.Place(e, e.machine.Candidates(1), 1)
+		part, ok := p.Place(e, e.machine.AppendCandidates(nil, 1), 1)
 		if !ok {
 			t.Fatal("no placement")
 		}
@@ -324,7 +324,7 @@ func TestFailureAwareAvoidsSuspectPartitions(t *testing.T) {
 	e.lastFatal[71] = e.now.Add(-fatalAvoidWindow - time.Hour)
 	hit := false
 	for i := 0; i < 200 && !hit; i++ {
-		part, _ := p.Place(e, e.machine.Candidates(1), 1)
+		part, _ := p.Place(e, e.machine.AppendCandidates(nil, 1), 1)
 		hit = part.Contains(71)
 	}
 	if !hit {

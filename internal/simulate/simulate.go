@@ -48,7 +48,9 @@ func DefaultConfig(seed int64) Config {
 type Campaign struct {
 	// Catalog is the ERRCODE catalog the campaign used.
 	Catalog *errcat.Catalog
-	// RAS is the full RAS stream.
+	// RAS is the full RAS stream. It is a store over Result.Records,
+	// not a copy: both views share one slice, and neither may be
+	// modified.
 	RAS *raslog.Store
 	// Jobs is the job log.
 	Jobs *joblog.Log
