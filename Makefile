@@ -83,7 +83,8 @@ smoke-golden:
 membound:
 	./scripts/membound.sh
 
-# Short fuzz smoke of the line parsers, the job line's length count,
+# Short fuzz smoke of the line parsers, the chunked FATAL-only RAS
+# decode against a sequential one, the job line's length count,
 # the location-code grammar, the symbol-table round trip, the ingest
 # endpoints, and the seal/persist/restore durability boundary (the
 # checked-in corpora and seed inputs always run as part of `test`; this
@@ -92,6 +93,7 @@ membound:
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/raslog -fuzz FuzzParseRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/raslog -fuzz FuzzScanFatalChunks -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/joblog -fuzz FuzzParseJob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/joblog -fuzz FuzzJobMarshaledLen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bgp -fuzz FuzzParseLocation -fuzztime $(FUZZTIME)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/errcat"
 	"repro/internal/faultgen"
@@ -155,13 +156,42 @@ func streamCorpus(records int) []byte {
 	return buf
 }
 
-// BenchmarkStreamPipeline measures the streaming ingestion end to end:
-// parallel sharded decode of a raw RAS log with in-shard FATAL
-// filtering, then the full filter cascade — the bounded-memory path
-// PipelineFromLog gives operators with real log files.
+// streamJobs is a job log over streamCorpus's span (44 jobs for 32,768
+// records): one-midplane jobs spread over all 80 midplanes, one
+// starting every 5 minutes and each running 20, so the analysis has
+// interruptions to match.
+func streamJobs(records int) []byte {
+	base := time.Date(2008, 4, 1, 0, 0, 0, 0, time.UTC)
+	span := time.Duration(records) * 400 * time.Millisecond
+	var buf []byte
+	for i := 0; time.Duration(i)*5*time.Minute < span; i++ {
+		start := base.Add(time.Duration(i) * 5 * time.Minute)
+		j := joblog.Job{
+			ID:        int64(i + 1),
+			Name:      "bench",
+			ExecFile:  "/bench/exec" + strconv.Itoa(i%16),
+			QueueTime: start.Add(-time.Minute),
+			StartTime: start,
+			EndTime:   start.Add(20 * time.Minute),
+			Partition: bgp.Partition{Start: i % 80, Size: 1},
+			User:      "u",
+			Project:   "p",
+		}
+		buf = j.AppendLine(buf)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// BenchmarkStreamPipeline measures what coanalyze runs on a raw RAS log
+// without a budget, repro.LoadBounded: the sharded ScanFatal decode
+// validating every line and spooling the FATAL ones, the spool's
+// sorted run, and core.AnalyzeRun's merge, cascade and co-analysis
+// against streamJobs' small job log, whose decode is a small share.
 func BenchmarkStreamPipeline(b *testing.B) {
-	corpus := streamCorpus(32768)
-	cfg := filter.DefaultConfig()
+	const records = 32768
+	corpus := streamCorpus(records)
+	jobs := streamJobs(records)
 	b.SetBytes(int64(len(corpus)))
 	b.ReportAllocs()
 	// Collect garbage only between ops, off the clock: a collection
@@ -173,12 +203,12 @@ func BenchmarkStreamPipeline(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		evs, st, err := filter.PipelineFromLog(cfg, symtab.NewTable(), bytes.NewReader(corpus))
+		rep, err := LoadBounded(Config{}, 0, "", bytes.NewReader(corpus), bytes.NewReader(jobs))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(evs) == 0 || st.Input == 0 {
-			b.Fatal("stream pipeline produced no events")
+		if a := rep.Analysis(); a.FilterStats.Input == 0 || len(a.Events) == 0 {
+			b.Fatal("stream pipeline analyzed no FATAL records")
 		}
 	}
 }

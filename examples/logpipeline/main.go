@@ -60,9 +60,10 @@ func main() {
 	fmt.Printf("\nstreamed %d records; kept %d FATAL\n", total, len(fatal))
 
 	// 3. Run the filtering cascade and print its Stats funnel: the
-	// compression each stage buys. (filter.PipelineFromLog does the
-	// stream + cascade in one call: raslog.ReadFatal's parallel decode
-	// shards validate every line and keep only the FATAL records.)
+	// compression each stage buys. (repro.Load, below, collects no
+	// records: raslog.ScanFatal's parallel decode shards validate every
+	// line and hand only the FATAL records to a spool, whose sorted run
+	// feeds the same cascade.)
 	evs, st := filter.Pipeline(filter.DefaultConfig(), symtab.NewTable(), fatal)
 	fmt.Printf("temporal:  %6d -> %5d (same location+code storms collapsed)\n", st.Input, st.AfterTemporal)
 	fmt.Printf("spatial:   %6d -> %5d (parallel-job fan-out collapsed)\n", st.AfterTemporal, st.AfterSpatial)

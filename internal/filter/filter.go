@@ -17,8 +17,6 @@
 package filter
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -120,21 +118,6 @@ func Pipeline(cfg Config, tab *symtab.Table, fatal []raslog.Record) ([]*Event, S
 		}
 	}
 	return inc.Snapshot()
-}
-
-// PipelineFromLog streams a raw RAS log and runs the cascade over its
-// FATAL records without ever materializing the non-fatal bulk:
-// raslog.ReadFatal validates every line but keeps only FATAL records,
-// in the (EventTime, RecID) order raslog.Store would have presented.
-// The events, stats and symtab IDs are identical to
-// Pipeline(cfg, tab, store.Fatal()) over the same log.
-func PipelineFromLog(cfg Config, tab *symtab.Table, r io.Reader) ([]*Event, Stats, error) {
-	fatal, _, err := raslog.ReadFatal(r, 0)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("filter: reading RAS log: %w", err)
-	}
-	ev, st := Pipeline(cfg, tab, fatal)
-	return ev, st, nil
 }
 
 // packKey packs a temporal-cluster stream key — (LocationID, ErrcodeID)

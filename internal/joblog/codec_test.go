@@ -225,10 +225,10 @@ func TestJobParallelDecodeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestJobManyWavesMatchesSequential decodes over tiny chunks, so chunk
-// buffers are recycled across many waves; under -race, any decoded
-// field aliasing a recycled buffer would differ from the sequential
-// decode.
+// TestJobManyWavesMatchesSequential decodes over tiny chunks, so each
+// of the pipeline's chunk buffers is reused many times; under -race,
+// any decoded field aliasing a reused buffer would differ from the
+// sequential decode.
 func TestJobManyWavesMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var b strings.Builder

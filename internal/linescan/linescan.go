@@ -1,12 +1,15 @@
 // Package linescan is the bounded-memory substrate of the streaming log
 // codecs: it cuts an io.Reader into chunks that end on line boundaries
-// and fans the chunks out to the internal/parallel pool, so a
-// multi-gigabyte log is decoded by concurrent shard workers while only
-// a few chunk buffers are resident at any moment.
+// and runs them through an ordered pipeline — a reader goroutine cuts
+// chunks ahead of a fixed set of shard workers, and the caller emits
+// each chunk's values in chunk order — so a multi-gigabyte log is
+// decoded by concurrent shard workers, with reading overlapped with
+// parsing, while at most 2×Workers chunk buffers are resident at any
+// moment.
 //
 // The determinism contract matches internal/parallel: chunk boundaries
 // depend only on the byte stream and the configured chunk size, shard
-// outputs are merged in chunk order (index-keyed, like the filter
+// outputs are emitted in chunk order (index-keyed, like the filter
 // cascade's tag merge), and the first parse error — with its 1-based
 // line number — is exactly the one a sequential scan of the same input
 // would report. The decoded result is byte-identical for any worker
@@ -16,9 +19,9 @@ package linescan
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -56,16 +59,9 @@ type Options struct {
 // given 1-based number. On a malformed line it returns the values
 // decoded before the error plus an error naming the line, exactly as a
 // sequential scan would. The chunk buffer is reused once the chunk's
-// wave is merged, so the values must not alias it: copy every retained
-// byte (string(b) does).
+// values are emitted, so the values must not alias it: copy every
+// retained byte (string(b) does).
 type ShardFunc[T any] func(chunk []byte, firstLine int) ([]T, error)
-
-// shardOut pairs one chunk's decoded values with its parse error, so
-// the wave merge can recover sequential error semantics.
-type shardOut[T any] struct {
-	vals []T
-	err  error
-}
 
 // DecodeAll is Decode collecting every value: the returned slice and
 // error match a sequential decode of the same stream byte for byte.
@@ -78,24 +74,64 @@ func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) (
 	return out, err
 }
 
-// Decode streams r through newShard-produced workers in waves of at
-// most Workers chunks and hands each chunk's decoded values to emit, in
-// chunk order, once the chunk's wave is done. Each worker slot calls
-// newShard once and reuses the returned ShardFunc across waves, so
-// shards may keep worker-local state (e.g. string intern tables);
-// newShard itself may be called from concurrent goroutines and must not
-// touch shared mutable state. emit runs on the calling goroutine
-// between waves and is not called for a chunk that decoded no values.
-// Reads stay bounded: one wave of chunk buffers and decoded values is
-// resident at a time.
+// Decode streams r through newShard-produced workers and hands each
+// chunk's decoded values to emit, in chunk order. With Workers > 1 a
+// reader goroutine cuts chunks ahead of Workers shard goroutines through
+// a ring of at most 2×Workers chunk buffers, so reading overlaps with
+// parsing and the caller emits one chunk while later ones are read and
+// parsed; with Workers == 1 the same loop cuts, parses and emits each
+// chunk inline, starting no goroutine. Each worker calls newShard once
+// and reuses the returned ShardFunc for every chunk it parses, so shards
+// may keep worker-local state (e.g. string intern tables); newShard
+// itself may be called from concurrent goroutines and must not touch
+// shared mutable state. emit runs on the calling goroutine and is not
+// called for a chunk that decoded no values. Reads stay bounded: at most
+// 2×Workers chunk buffers and their decoded values are resident.
 //
 // The values emitted and the error returned match a sequential decode
 // of the same stream: on a malformed line, the values before it are
-// emitted and the shard's error (naming the line) is returned; nothing
-// after it is decoded further. An emit error stops the decode and is
-// returned as is.
+// emitted and the shard's error (naming the line) is returned; a read
+// error comes back after the values of every chunk cut before it. An
+// emit error stops the decode and is returned as is. Decode returns
+// only once every goroutine it started has exited, which waits for a
+// read already in progress to return.
 func Decode[T any](r io.Reader, opts Options, newShard func() ShardFunc[T], emit func([]T) error) error {
-	w := parallel.Workers(opts.Workers)
+	return newPipeline(r, opts, newShard).run(emit)
+}
+
+// slot is one chunk buffer of the pipeline's ring and the decode of
+// the chunk it holds.
+type slot[T any] struct {
+	buf       []byte // the slot's buffer; data is a prefix of it
+	data      []byte
+	firstLine int
+	vals      []T
+	err       error
+	parsed    chan struct{} // signalled once vals and err are set
+}
+
+// pipeline runs one Decode. With Workers == 1 it uses the inline slot
+// and shard; otherwise the channels carry slots between the reader, the
+// workers and the caller.
+type pipeline[T any] struct {
+	c        chunker
+	workers  int
+	newShard func() ShardFunc[T]
+
+	one   slot[T]      // the inline slot (Workers == 1)
+	shard ShardFunc[T] // the inline shard (Workers == 1)
+
+	free    chan *slot[T] // emitted slots, back to the reader
+	work    chan *slot[T] // cut slots, to the workers
+	order   chan *slot[T] // cut slots in chunk order, to the caller
+	stopped chan struct{} // closed when the caller stops early or is done
+	wg      sync.WaitGroup
+
+	buffers int   // chunk buffers made; written by the cutting goroutine
+	readErr error // the reader's final error; read after order closes
+}
+
+func newPipeline[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) *pipeline[T] {
 	size := opts.ChunkBytes
 	if size <= 0 {
 		size = DefaultChunkBytes
@@ -103,57 +139,158 @@ func Decode[T any](r io.Reader, opts Options, newShard func() ShardFunc[T], emit
 	if size > MaxLineBytes {
 		size = MaxLineBytes
 	}
-	c := &chunker{r: r, chunkBytes: size, line: 1}
-	shards := make([]ShardFunc[T], w)
+	return &pipeline[T]{
+		c:        chunker{r: r, chunkBytes: size, line: 1},
+		workers:  parallel.Workers(opts.Workers),
+		newShard: newShard,
+	}
+}
+
+// run is Decode's loop: take the next chunk in order, emit its values,
+// stop at its error, hand its buffer back.
+func (p *pipeline[T]) run(emit func([]T) error) error {
+	if p.workers > 1 {
+		p.start()
+		defer p.stop()
+	}
 	for {
-		// Cut the next wave of chunks sequentially.
-		type chunk struct {
-			data      []byte
-			firstLine int
+		s := p.next()
+		if s == nil {
+			return p.readErr
 		}
-		var wave []chunk
-		var readErr error
-		for len(wave) < w {
-			data, firstLine, err := c.next()
-			if err == io.EOF {
-				break
+		if len(s.vals) > 0 {
+			if err := emit(s.vals); err != nil {
+				return err
 			}
-			if err != nil {
-				readErr = err
-				break
-			}
-			wave = append(wave, chunk{data, firstLine})
 		}
-		if len(wave) == 0 {
-			return readErr
+		if s.err != nil {
+			// Sequential semantics: values decoded before the first bad
+			// line survive, everything after it is discarded.
+			return s.err
 		}
-		outs, _ := parallel.Map(context.Background(), w, len(wave), func(i int) (shardOut[T], error) {
-			if shards[i] == nil {
-				shards[i] = newShard()
-			}
-			vals, err := shards[i](wave[i].data, wave[i].firstLine)
-			return shardOut[T]{vals: vals, err: err}, nil
-		})
-		// The wave's shards are done, so its buffers can carry the next
-		// wave; decoded values must not alias them (ShardFunc).
-		for i := range wave {
-			c.recycle(wave[i].data)
+		p.release(s)
+	}
+}
+
+// next returns the next chunk in chunk order, parsed, or nil after the
+// last one (p.readErr then holds the read error, nil at EOF).
+func (p *pipeline[T]) next() *slot[T] {
+	if p.workers == 1 {
+		s := &p.one
+		if !p.cut(s) {
+			return nil
 		}
-		for _, so := range outs {
-			if len(so.vals) > 0 {
-				if err := emit(so.vals); err != nil {
-					return err
+		if p.shard == nil {
+			p.shard = p.newShard()
+		}
+		s.vals, s.err = p.shard(s.data, s.firstLine)
+		return s
+	}
+	s, ok := <-p.order
+	if !ok {
+		return nil
+	}
+	<-s.parsed
+	return s
+}
+
+// release hands an emitted slot's buffer back to the reader; its
+// values are no longer read, so the next chunk may overwrite it.
+func (p *pipeline[T]) release(s *slot[T]) {
+	s.vals = nil
+	if p.workers > 1 {
+		p.free <- s // never blocks: free holds every slot at most once
+	}
+}
+
+// cut reads the next chunk into s's buffer. It reports false at the end
+// of the stream, recording a read error other than io.EOF in p.readErr.
+func (p *pipeline[T]) cut(s *slot[T]) bool {
+	if s.buf == nil {
+		p.buffers++
+	}
+	data, first, err := p.c.next(s.buf)
+	if err != nil {
+		if err != io.EOF {
+			p.readErr = err
+		}
+		return false
+	}
+	s.buf, s.data, s.firstLine = data[:0], data, first
+	return true
+}
+
+// start launches the reader and the workers. Every channel holds at
+// most the ring's 2×Workers slots, so sends on them never block.
+func (p *pipeline[T]) start() {
+	ring := 2 * p.workers
+	p.free = make(chan *slot[T], ring)
+	p.work = make(chan *slot[T], ring)
+	p.order = make(chan *slot[T], ring)
+	p.stopped = make(chan struct{})
+	p.wg.Add(1 + p.workers)
+	go p.read(ring)
+	for i := 0; i < p.workers; i++ {
+		go p.parse()
+	}
+}
+
+// stop ends the reader and the workers and waits for them.
+func (p *pipeline[T]) stop() {
+	close(p.stopped)
+	p.wg.Wait()
+}
+
+// read cuts chunks into ring slots, making a new slot while the ring
+// has room and reusing an emitted one after that, until the stream ends
+// or the caller stops.
+func (p *pipeline[T]) read(ring int) {
+	defer p.wg.Done()
+	defer close(p.order)
+	defer close(p.work)
+	made := 0
+	for {
+		var s *slot[T]
+		select {
+		case <-p.stopped:
+			return
+		case s = <-p.free:
+		default:
+			if made < ring {
+				made++
+				s = &slot[T]{parsed: make(chan struct{}, 1)}
+			} else {
+				select {
+				case <-p.stopped:
+					return
+				case s = <-p.free:
 				}
 			}
-			if so.err != nil {
-				// Sequential semantics: values decoded before the first bad
-				// line survive, everything after it is discarded.
-				return so.err
-			}
 		}
-		if readErr != nil {
-			return readErr
+		if !p.cut(s) {
+			return
 		}
+		p.work <- s
+		p.order <- s
+	}
+}
+
+// parse is one worker: it decodes the slots it takes with its own
+// shard, and after a stop drains the rest without parsing them.
+func (p *pipeline[T]) parse() {
+	defer p.wg.Done()
+	var shard ShardFunc[T]
+	for s := range p.work {
+		select {
+		case <-p.stopped:
+			continue
+		default:
+		}
+		if shard == nil {
+			shard = p.newShard()
+		}
+		s.vals, s.err = shard(s.data, s.firstLine)
+		s.parsed <- struct{}{}
 	}
 }
 
@@ -182,28 +319,30 @@ func ForEachLine(chunk []byte, firstLine int, fn func(line []byte, n int) error)
 }
 
 // chunker cuts the stream into line-aligned chunks. Not safe for
-// concurrent use; Decode drives it from one goroutine.
+// concurrent use; one goroutine at a time drives it.
 type chunker struct {
 	r          io.Reader
 	chunkBytes int
-	carry      []byte   // partial trailing line of the previous chunk
-	free       [][]byte // buffers of merged waves, ready for reuse
-	line       int      // 1-based number of the next chunk's first line
-	err        error    // sticky read error (io.EOF included)
-	zeroReads  int      // consecutive (0, nil) reads, for the no-progress guard
+	carry      []byte // partial trailing line of the previous chunk
+	line       int    // 1-based number of the next chunk's first line
+	err        error  // sticky read error (io.EOF included)
+	zeroReads  int    // consecutive (0, nil) reads, for the no-progress guard
 }
 
-// next returns the next line-aligned chunk and the 1-based number of
-// its first line. The returned buffer is owned by the caller until it
-// hands it back through recycle (chunks of one wave are parsed
-// concurrently, so each has its own). Returns io.EOF after the last
+// next cuts the next line-aligned chunk into buf (grown or replaced
+// when too small; its contents are overwritten) and returns it with the
+// 1-based number of its first line. Returns io.EOF after the last
 // chunk.
-func (c *chunker) next() ([]byte, int, error) {
+func (c *chunker) next(buf []byte) ([]byte, int, error) {
 	if len(c.carry) == 0 && c.err != nil {
 		return nil, 0, c.err
 	}
-	buf := c.buffer(c.chunkBytes + len(c.carry))
-	buf = append(buf, c.carry...)
+	if need := c.chunkBytes + len(c.carry); cap(buf) < need {
+		// Headroom lets the buffer serve later chunks whose carried
+		// partial line is longer.
+		buf = make([]byte, 0, need+c.chunkBytes/16)
+	}
+	buf = append(buf[:0], c.carry...)
 	c.carry = c.carry[:0]
 	for len(buf) < c.chunkBytes && c.err == nil {
 		buf = c.fill(buf)
@@ -242,26 +381,6 @@ func (c *chunker) next() ([]byte, int, error) {
 }
 
 var nlSep = []byte{'\n'}
-
-// buffer returns an empty buffer with at least size bytes of capacity,
-// reusing a recycled one when one is large enough.
-func (c *chunker) buffer(size int) []byte {
-	for len(c.free) > 0 {
-		b := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		if cap(b) >= size {
-			return b[:0]
-		}
-	}
-	// Headroom lets the buffer serve later chunks whose carried partial
-	// line is longer.
-	return make([]byte, 0, size+c.chunkBytes/16)
-}
-
-// recycle returns a chunk buffer whose contents are no longer read.
-func (c *chunker) recycle(b []byte) {
-	c.free = append(c.free, b[:0])
-}
 
 // fill reads once into buf's spare capacity (growing it when full) and
 // records a sticky error.

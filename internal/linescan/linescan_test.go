@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // decodeLines decodes every line into "line:content" strings, the
@@ -280,6 +283,125 @@ func TestDecodeEmitErrorStops(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("w=%d: value %d = %q, want %q", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// pipelineCases are the worker counts the pipeline tests run, each over
+// 64-byte chunks so a stream is many chunks and the reader runs ahead.
+var pipelineCases = []Options{
+	{Workers: 1, ChunkBytes: 64}, {Workers: 2, ChunkBytes: 64},
+	{Workers: 3, ChunkBytes: 64}, {Workers: 4, ChunkBytes: 64},
+}
+
+// settledGoroutines returns the goroutine count once it is back to
+// want, or after about a second. Decode waits for its goroutines'
+// deferred WaitGroup.Done, which runs just before each one exits, so
+// the count can lag Decode's return by a scheduling step; a leaked
+// goroutine never comes back.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n != want; i++ {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPipelineFailuresLeaveNoGoroutine stops the pipeline early, by a
+// bad line deep in the stream and by an emit error, and requires
+// Decode to return with every goroutine it started gone, after exactly
+// the values a sequential decode gives before the failure.
+func TestPipelineFailuresLeaveNoGoroutine(t *testing.T) {
+	badDeep := buildInput(2000) + "BAD\n" + buildInput(2000)
+	wantBad, wantBadErr := seqDecode(t, badDeep)
+	clean := buildInput(4000)
+	wantClean, _ := seqDecode(t, clean)
+	stop := errors.New("stop")
+	for _, opts := range pipelineCases {
+		before := runtime.NumGoroutine()
+		got, err := DecodeAll(strings.NewReader(badDeep), opts, decodeLines(Options{}))
+		if err == nil || err.Error() != wantBadErr.Error() {
+			t.Fatalf("%+v: err %v, want %v", opts, err, wantBadErr)
+		}
+		if !slices.Equal(got, wantBad) {
+			t.Fatalf("%+v: %d values before the bad line, want the sequential %d", opts, len(got), len(wantBad))
+		}
+		if n := settledGoroutines(before); n != before {
+			t.Fatalf("%+v: %d goroutines after a parse error, %d before", opts, n, before)
+		}
+
+		var emitted []string
+		err = Decode(strings.NewReader(clean), opts, decodeLines(Options{}), func(v []string) error {
+			emitted = append(emitted, v...)
+			if len(emitted) > len(wantClean)/2 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop {
+			t.Fatalf("%+v: err %v, want the emit error", opts, err)
+		}
+		if len(emitted) >= len(wantClean) || !slices.Equal(emitted, wantClean[:len(emitted)]) {
+			t.Fatalf("%+v: emitted %d values, not a proper prefix of the sequential decode", opts, len(emitted))
+		}
+		if n := settledGoroutines(before); n != before {
+			t.Fatalf("%+v: %d goroutines after an emit error, %d before", opts, n, before)
+		}
+	}
+}
+
+// TestPipelineReadErrorAfterGoodChunks fails the reader after many
+// chunks of whole lines: the read error comes back after exactly those
+// lines' values, in order, and no later.
+func TestPipelineReadErrorAfterGoodChunks(t *testing.T) {
+	boom := errors.New("boom")
+	good := buildInput(1500)
+	want, err := seqDecode(t, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range pipelineCases {
+		var got []string
+		emits := 0
+		err := Decode(&errReader{data: []byte(good), err: boom}, opts, decodeLines(Options{}), func(v []string) error {
+			emits++
+			got = append(got, v...)
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("%+v: err %v, want the read error", opts, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v: %d values before the read error, want the %d of the good chunks", opts, len(got), len(want))
+		}
+		if emits < len(good)/(2*opts.ChunkBytes) {
+			t.Fatalf("%+v: %d emits, want the good bytes cut into many chunks", opts, emits)
+		}
+	}
+}
+
+// TestPipelineRingBound decodes a stream of many chunks and requires
+// the pipeline to have made at most 2×Workers chunk buffers, however
+// far the reader ran ahead of the emits, and exactly one inline.
+func TestPipelineRingBound(t *testing.T) {
+	in := buildInput(5000)
+	want, _ := seqDecode(t, in)
+	for _, opts := range pipelineCases {
+		p := newPipeline(strings.NewReader(in), opts, decodeLines(Options{}))
+		var got []string
+		if err := p.run(func(v []string) error {
+			got = append(got, v...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v: decode differs from the sequential one", opts)
+		}
+		if p.buffers < 1 || p.buffers > 2*opts.Workers || (opts.Workers == 1 && p.buffers != 1) {
+			t.Fatalf("%+v: %d chunk buffers made, want 1..%d", opts, p.buffers, 2*opts.Workers)
 		}
 	}
 }

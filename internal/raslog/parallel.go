@@ -1,6 +1,7 @@
 package raslog
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -24,7 +25,10 @@ func readAll(r io.Reader, opts linescan.Options) ([]Record, error) {
 	return linescan.DecodeAll(r, opts, func() linescan.ShardFunc[Record] {
 		fs := fieldScratch{it: newIntern()}
 		return func(chunk []byte, firstLine int) ([]Record, error) {
-			var out []Record
+			// One record per line at most, so the shard never regrows:
+			// with the pipeline's chunks in flight, the regrowth garbage
+			// raised the decode's peak heap.
+			out := make([]Record, 0, bytes.Count(chunk, []byte{'\n'})+1)
 			err := linescan.ForEachLine(chunk, firstLine, func(line []byte, n int) error {
 				if len(line) == 0 {
 					return nil
@@ -56,12 +60,6 @@ type Totals struct {
 	First, Last time.Time
 }
 
-// observe folds one record, given by its event time, severity and
-// re-marshaled line length (newline included).
-func (t *Totals) observe(at time.Time, fatal bool, lineLen int) {
-	t.merge(Totals{Records: 1, Bytes: lineLen, Fatal: btoi(fatal), First: at, Last: at})
-}
-
 // merge folds o, the totals of a later part of the stream, into t.
 func (t *Totals) merge(o Totals) {
 	if o.Records == 0 {
@@ -78,30 +76,12 @@ func (t *Totals) merge(o Totals) {
 	t.Fatal += o.Fatal
 }
 
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// ReadFatal decodes a RAS log stream for the co-analysis, which reads
-// only FATAL records: it returns those records in (EventTime, RecID)
-// order — file order among full ties, as Store presents them — plus the
-// Totals of the whole stream. It is ScanFatal collected and
-// stable-sorted, with the same validation, errors and worker
-// convention. On error, the records and totals cover the lines before
-// the bad one.
-func ReadFatal(r io.Reader, workers int) ([]Record, Totals, error) {
-	return readFatal(r, linescan.Options{Workers: workers})
-}
-
-// ScanFatal decodes a RAS log stream like ReadFatal but hands each
-// FATAL record to fn in file order instead of collecting them, one
-// decode wave at a time, and returns the Totals of the whole stream.
-// Every line is validated exactly as ReadAll validates it, with the
-// same error and line number, but only FATAL lines are materialized; a
-// noise line is accounted from its raw fields. The shards are
+// ScanFatal decodes a RAS log stream for the co-analysis, which reads
+// only FATAL records: it hands each FATAL record to fn in file order and
+// returns the Totals of the whole stream. Every line is validated
+// exactly as ReadAll validates it, with the same error and line number,
+// but only FATAL lines are materialized; a noise line is accounted from
+// its raw fields and never builds a time.Time. The shards are
 // ReadAllParallel's (workers follows the same convention), and the
 // calls and totals are identical for any worker count. fn runs on the
 // calling goroutine and must not retain rec. On a malformed line, fn
@@ -118,26 +98,41 @@ func ScanFatal(r io.Reader, workers int, fn func(rec *Record) error) (Totals, er
 	})
 }
 
-func readFatal(r io.Reader, opts linescan.Options) ([]Record, Totals, error) {
-	var chunks [][]Record
-	n := 0
-	tot, err := scanFatal(r, opts, func(recs []Record) error {
-		chunks = append(chunks, recs)
-		n += len(recs)
-		return nil
-	})
-	fatal := make([]Record, 0, n)
-	for _, c := range chunks {
-		fatal = append(fatal, c...)
-	}
-	SortStable(fatal)
-	return fatal, tot, err
-}
-
 // fatalChunk is one chunk's share of a FATAL-only decode.
 type fatalChunk struct {
 	fatal []Record
 	tot   Totals
+}
+
+// tally is Totals folded over one chunk with the event times kept as
+// keys, so a line costs a key comparison; totals builds the two
+// time.Time values once per chunk.
+type tally struct {
+	records, bytes, fatal int
+	first, last           eventKey
+}
+
+// observe folds one record, given by its event-time key, severity and
+// re-marshaled line length (newline included).
+func (c *tally) observe(k eventKey, fatal bool, lineLen int) {
+	if c.records == 0 || k < c.first {
+		c.first = k
+	}
+	if c.records == 0 || k > c.last {
+		c.last = k
+	}
+	c.records++
+	c.bytes += lineLen
+	if fatal {
+		c.fatal++
+	}
+}
+
+func (c *tally) totals() Totals {
+	if c.records == 0 {
+		return Totals{}
+	}
+	return Totals{Records: c.records, Bytes: c.bytes, Fatal: c.fatal, First: c.first.time(), Last: c.last.time()}
 }
 
 // scanFatal is the FATAL-only decode: it hands each chunk's FATAL
@@ -149,6 +144,7 @@ func scanFatal(r io.Reader, opts linescan.Options, emit func(recs []Record) erro
 		fs := fieldScratch{it: newIntern()}
 		return func(chunk []byte, firstLine int) ([]fatalChunk, error) {
 			var c fatalChunk
+			var tl tally
 			err := linescan.ForEachLine(chunk, firstLine, func(line []byte, n int) error {
 				if len(line) == 0 {
 					return nil
@@ -158,7 +154,7 @@ func scanFatal(r io.Reader, opts linescan.Options, emit func(recs []Record) erro
 					return fmt.Errorf("line %d: %w", n, err)
 				}
 				fatal := lf.sev == SevFatal
-				c.tot.observe(lf.t, fatal, lf.marshaledLen(&fs)+1)
+				tl.observe(lf.key, fatal, lf.marshaledLen(&fs)+1)
 				if fatal {
 					var rec Record
 					lf.fill(&rec, &fs)
@@ -166,6 +162,7 @@ func scanFatal(r io.Reader, opts linescan.Options, emit func(recs []Record) erro
 				}
 				return nil
 			})
+			c.tot = tl.totals()
 			return []fatalChunk{c}, err
 		}
 	}, func(cs []fatalChunk) error {

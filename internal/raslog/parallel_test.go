@@ -34,9 +34,9 @@ func fatalCorpus(n int) string {
 	return b.String()
 }
 
-// sequentialFatal is the oracle for ReadFatal: a sequential Reader
-// decode of every record, its FATAL records stable-sorted, and Totals
-// counted from each record's MarshalLine.
+// sequentialFatal is the oracle for the FATAL-only decode: a
+// sequential Reader decode of every record, its FATAL records
+// stable-sorted, and Totals counted from each record's MarshalLine.
 func sequentialFatal(in string) ([]Record, Totals, error) {
 	all, err := NewReader(strings.NewReader(in)).ReadAll()
 	var fatal []Record
@@ -60,13 +60,26 @@ func sequentialFatal(in string) ([]Record, Totals, error) {
 	return fatal, tot, err
 }
 
-// TestReadFatalMatchesSequential checks the FATAL-only decode against
-// a sequential Reader decode: identical FATAL records (ties in file
-// order), totals and first error, at every worker count and with chunks
-// small enough that the decode runs in many waves over recycled chunk
-// buffers (run under -race, aliasing would show as corrupted fields). A
-// malformed line is placed in a FATAL record and in a noise record.
-func TestReadFatalMatchesSequential(t *testing.T) {
+// collectFatal is scanFatal's output collected the way the analysis
+// orders it: every emitted FATAL record, stable-sorted.
+func collectFatal(in string, opts linescan.Options) ([]Record, Totals, error) {
+	var fatal []Record
+	tot, err := scanFatal(strings.NewReader(in), opts, func(recs []Record) error {
+		fatal = append(fatal, recs...)
+		return nil
+	})
+	SortStable(fatal)
+	return fatal, tot, err
+}
+
+// TestScanFatalMatchesSequential checks the FATAL-only decode, collected
+// and sorted, against a sequential Reader decode: identical FATAL
+// records (ties in file order), totals and first error, at every worker
+// count and with chunks small enough that the decode cycles through
+// its chunk buffers many times (run under -race, aliasing would show as
+// corrupted fields). A malformed line is placed in a FATAL record and in
+// a noise record.
+func TestScanFatalMatchesSequential(t *testing.T) {
 	clean := fatalCorpus(1200)
 	lines := strings.Split(clean, "\n")
 	corrupt := func(sev Severity) string {
@@ -100,7 +113,7 @@ func TestReadFatalMatchesSequential(t *testing.T) {
 			{Workers: 1}, {Workers: 2}, {Workers: 8},
 			{Workers: 3, ChunkBytes: 512},
 		} {
-			got, tot, err := readFatal(strings.NewReader(in), opts)
+			got, tot, err := collectFatal(in, opts)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("%s %+v: err %v, want %v", name, opts, err, wantErr)
 			}
@@ -120,8 +133,9 @@ func TestReadFatalMatchesSequential(t *testing.T) {
 }
 
 // TestReadAllManyWavesMatchesSequential runs the full decode over tiny
-// chunks, so chunk buffers are recycled across many waves; any decoded
-// field aliasing a buffer would differ from the sequential decode.
+// chunks, so each of the pipeline's chunk buffers is reused many times;
+// any decoded field aliasing a buffer would differ from the sequential
+// decode.
 func TestReadAllManyWavesMatchesSequential(t *testing.T) {
 	in := fatalCorpus(1500)
 	want, err := NewReader(strings.NewReader(in)).ReadAll()
@@ -142,15 +156,16 @@ func TestReadAllManyWavesMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScanFatalMatchesReadFatal checks the streaming FATAL-only decode
-// against a sequential full decode and against ReadFatal: fn sees the
-// FATAL records in file order (a prefix of them on error), the totals
-// and error are ReadFatal's, and the collected records stable-sort to
-// ReadFatal's. The "tie" input puts two FATAL records that fully tie
-// on the minimum (EventTime, RecID) at the first and the last line, many
-// chunks apart: the first one seen must win, as in ReadFatal's stable
-// sort, so Table II's example record is the same on both paths.
-func TestScanFatalMatchesReadFatal(t *testing.T) {
+// TestScanFatalFileOrderAndTies checks the streaming FATAL-only decode
+// against a sequential full decode: fn sees the FATAL records in file
+// order (a prefix of them on error), the totals and error are the
+// sequential decode's, and the collected records stable-sort to its
+// sorted FATAL records. The "tie" input puts two FATAL records that
+// fully tie on the minimum (EventTime, RecID) at the first and the last
+// line, many chunks apart: the first one seen must win, as in a stable
+// sort, so Table II's example record is the one the sorted run starts
+// with.
+func TestScanFatalFileOrderAndTies(t *testing.T) {
 	clean := fatalCorpus(1200)
 	tie := func(msg string) string {
 		rec := randomRecord(rand.New(rand.NewSource(3)))
@@ -168,17 +183,17 @@ func TestScanFatalMatchesReadFatal(t *testing.T) {
 		"bad-tail":    tie("seen first") + clean + "garbage\n" + tie("seen last"),
 	}
 	for name, in := range inputs {
-		all, seqErr := NewReader(strings.NewReader(in)).ReadAll()
+		all, _ := NewReader(strings.NewReader(in)).ReadAll()
 		var wantOrder []Record
 		for i := range all {
 			if all[i].Fatal() {
 				wantOrder = append(wantOrder, all[i])
 			}
 		}
+		want, wantTot, wantErr := sequentialFatal(in)
 		for _, opts := range []linescan.Options{
 			{Workers: 1}, {Workers: 2}, {Workers: 4, ChunkBytes: 512}, {Workers: 1, ChunkBytes: 300},
 		} {
-			want, wantTot, wantErr := readFatal(strings.NewReader(in), opts)
 			var got []Record
 			var first *Record
 			tot, err := scanFatal(strings.NewReader(in), opts, func(recs []Record) error {
@@ -191,13 +206,10 @@ func TestScanFatalMatchesReadFatal(t *testing.T) {
 				return nil
 			})
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("%s %+v: err %v, ReadFatal %v", name, opts, err, wantErr)
-			}
-			if (err == nil) != (seqErr == nil) || (err != nil && err.Error() != seqErr.Error()) {
-				t.Fatalf("%s %+v: err %v, sequential decode %v", name, opts, err, seqErr)
+				t.Fatalf("%s %+v: err %v, sequential decode %v", name, opts, err, wantErr)
 			}
 			if tot != wantTot {
-				t.Fatalf("%s %+v: totals %+v, ReadFatal %+v", name, opts, tot, wantTot)
+				t.Fatalf("%s %+v: totals %+v, sequential %+v", name, opts, tot, wantTot)
 			}
 			if len(got) != len(wantOrder) {
 				t.Fatalf("%s %+v: %d FATAL records, want %d", name, opts, len(got), len(wantOrder))
@@ -210,11 +222,11 @@ func TestScanFatalMatchesReadFatal(t *testing.T) {
 			SortStable(got)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("%s %+v: sorted record %d differs from ReadFatal's", name, opts, i)
+					t.Fatalf("%s %+v: sorted record %d differs from the sequential decode's", name, opts, i)
 				}
 			}
 			if len(want) > 0 && (first == nil || *first != want[0]) {
-				t.Fatalf("%s %+v: first FATAL record %+v, ReadFatal's %+v", name, opts, first, want[0])
+				t.Fatalf("%s %+v: first FATAL record %+v, sorted run starts with %+v", name, opts, first, want[0])
 			}
 			if name == "tie" || name == "bad-tail" {
 				if first == nil || first.Message != "seen first" {

@@ -172,14 +172,85 @@ func ParseEventTime(s string) (time.Time, error) {
 	return time.Parse(EventTimeLayout, s)
 }
 
+// eventKey is a CMCS event time packed into one integer whose order is
+// the time order: the year (0000-9999, the four digits the layout
+// allows) in the high bits, then month, day, hour, minute, second and
+// microsecond. The decode compares keys to fold a chunk's first and
+// last event time, and builds a time.Time only for what something
+// reads: FATAL records and each chunk's extremes.
+type eventKey int64
+
+// Bit widths of the packed fields below the year.
+const (
+	keyMicroBits = 20 // 0..999999
+	keySecBits   = 6
+	keyMinBits   = 6
+	keyHourBits  = 5
+	keyDayBits   = 5
+	keyMonthBits = 4
+)
+
+func packEventKey(year, month, day, hour, min, sec, micro int) eventKey {
+	k := int64(year)
+	k = k<<keyMonthBits | int64(month)
+	k = k<<keyDayBits | int64(day)
+	k = k<<keyHourBits | int64(hour)
+	k = k<<keyMinBits | int64(min)
+	k = k<<keySecBits | int64(sec)
+	return eventKey(k<<keyMicroBits | int64(micro))
+}
+
+// timeKey is the key of t, truncated to the microsecond the CMCS layout
+// carries.
+func timeKey(t time.Time) eventKey {
+	t = t.UTC()
+	y, mo, d := t.Date()
+	h, mi, s := t.Clock()
+	return packEventKey(y, int(mo), d, h, mi, s, t.Nanosecond()/1000)
+}
+
+// year returns the key's year.
+func (k eventKey) year() int {
+	return int(k >> (keyMicroBits + keySecBits + keyMinBits + keyHourBits + keyDayBits + keyMonthBits))
+}
+
+// time builds the UTC time.Time the key packs; it equals what
+// time.Parse(EventTimeLayout, …) returns for the timestamp.
+func (k eventKey) time() time.Time {
+	field := func(bits int) int {
+		v := int(k & (1<<bits - 1))
+		k >>= bits
+		return v
+	}
+	micro := field(keyMicroBits)
+	sec := field(keySecBits)
+	min := field(keyMinBits)
+	hour := field(keyHourBits)
+	day := field(keyDayBits)
+	month := field(keyMonthBits)
+	return time.Date(int(k), time.Month(month), day, hour, min, sec, micro*1000, time.UTC)
+}
+
+// daysInMonth is the length of each month of a common year.
+var daysInMonth = [13]int{1: 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// isLeap reports whether year is a leap year of the proleptic Gregorian
+// calendar, the calendar time.Parse validates against.
+func isLeap(year int) bool {
+	return year%4 == 0 && (year%100 != 0 || year%400 == 0)
+}
+
 // parseEventTimeBytes is the allocation-free fast path for the
-// fixed-width CMCS timestamp. It accepts exactly what time.Parse
-// accepts for EventTimeLayout (fixed-width digits, in-range calendar
-// fields); callers fall back to ParseEventTime when it reports !ok.
-func parseEventTimeBytes(b []byte) (time.Time, bool) {
+// fixed-width CMCS timestamp. It accepts exactly the all-digit
+// timestamps time.Parse accepts for EventTimeLayout (fixed-width
+// digits, in-range calendar fields, the day within its month) and
+// returns their key; callers fall back to ParseEventTime when it
+// reports !ok, which also covers what time.Parse alone accepts (a comma
+// before the fraction, a signed fraction).
+func parseEventTimeBytes(b []byte) (eventKey, bool) {
 	// 2006-01-02-15.04.05.000000 — 26 bytes, separators at fixed offsets.
 	if len(b) != 26 || b[4] != '-' || b[7] != '-' || b[10] != '-' || b[13] != '.' || b[16] != '.' || b[19] != '.' {
-		return time.Time{}, false
+		return 0, false
 	}
 	year, ok1 := atoiFixed(b[0:4])
 	month, ok2 := atoiFixed(b[5:7])
@@ -189,18 +260,15 @@ func parseEventTimeBytes(b []byte) (time.Time, bool) {
 	sec, ok6 := atoiFixed(b[17:19])
 	micro, ok7 := atoiFixed(b[20:26])
 	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) {
-		return time.Time{}, false
+		return 0, false
 	}
-	if month < 1 || month > 12 || day < 1 || day > 31 || hour > 23 || min > 59 || sec > 59 {
-		return time.Time{}, false
+	if month < 1 || month > 12 || day < 1 || hour > 23 || min > 59 || sec > 59 {
+		return 0, false
 	}
-	t := time.Date(year, time.Month(month), day, hour, min, sec, micro*1000, time.UTC)
-	// time.Date normalizes out-of-range days (Feb 30 → Mar 2); time.Parse
-	// rejects them, so detect normalization and report !ok.
-	if t.Day() != day || t.Month() != time.Month(month) || t.Year() != year {
-		return time.Time{}, false
+	if days := daysInMonth[month]; day > days && !(month == 2 && day == 29 && isLeap(year)) {
+		return 0, false
 	}
-	return t, true
+	return packEventKey(year, month, day, hour, min, sec, micro), true
 }
 
 // atoiFixed parses an all-digit field.
@@ -296,21 +364,28 @@ const numFields = 11
 const fieldSep = "|"
 
 // appendEscaped appends s with the field escaping: backslash doubled,
-// '|' as `\p`, newline as `\n`.
+// '|' as `\p`, newline as `\n`. The runs between escaped bytes are
+// copied with one append each, so a field that needs no escaping (the
+// common case) is one copy.
 func appendEscaped(dst []byte, s string) []byte {
+	start := 0
 	for i := 0; i < len(s); i++ {
+		var esc byte
 		switch s[i] {
 		case '\\':
-			dst = append(dst, '\\', '\\')
+			esc = '\\'
 		case '|':
-			dst = append(dst, '\\', 'p')
+			esc = 'p'
 		case '\n':
-			dst = append(dst, '\\', 'n')
+			esc = 'n'
 		default:
-			dst = append(dst, s[i])
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, '\\', esc)
+		start = i + 1
 	}
-	return dst
+	return append(dst, s[start:]...)
 }
 
 // unescapeInto decodes the field escaping of b into dst (reused as
@@ -442,15 +517,21 @@ func (r *Record) unmarshalFields(line []byte, fs *fieldScratch) error {
 }
 
 // lineFields is one split and validated log line: the typed fields
-// parsed, the string fields still raw (escaped) bytes. A decoder can
-// look at the severity and the event time and account a record's
-// re-marshaled size without materializing its strings.
+// parsed, the string fields still raw (escaped) bytes and the event
+// time still a key. A decoder can look at the severity and the event
+// time and account a record's re-marshaled size without materializing
+// its strings or its time.Time.
 type lineFields struct {
 	f    [numFields][]byte
+	n    int // len(line)
 	id   int64
 	comp Component
 	sev  Severity
-	t    time.Time
+	key  eventKey
+	// canonical reports a line without a backslash whose timestamp took
+	// the fixed-layout path: it re-marshals to itself but for the
+	// recid's spelling.
+	canonical bool
 }
 
 // stringFields indexes the free-text fields of the line layout, in
@@ -481,6 +562,7 @@ func (lf *lineFields) parse(line []byte) error {
 	if n != numFields {
 		return fmt.Errorf("%w: %d fields, want %d", ErrBadRecord, n, numFields)
 	}
+	lf.n = len(line)
 	var ok bool
 	if lf.id, ok = parseInt64Bytes(lf.f[0]); !ok {
 		return fmt.Errorf("%w: recid %q", ErrBadRecord, lf.f[0])
@@ -491,14 +573,16 @@ func (lf *lineFields) parse(line []byte) error {
 	if lf.sev, ok = parseSeverityBytes(lf.f[5]); !ok {
 		return fmt.Errorf("%w: raslog: unknown severity %q", ErrBadRecord, lf.f[5])
 	}
-	if lf.t, ok = parseEventTimeBytes(lf.f[6]); !ok {
-		// The fast path is exact for well-formed timestamps; delegate
+	if lf.key, ok = parseEventTimeBytes(lf.f[6]); !ok {
+		// The fast path is exact for all-digit timestamps; delegate
 		// near-misses to time.Parse so acceptance matches it bit for bit.
-		var err error
-		if lf.t, err = ParseEventTime(string(lf.f[6])); err != nil {
+		t, err := ParseEventTime(string(lf.f[6]))
+		if err != nil {
 			return fmt.Errorf("%w: event time %q", ErrBadRecord, lf.f[6])
 		}
+		lf.key = timeKey(t)
 	}
+	lf.canonical = ok && bytes.IndexByte(line, '\\') < 0
 	return nil
 }
 
@@ -507,7 +591,7 @@ func (lf *lineFields) fill(r *Record, fs *fieldScratch) {
 	r.RecID = lf.id
 	r.Component = lf.comp
 	r.Severity = lf.sev
-	r.EventTime = lf.t
+	r.EventTime = lf.key.time()
 	r.MsgID = fs.str(lf.f[1])
 	r.SubComponent = fs.str(lf.f[3])
 	r.ErrCode = fs.str(lf.f[4])
@@ -518,11 +602,17 @@ func (lf *lineFields) fill(r *Record, fs *fieldScratch) {
 }
 
 // marshaledLen is MarshaledLen of the record the line decodes to,
-// computed from the raw fields. A field without a backslash decodes to
-// itself and cannot hold '|' or a newline, so its escaped length is
-// its raw length; a field with one is unescaped into scratch first.
+// computed from the raw fields. A canonical line differs from its
+// re-marshaling only in the recid's spelling (a sign or leading zeros):
+// its component, severity and fast-path timestamp are their canonical
+// spellings, and a field without a backslash decodes to itself and
+// cannot hold '|' or a newline. Any other line sums its columns,
+// unescaping a field with a backslash into scratch first.
 func (lf *lineFields) marshaledLen(fs *fieldScratch) int {
-	n := fixedLen(lf.id, lf.comp, lf.sev, lf.t)
+	if lf.canonical {
+		return lf.n - len(lf.f[0]) + intLen(lf.id)
+	}
+	n := fixedLen(lf.id, lf.comp, lf.sev, lf.key.year())
 	for _, i := range stringFields {
 		b := lf.f[i]
 		if bytes.IndexByte(b, '\\') < 0 {
@@ -540,16 +630,16 @@ func (lf *lineFields) marshaledLen(fs *fieldScratch) int {
 // names, the timestamp, the ten separators and each string field's
 // escaped length.
 func (r *Record) MarshaledLen() int {
-	return fixedLen(r.RecID, r.Component, r.Severity, r.EventTime) +
+	return fixedLen(r.RecID, r.Component, r.Severity, r.EventTime.UTC().Year()) +
 		escapedLen(r.MsgID) + escapedLen(r.SubComponent) + escapedLen(r.ErrCode) +
 		escapedLen(r.Flags) + escapedLen(r.Location) + escapedLen(r.Serial) +
 		escapedLen(r.Message)
 }
 
 // fixedLen is the marshaled length of a line's non-string columns plus
-// its numFields-1 separators.
-func fixedLen(id int64, comp Component, sev Severity, t time.Time) int {
-	return intLen(id) + len(comp.String()) + len(sev.String()) + timeLen(t) + numFields - 1
+// its numFields-1 separators, given the event time's year.
+func fixedLen(id int64, comp Component, sev Severity, year int) int {
+	return intLen(id) + len(comp.String()) + len(sev.String()) + timeLen(year) + numFields - 1
 }
 
 // escapedLen is len(appendEscaped(nil, s)).
@@ -577,10 +667,10 @@ func intLen(v int64) int {
 	return n
 }
 
-// timeLen is the length of t in EventTimeLayout: 22 bytes around the
-// year, which time.Format pads to four digits and signs when negative.
-func timeLen(t time.Time) int {
-	y := t.UTC().Year()
+// timeLen is the length in EventTimeLayout of a time in year y: 22
+// bytes around the year, which time.Format pads to four digits and
+// signs when negative.
+func timeLen(y int) int {
 	n := 22
 	if y < 0 {
 		n++
