@@ -73,10 +73,9 @@ var escapePackages = []string{
 // whose partition encoder the job codec calls), by import path, that
 // carry the zero-escape hard assertion (rule 3). Names are "Recv.Name"
 // as in Escape.Func. The cascade's per-event roots are excluded
-// deliberately: inlined interner initialization
-// (filter.Incremental.Feed) and cold reject-path error values
-// (store.Segment.AppendRow) escape by design and are governed by the
-// baseline diff instead.
+// deliberately: inlined interner initialization and the cold
+// out-of-order error value (both in filter.Incremental.Feed) escape by
+// design and are governed by the baseline diff instead.
 var codecRoots = map[string][]string{
 	"repro/internal/bgp":    {"Partition.AppendTo"},
 	"repro/internal/joblog": {"Job.AppendLine", "Job.MarshaledLen", "Job.UnmarshalFields", "Reader.Next"},

@@ -11,8 +11,8 @@
 //     or element assignment, IncDec, delete, and no call of a method
 //     known to mutate its receiver. Receiver mutation knowledge is an
 //     intra-package fixpoint exported as a MutatesFact, so calling
-//     store.Segment.AppendRow on a frozen segment is flagged from any
-//     package.
+//     store.SegmentFile.Close on a segment store.SegmentSet.Seal
+//     returned is flagged from any package.
 //   - Alias escape from a freezer body: a freezer must not hand out
 //     its receiver's own slice or map fields — returning r.F, placing
 //     it in a composite literal, or storing it into another value's

@@ -67,7 +67,7 @@ func ReadOnly(t *Table) int {
 	return len(s.Names) + s.Index["k"]
 }
 
-// Seg/Set mirror store.Segment/SegmentSet: Append mutates the
+// Seg/Set model a segment store: Append mutates the
 // receiver, Seal is a freezer, so Append-after-Seal is flagged via
 // MutatesFact.
 type Seg struct {

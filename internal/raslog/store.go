@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/bgp"
@@ -207,57 +206,6 @@ func (s *Store) Fatal() []Record {
 	return out
 }
 
-// BySeverity returns a count per severity.
-func (s *Store) BySeverity() map[Severity]int {
-	m := make(map[Severity]int)
-	for _, r := range s.recs {
-		m[r.Severity]++
-	}
-	return m
-}
-
-// ByComponent returns a count per component over records matching sev
-// (use SevUnknown for all severities).
-func (s *Store) ByComponent(sev Severity) map[Component]int {
-	m := make(map[Component]int)
-	for _, r := range s.recs {
-		if sev != SevUnknown && r.Severity != sev {
-			continue
-		}
-		m[r.Component]++
-	}
-	return m
-}
-
-// ErrCodes returns the distinct ErrCodes among records matching sev
-// (use SevUnknown for all), sorted.
-func (s *Store) ErrCodes(sev Severity) []string {
-	set := make(map[string]bool)
-	for _, r := range s.recs {
-		if sev != SevUnknown && r.Severity != sev {
-			continue
-		}
-		set[r.ErrCode] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TimeRange returns records with EventTime in [from, to).
-func (s *Store) TimeRange(from, to time.Time) []Record {
-	lo := sort.Search(len(s.recs), func(i int) bool {
-		return !s.recs[i].EventTime.Before(from)
-	})
-	hi := sort.Search(len(s.recs), func(i int) bool {
-		return !s.recs[i].EventTime.Before(to)
-	})
-	return s.recs[lo:hi]
-}
-
 // Span returns the first and last event times, or zero times if empty.
 func (s *Store) Span() (first, last time.Time) {
 	if len(s.recs) == 0 {
@@ -284,19 +232,4 @@ func LocationMidplanes(loc string) []int {
 		return nil
 	}
 	return l.Midplanes()
-}
-
-// CountByMidplane tallies records per global midplane index. Records
-// spanning a rack count toward both midplanes.
-func (s *Store) CountByMidplane(sev Severity) [bgp.NumMidplanes]int {
-	var out [bgp.NumMidplanes]int
-	for _, r := range s.recs {
-		if sev != SevUnknown && r.Severity != sev {
-			continue
-		}
-		for _, mp := range RecordMidplanes(r) {
-			out[mp]++
-		}
-	}
-	return out
 }

@@ -87,20 +87,6 @@ func TestStoreOrderingAndQueries(t *testing.T) {
 	if got := len(s.Fatal()); got != 3 {
 		t.Errorf("Fatal count = %d, want 3", got)
 	}
-	if got := s.BySeverity()[SevFatal]; got != 3 {
-		t.Errorf("BySeverity[FATAL] = %d", got)
-	}
-	if got := s.ByComponent(SevFatal)[CompKernel]; got != 2 {
-		t.Errorf("ByComponent(FATAL)[KERNEL] = %d", got)
-	}
-	codes := s.ErrCodes(SevFatal)
-	if len(codes) != 2 || codes[0] != "x" || codes[1] != "z" {
-		t.Errorf("ErrCodes(FATAL) = %v", codes)
-	}
-	tr := s.TimeRange(t0.Add(30*time.Minute), t0.Add(150*time.Minute))
-	if len(tr) != 2 {
-		t.Errorf("TimeRange len = %d, want 2", len(tr))
-	}
 	first, last := s.Span()
 	if !first.Equal(t0) || !last.Equal(t0.Add(3*time.Hour)) {
 		t.Errorf("Span = %v..%v", first, last)
@@ -112,21 +98,5 @@ func TestStoreSpanEmpty(t *testing.T) {
 	first, last := s.Span()
 	if !first.IsZero() || !last.IsZero() {
 		t.Error("empty span should be zero")
-	}
-}
-
-func TestCountByMidplane(t *testing.T) {
-	t0 := time.Unix(0, 0).UTC()
-	recs := []Record{
-		mkRecord(1, SevFatal, CompKernel, "x", "R00-M0", t0),         // mp 0
-		mkRecord(2, SevFatal, CompKernel, "x", "R00-M0-N03-J01", t0), // mp 0
-		mkRecord(3, SevFatal, CompKernel, "x", "R01", t0),            // mps 2,3
-		mkRecord(4, SevFatal, CompKernel, "x", "not-a-location", t0), // none
-		mkRecord(5, SevInfo, CompKernel, "x", "R00-M1", t0),          // filtered out
-	}
-	s := NewStore(recs)
-	counts := s.CountByMidplane(SevFatal)
-	if counts[0] != 2 || counts[1] != 0 || counts[2] != 1 || counts[3] != 1 {
-		t.Errorf("counts[0..3] = %d %d %d %d", counts[0], counts[1], counts[2], counts[3])
 	}
 }

@@ -13,8 +13,8 @@
 //     tail), not O(history) — then runs the expensive analysis stages
 //     outside it, so readers and ingesters never wait on a fit. The
 //     result is an Epoch: a self-contained, immutable view (private
-//     symtab clone, frozen occupancy, sealed segments shared by
-//     pointer) swapped in atomically.
+//     symtab clone, frozen occupancy, the segment set's counts)
+//     swapped in atomically.
 //   - Queries read whatever Epoch pointer is current. Every response is
 //     consistent with exactly one publication; nothing a reader touches
 //     is ever written again.
@@ -62,9 +62,8 @@ type Config struct {
 	// MemBudget, when positive, bounds the resident column payload (in
 	// bytes): after each persisted seal, sealed segments past the budget
 	// are committed to DataDir as columnar segment files (oldest first)
-	// and their in-memory columns dropped. Scans reload them on demand
-	// through the zone-map-filtered reader. Requires DataDir — the spill
-	// files live next to the checkpoint files.
+	// and read from there through the zone-map-filtered reader. Requires
+	// DataDir — the spill files live next to the checkpoint files.
 	MemBudget int64
 }
 
@@ -196,12 +195,10 @@ func (e *Engine) IngestRAS(recs []raslog.Record) error {
 			return fmt.Errorf("serve: internal: %w", err)
 		}
 		e.pendRAS = append(e.pendRAS, *rec)
-		code := e.tab.Errcodes.Intern(rec.ErrCode)
-		loc := e.tab.Locations.Intern(rec.Location)
-		sealed := e.segs.Append(rec.RecID, rec.EventTime.UnixNano(), code, loc,
+		full := e.segs.Append(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
 			int32(rec.Component), int32(rec.Severity))
-		if sealed != nil {
-			if err := e.queueSeal(sealed); err != nil && sealErr == nil {
+		if full {
+			if err := e.seal(); err != nil && sealErr == nil {
 				sealErr = err
 			}
 		}
@@ -237,17 +234,21 @@ func (e *Engine) IngestJobs(jobs []joblog.Job) error {
 	return nil
 }
 
-// queueSeal records a freshly sealed segment together with the pending
-// records and jobs that belong to it, then tries to flush the
+// seal seals the segment set's tail, queues it together with the
+// pending records and jobs that belong to it, then tries to flush the
 // unpersisted queue. Called with e.mu held.
-func (e *Engine) queueSeal(seg *store.Segment) error {
+func (e *Engine) seal() error {
+	seg, err := e.segs.Seal()
+	if err != nil {
+		return fmt.Errorf("serve: sealing segment: %w", err)
+	}
+	zone := seg.Zone()
 	sr := sealRecord{
-		seg:  seg,
 		ras:  e.pendRAS,
 		jobs: e.pendJobs,
 		man: manifest{
-			Seq:           seg.Seq,
-			Rows:          seg.Len(),
+			Seq:           seg.Seq(),
+			Rows:          seg.Rows(),
 			JobCount:      len(e.pendJobs),
 			RASRecords:    e.stats.RASRecords,
 			RASBytes:      e.stats.RASBytes,
@@ -256,8 +257,8 @@ func (e *Engine) queueSeal(seg *store.Segment) error {
 			RASLastNS:     timeNS(e.stats.Last),
 			LastRecTimeNS: e.lastRecTime,
 			LastRecID:     e.lastRecID,
-			MinTimeNS:     seg.MinTime,
-			MaxTimeNS:     seg.MaxTime,
+			MinTimeNS:     zone.MinTime,
+			MaxTimeNS:     zone.MaxTime,
 		},
 	}
 	e.pendRAS = nil
@@ -276,15 +277,13 @@ func (e *Engine) queueSeal(seg *store.Segment) error {
 }
 
 // maybeSpill enforces the memory budget by committing the oldest
-// resident sealed segments to DataDir and dropping their columns; zone
-// state stays resident so scans keep skipping them for free. Called
-// with e.mu held.
+// resident sealed segments to DataDir; their zone maps stay resident,
+// so scans keep skipping them for free. Called with e.mu held.
 func (e *Engine) maybeSpill() error {
 	if e.cfg.MemBudget <= 0 {
 		return nil
 	}
-	_, err := e.segs.SpillOver(e.cfg.MemBudget, e.cfg.DataDir,
-		e.tab.Errcodes.Name, e.tab.Locations.Name)
+	_, err := e.segs.SpillOver(e.cfg.MemBudget, e.cfg.DataDir)
 	if err != nil {
 		return fmt.Errorf("serve: spilling segments: %w", err)
 	}
@@ -293,15 +292,15 @@ func (e *Engine) maybeSpill() error {
 
 // ScanWindow runs a window profile directly against the segment set
 // with zone-map pushdown: segments outside the window (or without a
-// matching severity/code/location) are skipped from their resident
-// zone state, spilled segments that survive the check are reloaded on
-// demand. It reads the live set under the ingest lock, so the profile
-// is consistent with a single ingest boundary.
+// matching severity/code/location) are skipped from their zone maps
+// alone, the unsealed tail included. It reads the live set under the
+// ingest lock, so the profile is consistent with a single ingest
+// boundary.
 func (e *Engine) ScanWindow(cfg core.WindowConfig) (core.WindowProfile, store.ScanStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var prof core.WindowProfiler
-	stats, err := e.segs.Scan(cfg.Query(), e.tab, func(row store.Row) error {
+	stats, err := e.segs.Scan(cfg.Query(), func(row store.Row) error {
 		prof.Observe(row)
 		return nil
 	})
@@ -334,11 +333,9 @@ func (e *Engine) flushSeals() error {
 func (e *Engine) Seal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if seg := e.segs.Seal(); seg != nil {
-		return e.queueSeal(seg)
-	}
+	// Every row in the tail arrived with an ingest that set dirty.
 	if e.dirty {
-		return e.queueSeal(e.segs.SealEmpty())
+		return e.seal()
 	}
 	return e.flushSeals()
 }
@@ -362,7 +359,8 @@ func (e *Engine) Publish() (*Epoch, error) {
 	occ := e.occ.Snapshot()
 	jobs := e.jobs[:len(e.jobs):len(e.jobs)]
 	stats := e.stats
-	segs := e.segs.Snapshot()
+	var counts segmentCounts
+	counts.segments, counts.sealed, counts.rows = e.segs.Counts()
 	watermark := e.inc.Watermark()
 	seq := e.epochSeq + 1
 	e.mu.Unlock()
@@ -383,7 +381,7 @@ func (e *Engine) Publish() (*Epoch, error) {
 		return nil, fmt.Errorf("serve: epoch %d: %w", seq, err)
 	}
 	rep := repro.NewStreamReport(a, jl, stats)
-	ep := newEpoch(seq, watermark, a, rep, segs, stats)
+	ep := newEpoch(seq, watermark, a, rep, counts, stats)
 
 	e.mu.Lock()
 	e.epochSeq = seq

@@ -274,8 +274,8 @@ func TestIngestBatchAtomicity(t *testing.T) {
 	if got := eng.inc.Input(); got != 0 {
 		t.Fatalf("cascade saw %d records after a rejected batch, want 0", got)
 	}
-	if eng.stats.RASRecords != 0 || len(eng.pendRAS) != 0 || eng.segs.Rows() != 0 {
-		t.Fatalf("engine state perturbed by rejected batch: %+v rows=%d", eng.stats, eng.segs.Rows())
+	if _, _, rows := eng.segs.Counts(); eng.stats.RASRecords != 0 || len(eng.pendRAS) != 0 || rows != 0 {
+		t.Fatalf("engine state perturbed by rejected batch: %+v rows=%d", eng.stats, rows)
 	}
 
 	// The same records in order are accepted afterwards.

@@ -9,7 +9,6 @@ import (
 	"repro"
 	"repro/internal/joblog"
 	"repro/internal/raslog"
-	"repro/internal/store"
 )
 
 // Checkpoint layout: each sealed segment N owns three files in DataDir,
@@ -31,9 +30,8 @@ import (
 // the normal ingest path reproduces the cascade, symbol numbering and
 // segment rows, and the manifest restores the aggregates and cursors.
 
-// sealRecord pairs a sealed segment with the payload to persist for it.
+// sealRecord is the payload to persist for one sealed segment.
 type sealRecord struct {
-	seg  *store.Segment
 	ras  []raslog.Record
 	jobs []joblog.Job
 	man  manifest
@@ -152,7 +150,9 @@ func writeFileSync(path string, write func(*os.File) error) error {
 // sequence order, stopping at the first missing manifest. Replay goes
 // through the same code paths as live ingest, so the recovered cascade
 // state, symbol numbering and segment rows are identical to an engine
-// that ingested exactly the committed prefix.
+// that ingested exactly the committed prefix. Each persisted segment is
+// restored with its own row count, never re-cut at SealRows: a data dir
+// written under a different seal budget still recovers.
 func (e *Engine) recover() error {
 	var last *manifest
 	var firstFatal raslog.Record
@@ -178,7 +178,6 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("serve: recovering segment %d: %d records on disk, manifest says %d",
 				seq, len(recs), man.Rows)
 		}
-		seg := &store.Segment{}
 		for i := range recs {
 			rec := &recs[i]
 			if err := e.inc.Feed(rec); err != nil {
@@ -187,12 +186,12 @@ func (e *Engine) recover() error {
 			if !haveFatal {
 				firstFatal, haveFatal = *rec, true
 			}
-			code := e.tab.Errcodes.Intern(rec.ErrCode)
-			loc := e.tab.Locations.Intern(rec.Location)
-			seg.AppendRow(rec.RecID, rec.EventTime.UnixNano(), code, loc,
+			e.segs.Append(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
 				int32(rec.Component), int32(rec.Severity))
 		}
-		e.segs.Restore(seg)
+		if _, err := e.segs.Seal(); err != nil {
+			return fmt.Errorf("serve: recovering segment %d: %w", seq, err)
+		}
 
 		jobs, err := readJobFile(e.per.path(seq, "job"))
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,7 +15,9 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/raslog"
 	"repro/internal/simulate"
+	"repro/internal/store"
 )
 
 // TestSpillEquivalence is the serve-side bounded-memory gate: the same
@@ -148,15 +151,13 @@ func TestSpillEquivalence(t *testing.T) {
 
 	// The budget must have done real work.
 	spilling.mu.Lock()
-	spilled := 0
-	for _, s := range spilling.segs.Sealed() {
-		if s.Spilled() {
-			spilled++
-		}
-	}
 	residentBytes := spilling.segs.ResidentBytes()
 	spilling.mu.Unlock()
-	if spilled == 0 {
+	spilled, err := filepath.Glob(filepath.Join(spDir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spilled) == 0 {
 		t.Fatal("MemBudget engine spilled nothing")
 	}
 	if residentBytes > budget {
@@ -212,5 +213,88 @@ func TestSpillEquivalence(t *testing.T) {
 func TestMemBudgetRequiresDataDir(t *testing.T) {
 	if _, err := NewEngine(Config{MemBudget: 1}); err == nil {
 		t.Fatal("NewEngine accepted MemBudget without DataDir")
+	}
+}
+
+// TestScanWindowFilters scans a set holding spilled, resident sealed
+// and unsealed rows with a code, a location and an absent code, and
+// requires each profile to equal a naive filter over the ingested
+// FATAL records. The skip counts are pinned, and a naive partition of
+// those records into segments agrees with them: every segment without
+// a matching row, the unsealed tail included, is refuted by its zone
+// map alone.
+func TestScanWindowFilters(t *testing.T) {
+	const sealRows = 128
+	camp, err := simulate.Run(simulate.Config{Seed: 21, Days: 12, NoisePerFatal: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := camp.RAS.All()
+	dir := t.TempDir()
+	// A budget of one segment: every seal spills all but the newest.
+	eng, err := NewEngine(Config{SealRows: sealRows, DataDir: dir, MemBudget: sealRows * store.RowBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(recs); i += 100 {
+		if err := eng.IngestRAS(recs[i:min(i+100, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fatal []raslog.Record
+	for _, r := range recs {
+		if r.Fatal() {
+			fatal = append(fatal, r)
+		}
+	}
+	spilled, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segments, sealed, rows := eng.segs.Counts()
+	if rows != len(fatal) || len(spilled) == 0 || sealed <= len(spilled) || segments != sealed+1 {
+		t.Fatalf("%d rows in %d segments (%d sealed, %d spilled); want every FATAL record (%d) "+
+			"and a spilled, a resident sealed and an unsealed segment", rows, segments, sealed, len(spilled), len(fatal))
+	}
+
+	cases := []struct {
+		cfg     core.WindowConfig
+		skipped int
+	}{
+		{core.WindowConfig{Code: fatal[len(fatal)/2].ErrCode}, 3},
+		{core.WindowConfig{Loc: fatal[0].Location}, 10},
+		{core.WindowConfig{Code: "_bgp_no_such_code"}, segments},
+	}
+	for _, c := range cases {
+		match := func(r raslog.Record) bool {
+			return (c.cfg.Code == "" || r.ErrCode == c.cfg.Code) && (c.cfg.Loc == "" || r.Location == c.cfg.Loc)
+		}
+		var want core.WindowProfiler
+		naiveSkipped := 0
+		for lo := 0; lo < len(fatal); lo += sealRows {
+			hit := false
+			for _, r := range fatal[lo:min(lo+sealRows, len(fatal))] {
+				if match(r) {
+					hit = true
+					want.Observe(store.Row{RecID: r.RecID, TimeNS: r.EventTime.UnixNano(), Code: r.ErrCode, Loc: r.Location,
+						Comp: int32(r.Component), Sev: int32(r.Severity)})
+				}
+			}
+			if !hit {
+				naiveSkipped++
+			}
+		}
+		got, stats, err := eng.ScanWindow(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.Profile()) {
+			t.Errorf("%+v: profile %+v, naive filter %+v", c.cfg, got, want.Profile())
+		}
+		if stats.Segments != segments || stats.Skipped != c.skipped || stats.Skipped != naiveSkipped ||
+			stats.Scanned != segments-stats.Skipped {
+			t.Errorf("%+v: scan stats %+v; want %d segments, %d skipped (naive partition: %d)",
+				c.cfg, stats, segments, c.skipped, naiveSkipped)
+		}
 	}
 }

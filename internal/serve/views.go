@@ -10,16 +10,14 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/store"
 	"repro/internal/symtab"
 )
 
 // Epoch is one published, immutable view of the analysis. Everything
 // reachable from it is private to the epoch or never mutated again:
-// the analysis holds a symtab clone, the job log and occupancy index
-// were frozen at snapshot time, and the segments are sealed (or a
-// frozen copy of the active tail). Query payloads are marshaled once
-// at publication; report fragments render lazily, once each.
+// the analysis holds a symtab clone, and the job log and occupancy
+// index were frozen at snapshot time. Query payloads are marshaled
+// once at publication; report fragments render lazily, once each.
 type Epoch struct {
 	// Seq numbers publications from 1.
 	Seq uint64
@@ -29,14 +27,18 @@ type Epoch struct {
 	Analysis *core.Analysis
 	// Report renders the paper's artifacts over this epoch.
 	Report *repro.Report
-	// Segments is the frozen columnar store view.
-	Segments []*store.Segment
 	// Stats are the raw-stream aggregates at snapshot time.
 	Stats repro.LogStats
 
 	summary []byte
 	queries map[string][]byte
 	frags   map[string]*fragment
+}
+
+// segmentCounts is what /v1/epoch reports of the segment set, copied
+// under the ingest lock (store.SegmentSet.Counts).
+type segmentCounts struct {
+	segments, sealed, rows int
 }
 
 type fragment struct {
@@ -55,13 +57,12 @@ func QueryNames() []string { return queryNames }
 // newEpoch precomputes the JSON query payloads and prepares the lazy
 // fragment cache.
 func newEpoch(seq uint64, watermark int64, a *core.Analysis, rep *repro.Report,
-	segs []*store.Segment, stats repro.LogStats) *Epoch {
+	segs segmentCounts, stats repro.LogStats) *Epoch {
 	ep := &Epoch{
 		Seq:         seq,
 		WatermarkNS: watermark,
 		Analysis:    a,
 		Report:      rep,
-		Segments:    segs,
 		Stats:       stats,
 		queries:     make(map[string][]byte, 4),
 		frags:       make(map[string]*fragment, len(artifacts)),
@@ -69,7 +70,7 @@ func newEpoch(seq uint64, watermark int64, a *core.Analysis, rep *repro.Report,
 	for name := range artifacts {
 		ep.frags[name] = &fragment{}
 	}
-	ep.summary = mustJSON(ep.buildSummary())
+	ep.summary = mustJSON(ep.buildSummary(segs))
 	ep.queries["rates"] = mustJSON(ep.buildRates())
 	ep.queries["mtbf"] = mustJSON(ep.buildMTBF())
 	ep.queries["interruptions"] = mustJSON(ep.buildInterruptions())
@@ -135,18 +136,8 @@ type EpochSummary struct {
 	Rows           int    `json:"rows"`
 }
 
-func (ep *Epoch) buildSummary() EpochSummary {
+func (ep *Epoch) buildSummary(segs segmentCounts) EpochSummary {
 	start, end := ep.Analysis.Span()
-	sealed, rows := 0, 0
-	// s.Len(), not s.Events.Len(): a sealed segment may have spilled its
-	// columns since this epoch was published, but its seal-time row
-	// count is immutable.
-	for _, s := range ep.Segments {
-		rows += s.Len()
-		if s.Sealed() {
-			sealed++
-		}
-	}
 	return EpochSummary{
 		Epoch:          ep.Seq,
 		WatermarkNS:    ep.WatermarkNS,
@@ -158,9 +149,9 @@ func (ep *Epoch) buildSummary() EpochSummary {
 		FilteredEvents: len(ep.Analysis.Events),
 		Interruptions:  len(ep.Analysis.Interruptions),
 		Jobs:           ep.Analysis.Jobs.Len(),
-		Segments:       len(ep.Segments),
-		SealedSegments: sealed,
-		Rows:           rows,
+		Segments:       segs.segments,
+		SealedSegments: segs.sealed,
+		Rows:           segs.rows,
 	}
 }
 

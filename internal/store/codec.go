@@ -84,8 +84,8 @@ func formatErr(section, format string, args ...any) error {
 
 // SegmentData is the in-memory form of one segment file: the rows with
 // segment-local Code/Loc IDs plus the local vocabularies that give them
-// names. Build one from a sealed in-memory segment with Segment.Data or
-// from a sorted run with the Spool; decode one with ReadSegment.
+// names. A Spool run or a SegmentSet seal builds one from buffered rows
+// (spoolBuf.segmentData); decode one with ReadSegment.
 type SegmentData struct {
 	// Seq is the segment's position in its stream.
 	Seq int

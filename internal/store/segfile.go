@@ -220,9 +220,6 @@ func (sf *SegmentFile) Rows() int { return sf.zone.Rows }
 // Zone returns the segment's zone map.
 func (sf *SegmentFile) Zone() *ZoneMap { return &sf.zone }
 
-// Mapped reports whether the column payload is memory-mapped.
-func (sf *SegmentFile) Mapped() bool { return sf.f != nil && sf.mm != nil }
-
 // Close unmaps and closes the file (drops a resident encoding).
 func (sf *SegmentFile) Close() error {
 	if sf.f == nil {

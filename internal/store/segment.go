@@ -1,123 +1,30 @@
 package store
 
-import "repro/internal/symtab"
-
-// Time-partitioned segments for the serving layer (internal/serve): a
-// long-running ingester appends rows to one active segment at a time,
-// seals it when it reaches its row budget, and publishes immutable
-// views of the whole set. Sealing is what makes epoch publication and
-// crash recovery cheap — a sealed segment never changes, so published
-// epochs share sealed segments by pointer and the recovery path only
-// re-reads the unsealed tail.
+// The serving layer's segment store (internal/serve): a long-running
+// ingester appends time-ordered rows to an unsealed tail, seals the
+// tail into an immutable segment when it reaches its row budget, and
+// spills sealed segments to disk past a memory budget. A sealed
+// segment is a *SegmentFile, the same form a Spool run takes: resident
+// (its encoding held in memory) until spilled, then the committed file
+// opened for reading. So the daemon and the batch analysis share one
+// localization (spoolBuf.segmentData), one zone check (ZoneMap.Admits),
+// one row filter (the cursor) and one commit path (CommitSegment).
 //
-// The concurrency contract mirrors symtab: a single writer appends and
-// seals under its own serialization (the serving layer's ingest lock),
-// and Snapshot captures a frozen view — sealed segments shared, the
-// active segment's columns clipped to their current length. Appending
-// to a Go slice beyond a previously captured length never moves or
-// mutates the elements below that length, so earlier views stay valid
-// while the writer keeps appending.
+// A SegmentSet is not safe for concurrent use: the serving layer holds
+// its ingest lock around every call, and publishes only counts.
 
-// Segment is one time-contiguous run of rows. MinTime/MaxTime are the
-// row time-zone bounds maintained on append (equal to the first/last
-// row times, since the writer appends in time order).
-type Segment struct {
-	Events
-	// Seq is the segment's position in the stream, starting at 0.
-	Seq int
-	// MinTime and MaxTime bound the row times, in Unix nanoseconds;
-	// both are zero while the segment is empty.
-	MinTime, MaxTime int64
-	sealed           bool
+import "path/filepath"
 
-	// rows is the row count frozen at seal time. Len reads it instead
-	// of the columns so that published epochs sharing this segment by
-	// pointer keep reporting the right count after a spill drops the
-	// columns: rows is written once, before the segment is ever shared.
-	rows int
-
-	// sevBits and compBits accumulate the severity/component zone
-	// bitmaps on append (all enum values are < 64).
-	sevBits, compBits uint64
-	// zoneCodes and zoneLocs are the global-ID zone sets, built at seal
-	// time; nil while the segment is active.
-	zoneCodes *Set[symtab.ErrcodeID]
-	zoneLocs  *Set[symtab.LocationID]
-
-	// spilled segments have committed their rows to path and dropped
-	// their columns; only the zone state above stays resident.
-	spilled bool
-	path    string
-}
-
-// Sealed reports whether the segment will never change again.
-func (s *Segment) Sealed() bool { return s.sealed }
-
-// Len returns the segment's row count. For sealed segments it reads
-// the count frozen at seal time, which stays correct — and race-free
-// for concurrent epoch readers — after a spill drops the columns.
-func (s *Segment) Len() int {
-	if s.sealed {
-		return s.rows
-	}
-	return s.Events.Len()
-}
-
-// Spilled reports whether the segment's columns live on disk only.
-func (s *Segment) Spilled() bool { return s.spilled }
-
-// SpillPath returns the segment file path of a spilled segment, or "".
-func (s *Segment) SpillPath() string { return s.path }
-
-// AppendRow adds one row and maintains the time-zone bounds. It is the
-// building block both for SegmentSet.Append and for recovery, which
-// reconstructs a sealed segment row-by-row from its persisted lines
-// before SegmentSet.Restore re-attaches it. Appending to a sealed
-// segment is a programmer error.
-func (s *Segment) AppendRow(recID, timeNS int64, code symtab.ErrcodeID, loc symtab.LocationID, comp, sev int32) {
-	if s.sealed {
-		panic("store: AppendRow on a sealed segment")
-	}
-	if s.Events.Len() == 0 || timeNS < s.MinTime {
-		s.MinTime = timeNS
-	}
-	if timeNS > s.MaxTime {
-		s.MaxTime = timeNS
-	}
-	if comp >= 0 && comp < 64 {
-		s.compBits |= 1 << uint(comp)
-	}
-	if sev >= 0 && sev < 64 {
-		s.sevBits |= 1 << uint(sev)
-	}
-	s.Events.Append(recID, timeNS, code, loc, comp, sev)
-}
-
-// seal freezes the row count and builds the global-ID zone sets; it is
-// the common tail of Seal and Restore and must run before the segment
-// is shared.
-func (s *Segment) seal() {
-	s.sealed = true
-	s.clip()
-	s.rows = s.Events.Len()
-	s.zoneCodes = NewSet[symtab.ErrcodeID](0)
-	s.zoneLocs = NewSet[symtab.LocationID](0)
-	for i := 0; i < s.rows; i++ {
-		s.zoneCodes.Add(s.Events.Code[i])
-		s.zoneLocs.Add(s.Events.Loc[i])
-	}
-}
-
-// SegmentSet is the writer-side collection: zero or more sealed
-// segments plus at most one active (growing) segment.
+// SegmentSet is the writer-side collection: sealed segments in Seq
+// order plus the unsealed tail.
 type SegmentSet struct {
-	// SealRows is the row budget of a segment; Append seals the active
-	// segment and opens a fresh one when it fills. Zero means the
-	// DefaultSealRows budget.
+	// SealRows is the row budget of a segment: Append reports a full
+	// tail when it reaches it. Zero means the DefaultSealRows budget.
 	SealRows int
 
-	sealed []*Segment
-	active *Segment
+	segs []*SegmentFile
+	tail spoolBuf
+	rows int // rows across segs
 }
 
 // DefaultSealRows is the segment row budget when SegmentSet.SealRows is
@@ -126,119 +33,123 @@ type SegmentSet struct {
 // per-record path.
 const DefaultSealRows = 4096
 
-// Append adds one row to the active segment, opening one if needed, and
-// returns the segment that was sealed by this append (or nil). The
-// caller persists the sealed segment before acknowledging the rows —
-// that is the durability boundary.
-func (ss *SegmentSet) Append(recID, timeNS int64, code symtab.ErrcodeID, loc symtab.LocationID, comp, sev int32) *Segment {
-	if ss.active == nil {
-		ss.active = &Segment{Seq: len(ss.sealed)}
-	}
-	ss.active.AppendRow(recID, timeNS, code, loc, comp, sev)
+// Append adds one row to the tail, which must stay in (time, RecID)
+// order, and reports whether the tail has reached its row budget. The
+// caller seals it then and persists the sealed segment before
+// acknowledging the rows: that is the durability boundary. Recovery,
+// which restores each persisted segment whatever its size, ignores the
+// report.
+func (ss *SegmentSet) Append(recID, timeNS int64, code, loc string, comp, sev int32) (full bool) {
+	ss.tail.add(recID, timeNS, code, loc, comp, sev, 0)
 	budget := ss.SealRows
 	if budget <= 0 {
 		budget = DefaultSealRows
 	}
-	if ss.active.Events.Len() >= budget {
-		return ss.Seal()
+	return len(ss.tail.recID) >= budget
+}
+
+// Seal localizes the tail into the next resident segment, claiming the
+// next sequence number, and returns it. An empty tail seals to an empty
+// segment: the serving layer uses one as a durable checkpoint record,
+// whose manifest commits cumulative counters, ingest cursors and
+// pending jobs when no filtered row arrived since the last seal.
+func (ss *SegmentSet) Seal() (*SegmentFile, error) {
+	sf, err := residentSegment(ss.tail.segmentData(len(ss.segs)))
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	ss.segs = append(ss.segs, sf)
+	ss.rows += sf.Rows()
+	ss.tail.reset()
+	return sf, nil
 }
 
-// clip caps every column at its current length (cap == len) so a
-// sealed segment can never grow through an aliased slice: an append
-// through any retained reference is forced to reallocate instead of
-// writing into the shared backing arrays.
-func (s *Segment) clip() {
-	e := &s.Events
-	e.RecID = e.RecID[:len(e.RecID):len(e.RecID)]
-	e.Time = e.Time[:len(e.Time):len(e.Time)]
-	e.Code = e.Code[:len(e.Code):len(e.Code)]
-	e.Loc = e.Loc[:len(e.Loc):len(e.Loc)]
-	e.Comp = e.Comp[:len(e.Comp):len(e.Comp)]
-	e.Sev = e.Sev[:len(e.Sev):len(e.Sev)]
-}
-
-// Seal closes the active segment (if any) and returns it; subsequent
-// appends open a new segment.
-func (ss *SegmentSet) Seal() *Segment {
-	s := ss.active
-	if s == nil || s.Events.Len() == 0 {
-		return nil
+// Counts returns what /v1/epoch reports of the set: the segment count
+// (the tail counts once it holds a row), the sealed segment count and
+// the total row count.
+func (ss *SegmentSet) Counts() (segments, sealed, rows int) {
+	tail := len(ss.tail.recID)
+	segments = len(ss.segs)
+	if tail > 0 {
+		segments++
 	}
-	s.seal()
-	ss.sealed = append(ss.sealed, s)
-	ss.active = nil
-	return s
+	return segments, len(ss.segs), ss.rows + tail
 }
 
-// SealEmpty seals the active segment if it has rows, and otherwise
-// seals and returns a fresh empty segment claiming the next sequence
-// number. The serving layer uses the empty case as a durable
-// checkpoint record: its manifest commits cumulative counters, ingest
-// cursors and pending jobs even when no filtered row arrived since the
-// last seal — e.g. a shutdown after a stretch of noise-only ingest.
-func (ss *SegmentSet) SealEmpty() *Segment {
-	if s := ss.Seal(); s != nil {
-		return s
-	}
-	s := &Segment{Seq: len(ss.sealed)}
-	s.seal()
-	ss.sealed = append(ss.sealed, s)
-	return s
-}
-
-// Restore re-attaches an already-sealed segment during recovery.
-// Segments must be restored in Seq order before any Append.
-func (ss *SegmentSet) Restore(s *Segment) {
-	s.Seq = len(ss.sealed)
-	s.seal()
-	ss.sealed = append(ss.sealed, s)
-}
-
-// Sealed returns the sealed segments in Seq order. The slice is
-// clipped (cap == len) so a caller's append reallocates instead of
-// racing the writer's next Seal.
-func (ss *SegmentSet) Sealed() []*Segment {
-	return ss.sealed[:len(ss.sealed):len(ss.sealed)]
-}
-
-// Rows returns the total row count across sealed and active segments.
-func (ss *SegmentSet) Rows() int {
-	n := 0
-	for _, s := range ss.sealed {
-		n += s.Events.Len()
-	}
-	if ss.active != nil {
-		n += ss.active.Events.Len()
-	}
-	return n
-}
-
-// Snapshot returns an immutable view of the set as of now: the sealed
-// segments shared by pointer, plus — when the active segment is
-// non-empty — a frozen copy of its header whose columns are clipped to
-// the current length. The writer may keep appending; rows below the
-// clipped lengths never change.
-func (ss *SegmentSet) Snapshot() []*Segment {
-	out := make([]*Segment, len(ss.sealed), len(ss.sealed)+1)
-	copy(out, ss.sealed)
-	if a := ss.active; a != nil && a.Events.Len() > 0 {
-		frozen := &Segment{
-			Seq:     a.Seq,
-			MinTime: a.MinTime,
-			MaxTime: a.MaxTime,
-			sealed:  false,
-			Events: Events{
-				RecID: a.Events.RecID[:len(a.Events.RecID):len(a.Events.RecID)],
-				Time:  a.Events.Time[:len(a.Events.Time):len(a.Events.Time)],
-				Code:  a.Events.Code[:len(a.Events.Code):len(a.Events.Code)],
-				Loc:   a.Events.Loc[:len(a.Events.Loc):len(a.Events.Loc)],
-				Comp:  a.Events.Comp[:len(a.Events.Comp):len(a.Events.Comp)],
-				Sev:   a.Events.Sev[:len(a.Events.Sev):len(a.Events.Sev)],
-			},
+// ResidentBytes returns the column payload held in memory (resident
+// sealed segments and the tail) in RowBytes per row: the currency of
+// the spill budget.
+func (ss *SegmentSet) ResidentBytes() int64 {
+	rows := len(ss.tail.recID)
+	for _, sf := range ss.segs {
+		if sf.Path() == "" {
+			rows += sf.Rows()
 		}
-		out = append(out, frozen)
 	}
-	return out
+	return int64(rows) * RowBytes
+}
+
+// SpillOver commits resident sealed segments to dir, oldest first,
+// until the resident payload fits within budget bytes, and reports how
+// many it spilled. Each spill is a CommitSegment (temp file, fsync,
+// rename) after which the set's entry is replaced by the committed file
+// opened for reading; a sealed segment itself never changes. The tail
+// is never spilled.
+func (ss *SegmentSet) SpillOver(budget int64, dir string) (int, error) {
+	spilled := 0
+	resident := ss.ResidentBytes()
+	for i, sf := range ss.segs {
+		if resident <= budget {
+			break
+		}
+		if sf.Path() != "" || sf.Rows() == 0 {
+			continue
+		}
+		d, err := sf.ReadAll()
+		if err != nil {
+			return spilled, err
+		}
+		path := filepath.Join(dir, SegmentFileName(sf.Seq()))
+		if err := CommitSegment(path, d); err != nil {
+			return spilled, err
+		}
+		opened, err := OpenSegment(path)
+		if err != nil {
+			return spilled, err
+		}
+		ss.segs[i] = opened
+		resident -= int64(sf.Rows()) * RowBytes
+		spilled++
+	}
+	return spilled, nil
+}
+
+// Scan visits every row matching q across the set, sealed segments in
+// Seq order and then the tail, localized on demand the way Seal would:
+// (Time, RecID) order, since the writer appends in time order. A
+// segment whose zone map refutes q is skipped unread.
+func (ss *SegmentSet) Scan(q Query, visit func(Row) error) (ScanStats, error) {
+	segs := ss.segs[:len(ss.segs):len(ss.segs)]
+	if len(ss.tail.recID) > 0 {
+		tail, err := residentSegment(ss.tail.segmentData(len(ss.segs)))
+		if err != nil {
+			return ScanStats{}, err
+		}
+		segs = append(segs, tail)
+	}
+	var stats ScanStats
+	for _, sf := range segs {
+		stats.Segments++
+		if !sf.zone.Admits(q) {
+			stats.Skipped++
+			continue
+		}
+		stats.Scanned++
+		rows, err := sf.Scan(q, visit)
+		stats.Rows += rows
+		if err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
 }

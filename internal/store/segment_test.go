@@ -1,193 +1,146 @@
 package store
 
 import (
+	"bytes"
+	"os"
+	"reflect"
 	"testing"
-
-	"repro/internal/symtab"
 )
 
-func TestSegmentSetSealAndSnapshot(t *testing.T) {
+// appendRow feeds one test row to the set the way the serving layer
+// does: the row goes to the tail, and a full tail is sealed.
+func appendRow(t *testing.T, ss *SegmentSet, r testRow) *SegmentFile {
+	t.Helper()
+	if !ss.Append(r.recID, r.timeNS, r.code, r.loc, r.comp, r.sev) {
+		return nil
+	}
+	sf, err := ss.Seal()
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	return sf
+}
+
+func mustSeal(t *testing.T, ss *SegmentSet) *SegmentFile {
+	t.Helper()
+	sf, err := ss.Seal()
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	return sf
+}
+
+func checkCounts(t *testing.T, ss *SegmentSet, segments, sealed, rows int) {
+	t.Helper()
+	if s, d, r := ss.Counts(); s != segments || d != sealed || r != rows {
+		t.Fatalf("Counts() = %d segments, %d sealed, %d rows; want %d, %d, %d", s, d, r, segments, sealed, rows)
+	}
+}
+
+func TestSegmentSetSealAndCounts(t *testing.T) {
 	ss := &SegmentSet{SealRows: 3}
-	var sealedSeqs []int
+	codes, locs := []string{"b", "a"}, []string{"L2", "L0", "L1"}
+	var sealed []*SegmentFile
 	for i := 0; i < 7; i++ {
-		if s := ss.Append(int64(i+1), int64(i)*100, symtab.ErrcodeID(i%2), symtab.LocationID(i%3), 1, 2); s != nil {
-			if !s.Sealed() {
-				t.Fatalf("append returned an unsealed segment")
-			}
-			sealedSeqs = append(sealedSeqs, s.Seq)
+		if sf := appendRow(t, ss, testRow{int64(i + 1), int64(i) * 100, codes[i%2], locs[i%3], 1, 2}); sf != nil {
+			sealed = append(sealed, sf)
 		}
 	}
-	if want := []int{0, 1}; len(sealedSeqs) != 2 || sealedSeqs[0] != want[0] || sealedSeqs[1] != want[1] {
-		t.Fatalf("sealed seqs = %v, want %v", sealedSeqs, want)
+	if len(sealed) != 2 || sealed[0].Seq() != 0 || sealed[1].Seq() != 1 {
+		t.Fatalf("sealed %d segments, want seqs 0 and 1", len(sealed))
 	}
-	if got := ss.Rows(); got != 7 {
-		t.Fatalf("Rows() = %d, want 7", got)
+	checkCounts(t, ss, 3, 2, 7)
+
+	// A sealed segment is the batch form: zone map from the rows, local
+	// vocabularies in first-seen row order.
+	z := sealed[0].Zone()
+	if z.Rows != 3 || z.MinTime != 0 || z.MaxTime != 200 {
+		t.Fatalf("segment 0 zone = %d rows [%d, %d], want 3 rows [0, 200]", z.Rows, z.MinTime, z.MaxTime)
+	}
+	if !reflect.DeepEqual(z.Codes, []string{"b", "a"}) || !reflect.DeepEqual(z.Locs, []string{"L2", "L0", "L1"}) {
+		t.Fatalf("segment 0 vocabularies = %v / %v", z.Codes, z.Locs)
+	}
+	d, err := sealed[0].ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := segmentFromRows(0, []testRow{{1, 0, "b", "L2", 1, 2}, {2, 100, "a", "L0", 1, 2}, {3, 200, "b", "L1", 1, 2}})
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("segment 0 = %+v, want %+v", d, want)
 	}
 
-	snap := ss.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d segments, want 3 (2 sealed + active)", len(snap))
+	// Seal flushes the 1-row tail; sealing an empty tail yields an empty
+	// checkpoint segment claiming the next seq.
+	if sf := mustSeal(t, ss); sf.Seq() != 2 || sf.Rows() != 1 {
+		t.Fatalf("final Seal = seq %d with %d rows, want seq 2 with 1 row", sf.Seq(), sf.Rows())
 	}
-	if snap[2].Sealed() {
-		t.Fatal("active-tail view reports sealed")
+	checkCounts(t, ss, 3, 3, 7)
+	if sf := mustSeal(t, ss); sf.Seq() != 3 || sf.Rows() != 0 {
+		t.Fatalf("empty Seal = seq %d with %d rows, want seq 3 with 0 rows", sf.Seq(), sf.Rows())
 	}
-	if got := snap[2].Events.Len(); got != 1 {
-		t.Fatalf("active-tail view has %d rows, want 1", got)
-	}
-	if snap[0].MinTime != 0 || snap[0].MaxTime != 200 {
-		t.Fatalf("segment 0 zone = [%d, %d], want [0, 200]", snap[0].MinTime, snap[0].MaxTime)
-	}
-
-	// Appends after the snapshot must not disturb the frozen view, and
-	// the tail view's columns must be capacity-clipped so an append
-	// cannot extend them in place.
-	tailLen := snap[2].Events.Len()
-	for i := 7; i < 11; i++ {
-		ss.Append(int64(i+1), int64(i)*100, 0, 0, 1, 2)
-	}
-	if got := snap[2].Events.Len(); got != tailLen {
-		t.Fatalf("snapshot tail grew to %d rows after later appends", got)
-	}
-	if got := cap(snap[2].Events.RecID); got != tailLen {
-		t.Fatalf("snapshot tail cap = %d, want %d (full slice expression)", got, tailLen)
-	}
-	if snap[2].Events.RecID[0] != 7 {
-		t.Fatalf("snapshot tail row mutated: RecID[0] = %d, want 7", snap[2].Events.RecID[0])
-	}
-
-	// The second loop crossed the budget once more (rows 7..9 sealed as
-	// seq 2), leaving a 2-row active remainder; Seal flushes it, and an
-	// empty set seals to nil.
-	if s := ss.Seal(); s == nil || s.Events.Len() != 2 {
-		t.Fatalf("final Seal = %+v, want 2-row segment", s)
-	}
-	if s := ss.Seal(); s != nil {
-		t.Fatalf("Seal with no active segment = %+v, want nil", s)
-	}
-	if got := len(ss.Sealed()); got != 4 {
-		t.Fatalf("%d sealed segments, want 4", got)
-	}
+	checkCounts(t, ss, 4, 4, 7)
 }
 
-// mustPanicAppend asserts the sealed-append contract: AppendRow on a
-// sealed segment is a programmer error and must panic, whichever path
-// sealed the segment.
-func mustPanicAppend(t *testing.T, how string, seg *Segment) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("AppendRow on a segment sealed via %s did not panic", how)
-		}
-	}()
-	seg.AppendRow(99, 9900, 0, 0, 1, 2)
-}
-
-// checkClipped asserts every column of a sealed segment has cap == len,
-// so an append through any retained alias reallocates instead of
-// writing into the shared backing arrays.
-func checkClipped(t *testing.T, how string, seg *Segment) {
-	t.Helper()
-	e := &seg.Events
-	cols := []struct {
-		name string
-		len  int
-		cap  int
-	}{
-		{"RecID", len(e.RecID), cap(e.RecID)},
-		{"Time", len(e.Time), cap(e.Time)},
-		{"Code", len(e.Code), cap(e.Code)},
-		{"Loc", len(e.Loc), cap(e.Loc)},
-		{"Comp", len(e.Comp), cap(e.Comp)},
-		{"Sev", len(e.Sev), cap(e.Sev)},
-	}
-	for _, c := range cols {
-		if c.cap != c.len {
-			t.Errorf("segment sealed via %s: column %s cap = %d, len = %d; sealed columns must be clipped",
-				how, c.name, c.cap, c.len)
-		}
-	}
-}
-
-// TestSealedSegmentImmutable pins the two halves of the seal contract
-// on every sealing path — Seal, Restore, and SealEmpty: appends panic,
-// and the row columns are handed out capacity-clipped so no caller can
-// grow them in place.
+// TestSealedSegmentImmutable pins the seal contract: a segment returned
+// by Seal keeps its rows and bytes through later appends, seals and a
+// spill, and the spill file is byte-identical to the resident encoding
+// it replaces in the set.
 func TestSealedSegmentImmutable(t *testing.T) {
-	// Path 1: organic seal after appends.
 	ss := &SegmentSet{SealRows: 100}
 	for i := 0; i < 3; i++ {
-		ss.Append(int64(i+1), int64(i)*100, 0, 0, 1, 2)
+		appendRow(t, ss, testRow{int64(i + 1), int64(i) * 100, "c", "L", 1, 2})
 	}
-	sealed := ss.Seal()
-	if sealed == nil || !sealed.Sealed() {
-		t.Fatal("Seal did not return a sealed segment")
+	sealed := mustSeal(t, ss)
+	enc := bytes.Clone(sealed.mm)
+	before, err := sealed.ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustPanicAppend(t, "Seal", sealed)
-	checkClipped(t, "Seal", sealed)
 
-	// Path 2: recovery. The segment is rebuilt row-by-row with spare
-	// capacity (exactly what append growth produces), then re-attached;
-	// Restore must clip it and lock out further appends.
-	seg := &Segment{}
-	for i := 0; i < 3; i++ {
-		seg.AppendRow(int64(i+1), int64(i)*100, 0, 0, 1, 2)
+	for i := 3; i < 6; i++ {
+		appendRow(t, ss, testRow{int64(i + 1), int64(i) * 100, "d", "M", 1, 2})
 	}
-	if cap(seg.Events.RecID) == len(seg.Events.RecID) {
-		// Force the interesting precondition if append growth happened
-		// to land exactly on len.
-		seg.Events.RecID = append(make([]int64, 0, 8), seg.Events.RecID...)
+	mustSeal(t, ss)
+	dir := t.TempDir()
+	if n, err := ss.SpillOver(0, dir); err != nil || n != 2 {
+		t.Fatalf("SpillOver = %d, %v; want 2 spilled", n, err)
 	}
-	var rs SegmentSet
-	rs.Restore(seg)
-	if !seg.Sealed() {
-		t.Fatal("Restore did not seal the segment")
-	}
-	mustPanicAppend(t, "Restore", seg)
-	checkClipped(t, "Restore", seg)
 
-	// Path 3: the empty checkpoint segment.
-	var es SegmentSet
-	empty := es.SealEmpty()
-	if empty == nil || !empty.Sealed() || empty.Events.Len() != 0 {
-		t.Fatalf("SealEmpty = %+v, want sealed empty segment", empty)
+	after, err := sealed.ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustPanicAppend(t, "SealEmpty", empty)
-	checkClipped(t, "SealEmpty", empty)
-
-	// The Sealed() view itself is clipped too: appending a segment to it
-	// must not race the writer's next Seal.
-	view := rs.Sealed()
-	if cap(view) != len(view) {
-		t.Fatalf("Sealed() slice cap = %d, len = %d; the view must be capacity-clipped", cap(view), len(view))
+	if sealed.Path() != "" || !bytes.Equal(sealed.mm, enc) || !reflect.DeepEqual(after, before) {
+		t.Fatal("the sealed segment changed after later appends and a spill")
 	}
-	before := len(rs.sealed)
-	_ = append(view, &Segment{})
-	rs.SealRows = 1
-	rs.Append(50, 5000, 0, 0, 1, 2)
-	if len(rs.sealed) != before+1 {
-		t.Fatalf("writer's sealed list has %d segments, want %d", len(rs.sealed), before+1)
+	if ss.segs[0] == sealed || ss.segs[0].Path() == "" {
+		t.Fatal("the spill did not replace the set's entry with the committed file")
 	}
-	if rs.sealed[before].Seq != before {
-		t.Fatalf("appended-through-view segment clobbered the writer's slot: got seq %d", rs.sealed[before].Seq)
+	onDisk, err := os.ReadFile(ss.segs[0].Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, enc) {
+		t.Fatal("the spill file differs from the resident encoding")
 	}
 }
 
+// TestSegmentSetRestore pins the recovery path: rows appended past
+// SealRows without sealing, then one Seal, restore a segment with its
+// own row count, and numbering continues after it.
 func TestSegmentSetRestore(t *testing.T) {
-	var ss SegmentSet
-	seg := &Segment{MinTime: 5, MaxTime: 9}
-	seg.Events.Append(1, 5, 0, 0, 1, 2)
-	seg.Events.Append(2, 9, 0, 0, 1, 2)
-	ss.Restore(seg)
-	if !seg.Sealed() || seg.Seq != 0 {
-		t.Fatalf("restored segment sealed=%v seq=%d, want sealed seq 0", seg.Sealed(), seg.Seq)
+	ss := &SegmentSet{SealRows: 2}
+	for i := 0; i < 5; i++ {
+		ss.Append(int64(i+1), int64(i)*10, "c", "L", 1, 2)
 	}
-	// The next appended segment continues the Seq numbering.
-	ss.SealRows = 1
-	s := ss.Append(3, 10, 0, 0, 1, 2)
-	if s == nil || s.Seq != 1 {
-		t.Fatalf("segment after restore = %+v, want seq 1", s)
+	if sf := mustSeal(t, ss); sf.Seq() != 0 || sf.Rows() != 5 {
+		t.Fatalf("restored segment = seq %d with %d rows, want seq 0 with 5 rows", sf.Seq(), sf.Rows())
 	}
-	if got := ss.Rows(); got != 3 {
-		t.Fatalf("Rows() = %d, want 3", got)
+	if sf := appendRow(t, ss, testRow{6, 50, "c", "L", 1, 2}); sf != nil {
+		t.Fatalf("a 1-row tail sealed under SealRows 2 (seq %d)", sf.Seq())
 	}
+	if sf := appendRow(t, ss, testRow{7, 60, "c", "L", 1, 2}); sf == nil || sf.Seq() != 1 {
+		t.Fatal("the segment after a restore did not seal as seq 1")
+	}
+	checkCounts(t, ss, 2, 2, 7)
 }

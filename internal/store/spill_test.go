@@ -3,25 +3,22 @@ package store
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/symtab"
 )
 
-// fillSet appends named rows through a global table, mirroring how the
-// serving layer feeds a SegmentSet.
-func fillSet(ss *SegmentSet, tab *symtab.Table, rows []testRow) {
+// fillSet appends rows the way the serving layer does, sealing each
+// full tail.
+func fillSet(t *testing.T, ss *SegmentSet, rows []testRow) {
+	t.Helper()
 	for _, r := range rows {
-		code := tab.Errcodes.Intern(r.code)
-		loc := tab.Locations.Intern(r.loc)
-		ss.Append(r.recID, r.timeNS, code, loc, r.comp, r.sev)
+		appendRow(t, ss, r)
 	}
 }
 
 // scanAll drains SegmentSet.Scan into a slice.
-func scanAll(t *testing.T, ss *SegmentSet, tab *symtab.Table, q Query) ([]Row, ScanStats) {
+func scanAll(t *testing.T, ss *SegmentSet, q Query) ([]Row, ScanStats) {
 	t.Helper()
 	var out []Row
-	stats, err := ss.Scan(q, tab, func(r Row) error {
+	stats, err := ss.Scan(q, func(r Row) error {
 		out = append(out, r)
 		return nil
 	})
@@ -33,14 +30,13 @@ func scanAll(t *testing.T, ss *SegmentSet, tab *symtab.Table, q Query) ([]Row, S
 
 // TestSpillScanEquivalence seals rows into segments, scans, spills
 // everything past a tiny budget, and requires the same scan results
-// from the mixed resident/spilled set — including zone skips for
-// predicates the spilled segments cannot match.
+// from the mixed resident/spilled set, including zone skips for
+// predicates no segment (the unsealed tail included) can match.
 func TestSpillScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows := sortRows(randomRows(rng, 500))
-	tab := symtab.NewTable()
 	ss := &SegmentSet{SealRows: 64}
-	fillSet(ss, tab, rows)
+	fillSet(t, ss, rows)
 
 	queries := []Query{
 		{},
@@ -52,12 +48,15 @@ func TestSpillScanEquivalence(t *testing.T) {
 	}
 	before := make([][]Row, len(queries))
 	for i, q := range queries {
-		before[i], _ = scanAll(t, ss, tab, q)
+		before[i], _ = scanAll(t, ss, q)
+	}
+	if got := len(before[0]); got != len(rows) {
+		t.Fatalf("unfiltered scan yielded %d rows, want %d", got, len(rows))
 	}
 
 	dir := t.TempDir()
 	resident := ss.ResidentBytes()
-	n, err := ss.SpillOver(resident/4, dir, tab.Errcodes.Name, tab.Locations.Name)
+	n, err := ss.SpillOver(resident/4, dir)
 	if err != nil {
 		t.Fatalf("SpillOver: %v", err)
 	}
@@ -68,26 +67,17 @@ func TestSpillScanEquivalence(t *testing.T) {
 		t.Fatalf("resident %d bytes after spill, budget %d", got, resident/4)
 	}
 	spilled := 0
-	for _, s := range ss.Sealed() {
-		if s.Spilled() {
+	for _, sf := range ss.segs {
+		if sf.Path() != "" {
 			spilled++
-			if s.Events.Len() != 0 {
-				t.Fatal("spilled segment kept its columns")
-			}
-			if s.Len() == 0 {
-				t.Fatal("spilled segment lost its row count")
-			}
-			if s.SpillPath() == "" {
-				t.Fatal("spilled segment has no path")
-			}
 		}
 	}
 	if spilled != n {
-		t.Fatalf("%d segments report spilled, SpillOver returned %d", spilled, n)
+		t.Fatalf("%d segments are files, SpillOver returned %d", spilled, n)
 	}
 
 	for i, q := range queries {
-		after, stats := scanAll(t, ss, tab, q)
+		after, stats := scanAll(t, ss, q)
 		if len(after) != len(before[i]) {
 			t.Fatalf("query %d: %d rows after spill, %d before", i, len(after), len(before[i]))
 		}
@@ -96,34 +86,39 @@ func TestSpillScanEquivalence(t *testing.T) {
 				t.Fatalf("query %d row %d: %+v after spill, %+v before", i, j, after[j], before[i][j])
 			}
 		}
-		if q.Code == "absent" && stats.Skipped != stats.Segments {
-			t.Fatalf("absent-code query scanned %d segments", stats.Scanned)
+		if q.Code == "absent" && (stats.Skipped != stats.Segments || stats.Segments != len(ss.segs)+1) {
+			t.Fatalf("absent-code query: %+v over %d sealed segments and a tail", stats, len(ss.segs))
 		}
 	}
 
 	// Spilling again under the same budget is a no-op.
-	if n, err := ss.SpillOver(resident/4, dir, tab.Errcodes.Name, tab.Locations.Name); err != nil || n != 0 {
+	if n, err := ss.SpillOver(resident/4, dir); err != nil || n != 0 {
 		t.Fatalf("second SpillOver = %d, %v", n, err)
 	}
 }
 
+// TestSpillRequiresSealed pins what SpillOver may spill: sealed
+// segments with rows, never the unsealed tail or an empty checkpoint
+// segment, whatever the budget.
 func TestSpillRequiresSealed(t *testing.T) {
 	ss := &SegmentSet{SealRows: 8}
-	tab := symtab.NewTable()
-	fillSet(ss, tab, []testRow{{1, 100, "a", "L", 1, 6}})
-	if _, err := ss.active.Data(tab.Errcodes.Name, tab.Locations.Name); err == nil {
-		t.Fatal("Data on an unsealed segment succeeded")
+	dir := t.TempDir()
+	mustSeal(t, ss) // an empty checkpoint segment
+	appendRow(t, ss, testRow{1, 100, "a", "L", 1, 6})
+	if n, err := ss.SpillOver(0, dir); err != nil || n != 0 {
+		t.Fatalf("SpillOver with only a tail and an empty segment = %d, %v; want 0", n, err)
 	}
-	ss.Seal()
-	d, err := ss.Sealed()[0].Data(tab.Errcodes.Name, tab.Locations.Name)
-	if err != nil {
-		t.Fatalf("Data: %v", err)
+	if got := ss.ResidentBytes(); got != RowBytes {
+		t.Fatalf("ResidentBytes = %d, want one row's %d", got, RowBytes)
 	}
-	if len(d.Codes) != 1 || d.Codes[0] != "a" || d.Events.Code[0] != 0 {
-		t.Fatalf("localized segment %+v", d)
+	mustSeal(t, ss)
+	if n, err := ss.SpillOver(0, dir); err != nil || n != 1 {
+		t.Fatalf("SpillOver after Seal = %d, %v; want 1", n, err)
 	}
-	ss.Sealed()[0].release("x.seg")
-	if _, err := ss.Sealed()[0].Data(tab.Errcodes.Name, tab.Locations.Name); err == nil {
-		t.Fatal("Data on a spilled segment succeeded")
+	if got := ss.ResidentBytes(); got != 0 {
+		t.Fatalf("ResidentBytes after the spill = %d, want 0", got)
+	}
+	if ss.segs[0].Path() != "" || ss.segs[1].Path() == "" {
+		t.Fatal("the empty segment spilled, or the sealed one did not")
 	}
 }

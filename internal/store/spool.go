@@ -25,10 +25,11 @@ package store
 // invisible to the cascade: its query admits one class only.
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/symtab"
 )
@@ -47,10 +48,11 @@ type SpoolStats struct {
 	SpilledBytes int64
 }
 
-// spoolBuf buffers one class of rows in arrival order. Code and
-// location names are interned on arrival into per-buffer dictionaries
-// (so the buffer holds integers, not strings) and remapped to the
-// sorted first-seen numbering at flush time.
+// spoolBuf buffers rows in arrival order: one class of a Spool's rows,
+// or a SegmentSet's unsealed tail. Code and location names are
+// interned on arrival into per-buffer dictionaries (so the buffer holds
+// integers, not strings) and remapped to the sorted first-seen
+// numbering by segmentData.
 type spoolBuf struct {
 	recID, timeNS []int64
 	code          []symtab.ErrcodeID
@@ -133,26 +135,36 @@ func (sp *Spool) Add(recID, timeNS int64, code, loc string, comp, sev int32, fat
 	return nil
 }
 
-// flush stable-sorts b by (time, RecID), remaps its arrival-order local
-// IDs to the sorted first-seen numbering the segment format requires,
-// and commits the run (keeps it resident without a budget).
-func (sp *Spool) flush(b *spoolBuf) error {
+// segmentData localizes b into segment seq's on-disk form — the one
+// rows → SegmentData step behind both a Spool run and a SegmentSet
+// seal. Rows are stable-sorted by (time, RecID), so equal keys keep
+// their arrival order; a buffer already in that order (a daemon's
+// tail always is) skips the sort. The arrival-order dictionary IDs are
+// remapped to local IDs numbered in first-seen row order, as the
+// segment format requires. b is only read.
+func (b *spoolBuf) segmentData(seq int) *SegmentData {
 	n := len(b.recID)
+	d := &SegmentData{Seq: seq, Events: *NewEvents(n)}
 	if n == 0 {
-		return nil
+		return d
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		i, j := order[x], order[y]
-		if b.timeNS[i] != b.timeNS[j] {
-			return b.timeNS[i] < b.timeNS[j]
+	cmpRows := func(i, j int) int {
+		if c := cmp.Compare(b.timeNS[i], b.timeNS[j]); c != 0 {
+			return c
 		}
-		return b.recID[i] < b.recID[j]
-	})
-	d := &SegmentData{Seq: sp.seq, Events: *NewEvents(n)}
+		return cmp.Compare(b.recID[i], b.recID[j])
+	}
+	var order []int // nil while b is already in order
+	for i := 1; i < n; i++ {
+		if cmpRows(i-1, i) > 0 {
+			order = make([]int, n)
+			for k := range order {
+				order[k] = k
+			}
+			slices.SortStableFunc(order, cmpRows)
+			break
+		}
+	}
 	codeMap := make([]symtab.ErrcodeID, b.codes.Len())
 	locMap := make([]symtab.LocationID, b.locs.Len())
 	for i := range codeMap {
@@ -161,13 +173,10 @@ func (sp *Spool) flush(b *spoolBuf) error {
 	for i := range locMap {
 		locMap[i] = symtab.NoLocation
 	}
-	for k, i := range order {
-		t := b.timeNS[i]
-		if k == 0 || t < d.MinTime {
-			d.MinTime = t
-		}
-		if k == 0 || t > d.MaxTime {
-			d.MaxTime = t
+	for k := 0; k < n; k++ {
+		i := k
+		if order != nil {
+			i = order[k]
 		}
 		if c := b.comp[i]; c >= 0 && c < 64 {
 			d.CompBits |= 1 << uint(c)
@@ -187,8 +196,19 @@ func (sp *Spool) flush(b *spoolBuf) error {
 			locMap[b.loc[i]] = ll
 			d.Locs = append(d.Locs, b.locs.Name(b.loc[i]))
 		}
-		d.Events.Append(b.recID[i], t, lc, ll, b.comp[i], b.sev[i])
+		d.Events.Append(b.recID[i], b.timeNS[i], lc, ll, b.comp[i], b.sev[i])
 	}
+	d.MinTime, d.MaxTime = d.Events.Time[0], d.Events.Time[n-1]
+	return d
+}
+
+// flush localizes b into the next run and commits it (keeps it
+// resident without a budget).
+func (sp *Spool) flush(b *spoolBuf) error {
+	if len(b.recID) == 0 {
+		return nil
+	}
+	d := b.segmentData(sp.seq)
 	if sp.budget <= 0 {
 		sf, err := residentSegment(d)
 		if err != nil {
