@@ -62,10 +62,14 @@ func (ix *occupancyIndex) runningOn(mp int, t time.Time) (joblog.Job, bool) {
 // mp whose EndTime lies in [from, to], in StartTime order.
 func (ix *occupancyIndex) endedWithin(mp int, from, to time.Time) []int32 {
 	js, jobs := ix.perMp[mp], ix.byEnd
+	// Every job before the first whose prefix maximum of EndTime
+	// reaches from ended before the window opens.
+	ends := ix.maxEnd[mp]
+	lo := sort.Search(len(js), func(k int) bool { return !ends[k].Before(from) })
 	// Sized for the common case (a handful of jobs end inside any one
 	// window) without paying len(js) capacity on every call.
 	out := make([]int32, 0, min(len(js), 8))
-	for _, p := range js {
+	for _, p := range js[lo:] {
 		j := &jobs[p]
 		if j.StartTime.After(to) {
 			break

@@ -84,6 +84,8 @@ func TestOccupancyQueriesMatchNaiveScan(t *testing.T) {
 			}
 			first, last := camp.Jobs.Span()
 			rng := rand.New(rand.NewSource(seed))
+			late := rand.New(rand.NewSource(seed + 1))
+			endedBefore := 0
 			for si, s := range snaps {
 				if len(s.ix.byEnd) != len(s.prefix) {
 					t.Fatalf("snapshot %d sees %d jobs, want %d", si, len(s.ix.byEnd), len(s.prefix))
@@ -124,6 +126,28 @@ func TestOccupancyQueriesMatchNaiveScan(t *testing.T) {
 					checkEndedWithin(t, s, mp, from, at)
 					checkRanClean(t, s, mp, from, at, interrupted)
 				}
+				// Short windows late in the covered prefix, most of whose
+				// midplane's jobs ended before the window opens: some
+				// open at a late job's end, some exactly at a prefix
+				// maximum of EndTime (a tie with an earlier job's end).
+				for n := 0; n < 300; n++ {
+					j := s.prefix[len(s.prefix)-1-late.Intn(len(s.prefix)/4+1)]
+					mp := j.Partition.Start + late.Intn(j.Partition.Size)
+					from := j.EndTime.Add(-time.Duration(late.Int63n(int64(10 * time.Minute))))
+					if ends := s.ix.maxEnd[mp]; n%2 == 0 {
+						from = ends[len(ends)-1-late.Intn(len(ends)/4+1)]
+					}
+					for _, e := range s.prefix {
+						if e.OnMidplane(mp) && e.EndTime.Before(from) {
+							endedBefore++
+						}
+					}
+					checkEndedWithin(t, s, mp, from, from.Add(time.Duration(late.Int63n(int64(20*time.Minute)))))
+				}
+			}
+			if endedBefore < 20*len(snaps)*300 {
+				t.Fatalf("late windows: %d jobs ended before the window opened over %d probes; want at least 20 per probe",
+					endedBefore, len(snaps)*300)
 			}
 		})
 	}

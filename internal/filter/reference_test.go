@@ -39,7 +39,8 @@ func checkReference(t *testing.T, label string, cfg Config, tab *symtab.Table, r
 	}
 	for i, g := range got {
 		w := want[i]
-		if tab.Errcodes.Name(g.Code) != w.Code || g.Component != w.Component ||
+		wantCode, ok := tab.Errcodes.Lookup(w.Code)
+		if !ok || g.Code != wantCode || g.Component != w.Component ||
 			!g.First.Equal(w.First) || !g.Last.Equal(w.Last) || g.Size != w.Size ||
 			!slices.Equal(g.Midplanes, w.Midplanes) {
 			t.Fatalf("%s: event %d = {%s %v %v..%v size %d mp %v}, want %+v", label, i,

@@ -1,6 +1,8 @@
-// Package parallel is the worker pool for the module's two kinds of
-// fan-out whose work unit is large enough to pay for a goroutine: the
-// shards of a chunked log decode (internal/linescan) and whole
+// Package parallel is the worker pool for the module's fan-outs whose
+// work unit is large enough to pay for a goroutine: the shards of a
+// chunked log decode (internal/linescan), whole logs (repro.LoadBounded
+// decodes the job log beside the RAS log), whole artifacts
+// (repro.Report.RenderAll renders them side by side) and whole
 // campaigns (ensembles and policy matrices). It is a bounded pool with
 // context cancellation, index-ordered error aggregation, and a
 // deterministic order-preserving result merge.

@@ -2,10 +2,14 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,6 +213,109 @@ func TestLoadErrorsMatchStoreComposition(t *testing.T) {
 		_, _, wantErr := storeComposition(t, log, jobs)
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Errorf("fatal=%v: error %v, want %v", fatal, err, wantErr)
+		}
+	}
+}
+
+// slowReader serves its data a few KiB per Read, pausing before each,
+// and flags any Read that starts once done is set: a decode still
+// reading after the call that owns it returned.
+type slowReader struct {
+	data []byte
+	// err ends the stream in place of io.EOF when set.
+	err        error
+	done, late atomic.Bool
+}
+
+func (r *slowReader) Read(p []byte) (int, error) {
+	if r.done.Load() {
+		r.late.Store(true)
+	}
+	time.Sleep(20 * time.Microsecond)
+	if len(r.data) == 0 {
+		if r.err != nil {
+			return 0, r.err
+		}
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), 4<<10)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// settledGoroutines waits, for up to a second, until the goroutine
+// count is back to want, and returns the last count it saw.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n != want; i++ {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestLoadOverlapErrors fails the RAS log (a malformed line, a reader
+// that breaks mid-stream), the job log (a malformed line) or both, at
+// one worker (decoded one log after the other) and at two (the job log
+// decodes beside the RAS log). A RAS failure takes precedence over a
+// job failure; each error's text, line number included, is the one the
+// failing log's own sequential decode reports. Load returns only once
+// the job half has finished: no Read of the job log starts after it
+// returned, and no goroutine outlives it.
+func TestLoadOverlapErrors(t *testing.T) {
+	ras, jobs := lightCampaign.get(t)
+	breakLine := func(log []byte, at int, bad string) []byte {
+		lines := strings.Split(string(log), "\n")
+		lines[at] = bad
+		return []byte(strings.Join(lines, "\n"))
+	}
+	rasLines, jobLines := bytes.Count(ras, []byte("\n")), bytes.Count(jobs, []byte("\n"))
+	badRAS := breakLine(ras, rasLines*2/3, "RAS|not|a|record")
+	badJobs := breakLine(jobs, jobLines*2/3, "not|a|job")
+	boom := errors.New("boom")
+
+	// want is the error text of the sequential decode of the log that
+	// fails first: the RAS log whenever it fails at all.
+	seqErr := func(rasSrc func() io.Reader, jobs []byte) string {
+		if _, err := raslog.ReadAllParallel(rasSrc(), 1); err != nil {
+			return fmt.Sprintf("repro: reading RAS log: %v", err)
+		}
+		_, err := joblog.ReadAllParallel(bytes.NewReader(jobs), 1)
+		return fmt.Sprintf("repro: reading job log: %v", err)
+	}
+	rasOf := func(b []byte) func() io.Reader { return func() io.Reader { return &slowReader{data: b} } }
+	// The reader breaks after a whole line, halfway through the log.
+	cut := bytes.LastIndexByte(ras[:len(ras)/2], '\n') + 1
+	breaking := func() io.Reader { return &slowReader{data: ras[:cut], err: boom} }
+	for _, tc := range []struct {
+		name string
+		ras  func() io.Reader
+		jobs []byte
+	}{
+		{"bad RAS and job lines", rasOf(badRAS), badJobs},
+		{"bad job line", rasOf(ras), badJobs},
+		{"RAS reader fails", breaking, jobs},
+		{"RAS reader fails, bad job line", breaking, badJobs},
+	} {
+		want := seqErr(tc.ras, tc.jobs)
+		if !strings.Contains(want, "line ") && !strings.Contains(want, boom.Error()) {
+			t.Fatalf("%s: the sequential decodes found no bad line or read error: %s", tc.name, want)
+		}
+		for _, p := range []int{1, 2} {
+			before := runtime.NumGoroutine()
+			jr := &slowReader{data: tc.jobs}
+			_, err := Load(Config{Parallelism: p}, tc.ras(), jr)
+			jr.done.Store(true)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s, parallelism %d: error %v, want %s", tc.name, p, err, want)
+			}
+			if n := settledGoroutines(before); n != before {
+				t.Errorf("%s, parallelism %d: %d goroutines after Load, %d before", tc.name, p, n, before)
+			}
+			if jr.late.Load() {
+				t.Errorf("%s, parallelism %d: the job log was still being read after Load returned", tc.name, p)
+			}
 		}
 	}
 }

@@ -2,66 +2,101 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/raslog"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
 
+// renderSteps are RenderAll's artifacts in paper order, each with the
+// title its skip note names.
+var renderSteps = [...]struct {
+	name   string
+	render func(*Report, io.Writer) error
+}{
+	{"Table I", (*Report).RenderTableI},
+	{"Table II", (*Report).RenderTableII},
+	{"Table III", (*Report).RenderTableIII},
+	{"pipeline", (*Report).RenderPipeline},
+	{"identification", (*Report).RenderIdentification},
+	{"classification", (*Report).RenderClassification},
+	{"job filter", (*Report).RenderJobFilter},
+	{"Figure 2", (*Report).RenderFigure2},
+	{"Figure 3", (*Report).RenderFigure3},
+	{"Table IV", (*Report).RenderTableIV},
+	{"midplane fits", (*Report).RenderMidplaneFits},
+	{"Figure 4", (*Report).RenderFigure4},
+	{"Figure 5", (*Report).RenderFigure5},
+	{"Figure 6", (*Report).RenderFigure6},
+	{"Table V", (*Report).RenderTableV},
+	{"propagation", (*Report).RenderPropagation},
+	{"Figure 7", (*Report).RenderFigure7},
+	{"Table VI", (*Report).RenderTableVI},
+	{"features", (*Report).RenderFeatures},
+	{"event types", (*Report).RenderEventTypes},
+	{"model comparison", (*Report).RenderModelComparison},
+	{"prediction study", (*Report).RenderPrediction},
+	{"checkpoint study", (*Report).RenderCheckpointStudy},
+}
+
 // RenderAll writes every table and figure of the paper's evaluation, in
 // paper order. Artifacts that cannot be computed on the given data
 // (e.g. too few application-error interruptions in a short campaign to
 // fit their interarrival distribution) are skipped with a note instead
-// of aborting the whole report; only write failures propagate.
+// of aborting the whole report; only write failures propagate. With
+// more than one worker the artifacts render side by side, each into its
+// own buffer, and are written in paper order once all have rendered;
+// the output is the same at every worker count.
 func (r *Report) RenderAll(w io.Writer) error {
-	steps := []struct {
-		name   string
-		render func(io.Writer) error
-	}{
-		{"Table I", r.RenderTableI},
-		{"Table II", r.RenderTableII},
-		{"Table III", r.RenderTableIII},
-		{"pipeline", r.RenderPipeline},
-		{"identification", r.RenderIdentification},
-		{"classification", r.RenderClassification},
-		{"job filter", r.RenderJobFilter},
-		{"Figure 2", r.RenderFigure2},
-		{"Figure 3", r.RenderFigure3},
-		{"Table IV", r.RenderTableIV},
-		{"midplane fits", r.RenderMidplaneFits},
-		{"Figure 4", r.RenderFigure4},
-		{"Figure 5", r.RenderFigure5},
-		{"Figure 6", r.RenderFigure6},
-		{"Table V", r.RenderTableV},
-		{"propagation", r.RenderPropagation},
-		{"Figure 7", r.RenderFigure7},
-		{"Table VI", r.RenderTableVI},
-		{"features", r.RenderFeatures},
-		{"event types", r.RenderEventTypes},
-		{"model comparison", r.RenderModelComparison},
-		{"prediction study", r.RenderPrediction},
-		{"checkpoint study", r.RenderCheckpointStudy},
+	if parallel.Workers(r.workers) > 1 {
+		return r.renderAllConcurrent(w)
 	}
-	for _, step := range steps {
+	for _, step := range renderSteps {
 		var buf bytes.Buffer
-		if err := step.render(&buf); err != nil {
-			if _, werr := fmt.Fprintf(w, "[%s skipped: %v]\n\n", step.name, err); werr != nil {
-				return werr
-			}
-			continue
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
+		rerr := step.render(r, &buf)
+		if err := writeStep(w, step.name, buf.Bytes(), rerr); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// renderAllConcurrent is RenderAll on r.workers goroutines.
+func (r *Report) renderAllConcurrent(w io.Writer) error {
+	var bufs [len(renderSteps)]bytes.Buffer
+	var errs [len(renderSteps)]error
+	// Every render error is a skip note, never a failure of the fan-out,
+	// so ForEach itself returns nil.
+	_ = parallel.ForEach(context.Background(), r.workers, len(renderSteps), func(i int) error {
+		errs[i] = renderSteps[i].render(r, &bufs[i])
+		return nil
+	})
+	for i, step := range renderSteps {
+		if err := writeStep(w, step.name, bufs[i].Bytes(), errs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeStep writes one rendered artifact and its blank-line separator,
+// or the note that it was skipped for renderErr.
+func writeStep(w io.Writer, name string, out []byte, renderErr error) error {
+	if renderErr != nil {
+		_, err := fmt.Fprintf(w, "[%s skipped: %v]\n\n", name, renderErr)
+		return err
+	}
+	if _, err := w.Write(out); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 // RenderTableI writes the log-summary table (Table I).

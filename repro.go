@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/joblog"
+	"repro/internal/parallel"
 	"repro/internal/raslog"
 	"repro/internal/sched"
 	"repro/internal/simulate"
@@ -42,11 +43,13 @@ type Config struct {
 	// the default (5 minutes).
 	MatchTolerance time.Duration
 	// Parallelism bounds the worker count of every fan-out — the
-	// chunked log decode in Load, and the campaigns of RunEnsemble and
-	// RunMatrix (0 = GOMAXPROCS, 1 = sequential). The analysis itself
-	// is one sequential pass. For a fixed input the report is
-	// byte-identical at every setting; see internal/parallel for the
-	// determinism contract.
+	// chunked log decode in Load and the job log's decode beside the
+	// RAS log's, the artifacts RenderAll renders side by side, and the
+	// campaigns of RunEnsemble and RunMatrix (0 = GOMAXPROCS,
+	// 1 = sequential, no goroutine). The analysis itself is one
+	// sequential pass. For a fixed input the report is byte-identical
+	// at every setting; see internal/parallel for the determinism
+	// contract.
 	Parallelism int
 	// Seeds is the number of campaigns RunEnsemble simulates, at seeds
 	// Seed, Seed+1, ..., Seed+Seeds-1 (0 or 1 means a single campaign).
@@ -92,6 +95,9 @@ type Report struct {
 	ras   *raslog.Store
 	truth *sched.GroundTruth
 	days  int
+	// workers bounds RenderAll's fan-out, a Parallelism knob: the
+	// Config's for Run and Load, 0 (GOMAXPROCS) for streaming reports.
+	workers int
 }
 
 // Run simulates a campaign and analyzes it.
@@ -142,15 +148,42 @@ func Load(cfg Config, rasLog, jobLog io.Reader) (*Report, error) {
 // (coanalyze -mem-budget): past the budget the RAS log's sorted FATAL
 // run spills to segment files under spillDir; with budget <= 0 it stays
 // resident and spillDir is not touched. Both logs are decoded by the
-// sharded streaming codecs honoring cfg.Parallelism. The RAS decode
+// sharded streaming codecs honoring cfg.Parallelism; with more than one
+// worker the job log decodes on its own goroutine while the RAS log
+// does, and LoadBounded waits for it on every path. The RAS decode
 // validates every line, folds the noise into Table I's aggregates and
 // spools only the FATAL records the analysis reads (raslog.ScanFatal).
-// The report is byte-identical at every worker count and every budget.
-// It retains the run until Close.
+// A RAS error takes precedence over a job-log error. The report is
+// byte-identical at every worker count and every budget. It retains
+// the run until Close.
 func LoadBounded(cfg Config, budget int64, spillDir string, rasLog, jobLog io.Reader) (*Report, error) {
+	var pending <-chan loadedJobs
+	if parallel.Workers(cfg.Parallelism) > 1 {
+		pending = goReadJobs(jobLog, cfg.Parallelism)
+	}
 	sp := store.NewSpool(spillDir, budget)
+	stats, err := scanRAS(rasLog, cfg.Parallelism, budget, sp)
+	var jobs loadedJobs
+	if pending != nil {
+		jobs = <-pending
+	} else if err == nil {
+		jobs = readJobs(jobLog, cfg.Parallelism)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("repro: reading RAS log: %w", err)
+	}
+	if jobs.err != nil {
+		return nil, fmt.Errorf("repro: reading job log: %w", jobs.err)
+	}
+	return analyzeRun(cfg, sp, stats, jobs.log)
+}
+
+// scanRAS decodes a RAS log into Table I's aggregates and Table II's
+// example, spooling its FATAL records into sp, each weighted by its
+// encoded line when budget > 0.
+func scanRAS(rasLog io.Reader, parallelism int, budget int64, sp *store.Spool) (LogStats, error) {
 	var stats LogStats
-	tot, err := raslog.ScanFatal(rasLog, cfg.Parallelism, func(rec *raslog.Record) error {
+	tot, err := raslog.ScanFatal(rasLog, parallelism, func(rec *raslog.Record) error {
 		// Table II's example. Strictly before: on a full tie the first
 		// one seen stays, as a stable sort orders them.
 		if !stats.HasFatal || raslog.Before(rec, &stats.FirstFatal) {
@@ -162,16 +195,32 @@ func LoadBounded(cfg Config, budget int64, spillDir string, rasLog, jobLog io.Re
 		}
 		return spoolFatal(sp, rec, weight)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("repro: reading RAS log: %w", err)
-	}
 	stats.RASRecords, stats.RASBytes, stats.FatalRecords = tot.Records, tot.Bytes, tot.Fatal
 	stats.First, stats.Last = tot.First, tot.Last
-	jobs, err := joblog.ReadAllParallel(jobLog, cfg.Parallelism)
+	return stats, err
+}
+
+// loadedJobs is a decoded job log, or the error that stopped it.
+type loadedJobs struct {
+	log *joblog.Log
+	err error
+}
+
+func readJobs(jobLog io.Reader, parallelism int) loadedJobs {
+	jobs, err := joblog.ReadAllParallel(jobLog, parallelism)
 	if err != nil {
-		return nil, fmt.Errorf("repro: reading job log: %w", err)
+		return loadedJobs{err: err}
 	}
-	return analyzeRun(cfg, sp, stats, joblog.NewLog(jobs))
+	return loadedJobs{log: joblog.NewLog(jobs)}
+}
+
+// goReadJobs decodes a job log on its own goroutine; the channel
+// delivers the one result. The goroutine's closure lives here, not in
+// LoadBounded, so the sequential path captures no variable of its own.
+func goReadJobs(jobLog io.Reader, parallelism int) <-chan loadedJobs {
+	out := make(chan loadedJobs, 1)
+	go func() { out <- readJobs(jobLog, parallelism) }()
+	return out
 }
 
 func simConfig(cfg Config) simulate.Config {
@@ -209,6 +258,7 @@ func analyzeRun(cfg Config, sp *store.Spool, stats LogStats, jobs *joblog.Log) (
 	}
 	rep := NewStreamReport(a, jobs, stats)
 	rep.run, rep.spool, rep.merge = run, ss, ms
+	rep.workers = cfg.Parallelism
 	return rep, nil
 }
 

@@ -7,7 +7,10 @@
 # nothing else: the spooled rows, the merged FATAL rows and the log's
 # FATAL line count agree, and no segment run's severity zone map
 # admits a non-FATAL row, (c) the two stdout renders are
-# byte-identical, and (d) so are the two -artifact sweep renders.
+# byte-identical, (d) so are the two -artifact sweep renders, and (e) a
+# third, sequential run (-parallelism 1: one log decoded after the
+# other, the artifacts rendered one by one) prints the unconstrained
+# run's stdout byte for byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +46,10 @@ mem() {
 echo "== unconstrained run"
 mem "$tmp/coanalyze" -ras "$tmp/ras.log" -job "$tmp/job.log" \
 	>"$tmp/batch.out" 2>"$tmp/batch.err" || { cat "$tmp/batch.err" >&2; exit 1; }
+
+echo "== sequential run (-parallelism 1)"
+"$tmp/coanalyze" -ras "$tmp/ras.log" -job "$tmp/job.log" -parallelism 1 \
+	>"$tmp/seq.out" 2>"$tmp/seq.err" || { cat "$tmp/seq.err" >&2; exit 1; }
 
 echo "== bounded run (GOMEMLIMIT=128MiB, ulimit -v 4GiB, -mem-budget $budget)"
 (
@@ -104,6 +111,12 @@ if ! cmp -s "$tmp/batch.out" "$tmp/bounded.out"; then
 	status=1
 fi
 
+if ! cmp -s "$tmp/batch.out" "$tmp/seq.out"; then
+	echo "membound: -parallelism 1 output diverges from the default run:" >&2
+	diff -u "$tmp/batch.out" "$tmp/seq.out" | head -40 >&2
+	status=1
+fi
+
 # The window ablation replays the retained sorted FATAL run (resident in
 # batch, spilled segment runs under the budget), so -artifact sweep must
 # work under -mem-budget and equal batch byte for byte.
@@ -123,6 +136,6 @@ if ! cmp -s "$tmp/batch.sweep" "$tmp/bounded.sweep"; then
 fi
 
 if [ "$status" = 0 ]; then
-	echo "membound OK: $flushes budget flushes, $rows FATAL rows spooled in $segs FATAL-only runs, output and sweep byte-identical"
+	echo "membound OK: $flushes budget flushes, $rows FATAL rows spooled in $segs FATAL-only runs, output (also at -parallelism 1) and sweep byte-identical"
 fi
 exit "$status"
