@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rasP        = fs.String("ras", "ras.log", "RAS log path")
 		jobP        = fs.String("job", "job.log", "job log path")
 		artifact    = fs.String("artifact", "all", "artifact to print: all, or one of "+keys())
-		parallelism = fs.Int("parallelism", 0, "worker bound for the chunked log decodes, the job log's decode beside the RAS log's, and the artifact render (0 = GOMAXPROCS, 1 = sequential)")
+		parallelism = fs.Int("parallelism", 0, "worker bound for each chunked log decode (the job log decodes beside the RAS log, so up to twice this many run at once) and for the artifact render (0 = GOMAXPROCS, 1 = sequential)")
 		memBudget   = fs.Int64("mem-budget", 0, "bound the in-memory FATAL event payload to this many bytes (encoded line bytes): the sorted FATAL run the analysis merges spills to segment files on disk instead of staying resident; noise records are counted at decode and never spooled; output is byte-identical to the unconstrained run (0 = keep the run in memory)")
 		spillDir    = fs.String("spill-dir", "", "directory for -mem-budget segment runs (empty = a temp dir, removed on exit)")
 		matrix      = fs.Bool("policy-matrix", false, "co-analyze the per-policy log pairs a bgpgen -policy-matrix run wrote next to -ras/-job (ras.<policy>.log) and print the cross-policy comparison")

@@ -217,19 +217,24 @@ func TestLoadErrorsMatchStoreComposition(t *testing.T) {
 	}
 }
 
-// slowReader serves its data a few KiB per Read, pausing before each,
-// and flags any Read that starts once done is set: a decode still
-// reading after the call that owns it returned.
+// slowReader serves its data a few KiB per Read, pausing before each.
+// It records the most goroutines any Read saw, and flags any Read that
+// starts once done is set: a decode still reading after the call that
+// owns it returned.
 type slowReader struct {
 	data []byte
 	// err ends the stream in place of io.EOF when set.
 	err        error
 	done, late atomic.Bool
+	peak       atomic.Int64
 }
 
 func (r *slowReader) Read(p []byte) (int, error) {
 	if r.done.Load() {
 		r.late.Store(true)
+	}
+	if n := int64(runtime.NumGoroutine()); n > r.peak.Load() {
+		r.peak.Store(n)
 	}
 	time.Sleep(20 * time.Microsecond)
 	if len(r.data) == 0 {
@@ -256,13 +261,16 @@ func settledGoroutines(want int) int {
 }
 
 // TestLoadOverlapErrors fails the RAS log (a malformed line, a reader
-// that breaks mid-stream), the job log (a malformed line) or both, at
-// one worker (decoded one log after the other) and at two (the job log
+// that breaks mid-stream or at its first Read), the job log (a
+// malformed line) or both, at one worker (decoded one log after the
+// other, on the caller's goroutine alone) and at two (the job log
 // decodes beside the RAS log). A RAS failure takes precedence over a
 // job failure; each error's text, line number included, is the one the
-// failing log's own sequential decode reports. Load returns only once
-// the job half has finished: no Read of the job log starts after it
-// returned, and no goroutine outlives it.
+// failing log's own sequential decode reports. A RAS failure stops the
+// job decode at its next Read: when the RAS log fails at once, the job
+// log is not read to its end. Load returns only once the job half has
+// finished: no Read of the job log starts after it returned, and no
+// goroutine outlives it.
 func TestLoadOverlapErrors(t *testing.T) {
 	ras, jobs := lightCampaign.get(t)
 	breakLine := func(log []byte, at int, bad string) []byte {
@@ -277,26 +285,31 @@ func TestLoadOverlapErrors(t *testing.T) {
 
 	// want is the error text of the sequential decode of the log that
 	// fails first: the RAS log whenever it fails at all.
-	seqErr := func(rasSrc func() io.Reader, jobs []byte) string {
+	seqErr := func(rasSrc func() *slowReader, jobs []byte) string {
 		if _, err := raslog.ReadAllParallel(rasSrc(), 1); err != nil {
 			return fmt.Sprintf("repro: reading RAS log: %v", err)
 		}
 		_, err := joblog.ReadAllParallel(bytes.NewReader(jobs), 1)
 		return fmt.Sprintf("repro: reading job log: %v", err)
 	}
-	rasOf := func(b []byte) func() io.Reader { return func() io.Reader { return &slowReader{data: b} } }
+	rasOf := func(b []byte) func() *slowReader { return func() *slowReader { return &slowReader{data: b} } }
 	// The reader breaks after a whole line, halfway through the log.
 	cut := bytes.LastIndexByte(ras[:len(ras)/2], '\n') + 1
-	breaking := func() io.Reader { return &slowReader{data: ras[:cut], err: boom} }
+	breaking := func() *slowReader { return &slowReader{data: ras[:cut], err: boom} }
+	failing := func() *slowReader { return &slowReader{err: boom} }
 	for _, tc := range []struct {
 		name string
-		ras  func() io.Reader
+		ras  func() *slowReader
 		jobs []byte
+		// stopsJobs: the RAS log fails long before the job log could
+		// be read to its end.
+		stopsJobs bool
 	}{
-		{"bad RAS and job lines", rasOf(badRAS), badJobs},
-		{"bad job line", rasOf(ras), badJobs},
-		{"RAS reader fails", breaking, jobs},
-		{"RAS reader fails, bad job line", breaking, badJobs},
+		{"bad RAS and job lines", rasOf(badRAS), badJobs, false},
+		{"bad job line", rasOf(ras), badJobs, false},
+		{"RAS reader fails", breaking, jobs, false},
+		{"RAS reader fails, bad job line", breaking, badJobs, false},
+		{"RAS reader fails at once", failing, jobs, true},
 	} {
 		want := seqErr(tc.ras, tc.jobs)
 		if !strings.Contains(want, "line ") && !strings.Contains(want, boom.Error()) {
@@ -304,8 +317,8 @@ func TestLoadOverlapErrors(t *testing.T) {
 		}
 		for _, p := range []int{1, 2} {
 			before := runtime.NumGoroutine()
-			jr := &slowReader{data: tc.jobs}
-			_, err := Load(Config{Parallelism: p}, tc.ras(), jr)
+			rr, jr := tc.ras(), &slowReader{data: tc.jobs}
+			_, err := Load(Config{Parallelism: p}, rr, jr)
 			jr.done.Store(true)
 			if err == nil || err.Error() != want {
 				t.Errorf("%s, parallelism %d: error %v, want %s", tc.name, p, err, want)
@@ -316,7 +329,50 @@ func TestLoadOverlapErrors(t *testing.T) {
 			if jr.late.Load() {
 				t.Errorf("%s, parallelism %d: the job log was still being read after Load returned", tc.name, p)
 			}
+			if tc.stopsJobs && len(jr.data) == 0 {
+				t.Errorf("%s, parallelism %d: the job log was read to its end after the RAS log failed", tc.name, p)
+			}
+			if peak := max(rr.peak.Load(), jr.peak.Load()); p == 1 && peak > int64(before) {
+				t.Errorf("%s, parallelism 1: %d goroutines during Load, %d before", tc.name, peak, before)
+			}
 		}
+	}
+}
+
+// TestRenderAllSequentialStartsNoGoroutine checks that RenderAll at one
+// worker renders every artifact on the caller's goroutine, and at two
+// still renders them all, in order, with the same bytes.
+func TestRenderAllSequentialStartsNoGoroutine(t *testing.T) {
+	ras, jobs := lightCampaign.get(t)
+	last := &renderSteps[len(renderSteps)-1]
+	saved := last.render
+	defer func() { last.render = saved }()
+	var peak int
+	last.render = func(r *Report, w io.Writer) error {
+		peak = runtime.NumGoroutine()
+		return saved(r, w)
+	}
+	var outs [2]bytes.Buffer
+	for i, p := range []int{1, 2} {
+		rep, err := Load(Config{Parallelism: p}, bytes.NewReader(ras), bytes.NewReader(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		peak = 0
+		if err := rep.RenderAll(&outs[i]); err != nil {
+			t.Fatal(err)
+		}
+		rep.Close()
+		if p == 1 && peak != before {
+			t.Errorf("parallelism 1: %d goroutines while rendering, %d before", peak, before)
+		}
+		if peak == 0 {
+			t.Errorf("parallelism %d: the last artifact did not render", p)
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Error("RenderAll's output differs between one worker and two")
 	}
 }
 

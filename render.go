@@ -49,26 +49,12 @@ var renderSteps = [...]struct {
 // paper order. Artifacts that cannot be computed on the given data
 // (e.g. too few application-error interruptions in a short campaign to
 // fit their interarrival distribution) are skipped with a note instead
-// of aborting the whole report; only write failures propagate. With
-// more than one worker the artifacts render side by side, each into its
-// own buffer, and are written in paper order once all have rendered;
-// the output is the same at every worker count.
+// of aborting the whole report; only write failures propagate. The
+// artifacts render on r.workers goroutines (one worker renders them in
+// place, one after another), each into its own buffer, and are written
+// in paper order once all have rendered; the output is the same at
+// every worker count.
 func (r *Report) RenderAll(w io.Writer) error {
-	if parallel.Workers(r.workers) > 1 {
-		return r.renderAllConcurrent(w)
-	}
-	for _, step := range renderSteps {
-		var buf bytes.Buffer
-		rerr := step.render(r, &buf)
-		if err := writeStep(w, step.name, buf.Bytes(), rerr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// renderAllConcurrent is RenderAll on r.workers goroutines.
-func (r *Report) renderAllConcurrent(w io.Writer) error {
 	var bufs [len(renderSteps)]bytes.Buffer
 	var errs [len(renderSteps)]error
 	// Every render error is a skip note, never a failure of the fan-out,

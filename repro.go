@@ -16,8 +16,10 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -42,14 +44,15 @@ type Config struct {
 	// MatchTolerance is the job-end-to-event matching slack; zero means
 	// the default (5 minutes).
 	MatchTolerance time.Duration
-	// Parallelism bounds the worker count of every fan-out — the
-	// chunked log decode in Load and the job log's decode beside the
-	// RAS log's, the artifacts RenderAll renders side by side, and the
-	// campaigns of RunEnsemble and RunMatrix (0 = GOMAXPROCS,
-	// 1 = sequential, no goroutine). The analysis itself is one
-	// sequential pass. For a fixed input the report is byte-identical
-	// at every setting; see internal/parallel for the determinism
-	// contract.
+	// Parallelism bounds the worker count of each fan-out — the
+	// chunked decode of each log in Load, the artifacts RenderAll
+	// renders side by side, and the campaigns of RunEnsemble and
+	// RunMatrix (0 = GOMAXPROCS, 1 = sequential, no goroutine). It
+	// bounds each one, not their sum: with more than one worker Load
+	// decodes the job log beside the RAS log, each decode on up to
+	// Parallelism workers. The analysis itself is one sequential pass.
+	// For a fixed input the report is byte-identical at every setting;
+	// see internal/parallel for the determinism contract.
 	Parallelism int
 	// Seeds is the number of campaigns RunEnsemble simulates, at seeds
 	// Seed, Seed+1, ..., Seed+Seeds-1 (0 or 1 means a single campaign).
@@ -148,34 +151,69 @@ func Load(cfg Config, rasLog, jobLog io.Reader) (*Report, error) {
 // (coanalyze -mem-budget): past the budget the RAS log's sorted FATAL
 // run spills to segment files under spillDir; with budget <= 0 it stays
 // resident and spillDir is not touched. Both logs are decoded by the
-// sharded streaming codecs honoring cfg.Parallelism; with more than one
-// worker the job log decodes on its own goroutine while the RAS log
-// does, and LoadBounded waits for it on every path. The RAS decode
-// validates every line, folds the noise into Table I's aggregates and
-// spools only the FATAL records the analysis reads (raslog.ScanFatal).
-// A RAS error takes precedence over a job-log error. The report is
-// byte-identical at every worker count and every budget. It retains
-// the run until Close.
+// sharded streaming codecs, each on up to cfg.Parallelism workers; with
+// more than one worker the job log decodes on its own goroutine while
+// the RAS log does, so the two decodes together may run twice that
+// many. LoadBounded waits for the job decode on every path; a RAS error
+// stops it at its next read and takes precedence over a job-log error.
+// The RAS decode validates every line, folds the noise into Table I's
+// aggregates and spools only the FATAL records the analysis reads
+// (raslog.ScanFatal). The report is byte-identical at every worker
+// count and every budget. It retains the run until Close.
 func LoadBounded(cfg Config, budget int64, spillDir string, rasLog, jobLog io.Reader) (*Report, error) {
-	var pending <-chan loadedJobs
-	if parallel.Workers(cfg.Parallelism) > 1 {
-		pending = goReadJobs(jobLog, cfg.Parallelism)
+	if parallel.Workers(cfg.Parallelism) <= 1 {
+		sp := store.NewSpool(spillDir, budget)
+		stats, err := scanRAS(rasLog, cfg.Parallelism, budget, sp)
+		if err != nil {
+			return nil, fmt.Errorf("repro: reading RAS log: %w", err)
+		}
+		return analyzeLoaded(cfg, sp, stats, readJobs(jobLog, cfg.Parallelism))
 	}
+	return loadOverlapped(cfg, budget, spillDir, rasLog, jobLog)
+}
+
+// loadOverlapped is LoadBounded with the job log decoding on its own
+// goroutine beside the RAS log's decode.
+func loadOverlapped(cfg Config, budget int64, spillDir string, rasLog, jobLog io.Reader) (*Report, error) {
+	jr := &abortReader{r: jobLog}
+	pending := make(chan loadedJobs, 1)
+	go func() { pending <- readJobs(jr, cfg.Parallelism) }()
 	sp := store.NewSpool(spillDir, budget)
 	stats, err := scanRAS(rasLog, cfg.Parallelism, budget, sp)
-	var jobs loadedJobs
-	if pending != nil {
-		jobs = <-pending
-	} else if err == nil {
-		jobs = readJobs(jobLog, cfg.Parallelism)
+	if err != nil {
+		jr.abort.Store(true)
 	}
+	jobs := <-pending
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading RAS log: %w", err)
 	}
+	return analyzeLoaded(cfg, sp, stats, jobs)
+}
+
+// analyzeLoaded is analyzeRun over a decoded job log, or the job log's
+// error.
+func analyzeLoaded(cfg Config, sp *store.Spool, stats LogStats, jobs loadedJobs) (*Report, error) {
 	if jobs.err != nil {
 		return nil, fmt.Errorf("repro: reading job log: %w", jobs.err)
 	}
 	return analyzeRun(cfg, sp, stats, jobs.log)
+}
+
+// errLoadAborted ends a job-log decode whose RAS log failed; the RAS
+// error is the one LoadBounded reports.
+var errLoadAborted = errors.New("repro: load aborted")
+
+// abortReader reads r until abort is set, and then fails every Read.
+type abortReader struct {
+	r     io.Reader
+	abort atomic.Bool
+}
+
+func (a *abortReader) Read(p []byte) (int, error) {
+	if a.abort.Load() {
+		return 0, errLoadAborted
+	}
+	return a.r.Read(p)
 }
 
 // scanRAS decodes a RAS log into Table I's aggregates and Table II's
@@ -212,15 +250,6 @@ func readJobs(jobLog io.Reader, parallelism int) loadedJobs {
 		return loadedJobs{err: err}
 	}
 	return loadedJobs{log: joblog.NewLog(jobs)}
-}
-
-// goReadJobs decodes a job log on its own goroutine; the channel
-// delivers the one result. The goroutine's closure lives here, not in
-// LoadBounded, so the sequential path captures no variable of its own.
-func goReadJobs(jobLog io.Reader, parallelism int) <-chan loadedJobs {
-	out := make(chan loadedJobs, 1)
-	go func() { out <- readJobs(jobLog, parallelism) }()
-	return out
 }
 
 func simConfig(cfg Config) simulate.Config {
