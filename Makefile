@@ -43,10 +43,9 @@ race:
 # (atomicpub, callgraph, commitseq, detrand, errcode, frozen, idkind,
 # latebind, lockguard, maporder, seedtaint, sharedfold), run in both
 # forms the CI lint job runs. The standalone form is gated against the
-# committed baseline: only NEW failing findings fail (exit 1; exit 2 =
-# tool failure). Warn-tier findings (latebind, idkind) print without
-# failing; add -strict to gate them too. The vet-driver form also
-# covers _test.go files and fails on any error-tier finding.
+# committed baseline: only NEW findings fail (exit 1; exit 2 = tool
+# failure), warn-tier ones (latebind, idkind) like error-tier ones. The
+# vet-driver form also covers _test.go files; any finding fails it.
 LINT_PKGS = ./... ./cmd/... ./examples/...
 lint:
 	$(GO) build -o bin/bgplint ./cmd/bgplint

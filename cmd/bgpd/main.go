@@ -121,6 +121,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// Periodic publication: tailed and POSTed records become visible to
 	// queries at this cadence at the latest (POST /v1/publish forces it).
+	// A tick with nothing ingested or sealed since the current epoch
+	// leaves that epoch in place.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -131,7 +133,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				if _, err := eng.Publish(); err != nil {
+				if _, err := eng.PublishIfChanged(); err != nil {
 					fmt.Fprintln(stderr, "bgpd: publish:", err)
 				}
 			}

@@ -176,6 +176,32 @@ func TestDaemonServesLoadedLogs(t *testing.T) {
 	}
 }
 
+// TestDaemonIdleTickKeepsEpoch runs the publish ticker over loaded
+// logs with nothing arriving: the ticks leave the epoch sequence where
+// the startup publication put it, and POST /v1/publish still publishes.
+func TestDaemonIdleTickKeepsEpoch(t *testing.T) {
+	rasPath, jobPath, _, _ := campaignFiles(t, 21, 4)
+	base, stop := startDaemon(t, "-ras", rasPath, "-job", jobPath, "-publish-every", "10ms")
+	defer stop()
+
+	var before, after epochSummary
+	getJSON(t, base+"/v1/epoch", &before)
+	time.Sleep(200 * time.Millisecond) // about 20 ticks
+	getJSON(t, base+"/v1/epoch", &after)
+	if after.Epoch != before.Epoch {
+		t.Fatalf("idle ticks moved the epoch from %d to %d", before.Epoch, after.Epoch)
+	}
+	resp, err := http.Post(base+"/v1/publish", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	getJSON(t, base+"/v1/epoch", &after)
+	if resp.StatusCode != http.StatusOK || after.Epoch != before.Epoch+1 {
+		t.Fatalf("POST /v1/publish: status %d, epoch %d; want 200, %d", resp.StatusCode, after.Epoch, before.Epoch+1)
+	}
+}
+
 // TestDaemonFollowsGrowingLogs starts the daemon tailing half-written
 // logs, appends the rest while it runs, and waits for the appended
 // records to show up in a published epoch.

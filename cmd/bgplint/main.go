@@ -13,8 +13,8 @@
 // the ordinary build cache) and prints one line per finding,
 // vet-style. Exit status follows the CI contract: 0 clean, 1 failing
 // findings (after baseline suppression), 2 tool or load failure.
-// Error-tier findings always fail; warn-tier findings (latebind,
-// idkind) print but fail only under -strict. Test files are
+// Every finding fails, warn tier (latebind, idkind) included; the
+// tier only labels SARIF results and baseline entries. Test files are
 // not scanned in this mode.
 //
 // Reports and gating:
@@ -65,9 +65,8 @@ func run(args []string, stdout *os.File) int {
 	sarifFlag := fs.String("sarif", "", "write a SARIF 2.1.0 report to `file` (standalone mode)")
 	baselineFlag := fs.String("baseline", "", "suppress findings fingerprinted in baseline `file`; exit 1 only on new findings")
 	writeBaselineFlag := fs.String("write-baseline", "", "write all current findings to baseline `file` and exit 0")
-	strictFlag := fs.Bool("strict", false, "promote warn-tier findings to failing (exit 1)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bgplint [-strict] [-sarif file] [-baseline file | -write-baseline file] [packages]\n       go vet -vettool=$(which bgplint) [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: bgplint [-sarif file] [-baseline file | -write-baseline file] [packages]\n       go vet -vettool=$(which bgplint) [packages]\n\nAnalyzers:\n")
 		for _, r := range lint.Rules() {
 			fmt.Fprintf(os.Stderr, "  %-12s [%-7s] %s\n", r.Name, r.Severity, r.Summary)
 		}
@@ -93,14 +92,9 @@ func run(args []string, stdout *os.File) int {
 
 	analyzers := lint.Analyzers()
 
-	// Vet protocol: a single *.cfg argument names a unit of work. The
-	// go command forwards no flags, so vet units run non-strict: warn
-	// findings print in vet output without failing the build.
+	// Vet protocol: a single *.cfg argument names a unit of work.
 	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		failing := func(analyzer string) bool {
-			return lint.Failing(lint.Severity(analyzer), *strictFlag)
-		}
-		return driver.RunVetUnit(rest[0], analyzers, failing, os.Stderr)
+		return driver.RunVetUnit(rest[0], analyzers, os.Stderr)
 	}
 
 	patterns := fs.Args()
@@ -158,26 +152,21 @@ func run(args []string, stdout *os.File) int {
 		}
 	}
 
-	// Every fresh finding prints; only failing-tier ones (errors, plus
-	// warnings under -strict) decide the exit status.
-	fresh, failing, warnOnly := 0, 0, 0
+	// Every fresh finding prints; a failing-tier one (error or warning)
+	// fails the run.
+	fresh, failing := 0, 0
 	for i, f := range findings {
 		if suppressed[i] {
 			continue
 		}
 		fresh++
 		fmt.Fprintf(stdout, "%s: %s\n", f.Pos, f.Message)
-		if lint.Failing(lint.Severity(f.Analyzer), *strictFlag) {
+		if lint.Failing(lint.Severity(f.Analyzer)) {
 			failing++
-		} else {
-			warnOnly++
 		}
 	}
 	if n := len(findings) - fresh; n > 0 {
 		fmt.Fprintf(os.Stderr, "bgplint: %d finding(s) suppressed by baseline %s\n", n, *baselineFlag)
-	}
-	if warnOnly > 0 && !*strictFlag {
-		fmt.Fprintf(os.Stderr, "bgplint: %d warning(s) not failing the run; use -strict to gate them\n", warnOnly)
 	}
 	if failing > 0 {
 		return driver.ExitFindings

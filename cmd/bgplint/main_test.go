@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -129,30 +130,25 @@ func TestExitCodeContract(t *testing.T) {
 }
 
 // TestWarnTierExitContract walks the warn-tier workflow on a fixture
-// whose only finding is an idkind warning: it prints without failing,
-// -strict promotes it to exit 1, a baseline records its severity, and
-// a baselined -strict run is clean again.
+// whose only finding is an idkind warning: it prints and fails the run
+// like an error, SARIF and a baseline record its severity tier, and a
+// baselined run is clean again.
 func TestWarnTierExitContract(t *testing.T) {
 	dir := copyFixture(t, "warnfixture")
 	t.Chdir(dir)
 
 	code, out := runTool(t, "./rates")
-	if code != driver.ExitClean {
-		t.Fatalf("warn-only run: exit %d, want %d (warnings must not fail)\noutput:\n%s", code, driver.ExitClean, out)
+	if code != driver.ExitFindings {
+		t.Fatalf("warn-only run: exit %d, want %d (warnings fail)\noutput:\n%s", code, driver.ExitFindings, out)
 	}
 	if !strings.Contains(out, "midplane-keyed container with a rack index") || !strings.Contains(out, "idkind") {
 		t.Fatalf("warn finding not printed:\n%s", out)
 	}
 
-	code, out = runTool(t, "-strict", "./rates")
-	if code != driver.ExitFindings {
-		t.Fatalf("-strict run: exit %d, want %d (strict promotes warnings)\noutput:\n%s", code, driver.ExitFindings, out)
-	}
-
 	// The SARIF artifact carries the warning at its tier.
 	code, _ = runTool(t, "-sarif", "warn.sarif", "./rates")
-	if code != driver.ExitClean {
-		t.Fatalf("sarif run: exit %d, want %d", code, driver.ExitClean)
+	if code != driver.ExitFindings {
+		t.Fatalf("sarif run: exit %d, want %d", code, driver.ExitFindings)
 	}
 	sarifData, err := os.ReadFile("warn.sarif")
 	if err != nil {
@@ -175,10 +171,33 @@ func TestWarnTierExitContract(t *testing.T) {
 		t.Errorf("baseline entry carries no warning severity:\n%s", blData)
 	}
 
-	// ...and suppresses it even under -strict: only NEW findings gate.
-	code, out = runTool(t, "-strict", "-baseline", "warn.baseline.json", "./rates")
+	// ...and suppresses it: only NEW findings gate.
+	code, out = runTool(t, "-baseline", "warn.baseline.json", "./rates")
 	if code != driver.ExitClean {
-		t.Fatalf("baselined -strict run: exit %d, want %d\noutput:\n%s", code, driver.ExitClean, out)
+		t.Fatalf("baselined run: exit %d, want %d\noutput:\n%s", code, driver.ExitClean, out)
+	}
+}
+
+// TestVetUnitFailsOnWarning runs the built tool through go vet on the
+// warn-only fixture: the lone warn-tier finding fails the unit, so
+// make lint cannot print a finding that fails nothing.
+func TestVetUnitFailsOnWarning(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tool and runs go vet")
+	}
+	tool := filepath.Join(t.TempDir(), "bgplint")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building bgplint: %v\n%s", err, out)
+	}
+	dir := copyFixture(t, "warnfixture")
+	vet := exec.Command("go", "vet", "-vettool="+tool, "./rates")
+	vet.Dir = dir
+	out, err := vet.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet passed over a warn-tier finding\n%s", out)
+	}
+	if !strings.Contains(string(out), "midplane-keyed container with a rack index") {
+		t.Fatalf("go vet failed without the warn finding:\n%s", out)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Warn-tier fixture: the loop runs over racks but indexes a
-// midplane-keyed array, an idkind finding. It prints on every run but
-// fails only under -strict.
+// midplane-keyed array, an idkind finding. It fails every run that no
+// baseline suppresses it in.
 package rates
 
 import "warnfixture/bgp"

@@ -8,11 +8,13 @@ package joblog
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -653,16 +655,25 @@ type Log struct {
 	marshaled     int
 }
 
-// NewLog returns a log over jobs ordered by (EndTime, ID).
+// NewLog returns a log over jobs ordered by (EndTime, ID). The log
+// takes ownership of jobs: it keeps the slice rather than a copy, and
+// sorts it in place (stably) when it is out of order, so the caller must
+// not modify jobs afterwards. Appending to the caller's slice past
+// len(jobs) leaves the log's view unchanged. A caller that needs its
+// own order kept must pass a copy.
 func NewLog(jobs []Job) *Log {
-	l := &Log{jobs: append([]Job(nil), jobs...)}
-	sort.SliceStable(l.jobs, func(i, j int) bool {
-		if !l.jobs[i].EndTime.Equal(l.jobs[j].EndTime) {
-			return l.jobs[i].EndTime.Before(l.jobs[j].EndTime)
-		}
-		return l.jobs[i].ID < l.jobs[j].ID
-	})
-	return l
+	if !slices.IsSortedFunc(jobs, compareEnd) {
+		slices.SortStableFunc(jobs, compareEnd)
+	}
+	return &Log{jobs: jobs}
+}
+
+// compareEnd orders jobs by (EndTime, ID).
+func compareEnd(a, b Job) int {
+	if c := a.EndTime.Compare(b.EndTime); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Len returns the number of jobs.

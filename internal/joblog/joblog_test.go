@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -286,5 +287,48 @@ func TestLogSpanEmpty(t *testing.T) {
 	first, last := l.Span()
 	if !first.IsZero() || !last.IsZero() {
 		t.Error("empty Span should be zero")
+	}
+}
+
+// TestNewLogOwnsInput checks that NewLog keeps its input slice rather
+// than copying it: sorted input is kept as it is, and unsorted input is
+// sorted in place into (EndTime, ID) order, stably among full ties, as
+// the reflection-based sort.SliceStable over a copy ordered it.
+func TestNewLogOwnsInput(t *testing.T) {
+	t0 := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
+	var in []Job
+	for i := 0; i < 60; i++ {
+		end := t0.Add(time.Duration(i/3) * time.Minute)
+		// IDs tie in pairs within an end time; the executable tags
+		// input order, so a full tie's order is visible.
+		in = append(in, mkJob(int64(i%3/2), fmt.Sprintf("/tag%d", i), t0, end, bgp.Partition{Size: 1}))
+	}
+	orig := slices.Clone(in)
+	l := NewLog(in)
+	if !slices.Equal(in, orig) {
+		t.Fatal("log reordered already sorted input")
+	}
+	if all := l.All(); len(all) != len(in) || &all[0] != &in[0] {
+		t.Error("log copied its sorted input")
+	}
+
+	shuffled := slices.Clone(orig)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	want := slices.Clone(shuffled)
+	sort.SliceStable(want, func(i, j int) bool {
+		if !want[i].EndTime.Equal(want[j].EndTime) {
+			return want[i].EndTime.Before(want[j].EndTime)
+		}
+		return want[i].ID < want[j].ID
+	})
+	l = NewLog(shuffled)
+	if !slices.Equal(l.All(), want) {
+		t.Fatal("log over unsorted input differs from a stable (EndTime, ID) sort")
+	}
+	if all := l.All(); &all[0] != &shuffled[0] {
+		t.Error("log copied its unsorted input instead of sorting it in place")
+	}
+	if got := testing.AllocsPerRun(10, func() { NewLog(shuffled) }); got > 1 {
+		t.Errorf("NewLog over sorted input allocates %.0f times, want at most 1 (the Log)", got)
 	}
 }

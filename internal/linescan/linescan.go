@@ -60,15 +60,23 @@ type Options struct {
 // decoded before the error plus an error naming the line, exactly as a
 // sequential scan would. The chunk buffer is reused once the chunk's
 // values are emitted, so the values must not alias it: copy every
-// retained byte (string(b) does).
+// retained byte (string(b) does). The returned slice is handed over:
+// the shard must not write to it again (DecodeAll keeps it).
 type ShardFunc[T any] func(chunk []byte, firstLine int) ([]T, error)
 
 // DecodeAll is Decode collecting every value: the returned slice and
-// error match a sequential decode of the same stream byte for byte.
+// error match a sequential decode of the same stream byte for byte. The
+// first chunk's slice becomes the result and later chunks append to it,
+// so a stream of one chunk is returned without a copy; the shard must
+// hand over a fresh slice for each chunk.
 func DecodeAll[T any](r io.Reader, opts Options, newShard func() ShardFunc[T]) ([]T, error) {
 	var out []T
 	err := Decode(r, opts, newShard, func(vals []T) error {
-		out = append(out, vals...)
+		if out == nil {
+			out = vals
+		} else {
+			out = append(out, vals...)
+		}
 		return nil
 	})
 	return out, err

@@ -105,6 +105,26 @@ func TestDecodeAllMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestDecodeAllKeepsLoneChunk checks that a stream of one chunk comes
+// back as the shard's own slice, not a copy of it.
+func TestDecodeAllKeepsLoneChunk(t *testing.T) {
+	var shardOut []string
+	got, err := DecodeAll(strings.NewReader("a\nb\nc\n"), Options{Workers: 1}, func() ShardFunc[string] {
+		inner := decodeLines(Options{})()
+		return func(chunk []byte, firstLine int) ([]string, error) {
+			vals, err := inner(chunk, firstLine)
+			shardOut = vals
+			return vals, err
+		}
+	})
+	if err != nil || len(got) != 3 {
+		t.Fatalf("decoded %q, %v", got, err)
+	}
+	if &got[0] != &shardOut[0] {
+		t.Error("DecodeAll copied the values of its only chunk")
+	}
+}
+
 func TestDecodeAllErrorMatchesSequential(t *testing.T) {
 	in := buildInput(100) + "BAD\n" + buildInput(50)
 	want, wantErr := seqDecode(t, in)

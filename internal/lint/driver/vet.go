@@ -82,14 +82,9 @@ func PrintFlags(w io.Writer) error {
 // write the merged fact set to VetxOutput, and report diagnostics.
 //
 // Exit codes follow the bgplint contract (not unitchecker's):
-// 0 clean, 1 findings, 2 tool or load failure. failing says whether a
-// finding from the named analyzer fails the unit; every finding prints
-// regardless, so warn-tier diagnostics surface in go vet output
-// without failing the build. A nil failing fails on everything.
-func RunVetUnit(cfgFile string, analyzers []*analysis.Analyzer, failing func(analyzer string) bool, stderr io.Writer) int {
-	if failing == nil {
-		failing = func(string) bool { return true }
-	}
+// 0 clean, 1 findings, 2 tool or load failure. Every finding fails
+// the unit, whatever its analyzer's tier.
+func RunVetUnit(cfgFile string, analyzers []*analysis.Analyzer, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -237,14 +232,11 @@ func RunVetUnit(cfgFile string, analyzers []*analysis.Analyzer, failing func(ana
 	if exit != ExitClean {
 		return exit
 	}
-	fail := false
-	for _, f := range sortAndDedupe(findings) {
+	sorted := sortAndDedupe(findings)
+	for _, f := range sorted {
 		fmt.Fprintf(stderr, "%s: %s\n", f.Pos, f.Message)
-		if failing(f.Analyzer) {
-			fail = true
-		}
 	}
-	if fail {
+	if len(sorted) > 0 {
 		return ExitFindings
 	}
 	return ExitClean

@@ -32,10 +32,10 @@ import (
 // the allocations it flagged.
 const ToolVersion = "5.0"
 
-// Severity tiers. SevError findings always gate CI; SevWarn findings
-// print but only gate under -strict (perf smells shouldn't hard-fail
-// like determinism bugs do); SevNote analyzers exist only for their
-// facts and never report.
+// Severity tiers. SevError and SevWarn findings both fail a run; the
+// tier labels SARIF results and baseline entries (a warning marks a
+// perf smell, an error a determinism or concurrency bug). SevNote
+// analyzers exist only for their facts and never report.
 const (
 	SevError = "error"
 	SevWarn  = "warning"
@@ -63,8 +63,7 @@ func Analyzers() []*analysis.Analyzer {
 }
 
 // Severity maps an analyzer name to its reporting tier. Unknown names
-// default to SevWarn so a future analyzer is never silently promoted
-// to a gate.
+// default to SevWarn.
 func Severity(analyzer string) string {
 	switch analyzer {
 	case detrand.Analyzer.Name,
@@ -87,16 +86,10 @@ func Severity(analyzer string) string {
 }
 
 // Failing reports whether a fresh finding of the given severity fails
-// the run. Errors always fail; warnings fail only under -strict; notes
-// never fail (and never report in practice).
-func Failing(severity string, strict bool) bool {
-	switch severity {
-	case SevError:
-		return true
-	case SevWarn:
-		return strict
-	}
-	return false
+// the run. Errors and warnings fail; notes never fail (and never
+// report in practice).
+func Failing(severity string) bool {
+	return severity == SevError || severity == SevWarn
 }
 
 // A RuleMeta describes one analyzer for rule tables (SARIF, usage

@@ -55,24 +55,20 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestFailing is the exit-contract truth table: errors always fail,
-// warnings fail only under -strict, notes never fail.
+// TestFailing is the exit-contract truth table: errors and warnings
+// fail, notes never fail.
 func TestFailing(t *testing.T) {
 	cases := []struct {
-		sev    string
-		strict bool
-		want   bool
+		sev  string
+		want bool
 	}{
-		{lint.SevError, false, true},
-		{lint.SevError, true, true},
-		{lint.SevWarn, false, false},
-		{lint.SevWarn, true, true},
-		{lint.SevNote, false, false},
-		{lint.SevNote, true, false},
+		{lint.SevError, true},
+		{lint.SevWarn, true},
+		{lint.SevNote, false},
 	}
 	for _, c := range cases {
-		if got := lint.Failing(c.sev, c.strict); got != c.want {
-			t.Errorf("Failing(%q, strict=%v) = %v, want %v", c.sev, c.strict, got, c.want)
+		if got := lint.Failing(c.sev); got != c.want {
+			t.Errorf("Failing(%q) = %v, want %v", c.sev, got, c.want)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package raslog
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // benchCorpus builds a realistic in-memory RAS log: a few thousand
@@ -91,4 +95,66 @@ func BenchmarkRASDecodeParallel(b *testing.B) {
 			b.Fatalf("decoded %d records, want %d", len(recs), benchRecords)
 		}
 	}
+}
+
+// scanNoisePerFatal is the paper's shape (2,084,392 records, 33,370 of
+// them FATAL): about 62 noise lines per FATAL one.
+const scanNoisePerFatal = 62
+
+// scanCorpus builds a RAS log of n lines in the generator's style: event
+// times rising by under a second, no backslashes (a generated log has
+// none), and one FATAL line after every scanNoisePerFatal noise lines.
+func scanCorpus(n int) []byte {
+	rng := rand.New(rand.NewSource(7))
+	msgs := []string{
+		"power-good transition", "correctable ECC single-symbol error",
+		"link training completed", "An error(s) was detected by the Clock card : Error=Loss of reference input",
+	}
+	t := sampleRecord().EventTime
+	var b []byte
+	for i := 0; i < n; i++ {
+		r := sampleRecord()
+		r.RecID = int64(i + 1)
+		r.Severity = []Severity{SevInfo, SevWarning, SevError}[rng.Intn(3)]
+		if i%(scanNoisePerFatal+1) == scanNoisePerFatal {
+			r.Severity = SevFatal
+		}
+		t = t.Add(time.Duration(rng.Int63n(int64(time.Second))) / 1000 * 1000)
+		r.EventTime = t
+		r.Location = fmt.Sprintf("R%02d-M%d-N%02d-J%02d", rng.Intn(40), rng.Intn(2), rng.Intn(16), rng.Intn(32))
+		r.Message = msgs[rng.Intn(len(msgs))]
+		b = append(r.AppendLine(b), '\n')
+	}
+	return b
+}
+
+// BenchmarkScanFatal measures the one-worker FATAL-only decode against
+// its floor: x_floor is its fastest op over the fastest bytes.Count
+// newline pass over the same bytes, both timed in the same run, so the
+// ratio holds on a host whose absolute speed drifts between runs. It is
+// not in bgpbench's ns/op gate.
+func BenchmarkScanFatal(b *testing.B) {
+	in := scanCorpus(1 << 15)
+	lines := bytes.Count(in, []byte{'\n'})
+	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var total time.Duration
+	scan, floor := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if bytes.Count(in, []byte{'\n'}) != lines {
+			b.Fatal("newline count changed")
+		}
+		t1 := time.Now()
+		tot, err := ScanFatal(bytes.NewReader(in), 1, func(*Record) error { return nil })
+		if err != nil || tot.Records != lines {
+			b.Fatalf("scanned %d of %d lines: %v", tot.Records, lines, err)
+		}
+		d := time.Since(t1)
+		total += d
+		scan, floor = min(scan, d), min(floor, t1.Sub(t0))
+	}
+	b.ReportMetric(float64(total.Nanoseconds())/float64(b.N*lines), "ns/line")
+	b.ReportMetric(float64(scan)/float64(floor), "x_floor")
 }

@@ -100,6 +100,15 @@ func FuzzScanFatalChunks(f *testing.F) {
 	f.Add(fatalCorpus(20) + "1|M|KERNEL|s|c|INFO|2100-02-29-00.00.00.000000|f|R00|sn|m\n" + fatalCorpus(5))
 	f.Add("1|M|KERNEL|s|c|FATAL|2008-04-14-15.08.12,285324|f|R00|sn|m\r\n\n007|\\p|CARD|s|c|INFO|0000-02-29-00.00.00.000000|f|R00|sn|a\\")
 	f.Add("")
+	// The head-only split's shapes: 0 to 14 separators, a separator at
+	// either end, escapes in the tail, short lines, and a backslash in
+	// one line of a chunk among plain ones.
+	f.Add(strings.Join(splitLines(), "\n"))
+	f.Add(strings.Join(splitLines(), "\r\n"))
+	plain := "1|M|KERNEL|s|c|INFO|2008-04-14-15.08.12.285324|f|R00|sn|m\n"
+	f.Add(strings.Repeat(plain, 4) + `2|M|KERNEL|s|c|FATAL|2008-04-14-15.08.13.000000|\p|R00|sn|a\qb` + "\n" + strings.Repeat(plain, 4))
+	f.Add(plain + "|1|M|KERNEL|s|c|INFO|2008-04-14-15.08.12.285324|f|R00|sn\n" + plain)
+	f.Add(plain + "1|M|KERNEL|s|c|INFO|2008-04-14-15.08.12.285324|f|R00|sn|m|\n1|2|3\n")
 
 	f.Fuzz(func(t *testing.T, in string) {
 		all, wantErr := NewReader(strings.NewReader(in)).ReadAll()

@@ -145,12 +145,15 @@ func scanFatal(r io.Reader, opts linescan.Options, emit func(recs []Record) erro
 		return func(chunk []byte, firstLine int) ([]fatalChunk, error) {
 			var c fatalChunk
 			var tl tally
+			var lf lineFields
+			// A generated log holds no backslash at all, so one search
+			// per chunk spares every line its own.
+			escapes := bytes.IndexByte(chunk, '\\') >= 0
 			err := linescan.ForEachLine(chunk, firstLine, func(line []byte, n int) error {
 				if len(line) == 0 {
 					return nil
 				}
-				var lf lineFields
-				if err := lf.parse(line); err != nil {
+				if err := lf.parseIn(line, escapes); err != nil {
 					return fmt.Errorf("line %d: %w", n, err)
 				}
 				fatal := lf.sev == SevFatal

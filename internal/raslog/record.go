@@ -4,16 +4,20 @@
 // line-oriented serialization, and an in-memory store with the query
 // operations the co-analysis pipeline needs.
 //
-// The line codec is allocation-conscious: UnmarshalFields parses a
-// []byte line with an index-based field scanner (no strings.Split, no
-// fmt scanning), AppendLine marshals into a caller-supplied buffer, and
-// the streaming Reader amortizes the remaining per-record string
+// The line codec is allocation-conscious: UnmarshalFields splits a
+// []byte line with one IndexByte per separator (no strings.Split, no
+// fmt scanning) and checks the timestamp's fixed layout a 64-bit word
+// at a time, AppendLine marshals into a caller-supplied buffer, and the
+// streaming Reader amortizes the remaining per-record string
 // allocations through a field intern table — RAS streams repeat MsgIDs,
-// ERRCODEs, locations and flags millions of times.
+// ERRCODEs, locations and flags millions of times. ScanFatal, which
+// materializes only FATAL records, splits just a line's seven head
+// fields and counts the separators of the rest.
 package raslog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -240,28 +244,65 @@ func isLeap(year int) bool {
 	return year%4 == 0 && (year%100 != 0 || year%400 == 0)
 }
 
+// The fixed CMCS timestamp layout, "2006-01-02-15.04.05.000000", read
+// as four little-endian 64-bit words at byte offsets 0, 8, 16 and 18
+// (the last two overlap, so together they cover all 26 bytes). A word's
+// pattern holds '0' at each digit and the separator itself at each
+// separator. XOR with the pattern leaves 0-9 at a digit position exactly
+// when the byte was '0'-'9', and 0 at a separator position exactly when
+// it matched. The addend then holds 0x80-1-limit per byte (0x76 for a
+// digit's limit 9, 0x7f for a separator's limit 0): adding it to the
+// XOR's low seven bits sets a byte's high bit exactly when the byte
+// exceeds its limit, and no byte carries into the next (0x7f+0x7f <
+// 0x100). TestTimestampWordsMatchLayout rebuilds these from the layout.
+const (
+	tsPattern0 = 0x2d30302d30303030 // "0000-00-"
+	tsPattern1 = 0x30302e30302d3030 // "00-00.00"
+	tsPattern2 = 0x303030302e30302e // ".00.0000"
+	tsPattern3 = 0x3030303030302e30 // "0.000000"
+	tsAddend0  = 0x7f76767f76767676
+	tsAddend1  = 0x76767f76767f7676
+	tsAddend2  = 0x767676767f76767f
+	tsAddend3  = 0x7676767676767f76
+	lowSeven   = 0x7f7f7f7f7f7f7f7f
+	highBits   = 0x8080808080808080
+)
+
+// tsWordBad reports whether a timestamp word holds a byte outside its
+// pattern: a non-digit where a digit belongs, or a separator that does
+// not match. It is branch-free and carry-free.
+func tsWordBad(w, pattern, addend uint64) bool {
+	x := w ^ pattern
+	return ((x&lowSeven)+addend|x)&highBits != 0
+}
+
 // parseEventTimeBytes is the allocation-free fast path for the
 // fixed-width CMCS timestamp. It accepts exactly the all-digit
 // timestamps time.Parse accepts for EventTimeLayout (fixed-width
 // digits, in-range calendar fields, the day within its month) and
 // returns their key; callers fall back to ParseEventTime when it
 // reports !ok, which also covers what time.Parse alone accepts (a comma
-// before the fraction, a signed fraction).
+// before the fraction, a signed fraction). Four word checks validate
+// the layout, every separator and every digit; the fields are then
+// read digit by digit with no further test.
 func parseEventTimeBytes(b []byte) (eventKey, bool) {
-	// 2006-01-02-15.04.05.000000 — 26 bytes, separators at fixed offsets.
-	if len(b) != 26 || b[4] != '-' || b[7] != '-' || b[10] != '-' || b[13] != '.' || b[16] != '.' || b[19] != '.' {
+	if len(b) != 26 {
 		return 0, false
 	}
-	year, ok1 := atoiFixed(b[0:4])
-	month, ok2 := atoiFixed(b[5:7])
-	day, ok3 := atoiFixed(b[8:10])
-	hour, ok4 := atoiFixed(b[11:13])
-	min, ok5 := atoiFixed(b[14:16])
-	sec, ok6 := atoiFixed(b[17:19])
-	micro, ok7 := atoiFixed(b[20:26])
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) {
+	if tsWordBad(binary.LittleEndian.Uint64(b[0:8]), tsPattern0, tsAddend0) ||
+		tsWordBad(binary.LittleEndian.Uint64(b[8:16]), tsPattern1, tsAddend1) ||
+		tsWordBad(binary.LittleEndian.Uint64(b[16:24]), tsPattern2, tsAddend2) ||
+		tsWordBad(binary.LittleEndian.Uint64(b[18:26]), tsPattern3, tsAddend3) {
 		return 0, false
 	}
+	year := int(b[0]-'0')*1000 + int(b[1]-'0')*100 + int(b[2]-'0')*10 + int(b[3]-'0')
+	month := int(b[5]-'0')*10 + int(b[6]-'0')
+	day := int(b[8]-'0')*10 + int(b[9]-'0')
+	hour := int(b[11]-'0')*10 + int(b[12]-'0')
+	min := int(b[14]-'0')*10 + int(b[15]-'0')
+	sec := int(b[17]-'0')*10 + int(b[18]-'0')
+	micro := int(b[20]-'0')*100000 + int(b[21]-'0')*10000 + int(b[22]-'0')*1000 +
+		int(b[23]-'0')*100 + int(b[24]-'0')*10 + int(b[25]-'0')
 	if month < 1 || month > 12 || day < 1 || hour > 23 || min > 59 || sec > 59 {
 		return 0, false
 	}
@@ -269,18 +310,6 @@ func parseEventTimeBytes(b []byte) (eventKey, bool) {
 		return 0, false
 	}
 	return packEventKey(year, month, day, hour, min, sec, micro), true
-}
-
-// atoiFixed parses an all-digit field.
-func atoiFixed(b []byte) (int, bool) {
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
 }
 
 // parseInt64Bytes parses a full-field base-10 integer with optional
@@ -499,38 +528,47 @@ func (r Record) MarshalLine() string {
 // ErrBadRecord reports an unparseable RAS log line.
 var ErrBadRecord = errors.New("raslog: bad record line")
 
-// UnmarshalFields parses one line of the log file into r using an
-// index-based field scanner over the raw bytes: no field slice, no fmt
-// scanning, no intermediate strings except the retained fields. The
-// streaming Reader amortizes even those through its intern table.
+// UnmarshalFields parses one line of the log file into r, splitting
+// the raw bytes in one pass: no field slice, no fmt scanning, no
+// intermediate strings except the retained fields. The streaming
+// Reader amortizes even those through its intern table.
 func (r *Record) UnmarshalFields(line []byte) error {
 	return r.unmarshalFields(line, &fieldScratch{})
 }
 
 func (r *Record) unmarshalFields(line []byte, fs *fieldScratch) error {
 	var lf lineFields
-	if err := lf.parse(line); err != nil {
+	if err := lf.parseAll(line); err != nil {
 		return err
 	}
 	lf.fill(r, fs)
 	return nil
 }
 
-// lineFields is one split and validated log line: the typed fields
-// parsed, the string fields still raw (escaped) bytes and the event
-// time still a key. A decoder can look at the severity and the event
-// time and account a record's re-marshaled size without materializing
-// its strings or its time.Time.
+// headFields is the number of leading fields every line is split into
+// and validated on: recid, msgid, component, subcomponent, errcode,
+// severity and event time. The tail after them (flags, location,
+// serial, message) is only counted until something reads it.
+const headFields = 7
+
+// lineFields is one validated log line: the typed fields parsed, the
+// string fields still raw (escaped) bytes and the event time still a
+// key. A decoder can look at the severity and the event time and
+// account a record's re-marshaled size without splitting the tail,
+// materializing its strings or building its time.Time.
 type lineFields struct {
-	f    [numFields][]byte
-	n    int // len(line)
+	f    [numFields][]byte // f[headFields:] is set once tailSplit
+	tail []byte            // the bytes after the event time's separator
+	n    int               // len(line)
 	id   int64
 	comp Component
 	sev  Severity
 	key  eventKey
+	// tailSplit reports whether f holds the tail's four fields.
+	tailSplit bool
 	// canonical reports a line without a backslash whose timestamp took
 	// the fixed-layout path: it re-marshals to itself but for the
-	// recid's spelling.
+	// recid's spelling. Only parseIn sets it.
 	canonical bool
 }
 
@@ -538,56 +576,116 @@ type lineFields struct {
 // column order.
 var stringFields = [...]int{1, 3, 4, 7, 8, 9, 10}
 
-// parse splits line and validates the recid, component, severity and
-// event time, in that order, so the first error is the one a full
-// decode reports.
-func (lf *lineFields) parse(line []byte) error {
-	n := 0
+// parseIn splits the head of line, checks the field count with one
+// count of the tail's separators, and validates the recid, component,
+// severity and event time, in that order, so the first error is the
+// one a full decode reports. The tail stays unsplit. escapes reports
+// whether the line may hold a backslash: a decoder that found none in
+// the whole chunk passes false and the line skips its own search.
+func (lf *lineFields) parseIn(line []byte, escapes bool) error {
+	if err := lf.splitHead(line); err != nil {
+		return err
+	}
+	if n := lf.fieldCount(); n != numFields {
+		return fieldCountError(n)
+	}
+	fast, err := lf.validate()
+	lf.canonical = fast && !(escapes && bytes.IndexByte(line, '\\') >= 0)
+	return err
+}
+
+// parseAll is the full decoders' split: the head as parseIn splits it,
+// then the tail in the same pass, since fill reads every field anyway.
+func (lf *lineFields) parseAll(line []byte) error {
+	if err := lf.splitHead(line); err != nil {
+		return err
+	}
+	if !lf.splitTail() || bytes.IndexByte(lf.f[numFields-1], '|') >= 0 {
+		return fieldCountError(lf.fieldCount())
+	}
+	_, err := lf.validate()
+	return err
+}
+
+// splitHead sets the head fields and the tail of line, or reports the
+// field count of a line with fewer than headFields separators.
+func (lf *lineFields) splitHead(line []byte) error {
+	lf.n, lf.tailSplit = len(line), false
 	rest := line
-	for {
-		i := bytes.IndexByte(rest, '|')
-		if i < 0 {
-			if n < numFields {
-				lf.f[n] = rest
-			}
-			n++
-			break
+	for i := 0; i < headFields; i++ {
+		j := bytes.IndexByte(rest, '|')
+		if j < 0 {
+			return fieldCountError(i + 1)
 		}
-		if n < numFields {
-			lf.f[n] = rest[:i]
-		}
-		n++
-		rest = rest[i+1:]
+		lf.f[i], rest = rest[:j], rest[j+1:]
 	}
-	if n != numFields {
-		return fmt.Errorf("%w: %d fields, want %d", ErrBadRecord, n, numFields)
-	}
-	lf.n = len(line)
+	lf.tail = rest
+	return nil
+}
+
+// fieldCount is the number of fields of a line whose head is split.
+func (lf *lineFields) fieldCount() int {
+	return headFields + 1 + bytes.Count(lf.tail, []byte(fieldSep))
+}
+
+// fieldCountError reports a line of n fields. It stays out of line so
+// the error it builds is one escape site, not one per split.
+//
+//go:noinline
+func fieldCountError(n int) error {
+	return fmt.Errorf("%w: %d fields, want %d", ErrBadRecord, n, numFields)
+}
+
+// validate parses the recid, component, severity and event time of the
+// split head, in that order. fast reports that the event time took the
+// fixed-layout path.
+func (lf *lineFields) validate() (fast bool, err error) {
 	var ok bool
 	if lf.id, ok = parseInt64Bytes(lf.f[0]); !ok {
-		return fmt.Errorf("%w: recid %q", ErrBadRecord, lf.f[0])
+		return false, fmt.Errorf("%w: recid %q", ErrBadRecord, lf.f[0])
 	}
 	if lf.comp, ok = parseComponentBytes(lf.f[2]); !ok {
-		return fmt.Errorf("%w: raslog: unknown component %q", ErrBadRecord, lf.f[2])
+		return false, fmt.Errorf("%w: raslog: unknown component %q", ErrBadRecord, lf.f[2])
 	}
 	if lf.sev, ok = parseSeverityBytes(lf.f[5]); !ok {
-		return fmt.Errorf("%w: raslog: unknown severity %q", ErrBadRecord, lf.f[5])
+		return false, fmt.Errorf("%w: raslog: unknown severity %q", ErrBadRecord, lf.f[5])
 	}
-	if lf.key, ok = parseEventTimeBytes(lf.f[6]); !ok {
-		// The fast path is exact for all-digit timestamps; delegate
-		// near-misses to time.Parse so acceptance matches it bit for bit.
-		t, err := ParseEventTime(string(lf.f[6]))
-		if err != nil {
-			return fmt.Errorf("%w: event time %q", ErrBadRecord, lf.f[6])
+	if lf.key, ok = parseEventTimeBytes(lf.f[6]); ok {
+		return true, nil
+	}
+	// The fast path is exact for all-digit timestamps; delegate
+	// near-misses to time.Parse so acceptance matches it bit for bit.
+	t, err := ParseEventTime(string(lf.f[6]))
+	if err != nil {
+		return false, fmt.Errorf("%w: event time %q", ErrBadRecord, lf.f[6])
+	}
+	lf.key = timeKey(t)
+	return false, nil
+}
+
+// splitTail sets the tail's four fields at its first three separators,
+// once, and reports whether it found three. After parseIn, which
+// counted exactly three, it always does.
+func (lf *lineFields) splitTail() bool {
+	if lf.tailSplit {
+		return true
+	}
+	rest := lf.tail
+	for i := headFields; i < numFields-1; i++ {
+		j := bytes.IndexByte(rest, '|')
+		if j < 0 {
+			return false
 		}
-		lf.key = timeKey(t)
+		lf.f[i], rest = rest[:j], rest[j+1:]
 	}
-	lf.canonical = ok && bytes.IndexByte(line, '\\') < 0
-	return nil
+	lf.f[numFields-1] = rest
+	lf.tailSplit = true
+	return true
 }
 
 // fill materializes the parsed line into r.
 func (lf *lineFields) fill(r *Record, fs *fieldScratch) {
+	lf.splitTail()
 	r.RecID = lf.id
 	r.Component = lf.comp
 	r.Severity = lf.sev
@@ -612,6 +710,7 @@ func (lf *lineFields) marshaledLen(fs *fieldScratch) int {
 	if lf.canonical {
 		return lf.n - len(lf.f[0]) + intLen(lf.id)
 	}
+	lf.splitTail()
 	n := fixedLen(lf.id, lf.comp, lf.sev, lf.key.year())
 	for _, i := range stringFields {
 		b := lf.f[i]

@@ -87,8 +87,11 @@ type Engine struct {
 	// lastJobEnd/lastJobID is the job-stream cursor; accepting jobs in
 	// (EndTime, ID) order is what makes the live occupancy builder
 	// reproduce the batch byEnd order (and hence its sort permutation)
-	// exactly.
-	lastJobEnd int64
+	// exactly, and what lets Publish hand e.jobs to joblog.NewLog, which
+	// then neither copies nor sorts it. The cursor compares time.Time
+	// values, as NewLog does, so the two orders agree outside the Unix
+	// nanosecond range too. It starts at the Unix epoch.
+	lastJobEnd time.Time
 	lastJobID  int64
 
 	// pendRAS/pendJobs accumulate since the last seal; when a segment
@@ -103,6 +106,11 @@ type Engine struct {
 	// manifest; Seal uses it to decide whether an empty checkpoint
 	// segment is needed to commit the residue.
 	dirty bool
+	// stateSeq advances with every change an epoch shows: each applied
+	// ingest batch and each seal. epochState is its value at the current
+	// epoch's snapshot, so PublishIfChanged can tell an idle interval.
+	stateSeq   uint64
+	epochState uint64
 
 	// pubMu serializes publications; epoch is the read side.
 	pubMu    sync.Mutex
@@ -125,6 +133,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		tab:  tab,
 		inc:  filter.NewIncremental(cfg.Analysis.Filter, tab),
 		segs: store.SegmentSet{SealRows: cfg.SealRows},
+
+		lastJobEnd: time.Unix(0, 0).UTC(),
 	}
 	if cfg.MemBudget > 0 && cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: MemBudget requires DataDir (spilled segments need a home)")
@@ -179,6 +189,9 @@ func (e *Engine) IngestRAS(recs []raslog.Record) error {
 		last, lastID = t, recs[i].RecID
 	}
 
+	if len(recs) > 0 {
+		e.stateSeq++
+	}
 	var sealErr error
 	for i := range recs {
 		rec := &recs[i]
@@ -215,21 +228,24 @@ func (e *Engine) IngestJobs(jobs []joblog.Job) error {
 
 	last, lastID := e.lastJobEnd, e.lastJobID
 	for i := range jobs {
-		t := jobs[i].EndTime.UnixNano()
-		if t < last || (t == last && jobs[i].ID < lastID) {
+		c := jobs[i].EndTime.Compare(last)
+		if c < 0 || (c == 0 && jobs[i].ID < lastID) {
 			return &OrderError{Stream: "job", Index: i, Detail: fmt.Sprintf(
 				"job %d ending %s behind cursor (%s, job %d)",
 				jobs[i].ID, jobs[i].EndTime.UTC().Format(time.RFC3339Nano),
-				time.Unix(0, last).UTC().Format(time.RFC3339Nano), lastID)}
+				last.UTC().Format(time.RFC3339Nano), lastID)}
 		}
-		last, lastID = t, jobs[i].ID
+		last, lastID = jobs[i].EndTime, jobs[i].ID
+	}
+	if len(jobs) > 0 {
+		e.stateSeq++
 	}
 	for _, j := range jobs {
 		e.dirty = true
 		e.occ.Add(j)
 		e.jobs = append(e.jobs, j)
 		e.pendJobs = append(e.pendJobs, j)
-		e.lastJobEnd, e.lastJobID = j.EndTime.UnixNano(), j.ID
+		e.lastJobEnd, e.lastJobID = j.EndTime, j.ID
 	}
 	return nil
 }
@@ -242,6 +258,7 @@ func (e *Engine) seal() error {
 	if err != nil {
 		return fmt.Errorf("serve: sealing segment: %w", err)
 	}
+	e.stateSeq++
 	zone := seg.Zone()
 	sr := sealRecord{
 		ras:  e.pendRAS,
@@ -363,8 +380,11 @@ func (e *Engine) Publish() (*Epoch, error) {
 	counts.segments, counts.sealed, counts.rows = e.segs.Counts()
 	watermark := e.inc.Watermark()
 	seq := e.epochSeq + 1
+	state := e.stateSeq
 	e.mu.Unlock()
 
+	// e.jobs is in (EndTime, ID) order (IngestJobs' cursor), so the log
+	// keeps this capped prefix as it is: no copy, no sort.
 	jl := joblog.NewLog(jobs)
 	jFirst, jLast := jl.Span()
 	start, end := core.UnionSpan(stats.First, stats.Last, jFirst, jLast)
@@ -384,10 +404,25 @@ func (e *Engine) Publish() (*Epoch, error) {
 	ep := newEpoch(seq, watermark, a, rep, counts, stats)
 
 	e.mu.Lock()
-	e.epochSeq = seq
-	e.mu.Unlock()
+	e.epochSeq, e.epochState = seq, state
 	e.epoch.Store(ep)
+	e.mu.Unlock()
 	return ep, nil
+}
+
+// PublishIfChanged is Publish for a periodic publisher: when nothing
+// was ingested or sealed since the current epoch's snapshot, it returns
+// that epoch without rebuilding it. Before the first successful
+// publication it always publishes.
+func (e *Engine) PublishIfChanged() (*Epoch, error) {
+	e.mu.Lock()
+	ep := e.epoch.Load()
+	idle := ep != nil && e.epochState == e.stateSeq
+	e.mu.Unlock()
+	if idle {
+		return ep, nil
+	}
+	return e.Publish()
 }
 
 // Quiesce seals and persists everything ingested so far, then

@@ -323,3 +323,64 @@ func TestPublishBeforeJobs(t *testing.T) {
 		t.Fatalf("failed publish left epoch %d", ep.Seq)
 	}
 }
+
+// TestPublishIfChangedSkipsIdle checks the periodic publisher's rule:
+// with nothing ingested or sealed since the current epoch it keeps that
+// epoch (same sequence, same pointer); an ingest batch or a seal makes
+// the next call publish, and Publish always publishes.
+func TestPublishIfChangedSkipsIdle(t *testing.T) {
+	camp, err := simulate.Run(simulate.Config{Seed: 9, Days: 4, NoisePerFatal: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, jobs := camp.RAS.All(), camp.Jobs.All()
+	eng, err := NewEngine(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PublishIfChanged(); err == nil {
+		t.Fatal("PublishIfChanged on an empty engine succeeded, want Publish's error")
+	}
+	half := len(recs) / 2
+	if err := eng.IngestRAS(recs[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestJobs(jobs[:len(jobs)/2]); err != nil {
+		t.Fatal(err)
+	}
+	step := func(name string, wantPublished bool, wantSeq uint64) {
+		t.Helper()
+		before := eng.Epoch()
+		ep, err := eng.PublishIfChanged()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if published := ep != before; published != wantPublished || ep.Seq != wantSeq || eng.Epoch() != ep {
+			t.Fatalf("%s: published %v epoch %d, want %v epoch %d", name, published, ep.Seq, wantPublished, wantSeq)
+		}
+	}
+	step("first", true, 1)
+	step("idle", false, 1)
+	step("idle again", false, 1)
+	if err := eng.IngestRAS(nil); err != nil {
+		t.Fatal(err)
+	}
+	step("empty batch", false, 1)
+	if err := eng.IngestRAS(recs[half:]); err != nil {
+		t.Fatal(err)
+	}
+	step("after RAS", true, 2)
+	if err := eng.IngestJobs(jobs[len(jobs)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	step("after jobs", true, 3)
+	step("idle at the end", false, 3)
+	if err := eng.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	step("after seal", true, 4)
+	if ep, err := eng.Publish(); err != nil || ep.Seq != 5 {
+		t.Fatalf("forced Publish: epoch %v, %v; want 5", ep, err)
+	}
+	step("idle after forced", false, 5)
+}

@@ -204,7 +204,7 @@ func (e *Engine) recover() error {
 		for _, j := range jobs {
 			e.occ.Add(j)
 			e.jobs = append(e.jobs, j)
-			e.lastJobEnd, e.lastJobID = j.EndTime.UnixNano(), j.ID
+			e.lastJobEnd, e.lastJobID = j.EndTime, j.ID
 		}
 		last = &man
 	}

@@ -52,7 +52,9 @@ type Campaign struct {
 	// not a copy: both views share one slice, and neither may be
 	// modified.
 	RAS *raslog.Store
-	// Jobs is the job log.
+	// Jobs is the job log. Like RAS it is a log over Result.Jobs, not a
+	// copy: both views share one slice, which NewLog puts in (EndTime,
+	// ID) order, and neither may be modified.
 	Jobs *joblog.Log
 	// Result carries the raw scheduler output including ground truth.
 	Result *sched.Result
