@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -66,7 +65,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sealRecords  = fs.Int("seal-records", 4096, "filtered rows per durable segment")
 		poll         = fs.Duration("poll", 0, "tail poll interval for -follow (0 = default)")
 		flushEvery   = fs.Duration("flush-every", time.Second, "max latency before tailed records are ingested")
-		memBudget    = fs.Int64("mem-budget", 0, "resident column budget in bytes; sealed segments past it spill to -data and reload on demand (0 = keep everything resident; requires -data)")
+		memBudget    = fs.Int64("mem-budget", 0, "resident column budget in bytes; sealed segments past it drop their resident copy and are read from their -data files on demand (0 = keep everything resident; requires -data)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -207,12 +206,7 @@ func loadJobs(eng *serve.Engine, r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("line %d: %w", rd.Line(), err)
 	}
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if !jobs[i].EndTime.Equal(jobs[j].EndTime) {
-			return jobs[i].EndTime.Before(jobs[j].EndTime)
-		}
-		return jobs[i].ID < jobs[j].ID
-	})
+	joblog.SortStable(jobs)
 	for i := 0; i < len(jobs); i += followBatch {
 		if err := eng.IngestJobs(jobs[i:min(i+followBatch, len(jobs))]); err != nil {
 			return err
@@ -288,12 +282,7 @@ func followJobs(ctx context.Context, eng *serve.Engine, f io.Reader, poll, flush
 		if len(batch) == 0 {
 			return
 		}
-		sort.SliceStable(batch, func(i, j int) bool {
-			if !batch[i].EndTime.Equal(batch[j].EndTime) {
-				return batch[i].EndTime.Before(batch[j].EndTime)
-			}
-			return batch[i].ID < batch[j].ID
-		})
+		joblog.SortStable(batch)
 		if err := eng.IngestJobs(batch); err != nil {
 			fmt.Fprintf(stderr, "bgpd: job tail: %v (%d jobs dropped)\n", err, len(batch))
 		}

@@ -663,9 +663,15 @@ type Log struct {
 // own order kept must pass a copy.
 func NewLog(jobs []Job) *Log {
 	if !slices.IsSortedFunc(jobs, compareEnd) {
-		slices.SortStableFunc(jobs, compareEnd)
+		SortStable(jobs)
 	}
 	return &Log{jobs: jobs}
+}
+
+// SortStable sorts jobs in place into (EndTime, ID) order, keeping input
+// order among full ties: the order a Log keeps and bgpd ingests.
+func SortStable(jobs []Job) {
+	slices.SortStableFunc(jobs, compareEnd)
 }
 
 // compareEnd orders jobs by (EndTime, ID).

@@ -321,6 +321,7 @@ func TestNewLogOwnsInput(t *testing.T) {
 		}
 		return want[i].ID < want[j].ID
 	})
+	again := slices.Clone(shuffled)
 	l = NewLog(shuffled)
 	if !slices.Equal(l.All(), want) {
 		t.Fatal("log over unsorted input differs from a stable (EndTime, ID) sort")
@@ -330,5 +331,12 @@ func TestNewLogOwnsInput(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() { NewLog(shuffled) }); got > 1 {
 		t.Errorf("NewLog over sorted input allocates %.0f times, want at most 1 (the Log)", got)
+	}
+
+	// SortStable, which bgpd's loaders call on their own, is the same
+	// order.
+	SortStable(again)
+	if !slices.Equal(again, want) {
+		t.Fatal("SortStable differs from a stable (EndTime, ID) sort")
 	}
 }

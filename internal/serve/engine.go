@@ -50,20 +50,21 @@ type Config struct {
 	// SealRows is the segment row budget (0 = store.DefaultSealRows).
 	SealRows int
 	// DataDir, when non-empty, enables checkpoint persistence: every
-	// sealed segment is written there (records, jobs, manifest) before
-	// the ingest that sealed it is acknowledged, and NewEngine recovers
-	// the sealed prefix from it after a crash.
+	// sealed segment is written there (its columnar segment file, its
+	// jobs, its manifest) before the ingest that sealed it is
+	// acknowledged, and NewEngine recovers the sealed prefix from it
+	// after a crash.
 	DataDir string
 	// SealHook, when non-nil, is called before each persistence step
-	// ("ras", "job", "manifest") with the step name; returning an error
+	// ("seg", "job", "manifest") with the step name; returning an error
 	// aborts the seal at that point. It exists for fault-injection
 	// tests.
 	SealHook func(step string) error
 	// MemBudget, when positive, bounds the resident column payload (in
 	// bytes): after each persisted seal, sealed segments past the budget
-	// are committed to DataDir as columnar segment files (oldest first)
-	// and read from there through the zone-map-filtered reader. Requires
-	// DataDir — the spill files live next to the checkpoint files.
+	// (oldest first) drop their resident bytes and are read from their
+	// committed segment files in DataDir through the zone-map-filtered
+	// reader. A spill writes nothing. Requires DataDir.
 	MemBudget int64
 }
 
@@ -94,11 +95,10 @@ type Engine struct {
 	lastJobEnd time.Time
 	lastJobID  int64
 
-	// pendRAS/pendJobs accumulate since the last seal; when a segment
-	// seals they become its persisted payload. unpersisted queues seals
-	// whose files have not been durably written yet (a failed write
-	// keeps them queued for retry; recovery never sees them).
-	pendRAS     []raslog.Record
+	// pendJobs accumulates since the last seal; when a segment seals it
+	// becomes the seal's job file. unpersisted queues seals whose files
+	// have not been durably written yet (a failed write keeps them
+	// queued for retry; recovery never sees them).
 	pendJobs    []joblog.Job
 	unpersisted []sealRecord
 	per         *persister
@@ -107,10 +107,12 @@ type Engine struct {
 	// segment is needed to commit the residue.
 	dirty bool
 	// stateSeq advances with every change an epoch shows: each applied
-	// ingest batch and each seal. epochState is its value at the current
-	// epoch's snapshot, so PublishIfChanged can tell an idle interval.
+	// ingest batch and each seal. triedState is its value at the last
+	// publish attempt's snapshot, successful or not (tried: there was
+	// one), so PublishIfChanged can tell an idle interval.
 	stateSeq   uint64
-	epochState uint64
+	triedState uint64
+	tried      bool
 
 	// pubMu serializes publications; epoch is the read side.
 	pubMu    sync.Mutex
@@ -142,11 +144,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.DataDir != "" {
 		e.per = &persister{dir: cfg.DataDir, hook: cfg.SealHook}
 		if err := e.recover(); err != nil {
-			return nil, err
-		}
-		// Recovery rebuilds every sealed segment resident; re-apply the
-		// budget before serving.
-		if err := e.maybeSpill(); err != nil {
 			return nil, err
 		}
 	}
@@ -207,7 +204,6 @@ func (e *Engine) IngestRAS(recs []raslog.Record) error {
 			// exact admission rule above.
 			return fmt.Errorf("serve: internal: %w", err)
 		}
-		e.pendRAS = append(e.pendRAS, *rec)
 		full := e.segs.Append(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
 			int32(rec.Component), int32(rec.Severity))
 		if full {
@@ -259,11 +255,11 @@ func (e *Engine) seal() error {
 		return fmt.Errorf("serve: sealing segment: %w", err)
 	}
 	e.stateSeq++
-	zone := seg.Zone()
 	sr := sealRecord{
-		ras:  e.pendRAS,
+		seg:  seg,
 		jobs: e.pendJobs,
 		man: manifest{
+			Format:        manifestFormat,
 			Seq:           seg.Seq(),
 			Rows:          seg.Rows(),
 			JobCount:      len(e.pendJobs),
@@ -274,28 +270,29 @@ func (e *Engine) seal() error {
 			RASLastNS:     timeNS(e.stats.Last),
 			LastRecTimeNS: e.lastRecTime,
 			LastRecID:     e.lastRecID,
-			MinTimeNS:     zone.MinTime,
-			MaxTimeNS:     zone.MaxTime,
 		},
 	}
-	e.pendRAS = nil
 	e.pendJobs = nil
 	e.dirty = false
 	if e.per == nil {
 		return nil
 	}
+	if e.stats.HasFatal {
+		sr.man.FirstFatal = e.stats.FirstFatal.AppendLine(nil)
+	}
 	e.unpersisted = append(e.unpersisted, sr)
 	if err := e.flushSeals(); err != nil {
 		return err
 	}
-	// Spill only after the seal is durably persisted: the spill file is
-	// a cache of the checkpointed rows, never the only copy.
 	return e.maybeSpill()
 }
 
-// maybeSpill enforces the memory budget by committing the oldest
-// resident sealed segments to DataDir; their zone maps stay resident,
-// so scans keep skipping them for free. Called with e.mu held.
+// maybeSpill enforces the memory budget by swapping the oldest resident
+// sealed segments for their committed files in DataDir; their zone maps
+// stay resident, so scans keep skipping them for free. SpillOver writes
+// nothing, so this must run only when the unpersisted queue is empty
+// (seal calls it after flushSeals succeeds): then every sealed segment
+// has its seg-N.seg. Called with e.mu held.
 func (e *Engine) maybeSpill() error {
 	if e.cfg.MemBudget <= 0 {
 		return nil
@@ -397,30 +394,36 @@ func (e *Engine) Publish() (*Epoch, error) {
 		SpanStart:   start,
 		SpanEnd:     end,
 	})
+	var ep *Epoch
+	if err == nil {
+		ep = newEpoch(seq, watermark, a, repro.NewStreamReport(a, jl, stats), counts, stats)
+	}
+
+	e.mu.Lock()
+	e.triedState, e.tried = state, true
+	if ep != nil {
+		e.epochSeq = seq
+		e.epoch.Store(ep)
+	}
+	e.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("serve: epoch %d: %w", seq, err)
 	}
-	rep := repro.NewStreamReport(a, jl, stats)
-	ep := newEpoch(seq, watermark, a, rep, counts, stats)
-
-	e.mu.Lock()
-	e.epochSeq, e.epochState = seq, state
-	e.epoch.Store(ep)
-	e.mu.Unlock()
 	return ep, nil
 }
 
 // PublishIfChanged is Publish for a periodic publisher: when nothing
-// was ingested or sealed since the current epoch's snapshot, it returns
-// that epoch without rebuilding it. Before the first successful
-// publication it always publishes.
+// was ingested or sealed since the last publish attempt's snapshot, it
+// returns the current epoch (nil if none was ever published) without
+// rebuilding it. A failed attempt is not retried until the state
+// changes: the same state would fail the same way, and the attempt
+// already reported the error.
 func (e *Engine) PublishIfChanged() (*Epoch, error) {
 	e.mu.Lock()
-	ep := e.epoch.Load()
-	idle := ep != nil && e.epochState == e.stateSeq
+	idle := e.tried && e.triedState == e.stateSeq
 	e.mu.Unlock()
 	if idle {
-		return ep, nil
+		return e.epoch.Load(), nil
 	}
 	return e.Publish()
 }

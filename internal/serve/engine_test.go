@@ -274,7 +274,7 @@ func TestIngestBatchAtomicity(t *testing.T) {
 	if got := eng.inc.Input(); got != 0 {
 		t.Fatalf("cascade saw %d records after a rejected batch, want 0", got)
 	}
-	if _, _, rows := eng.segs.Counts(); eng.stats.RASRecords != 0 || len(eng.pendRAS) != 0 || rows != 0 {
+	if _, _, rows := eng.segs.Counts(); eng.stats.RASRecords != 0 || rows != 0 {
 		t.Fatalf("engine state perturbed by rejected batch: %+v rows=%d", eng.stats, rows)
 	}
 
@@ -383,4 +383,41 @@ func TestPublishIfChangedSkipsIdle(t *testing.T) {
 		t.Fatalf("forced Publish: epoch %v, %v; want 5", ep, err)
 	}
 	step("idle after forced", false, 5)
+}
+
+// TestPublishIfChangedSkipsFailedRetry pins that a failed publication is
+// not retried while nothing changes: with RAS records but no job log
+// every analysis attempt fails, so only the first PublishIfChanged may
+// attempt one (and report its error); the rest return no epoch and no
+// error. Publish still always attempts, and the first job batch makes
+// the next periodic call publish.
+func TestPublishIfChangedSkipsFailedRetry(t *testing.T) {
+	camp, err := simulate.Run(simulate.Config{Seed: 9, Days: 4, NoisePerFatal: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestRAS(camp.RAS.All()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PublishIfChanged(); err == nil {
+		t.Fatal("first PublishIfChanged without jobs succeeded, want the analysis error")
+	}
+	for i := 0; i < 3; i++ {
+		if ep, err := eng.PublishIfChanged(); ep != nil || err != nil {
+			t.Fatalf("idle call %d after a failed attempt: epoch %v, err %v; want no attempt", i, ep, err)
+		}
+	}
+	if _, err := eng.Publish(); err == nil {
+		t.Fatal("forced Publish without jobs succeeded, want the analysis error")
+	}
+	if err := eng.IngestJobs(camp.Jobs.All()); err != nil {
+		t.Fatal(err)
+	}
+	if ep, err := eng.PublishIfChanged(); err != nil || ep == nil || ep.Seq != 1 {
+		t.Fatalf("PublishIfChanged after the jobs arrived: epoch %v, err %v; want epoch 1", ep, err)
+	}
 }

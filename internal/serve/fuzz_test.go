@@ -34,23 +34,28 @@ func fuzzBaseRecords() []raslog.Record {
 // engineShape is the observable ingest state the atomicity contract
 // protects: a rejected batch must leave all of it untouched.
 type engineShape struct {
-	input, rows, jobs, pend int
-	stats                   [3]int
-	cursor                  [2]int64
+	input, rows, jobs int
+	stats             [3]int
+	cursor            [2]int64
+	// firstFatal is LogStats.FirstFatal's log line ("" without one).
+	firstFatal string
 }
 
 func shapeOf(e *Engine) engineShape {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	_, _, rows := e.segs.Counts()
-	return engineShape{
+	s := engineShape{
 		input:  e.inc.Input(),
 		rows:   rows,
 		jobs:   len(e.jobs),
-		pend:   len(e.pendRAS),
 		stats:  [3]int{e.stats.RASRecords, e.stats.RASBytes, e.stats.FatalRecords},
 		cursor: [2]int64{e.lastRecTime, e.lastRecID},
 	}
+	if e.stats.HasFatal {
+		s.firstFatal = e.stats.FirstFatal.MarshalLine()
+	}
+	return s
 }
 
 // FuzzIngestBatch throws arbitrary bodies at both ingest endpoints and
@@ -77,7 +82,7 @@ func FuzzSegmentSealRestore(f *testing.F) {
 
 	// Seeds: a valid batch at several seal budgets (mid-batch seals,
 	// exact-budget seals, everything in the unsealed tail), truncations,
-	// garbage, and the empty stream.
+	// garbage, the empty stream and a line that is not UTF-8.
 	f.Add(validBody.Bytes(), uint8(1))
 	f.Add(validBody.Bytes(), uint8(2))
 	f.Add(validBody.Bytes(), uint8(4))
@@ -85,6 +90,9 @@ func FuzzSegmentSealRestore(f *testing.F) {
 	f.Add(validBody.Bytes()[:validBody.Len()/2], uint8(1))
 	f.Add([]byte("x|M|KERNEL|s|c|FATAL|2008-04-14-15.08.12.285324|f|R00-M0|sn|msg\n"), uint8(1))
 	f.Add([]byte(""), uint8(1))
+	// A first FATAL record that is not valid UTF-8: the manifest must
+	// still restore it byte for byte.
+	f.Add([]byte("1|M|KERNEL|s|c|FATAL|2008-04-14-15.08.12.285324|f|R00-M0|sn|m\xffsg\n"), uint8(1))
 
 	f.Fuzz(func(t *testing.T, rasBody []byte, budget uint8) {
 		sealRows := int(budget%8) + 1

@@ -3,36 +3,49 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro"
 	"repro/internal/joblog"
 	"repro/internal/raslog"
+	"repro/internal/store"
 )
 
 // Checkpoint layout: each sealed segment N owns three files in DataDir,
 //
-//	seg-N.ras   — the segment's FATAL records, one line each, feed order
+//	seg-N.seg   — the segment's columnar encoding (store.SegmentFile),
+//	              the only durable copy of its FATAL rows
 //	seg-N.job   — the jobs accepted since the previous seal, feed order
-//	seg-N.json  — the manifest: per-segment row counts plus the engine's
-//	              CUMULATIVE counters and stream cursors at seal time
+//	seg-N.json  — the manifest: format number, per-segment counts, and
+//	              the engine's CUMULATIVE counters, cursors and first
+//	              FATAL record at seal time
 //
-// written in that order, each via temp file + fsync + rename. The
-// manifest is the commit record: recovery only trusts a segment whose
-// manifest exists, so a crash mid-seal leaves at worst ignorable .ras/
-// .job files (and .tmp debris) behind — never a half-visible segment.
+// written in that order, each through store.CommitFile (temp file +
+// fsync + rename). The manifest is the commit record: recovery opens
+// seg-N.seg only for a manifest N, so a crash mid-seal leaves at worst
+// an orphan .seg/.job (and .tmp debris) that recovery never reads and
+// the next seal of N overwrites. A spill maps the committed seg-N.seg.
 //
 // Raw non-fatal records are not persisted; they enter the analysis only
 // through the aggregate counters (record/byte totals, span), which the
-// manifest carries. Recovery therefore rebuilds the exact engine state
-// of the last committed seal instant: replaying the fatal lines through
-// the normal ingest path reproduces the cascade, symbol numbering and
-// segment rows, and the manifest restores the aggregates and cursors.
+// manifest carries, with Table II's first FATAL record, whose other
+// columns the segment does not keep. Recovery therefore rebuilds the
+// exact engine state of the last committed seal instant: replaying the
+// segments' rows through filter.Incremental.FeedRow reproduces the
+// cascade and symbol numbering (as core.AnalyzeRun's batch replay
+// does), and the manifest restores the aggregates and cursors.
+
+// manifestFormat numbers the checkpoint layout above. Format 1, whose
+// manifests carry no number, kept the FATAL rows as seg-N.ras text;
+// recovery refuses it rather than migrate it.
+const manifestFormat = 2
 
 // sealRecord is the payload to persist for one sealed segment.
 type sealRecord struct {
-	ras  []raslog.Record
+	seg  *store.SegmentFile
 	jobs []joblog.Job
 	man  manifest
 }
@@ -40,6 +53,7 @@ type sealRecord struct {
 // manifest is the per-segment commit record (schema field names are
 // part of the on-disk format; extend, don't repurpose).
 type manifest struct {
+	Format   int `json:"format"`
 	Seq      int `json:"seq"`
 	Rows     int `json:"rows"`
 	JobCount int `json:"job_count"`
@@ -50,14 +64,14 @@ type manifest struct {
 	FatalRecords int   `json:"fatal_records"`
 	RASFirstNS   int64 `json:"ras_first_ns"`
 	RASLastNS    int64 `json:"ras_last_ns"`
+	// FirstFatal is LogStats.FirstFatal's log line (MarshalLine), empty
+	// before the first FATAL record. It is bytes, not a string, because
+	// a JSON string cannot carry a line that is not valid UTF-8.
+	FirstFatal []byte `json:"first_fatal,omitempty"`
 
 	// Stream cursors at seal time.
 	LastRecTimeNS int64 `json:"last_rec_time_ns"`
 	LastRecID     int64 `json:"last_rec_id"`
-
-	// Segment row-time bounds (diagnostic; recovery recomputes them).
-	MinTimeNS int64 `json:"min_time_ns"`
-	MaxTimeNS int64 `json:"max_time_ns"`
 }
 
 // persister writes seal records under a data directory.
@@ -66,49 +80,46 @@ type persister struct {
 	hook func(step string) error
 }
 
+// path names segment seq's file with extension ext: the stem of
+// store.SegmentFileName, the name SegmentSet.SpillOver opens for "seg".
 func (p *persister) path(seq int, ext string) string {
-	return filepath.Join(p.dir, fmt.Sprintf("seg-%06d.%s", seq, ext))
+	return filepath.Join(p.dir, strings.TrimSuffix(store.SegmentFileName(seq), "seg")+ext)
 }
 
-// writeSeal persists one sealed segment: records, jobs, then the
-// manifest as the commit point.
+// writeSeal persists one sealed segment: the segment, its jobs, then
+// the manifest as the commit point.
 func (p *persister) writeSeal(sr sealRecord) error {
 	if err := os.MkdirAll(p.dir, 0o755); err != nil {
 		return err
 	}
-	if err := p.step("ras"); err != nil {
+	if err := p.step("seg"); err != nil {
 		return err
 	}
-	if err := writeFileSync(p.path(sr.man.Seq, "ras"), func(f *os.File) error {
-		w := raslog.NewWriter(f)
-		for _, r := range sr.ras {
-			if err := w.Write(r); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
+	if err := store.CommitFile(p.path(sr.man.Seq, "seg"), func(w io.Writer) error {
+		_, err := sr.seg.WriteTo(w)
+		return err
 	}); err != nil {
 		return err
 	}
 	if err := p.step("job"); err != nil {
 		return err
 	}
-	if err := writeFileSync(p.path(sr.man.Seq, "job"), func(f *os.File) error {
-		w := joblog.NewWriter(f)
+	if err := store.CommitFile(p.path(sr.man.Seq, "job"), func(w io.Writer) error {
+		jw := joblog.NewWriter(w)
 		for _, j := range sr.jobs {
-			if err := w.Write(j); err != nil {
+			if err := jw.Write(j); err != nil {
 				return err
 			}
 		}
-		return w.Flush()
+		return jw.Flush()
 	}); err != nil {
 		return err
 	}
 	if err := p.step("manifest"); err != nil {
 		return err
 	}
-	return writeFileSync(p.path(sr.man.Seq, "json"), func(f *os.File) error {
-		enc := json.NewEncoder(f)
+	return store.CommitFile(p.path(sr.man.Seq, "json"), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sr.man)
 	})
@@ -121,42 +132,15 @@ func (p *persister) step(name string) error {
 	return p.hook(name)
 }
 
-// writeFileSync writes path atomically: a .tmp sibling is written,
-// fsynced and renamed into place.
-func writeFileSync(path string, write func(*os.File) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // recover rebuilds the engine from the committed seals in DataDir, in
-// sequence order, stopping at the first missing manifest. Replay goes
-// through the same code paths as live ingest, so the recovered cascade
-// state, symbol numbering and segment rows are identical to an engine
-// that ingested exactly the committed prefix. Each persisted segment is
-// restored with its own row count, never re-cut at SealRows: a data dir
-// written under a different seal budget still recovers.
+// sequence order, stopping at the first missing manifest. Each
+// manifest's segment file is opened by its number (a directory listing
+// would also see an orphan .seg), checked against the manifest, replayed
+// through the cascade and adopted as a sealed, file-backed segment with
+// its own row count: a data dir written under a different seal budget
+// still recovers, and nothing is re-encoded or resident afterwards.
 func (e *Engine) recover() error {
 	var last *manifest
-	var firstFatal raslog.Record
-	haveFatal := false
 	for seq := 0; ; seq++ {
 		mb, err := os.ReadFile(e.per.path(seq, "json"))
 		if os.IsNotExist(err) {
@@ -169,27 +153,26 @@ func (e *Engine) recover() error {
 		if err := json.Unmarshal(mb, &man); err != nil {
 			return fmt.Errorf("serve: recovering segment %d: bad manifest: %w", seq, err)
 		}
+		if man.Format != manifestFormat {
+			return fmt.Errorf("serve: data dir %s is in checkpoint format %d, not %d (format 1 kept the FATAL rows "+
+				"as seg-N.ras text and is not migrated): re-ingest the logs into an empty data dir",
+				e.per.dir, max(man.Format, 1), manifestFormat)
+		}
 
-		recs, err := readRASFile(e.per.path(seq, "ras"))
+		sf, err := store.OpenSegment(e.per.path(seq, "seg"))
+		if err == nil && sf.Rows() != man.Rows {
+			err = fmt.Errorf("%d rows on disk, manifest says %d", sf.Rows(), man.Rows)
+		}
+		if err == nil {
+			err = e.segs.Adopt(sf) // checks the sequence number
+		}
+		if err == nil {
+			_, err = sf.Scan(store.Query{}, e.inc.FeedRow)
+		}
 		if err != nil {
-			return fmt.Errorf("serve: recovering segment %d: %w", seq, err)
-		}
-		if len(recs) != man.Rows {
-			return fmt.Errorf("serve: recovering segment %d: %d records on disk, manifest says %d",
-				seq, len(recs), man.Rows)
-		}
-		for i := range recs {
-			rec := &recs[i]
-			if err := e.inc.Feed(rec); err != nil {
-				return fmt.Errorf("serve: recovering segment %d: %w", seq, err)
+			if sf != nil {
+				sf.Close()
 			}
-			if !haveFatal {
-				firstFatal, haveFatal = *rec, true
-			}
-			e.segs.Append(rec.RecID, rec.EventTime.UnixNano(), rec.ErrCode, rec.Location,
-				int32(rec.Component), int32(rec.Severity))
-		}
-		if _, err := e.segs.Seal(); err != nil {
 			return fmt.Errorf("serve: recovering segment %d: %w", seq, err)
 		}
 
@@ -217,21 +200,17 @@ func (e *Engine) recover() error {
 		FatalRecords: last.FatalRecords,
 		First:        nsTime(last.RASFirstNS),
 		Last:         nsTime(last.RASLastNS),
-		FirstFatal:   firstFatal,
-		HasFatal:     haveFatal,
+	}
+	if len(last.FirstFatal) > 0 {
+		rec, err := raslog.UnmarshalLine(string(last.FirstFatal))
+		if err != nil {
+			return fmt.Errorf("serve: recovering segment %d: first FATAL record: %w", last.Seq, err)
+		}
+		e.stats.FirstFatal, e.stats.HasFatal = rec, true
 	}
 	e.lastRecTime = last.LastRecTimeNS
 	e.lastRecID = last.LastRecID
 	return nil
-}
-
-func readRASFile(path string) ([]raslog.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return raslog.NewReader(f).ReadAll()
 }
 
 func readJobFile(path string) ([]joblog.Job, error) {

@@ -173,7 +173,7 @@ func TestRecoveryEqualsUninterrupted(t *testing.T) {
 // commits everything.
 func TestRecoverySealFaults(t *testing.T) {
 	recs, jobs := campaignStreams(t, 13, 6)
-	for _, failStep := range []string{"ras", "job", "manifest"} {
+	for _, failStep := range []string{"seg", "job", "manifest"} {
 		t.Run(failStep, func(t *testing.T) {
 			dir := t.TempDir()
 			failing := true
@@ -254,5 +254,107 @@ func TestRecoveryEmptyDir(t *testing.T) {
 	}
 	if eng.inc.Input() != 0 || len(eng.jobs) != 0 {
 		t.Fatalf("empty-dir recovery produced state: %d records, %d jobs", eng.inc.Input(), len(eng.jobs))
+	}
+}
+
+// TestRecoveryIgnoresOrphanSegment crashes a seal after its segment
+// file is committed but before its manifest: recovery must ignore the
+// orphan seg-000000.seg, and the recovered engine's next seal must
+// overwrite it with its own segment 0.
+func TestRecoveryIgnoresOrphanSegment(t *testing.T) {
+	recs, jobs := campaignStreams(t, 13, 6)
+	dir := t.TempDir()
+	half := len(recs) / 2
+	doomed, err := NewEngine(Config{
+		DataDir:  dir,
+		SealRows: 1 << 20,
+		SealHook: func(step string) error {
+			if step == "job" {
+				return errors.New("injected fault at job")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doomed.IngestRAS(recs[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := doomed.Seal(); err == nil {
+		t.Fatal("Seal with a job fault succeeded")
+	}
+	orphan, err := os.ReadFile(filepath.Join(dir, "seg-000000.seg"))
+	if err != nil {
+		t.Fatalf("no orphan segment file after the failed seal: %v", err)
+	}
+
+	eng, err := NewEngine(Config{DataDir: dir, SealRows: 1 << 20})
+	if err != nil {
+		t.Fatalf("recovery with an orphan segment: %v", err)
+	}
+	if _, sealed, _ := eng.segs.Counts(); eng.inc.Input() != 0 || sealed != 0 {
+		t.Fatalf("recovery read the orphan: %d cascade records, %d sealed segments", eng.inc.Input(), sealed)
+	}
+	if err := eng.IngestRAS(recs[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "seg-000000.seg")); err != nil || bytes.Equal(b, orphan) {
+		t.Fatalf("the next seal did not overwrite the orphan segment file (err %v)", err)
+	}
+
+	recovered, err := NewEngine(Config{DataDir: dir, SealRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewEngine(Config{SealRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.IngestRAS(recs[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.IngestJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	checkEnginesEqual(t, "after overwriting the orphan", recovered, ref)
+}
+
+// TestRecoveryRefusesOldLayout pins the documented refusal of a data
+// dir written in checkpoint format 1 (FATAL rows as seg-N.ras text, a
+// manifest without a format number): recovery fails with an error that
+// names the directory and says to re-ingest, and migrates nothing.
+func TestRecoveryRefusesOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	old := map[string]string{
+		"seg-000000.ras":  "1|KERN_0802|KERNEL|s|_bgp_unit_test|FATAL|2009-01-05-00.00.00.000000|f|R00-M0|sn|msg\n",
+		"seg-000000.job":  "",
+		"seg-000000.json": `{"seq": 0, "rows": 1, "job_count": 0, "ras_records": 1, "fatal_records": 1}` + "\n",
+	}
+	for name, body := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := NewEngine(Config{DataDir: dir})
+	if err == nil {
+		t.Fatal("recovery accepted an old-layout data dir")
+	}
+	for _, want := range []string{dir, "checkpoint format 1", "seg-N.ras", "re-ingest"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-000000.seg")); !os.IsNotExist(err) {
+		t.Errorf("refused recovery wrote a segment file (stat err %v)", err)
 	}
 }

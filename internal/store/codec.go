@@ -35,8 +35,8 @@ package store
 // from the rows. ReadSegment validates all of that, so decode→encode is
 // byte-identity — the property FuzzSegmentCodec and the golden-file
 // compatibility test pin. Files are committed via temp file + fsync +
-// rename (CommitSegment), the same protocol the commitseq lint analyzer
-// enforces for the serve manifests.
+// rename (CommitFile), the protocol the commitseq lint analyzer
+// enforces.
 
 import (
 	"encoding/binary"
@@ -224,21 +224,30 @@ func appendNames(dst []byte, names []string) []byte {
 	return dst
 }
 
-// CommitSegment durably writes d at path: the encoding lands in a .tmp
-// sibling, is fsynced, and is renamed into place, so a crash leaves
-// either the old file or the new one — never a torn segment. The rename
-// is the commit point and the last effectful step.
+// CommitSegment durably writes d's encoding at path (CommitFile).
 func CommitSegment(path string, d *SegmentData) error {
 	b, err := AppendSegment(nil, d)
 	if err != nil {
 		return err
 	}
+	return CommitFile(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
+// CommitFile durably writes path: write fills a .tmp sibling, which is
+// fsynced and renamed into place, so a crash leaves either the old file
+// or the new one — never a torn one. The rename is the commit point and
+// the last effectful step. Segment files, and bgpd's job files and
+// manifests, are all committed through it.
+func CommitFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -11,7 +11,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -237,17 +236,14 @@ func (sf *SegmentFile) Close() error {
 	return mErr
 }
 
-// ReadAll decodes the whole segment, re-verifying both CRCs.
-func (sf *SegmentFile) ReadAll() (*SegmentData, error) {
-	var r io.Reader = io.NewSectionReader(sf.f, 0, sf.size)
+// WriteTo writes the segment's encoding to w: a resident segment's
+// bytes, or the opened file's.
+func (sf *SegmentFile) WriteTo(w io.Writer) (int64, error) {
 	if sf.f == nil {
-		r = bytes.NewReader(sf.mm)
+		n, err := w.Write(sf.mm)
+		return int64(n), err
 	}
-	d, err := ReadSegment(bufio.NewReaderSize(r, 1<<16))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", sf.path, err)
-	}
-	return d, nil
+	return io.Copy(w, io.NewSectionReader(sf.f, 0, sf.size))
 }
 
 // cursor walks one segment's rows in order, applying a row filter; the

@@ -3,17 +3,23 @@ package store
 // The serving layer's segment store (internal/serve): a long-running
 // ingester appends time-ordered rows to an unsealed tail, seals the
 // tail into an immutable segment when it reaches its row budget, and
-// spills sealed segments to disk past a memory budget. A sealed
-// segment is a *SegmentFile, the same form a Spool run takes: resident
-// (its encoding held in memory) until spilled, then the committed file
+// spills sealed segments past a memory budget. A sealed segment is a
+// *SegmentFile, the same form a Spool run takes: resident (its
+// encoding held in memory) until spilled, then the committed file
 // opened for reading. So the daemon and the batch analysis share one
 // localization (spoolBuf.segmentData), one zone check (ZoneMap.Admits),
-// one row filter (the cursor) and one commit path (CommitSegment).
+// one row filter (the cursor) and one on-disk form. The serving layer
+// commits each sealed segment's encoding (SegmentFile.WriteTo through
+// CommitFile) as its checkpoint, so a spill only swaps the resident
+// bytes for that file.
 //
 // A SegmentSet is not safe for concurrent use: the serving layer holds
 // its ingest lock around every call, and publishes only counts.
 
-import "path/filepath"
+import (
+	"fmt"
+	"path/filepath"
+)
 
 // SegmentSet is the writer-side collection: sealed segments in Seq
 // order plus the unsealed tail.
@@ -36,9 +42,7 @@ const DefaultSealRows = 4096
 // Append adds one row to the tail, which must stay in (time, RecID)
 // order, and reports whether the tail has reached its row budget. The
 // caller seals it then and persists the sealed segment before
-// acknowledging the rows: that is the durability boundary. Recovery,
-// which restores each persisted segment whatever its size, ignores the
-// report.
+// acknowledging the rows: that is the durability boundary.
 func (ss *SegmentSet) Append(recID, timeNS int64, code, loc string, comp, sev int32) (full bool) {
 	ss.tail.add(recID, timeNS, code, loc, comp, sev, 0)
 	budget := ss.SealRows
@@ -89,12 +93,26 @@ func (ss *SegmentSet) ResidentBytes() int64 {
 	return int64(rows) * RowBytes
 }
 
-// SpillOver commits resident sealed segments to dir, oldest first,
-// until the resident payload fits within budget bytes, and reports how
-// many it spilled. Each spill is a CommitSegment (temp file, fsync,
-// rename) after which the set's entry is replaced by the committed file
-// opened for reading; a sealed segment itself never changes. The tail
-// is never spilled.
+// Adopt appends sf, a committed segment opened for reading, as the
+// next sealed segment: recovery restores a checkpoint this way, without
+// re-encoding it. The tail must be empty and sf must carry the next
+// sequence number.
+func (ss *SegmentSet) Adopt(sf *SegmentFile) error {
+	if len(ss.tail.recID) > 0 || sf.Seq() != len(ss.segs) {
+		return fmt.Errorf("store: adopting segment %d into a set at segment %d with %d unsealed rows",
+			sf.Seq(), len(ss.segs), len(ss.tail.recID))
+	}
+	ss.segs = append(ss.segs, sf)
+	ss.rows += sf.Rows()
+	return nil
+}
+
+// SpillOver replaces resident sealed segments, oldest first, with their
+// committed files under dir (SegmentFileName) opened for reading, until
+// the resident payload fits within budget bytes, and reports how many
+// it spilled. It writes nothing: every segment it spills must already
+// be committed there. A sealed segment itself never changes, and the
+// tail is never spilled.
 func (ss *SegmentSet) SpillOver(budget int64, dir string) (int, error) {
 	spilled := 0
 	resident := ss.ResidentBytes()
@@ -105,15 +123,7 @@ func (ss *SegmentSet) SpillOver(budget int64, dir string) (int, error) {
 		if sf.Path() != "" || sf.Rows() == 0 {
 			continue
 		}
-		d, err := sf.ReadAll()
-		if err != nil {
-			return spilled, err
-		}
-		path := filepath.Join(dir, SegmentFileName(sf.Seq()))
-		if err := CommitSegment(path, d); err != nil {
-			return spilled, err
-		}
-		opened, err := OpenSegment(path)
+		opened, err := OpenSegment(filepath.Join(dir, SegmentFileName(sf.Seq())))
 		if err != nil {
 			return spilled, err
 		}

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -28,6 +30,30 @@ func mustSeal(t *testing.T, ss *SegmentSet) *SegmentFile {
 		t.Fatalf("Seal: %v", err)
 	}
 	return sf
+}
+
+// commitSealed commits every sealed segment's encoding under dir the
+// way the serving layer's seal does, so SpillOver finds its files.
+func commitSealed(t *testing.T, ss *SegmentSet, dir string) {
+	t.Helper()
+	for _, sf := range ss.segs {
+		err := CommitFile(filepath.Join(dir, SegmentFileName(sf.Seq())), func(w io.Writer) error {
+			_, err := sf.WriteTo(w)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("committing segment %d: %v", sf.Seq(), err)
+		}
+	}
+}
+
+// decodeSegment decodes sf's whole encoding, verifying both CRCs.
+func decodeSegment(sf *SegmentFile) (*SegmentData, error) {
+	var enc bytes.Buffer
+	if _, err := sf.WriteTo(&enc); err != nil {
+		return nil, err
+	}
+	return ReadSegment(&enc)
 }
 
 func checkCounts(t *testing.T, ss *SegmentSet, segments, sealed, rows int) {
@@ -60,7 +86,7 @@ func TestSegmentSetSealAndCounts(t *testing.T) {
 	if !reflect.DeepEqual(z.Codes, []string{"b", "a"}) || !reflect.DeepEqual(z.Locs, []string{"L2", "L0", "L1"}) {
 		t.Fatalf("segment 0 vocabularies = %v / %v", z.Codes, z.Locs)
 	}
-	d, err := sealed[0].ReadAll()
+	d, err := decodeSegment(sealed[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +109,8 @@ func TestSegmentSetSealAndCounts(t *testing.T) {
 
 // TestSealedSegmentImmutable pins the seal contract: a segment returned
 // by Seal keeps its rows and bytes through later appends, seals and a
-// spill, and the spill file is byte-identical to the resident encoding
-// it replaces in the set.
+// spill, and the committed file the spill maps is byte-identical to the
+// resident encoding it replaces in the set.
 func TestSealedSegmentImmutable(t *testing.T) {
 	ss := &SegmentSet{SealRows: 100}
 	for i := 0; i < 3; i++ {
@@ -92,7 +118,7 @@ func TestSealedSegmentImmutable(t *testing.T) {
 	}
 	sealed := mustSeal(t, ss)
 	enc := bytes.Clone(sealed.mm)
-	before, err := sealed.ReadAll()
+	before, err := decodeSegment(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +128,12 @@ func TestSealedSegmentImmutable(t *testing.T) {
 	}
 	mustSeal(t, ss)
 	dir := t.TempDir()
+	commitSealed(t, ss, dir)
 	if n, err := ss.SpillOver(0, dir); err != nil || n != 2 {
 		t.Fatalf("SpillOver = %d, %v; want 2 spilled", n, err)
 	}
 
-	after, err := sealed.ReadAll()
+	after, err := decodeSegment(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,22 +152,51 @@ func TestSealedSegmentImmutable(t *testing.T) {
 	}
 }
 
-// TestSegmentSetRestore pins the recovery path: rows appended past
-// SealRows without sealing, then one Seal, restore a segment with its
-// own row count, and numbering continues after it.
+// TestSegmentSetRestore pins the recovery path: committed segments
+// opened for reading are adopted in sequence order, whatever their row
+// count against SealRows, as file-backed sealed segments, and numbering
+// continues after them. Adopt refuses a segment out of sequence and a
+// set with an unsealed tail.
 func TestSegmentSetRestore(t *testing.T) {
-	ss := &SegmentSet{SealRows: 2}
+	src := &SegmentSet{SealRows: 100}
 	for i := 0; i < 5; i++ {
-		ss.Append(int64(i+1), int64(i)*10, "c", "L", 1, 2)
+		appendRow(t, src, testRow{int64(i + 1), int64(i) * 10, "c", "L", 1, 2})
 	}
-	if sf := mustSeal(t, ss); sf.Seq() != 0 || sf.Rows() != 5 {
-		t.Fatalf("restored segment = seq %d with %d rows, want seq 0 with 5 rows", sf.Seq(), sf.Rows())
+	mustSeal(t, src)
+	mustSeal(t, src) // an empty checkpoint segment
+	dir := t.TempDir()
+	commitSealed(t, src, dir)
+	open := func(seq int) *SegmentFile {
+		t.Helper()
+		sf, err := OpenSegment(filepath.Join(dir, SegmentFileName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sf.Close() })
+		return sf
+	}
+
+	ss := &SegmentSet{SealRows: 2}
+	if err := ss.Adopt(open(1)); err == nil {
+		t.Fatal("Adopt accepted segment 1 into an empty set")
+	}
+	for seq := 0; seq < 2; seq++ {
+		if err := ss.Adopt(open(seq)); err != nil {
+			t.Fatalf("Adopt(%d): %v", seq, err)
+		}
+	}
+	checkCounts(t, ss, 2, 2, 5)
+	if ss.ResidentBytes() != 0 || ss.segs[0].Path() == "" {
+		t.Fatal("an adopted segment is resident")
 	}
 	if sf := appendRow(t, ss, testRow{6, 50, "c", "L", 1, 2}); sf != nil {
 		t.Fatalf("a 1-row tail sealed under SealRows 2 (seq %d)", sf.Seq())
 	}
-	if sf := appendRow(t, ss, testRow{7, 60, "c", "L", 1, 2}); sf == nil || sf.Seq() != 1 {
-		t.Fatal("the segment after a restore did not seal as seq 1")
+	if err := ss.Adopt(open(0)); err == nil {
+		t.Fatal("Adopt accepted a segment into a set with an unsealed tail")
 	}
-	checkCounts(t, ss, 2, 2, 7)
+	if sf := appendRow(t, ss, testRow{7, 60, "c", "L", 1, 2}); sf == nil || sf.Seq() != 2 {
+		t.Fatal("the segment after the adopted ones did not seal as seq 2")
+	}
+	checkCounts(t, ss, 3, 3, 7)
 }

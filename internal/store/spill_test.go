@@ -55,6 +55,7 @@ func TestSpillScanEquivalence(t *testing.T) {
 	}
 
 	dir := t.TempDir()
+	commitSealed(t, ss, dir)
 	resident := ss.ResidentBytes()
 	n, err := ss.SpillOver(resident/4, dir)
 	if err != nil {
@@ -98,8 +99,8 @@ func TestSpillScanEquivalence(t *testing.T) {
 }
 
 // TestSpillRequiresSealed pins what SpillOver may spill: sealed
-// segments with rows, never the unsealed tail or an empty checkpoint
-// segment, whatever the budget.
+// segments with rows whose files are committed, never the unsealed tail
+// or an empty checkpoint segment, whatever the budget.
 func TestSpillRequiresSealed(t *testing.T) {
 	ss := &SegmentSet{SealRows: 8}
 	dir := t.TempDir()
@@ -112,6 +113,12 @@ func TestSpillRequiresSealed(t *testing.T) {
 		t.Fatalf("ResidentBytes = %d, want one row's %d", got, RowBytes)
 	}
 	mustSeal(t, ss)
+	// A spill writes nothing: a segment whose file was never committed
+	// cannot spill, and stays resident.
+	if n, err := ss.SpillOver(0, dir); err == nil || n != 0 || ss.ResidentBytes() != RowBytes {
+		t.Fatalf("SpillOver before the commit = %d, %v; want an error and nothing spilled", n, err)
+	}
+	commitSealed(t, ss, dir)
 	if n, err := ss.SpillOver(0, dir); err != nil || n != 1 {
 		t.Fatalf("SpillOver after Seal = %d, %v; want 1", n, err)
 	}

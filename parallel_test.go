@@ -199,7 +199,11 @@ func runData(t *testing.T, rep *Report) []*store.SegmentData {
 	t.Helper()
 	var out []*store.SegmentData
 	for _, sf := range rep.run.Segments() {
-		d, err := sf.ReadAll()
+		var enc bytes.Buffer
+		if _, err := sf.WriteTo(&enc); err != nil {
+			t.Fatal(err)
+		}
+		d, err := store.ReadSegment(&enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@
 # bgpd end-to-end smoke: build the daemon, generate a deterministic
 # sample campaign, serve it, hit every endpoint family with curl, and
 # diff the answers against the goldens committed under testdata/serve/,
-# and check that the spilled segment files match their sha256 digests.
+# and check that the committed segment files match their sha256 digests.
 # Run with -update to regenerate the goldens after an intentional
 # output change (review the diff like code).
 set -euo pipefail
@@ -68,13 +68,15 @@ for name in $names; do
 	fi
 done
 
-# The tiny -mem-budget must have spilled: /v1/scan above is only
-# answered from segment files if some exist. Their bytes are pinned by
-# a digest golden, so a change to seal, localization or commit that
-# moves a byte of the spill format fails here.
+# Every seal commits its segment as seg-N.seg, the file a spill under
+# the tiny -mem-budget maps, so this guard sees committed segments: it
+# fails when the quiesce committed none. That the budget spills is
+# TestSpillEquivalence's assertion (internal/serve). The files' bytes
+# are pinned by a digest golden, so a change to seal, localization or
+# commit that moves a byte of the segment format fails here.
 segs=$(cd "$tmp/data" && ls -- *.seg 2>/dev/null || true)
 if [ -z "$segs" ]; then
-	echo "smoke: bgpd spilled no segment files under -mem-budget 4096" >&2
+	echo "smoke: bgpd committed no segment files under -data" >&2
 	status=1
 else
 	(cd "$tmp/data" && sha256sum $segs) >"$tmp/spill_digests.out"
@@ -82,7 +84,7 @@ else
 		cp "$tmp/spill_digests.out" "$golden/spill_digests.txt"
 		echo "updated $golden/spill_digests.txt"
 	elif ! diff -u "$golden/spill_digests.txt" "$tmp/spill_digests.out"; then
-		echo "smoke: spilled segment files diverge from their digests" >&2
+		echo "smoke: committed segment files diverge from their digests" >&2
 		status=1
 	fi
 fi
