@@ -547,6 +547,27 @@ func BenchmarkEnsemble(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderAll renders the whole report from the analysis. Under
+// -cpu 1, bgpbench's setting, the report's Parallelism resolves to one
+// worker, so the artifacts render in place, one after another, and no
+// goroutine starts. Garbage is collected only between ops, off the
+// clock: a collection inside an op empties fmt's sync.Pool, and the
+// refills would make allocs/op differ between samples.
+func BenchmarkRenderAll(b *testing.B) {
+	rep := benchReport(b)
+	b.ReportAllocs()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		if err := rep.RenderAll(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- extension benches ---
 
 // BenchmarkExtensionPrediction evaluates the §VII failure-prediction

@@ -49,8 +49,9 @@ import (
 // serving daemon's ingest and query paths, the segmented store's
 // encode/scan/merge paths, a small scheduler campaign per registered
 // policy (BenchmarkSchedRun expands into one sub-benchmark per policy,
-// so each counterfactual is gated individually), and the §VII
-// prediction study over the quick campaign. The *Legacy oracles of the
+// so each counterfactual is gated individually), the §VII prediction
+// study over the quick campaign, and the whole report's render from
+// that campaign's analysis. The *Legacy oracles of the
 // codec and cascade property tests are not gated: nothing outside
 // their tests runs them.
 var benchSubset = []string{
@@ -70,6 +71,7 @@ var benchSubset = []string{
 	"BenchmarkSegmentMerge",
 	"BenchmarkSchedRun",
 	"BenchmarkExtensionPrediction",
+	"BenchmarkRenderAll",
 }
 
 // benchCPU is the GOMAXPROCS every gated benchmark runs at (go test

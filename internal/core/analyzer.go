@@ -81,7 +81,10 @@ type Analysis struct {
 	Syms *symtab.Snapshot
 
 	// internal indexes
-	tab          *symtab.Table
+	tab *symtab.Table
+	// jobIDs[p] is the dictionary ID of Jobs.All()[p].ID; jobs that
+	// repeat an ID share the first one's, as a Lookup would answer.
+	jobIDs       []symtab.JobID
 	interByEvent map[*filter.Event][]int // indices into Interruptions
 	occupancy    *occupancyIndex
 	span         campaignSpan
@@ -124,9 +127,12 @@ func (a *Analysis) finish() {
 	// executables are interned in byEnd order (a JobID is its job's index
 	// into Jobs.All()); re-interning already-known symbols is a no-op, so
 	// the numbering is the same whether the caller interned eagerly or
-	// not.
-	for _, j := range a.Jobs.All() {
-		a.tab.Jobs.Intern(j.ID)
+	// not. The per-job passes read each position's ID from jobIDs.
+	all := a.Jobs.All()
+	a.jobIDs = make([]symtab.JobID, len(all))
+	for p := range all {
+		j := &all[p]
+		a.jobIDs[p] = a.tab.Jobs.Intern(j.ID)
 		a.tab.Execs.Intern(j.ExecFile)
 	}
 	a.match()

@@ -53,8 +53,13 @@ func (a *Analysis) Bursts(window time.Duration) BurstStats {
 	}
 	bs.PerDay = stats.DailyCounts(offsets, days)
 
+	interrupted := a.interruptedJobs()
 	if n := a.Jobs.Len(); n > 0 {
-		bs.InterruptedJobFraction = float64(len(a.InterruptedJobIDs())) / float64(n)
+		distinct := 0
+		for _, hit := range interrupted {
+			distinct += b2i(hit)
+		}
+		bs.InterruptedJobFraction = float64(distinct) / float64(n)
 	}
 	if d, _ := a.Jobs.DistinctExecutables(); d > 0 {
 		bs.DistinctJobFraction = float64(a.DistinctInterruptedJobs()) / float64(d)
@@ -68,12 +73,10 @@ func (a *Analysis) Bursts(window time.Duration) BurstStats {
 	}
 
 	// Longest consecutive-interruption streak per executable.
-	interrupted := a.InterruptedJobIDs()
-	all := a.Jobs.All()
 	for _, runs := range a.Jobs.ByExecFile() {
 		streak := 0
 		for _, p := range runs {
-			if interrupted[all[p].ID] {
+			if interrupted[a.jobIDs[p]] {
 				streak++
 				if streak > bs.MaxPerJobStreak {
 					bs.MaxPerJobStreak = streak

@@ -131,14 +131,14 @@ func (a *Analysis) JobFilter() JobFilterStats {
 // submission of an executable after one of its jobs was interrupted —
 // and counts how many landed on the identical partition.
 func (a *Analysis) sameLocationResubmits() (same, total int) {
-	interrupted := a.InterruptedJobIDs()
+	interrupted := a.interruptedJobs()
 	all := a.Jobs.All()
 	for _, runs := range a.Jobs.ByExecFile() {
 		for i := 0; i < len(runs)-1; i++ {
-			cur := &all[runs[i]]
-			if !interrupted[cur.ID] {
+			if !interrupted[a.jobIDs[runs[i]]] {
 				continue
 			}
+			cur := &all[runs[i]]
 			next := &all[runs[i+1]]
 			if next.QueueTime.Before(cur.EndTime) {
 				continue // overlapping submissions, not a reaction

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/stats"
@@ -40,13 +41,8 @@ func (a *Analysis) MidplaneCharacteristics(wideSize int) MidplaneCharacteristics
 		wideSize = 32
 	}
 	mc := MidplaneCharacteristics{WideSize: wideSize}
-	for _, ev := range a.Independent {
-		for _, mp := range ev.Midplanes {
-			mc.FatalEvents[mp]++
-		}
-	}
-	mc.WorkloadSec = a.Jobs.MidplaneBusySeconds(0)
-	mc.WideWorkloadSec = a.Jobs.MidplaneBusySeconds(wideSize)
+	mc.FatalEvents, mc.TopMidplanes = a.midplaneFatals()
+	mc.WorkloadSec, mc.WideWorkloadSec = a.Jobs.MidplaneBusySeconds(wideSize)
 
 	fatal := make([]float64, bgp.NumMidplanes)
 	for i, n := range mc.FatalEvents {
@@ -54,16 +50,24 @@ func (a *Analysis) MidplaneCharacteristics(wideSize int) MidplaneCharacteristics
 	}
 	mc.CorrWorkload = stats.Pearson(fatal, mc.WorkloadSec[:])
 	mc.CorrWideWorkload = stats.Pearson(fatal, mc.WideWorkloadSec[:])
-
-	idx := make([]int, bgp.NumMidplanes)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return mc.FatalEvents[idx[i]] > mc.FatalEvents[idx[j]]
-	})
-	mc.TopMidplanes = idx
 	return mc
+}
+
+// midplaneFatals counts the independent fatal events per midplane (an
+// event counts once on each midplane it touches) and ranks the
+// midplanes by that count, descending, lower index first among ties.
+func (a *Analysis) midplaneFatals() (counts [bgp.NumMidplanes]int, ranked []int) {
+	for _, ev := range a.Independent {
+		for _, mp := range ev.Midplanes {
+			counts[mp]++
+		}
+	}
+	ranked = make([]int, bgp.NumMidplanes)
+	for i := range ranked {
+		ranked[i] = i
+	}
+	slices.SortStableFunc(ranked, func(x, y int) int { return cmp.Compare(counts[y], counts[x]) })
+	return counts, ranked
 }
 
 // RegionFatalShare returns the fraction of per-midplane fatal counts

@@ -669,9 +669,49 @@ func NewLog(jobs []Job) *Log {
 }
 
 // SortStable sorts jobs in place into (EndTime, ID) order, keeping input
-// order among full ties: the order a Log keeps and bgpd ingests.
+// order among full ties: the order a Log keeps and bgpd ingests. It
+// sorts 4-byte positions by (EndTime, ID, position), then moves each job
+// once by following the permutation's cycles in place, instead of
+// shifting whole Jobs through a stable merge sort. Positions hold no
+// pointers, unlike copied time.Time keys (a time.Time carries its
+// Location): the collector does not scan them, and the sort's writes pay
+// no write barrier while a collection runs. The order agrees with
+// compareEnd on every pair, because it compares the time.Time values
+// themselves.
 func SortStable(jobs []Job) {
-	slices.SortStableFunc(jobs, compareEnd)
+	perm := make([]int32, len(jobs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		ja, jb := &jobs[a], &jobs[b]
+		if c := ja.EndTime.Compare(jb.EndTime); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ja.ID, jb.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// Slot i takes the job at perm[i]. Walk each cycle once, marking a
+	// slot done by pointing it at itself.
+	for i := range perm {
+		if int(perm[i]) == i {
+			continue
+		}
+		held := jobs[i]
+		j := i
+		for {
+			k := int(perm[j])
+			perm[j] = int32(j)
+			if k == i {
+				jobs[j] = held
+				break
+			}
+			jobs[j] = jobs[k]
+			j = k
+		}
+	}
 }
 
 // compareEnd orders jobs by (EndTime, ID).
@@ -703,24 +743,25 @@ func (l *Log) DistinctExecutables() (distinct, resubmitted int) {
 }
 
 // MidplaneBusySeconds returns, per global midplane, the total seconds
-// the midplane spent allocated to jobs — the "workload" of Figure 4b.
-// If minSize > 0, only jobs at least that wide contribute (Figure 4c
-// uses wide jobs only).
-func (l *Log) MidplaneBusySeconds(minSize int) [bgp.NumMidplanes]float64 {
-	var out [bgp.NumMidplanes]float64
-	for _, j := range l.jobs {
-		if j.Size() < minSize {
-			continue
-		}
+// the midplane spent allocated to jobs — the "workload" of Figure 4b —
+// and the same total over only the jobs at least wideSize midplanes
+// wide (Figure 4c), both in one pass over the jobs.
+func (l *Log) MidplaneBusySeconds(wideSize int) (all, wide [bgp.NumMidplanes]float64) {
+	for i := range l.jobs {
+		j := &l.jobs[i]
 		sec := j.Runtime().Seconds()
 		if sec < 0 {
 			continue
 		}
+		isWide := j.Size() >= wideSize
 		for mp := j.Partition.Start; mp < j.Partition.End(); mp++ {
-			out[mp] += sec
+			all[mp] += sec
+			if isWide {
+				wide[mp] += sec
+			}
 		}
 	}
-	return out
+	return all, wide
 }
 
 // Span returns the earliest QueueTime and the latest EndTime.

@@ -159,14 +159,13 @@ func TestLogQueries(t *testing.T) {
 	if d != 2 || r != 1 {
 		t.Errorf("DistinctExecutables = %d,%d want 2,1", d, r)
 	}
-	busy := l.MidplaneBusySeconds(0)
+	busy, wide := l.MidplaneBusySeconds(2)
 	if busy[0] != 7200 { // two 1-hour jobs on midplane 0
 		t.Errorf("busy[0] = %v, want 7200", busy[0])
 	}
 	if busy[2] != 7200 || busy[3] != 7200 {
 		t.Errorf("busy[2,3] = %v,%v want 7200", busy[2], busy[3])
 	}
-	wide := l.MidplaneBusySeconds(2)
 	if wide[0] != 0 || wide[2] != 7200 {
 		t.Errorf("wide busy = %v,%v", wide[0], wide[2])
 	}
@@ -338,5 +337,34 @@ func TestNewLogOwnsInput(t *testing.T) {
 	SortStable(again)
 	if !slices.Equal(again, want) {
 		t.Fatal("SortStable differs from a stable (EndTime, ID) sort")
+	}
+}
+
+// TestSortStableMatchesStableSortFunc pins the position sort to a stable
+// sort of the Jobs themselves: random inputs dense in full ties (same
+// EndTime and ID, told apart by ExecFile), the same inputs already
+// sorted, and the empty and one-job edges.
+func TestSortStableMatchesStableSortFunc(t *testing.T) {
+	t0 := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 2, 3, 17, 500} {
+		for trial := 0; trial < 5; trial++ {
+			in := make([]Job, n)
+			for i := range in {
+				end := t0.Add(time.Duration(rng.Intn(8)) * time.Minute)
+				in[i] = mkJob(int64(rng.Intn(3)), fmt.Sprintf("/tag%d", i), t0, end, bgp.Partition{Size: 1})
+			}
+			want := slices.Clone(in)
+			slices.SortStableFunc(want, compareEnd)
+			got := slices.Clone(in)
+			SortStable(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: SortStable differs from slices.SortStableFunc", n, trial)
+			}
+			SortStable(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: SortStable reordered sorted input", n, trial)
+			}
+		}
 	}
 }

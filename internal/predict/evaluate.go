@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/filter"
 )
 
@@ -36,7 +35,11 @@ type Result struct {
 // Evaluate replays the time-ordered events through the predictor: at
 // each event it first asks whether the event's midplanes were alarmed
 // (scoring), then lets the predictor observe the event. Alarm time is
-// integrated on a fixed grid. idle flags, index-aligned with events,
+// integrated on an hourly grid from the first event's time to the
+// last's: at each grid point, once the events up to it are observed,
+// the predictor's AlarmedCount adds that many midplane-hours. The
+// counts are whole numbers, so the sum is exact whatever the order of
+// the additions. idle flags, index-aligned with events,
 // the events that struck while no job ran on any of their midplanes
 // (core.Analysis.IdleEvents computes them); nil means no job log, so
 // no idle hits are counted.
@@ -59,12 +62,7 @@ func Evaluate(p Predictor, events []*filter.Event, idle []bool) (Result, error) 
 		for ; next < len(events) && !events[next].First.After(t); next++ {
 			res.score(p, events, idle, next)
 		}
-		// Integrate alarm load on the grid.
-		for mp := 0; mp < bgp.NumMidplanes; mp++ {
-			if p.Alarmed(mp, t) {
-				res.AlarmMidplaneHours += grid.Hours()
-			}
-		}
+		res.AlarmMidplaneHours += float64(p.AlarmedCount(t)) * grid.Hours()
 	}
 	// Score any trailing events past the last grid point.
 	for ; next < len(events); next++ {

@@ -23,7 +23,7 @@ import (
 // Predictor is an online location-aware failure predictor. Observe
 // feeds it each fatal event as it happens; Alarmed reports whether the
 // predictor currently flags a midplane as likely to fail within its
-// horizon.
+// horizon, and AlarmedCount how many midplanes it flags at once.
 type Predictor interface {
 	// Name identifies the predictor in reports.
 	Name() string
@@ -31,6 +31,12 @@ type Predictor interface {
 	Observe(ev *filter.Event)
 	// Alarmed reports whether midplane mp is flagged at time t.
 	Alarmed(mp int, t time.Time) bool
+	// AlarmedCount returns the number of midplanes mp for which
+	// Alarmed(mp, t) holds. Evaluate calls it once per point of its
+	// hourly grid: the times of successive calls are whole hours
+	// apart and never before an observed event, and an implementation
+	// may rely on that to skip midplanes an earlier call settled.
+	AlarmedCount(t time.Time) int
 	// Reset clears all learned state.
 	Reset()
 }
@@ -46,6 +52,9 @@ type RatePredictor struct {
 
 	score [bgp.NumMidplanes]float64
 	last  [bgp.NumMidplanes]time.Time
+	// lapsed marks the midplanes an AlarmedCount found under the
+	// threshold; the mark holds until the midplane's next Observe.
+	lapsed [bgp.NumMidplanes]bool
 }
 
 // NewRatePredictor returns a rate predictor with the given decay and
@@ -63,6 +72,7 @@ func (p *RatePredictor) Name() string {
 func (p *RatePredictor) Reset() {
 	p.score = [bgp.NumMidplanes]float64{}
 	p.last = [bgp.NumMidplanes]time.Time{}
+	p.lapsed = [bgp.NumMidplanes]bool{}
 }
 
 func (p *RatePredictor) decayed(mp int, t time.Time) float64 {
@@ -81,6 +91,7 @@ func (p *RatePredictor) Observe(ev *filter.Event) {
 	for _, mp := range ev.Midplanes {
 		p.score[mp] = p.decayed(mp, ev.First) + 1
 		p.last[mp] = ev.First
+		p.lapsed[mp] = false
 	}
 }
 
@@ -93,6 +104,30 @@ func (p *RatePredictor) Alarmed(mp int, t time.Time) bool {
 		return false
 	}
 	return p.decayed(mp, t) >= p.Threshold
+}
+
+// AlarmedCount implements Predictor. A midplane found under the
+// threshold by an earlier call is skipped until its next Observe, and
+// that is exact. Between two Observes of a midplane its stored score
+// and last time are fixed, so a later grid point only grows dt, and the
+// true decayed score shrinks by exp(-3600/Tau) per grid hour. Even at
+// the longest Tau a time.Duration holds (about 292 years) that factor is
+// below 1-3.9e-7, while math.Exp errs by less than one ulp (about
+// 1.1e-16 relative); so the computed exponential, and its product with
+// the same stored score, cannot rise from one grid hour to the next
+// either (at Tau = 24 h the factor is about 0.959).
+func (p *RatePredictor) AlarmedCount(t time.Time) int {
+	n := 0
+	for mp := range p.lapsed {
+		switch {
+		case p.lapsed[mp]:
+		case p.Alarmed(mp, t):
+			n++
+		default:
+			p.lapsed[mp] = true
+		}
+	}
+	return n
 }
 
 // ChainPredictor alarms the midplanes of the most recent fatal event
@@ -131,6 +166,18 @@ func (p *ChainPredictor) Alarmed(mp int, t time.Time) bool {
 	return !p.until[mp].IsZero() && !t.After(p.until[mp])
 }
 
+// AlarmedCount implements Predictor by comparing t with every
+// midplane's horizon.
+func (p *ChainPredictor) AlarmedCount(t time.Time) int {
+	n := 0
+	for mp := range p.until {
+		if p.Alarmed(mp, t) {
+			n++
+		}
+	}
+	return n
+}
+
 // NeverPredictor is the null baseline: no alarms.
 type NeverPredictor struct{}
 
@@ -142,6 +189,9 @@ func (NeverPredictor) Observe(*filter.Event) {}
 
 // Alarmed implements Predictor.
 func (NeverPredictor) Alarmed(int, time.Time) bool { return false }
+
+// AlarmedCount implements Predictor.
+func (NeverPredictor) AlarmedCount(time.Time) int { return 0 }
 
 // Reset implements Predictor.
 func (NeverPredictor) Reset() {}
@@ -158,6 +208,9 @@ func (AlwaysPredictor) Observe(*filter.Event) {}
 
 // Alarmed implements Predictor.
 func (AlwaysPredictor) Alarmed(int, time.Time) bool { return true }
+
+// AlarmedCount implements Predictor.
+func (AlwaysPredictor) AlarmedCount(time.Time) int { return bgp.NumMidplanes }
 
 // Reset implements Predictor.
 func (AlwaysPredictor) Reset() {}

@@ -212,6 +212,22 @@ func (p alwaysDecays) Alarmed(mp int, t time.Time) bool {
 	return p.decayed(mp, t) >= p.Threshold
 }
 
+// perMidplane counts the grid through a per-midplane Alarmed loop, the
+// form Evaluate took before predictors counted their own grid. Without
+// it alwaysDecays would inherit RatePredictor's AlarmedCount and score
+// the fast path against itself.
+type perMidplane struct{ Predictor }
+
+func (p perMidplane) AlarmedCount(t time.Time) int {
+	n := 0
+	for mp := 0; mp < bgp.NumMidplanes; mp++ {
+		if p.Alarmed(mp, t) {
+			n++
+		}
+	}
+	return n
+}
+
 // randomStream returns n time-ordered events on a few hot midplanes;
 // about a third share the previous event's time, so queries at an
 // event's own time hit decayed's dt <= 0 branch.
@@ -232,6 +248,10 @@ func randomStream(rng *rand.Rand, n int) []*filter.Event {
 	return events
 }
 
+// TestRatePredictorShortCircuitIsExact checks both of RatePredictor's
+// shortcuts against the plain decayed score: Alarmed's below-threshold
+// answer, and AlarmedCount's skipping of lapsed midplanes on Evaluate's
+// grid.
 func TestRatePredictorShortCircuitIsExact(t *testing.T) {
 	taus := []time.Duration{time.Second, time.Minute, time.Hour, 24 * time.Hour, 30 * 24 * time.Hour}
 	thresholds := []float64{0.25, 0.75, 1, 1.5, 3}
@@ -257,19 +277,61 @@ func TestRatePredictorShortCircuitIsExact(t *testing.T) {
 						check(events[next].First)
 					}
 					check(at)
+					oracle := perMidplane{alwaysDecays{p}}
+					if got, want := p.AlarmedCount(at), oracle.AlarmedCount(at); got != want {
+						t.Fatalf("seed %d tau %v thr %v: AlarmedCount(%v) = %d, per-midplane decayed count %d",
+							seed, tau, thr, at, got, want)
+					}
 				}
 
 				got, err := Evaluate(NewRatePredictor(tau, thr), events, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := Evaluate(alwaysDecays{NewRatePredictor(tau, thr)}, events, nil)
+				want, err := Evaluate(perMidplane{alwaysDecays{NewRatePredictor(tau, thr)}}, events, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d tau %v thr %v: Evaluate = %+v, without the short-circuit %+v",
+					t.Errorf("seed %d tau %v thr %v: Evaluate = %+v, without the shortcuts %+v",
 						seed, tau, thr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAlarmedCountMatchesPerMidplane scores every other predictor's
+// grid count against the per-midplane Alarmed loop, with and without
+// idle flags.
+func TestAlarmedCountMatchesPerMidplane(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		events := randomStream(rng, 120)
+		idle := make([]bool, len(events))
+		for i := range idle {
+			idle[i] = rng.Intn(2) == 0
+		}
+		fresh := []func() Predictor{
+			func() Predictor { return NeverPredictor{} },
+			func() Predictor { return AlwaysPredictor{} },
+			func() Predictor { return NewChainPredictor(0) },
+			func() Predictor { return NewChainPredictor(time.Hour) },
+			func() Predictor { return NewChainPredictor(12 * time.Hour) },
+			func() Predictor { return NewChainPredictor(30 * 24 * time.Hour) },
+		}
+		for _, mk := range fresh {
+			for _, flags := range [][]bool{nil, idle} {
+				got, err := Evaluate(mk(), events, flags)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Evaluate(perMidplane{mk()}, events, flags)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d %s: Evaluate = %+v, per-midplane grid %+v", seed, got.Predictor, got, want)
 				}
 			}
 		}

@@ -135,10 +135,11 @@ func (p *persister) step(name string) error {
 // recover rebuilds the engine from the committed seals in DataDir, in
 // sequence order, stopping at the first missing manifest. Each
 // manifest's segment file is opened by its number (a directory listing
-// would also see an orphan .seg), checked against the manifest, replayed
-// through the cascade and adopted as a sealed, file-backed segment with
-// its own row count: a data dir written under a different seal budget
-// still recovers, and nothing is re-encoded or resident afterwards.
+// would also see an orphan .seg), checked against the manifest and its
+// columns CRC, replayed through the cascade and adopted as a sealed,
+// file-backed segment with its own row count: a data dir written under
+// a different seal budget still recovers, and nothing is re-encoded or
+// resident afterwards.
 func (e *Engine) recover() error {
 	var last *manifest
 	for seq := 0; ; seq++ {
@@ -162,6 +163,9 @@ func (e *Engine) recover() error {
 		sf, err := store.OpenSegment(e.per.path(seq, "seg"))
 		if err == nil && sf.Rows() != man.Rows {
 			err = fmt.Errorf("%d rows on disk, manifest says %d", sf.Rows(), man.Rows)
+		}
+		if err == nil {
+			err = sf.VerifyColumns()
 		}
 		if err == nil {
 			err = e.segs.Adopt(sf) // checks the sequence number

@@ -11,6 +11,7 @@ import (
 	"repro/internal/joblog"
 	"repro/internal/raslog"
 	"repro/internal/simulate"
+	"repro/internal/store"
 )
 
 // campaignStreams returns a simulated campaign's records and jobs
@@ -356,5 +357,58 @@ func TestRecoveryRefusesOldLayout(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "seg-000000.seg")); !os.IsNotExist(err) {
 		t.Errorf("refused recovery wrote a segment file (stat err %v)", err)
+	}
+}
+
+// TestRecoveryRefusesFlippedColumnBit flips one bit of the time column
+// in a committed segment file. The header CRC and the file size still
+// check out, so only the columns CRC can catch it: recovery must refuse
+// to start, naming the file, rather than replay the altered row.
+func TestRecoveryRefusesFlippedColumnBit(t *testing.T) {
+	recs, jobs := campaignStreams(t, 13, 6)
+	dir := t.TempDir()
+	eng, err := NewEngine(Config{DataDir: dir, SealRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestRAS(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "seg-000000.seg")
+	sf, err := store.OpenSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := int64(sf.Rows())
+	if err := sf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The columns section is the file's last rows*RowBytes bytes before
+	// the closing CRC; RecID comes first, then Time. Flip the lowest bit
+	// of the last row's time: the rows stay in (Time, RecID) order.
+	colOff := int64(len(b)) - rows*store.RowBytes - 4
+	b[colOff+8*rows+8*(rows-1)] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = NewEngine(Config{DataDir: dir, SealRows: 1 << 20})
+	if err == nil {
+		t.Fatal("recovery replayed a segment whose time column has a flipped bit")
+	}
+	for _, want := range []string{path, "columns checksum"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
