@@ -21,6 +21,7 @@ import (
 	"repro/internal/raslog"
 	"repro/internal/sched"
 	"repro/internal/simulate"
+	"repro/internal/store"
 	"repro/internal/symtab"
 	"repro/internal/workload"
 )
@@ -383,18 +384,41 @@ func BenchmarkObs12_Suspicious(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyze measures the co-analysis alone (matching through
-// job-related filtering) over the campaign's logs.
+// BenchmarkAnalyze measures the analysis driver every log-to-report
+// path runs, core.AnalyzeRun, over the campaign's FATAL records spooled
+// into a resident store.Spool run, as repro.Load spools them: the
+// run's merge, the filter cascade and the co-analysis from matching
+// through job-related filtering. Garbage is collected only between
+// ops, off the clock, as in BenchmarkRenderAll, so allocs/op repeats
+// in every sample.
 func BenchmarkAnalyze(b *testing.B) {
 	rep := benchReport(b)
+	sp := store.NewSpool("", 0)
+	fatal := rep.RAS().Fatal()
+	for i := range fatal {
+		if err := spoolFatal(sp, &fatal[i], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run, _, err := sp.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer run.Close()
+	first, last := rep.RAS().Span()
+	b.ReportAllocs()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := core.Analyze(core.DefaultConfig(), rep.RAS(), rep.Jobs())
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		a, _, err := core.AnalyzeRun(core.DefaultConfig(), run, first, last, rep.Jobs())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(a.Events) == 0 {
-			b.Fatal("no events")
+		if len(a.Events) == 0 || len(a.Interruptions) == 0 {
+			b.Fatal("no events or no interruptions")
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro"
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/symtab"
 )
 
 func main() {
@@ -91,9 +92,10 @@ func run(w io.Writer) error {
 	}
 	var hs []hist
 	all := rep.Jobs().All()
-	for exec, runs := range rep.Jobs().ByExecFile() {
+	for e := range a.Syms.Execs.Len() {
+		exec := symtab.ExecID(e)
 		streak, maxStreak := 0, 0
-		for _, p := range runs {
+		for _, p := range a.ExecRuns(exec) {
 			if interrupted[all[p].ID] {
 				streak++
 				if streak > maxStreak {
@@ -104,7 +106,7 @@ func run(w io.Writer) error {
 			}
 		}
 		if maxStreak >= 2 {
-			hs = append(hs, hist{exec, maxStreak})
+			hs = append(hs, hist{a.Syms.Execs.Name(exec), maxStreak})
 		}
 	}
 	sort.Slice(hs, func(i, j int) bool {

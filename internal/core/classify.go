@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/joblog"
 	"repro/internal/stats"
 	"repro/internal/symtab"
@@ -103,7 +104,6 @@ func (a *Analysis) classify() {
 	// until fixed -> system. The no-clean-run requirement keeps
 	// coincidental same-location kills (two different buggy codes days
 	// apart) from masquerading as platform faults.
-	interruptedIDs := a.InterruptedJobIDs()
 	for code, ins := range byCode {
 		if _, done := a.Classification[code]; done {
 			continue
@@ -112,7 +112,10 @@ func (a *Analysis) classify() {
 			exec symtab.ExecID
 			in   Interruption
 		}
-		hitsAt := make(map[int][]hit)
+		// Per midplane, walked in midplane order: the verdict is the same
+		// in any order, and a fixed order makes the work before the first
+		// witness (and its allocations) repeat from run to run.
+		var hitsAt [bgp.NumMidplanes][]hit
 		for _, in := range ins {
 			// Events that interrupt several jobs at once are shared-
 			// infrastructure incidents (spatial propagation), not the
@@ -129,7 +132,10 @@ func (a *Analysis) classify() {
 			}
 		}
 		system := false
-		for mp, hits := range hitsAt {
+		for mp, hits := range &hitsAt {
+			if len(hits) < 2 {
+				continue
+			}
 			sort.Slice(hits, func(i, j int) bool {
 				return hits[i].in.Job.EndTime.Before(hits[j].in.Job.EndTime)
 			})
@@ -141,7 +147,7 @@ func (a *Analysis) classify() {
 				if prev.in.Event == cur.in.Event {
 					continue // one occurrence, not a persisting fault
 				}
-				if !a.occupancy.ranCleanBetween(mp, prev.in.Job.EndTime, cur.in.Job.EndTime, interruptedIDs) {
+				if !a.occupancy.ranCleanBetween(mp, prev.in.Job.EndTime, cur.in.Job.EndTime, a.interruptedAt) {
 					system = true
 				}
 			}
@@ -159,8 +165,7 @@ func (a *Analysis) classify() {
 	// resubmission chain (no clean run of the executable in between)
 	// while an old location later hosts an uninterrupted job ->
 	// application (Figure 2).
-	interrupted := a.InterruptedJobIDs()
-	jobs, execRuns := a.Jobs.All(), a.execRunsByID()
+	jobs := a.Jobs.All()
 	for code, ins := range byCode {
 		if _, done := a.Classification[code]; done {
 			continue
@@ -188,13 +193,13 @@ func (a *Analysis) classify() {
 				}
 				// A resubmission chain: no clean run of this executable
 				// between the two interrupted attempts.
-				if execRanCleanBetween(jobs, execRuns[exec], prev.Job.EndTime, cur.Job.StartTime, interrupted) {
+				if execRanCleanBetween(jobs, a.ExecRuns(exec), prev.Job.EndTime, cur.Job.StartTime, a.interruptedAt) {
 					continue
 				}
 				// Did the old location host a clean job after the move?
 				horizon := cur.Job.EndTime.Add(7 * 24 * time.Hour)
 				for mp := prev.Job.Partition.Start; mp < prev.Job.Partition.End(); mp++ {
-					if a.occupancy.ranCleanBetween(mp, prev.Job.EndTime, horizon, interrupted) {
+					if a.occupancy.ranCleanBetween(mp, prev.Job.EndTime, horizon, a.interruptedAt) {
 						witnesses++
 						break
 					}
@@ -213,32 +218,17 @@ func (a *Analysis) classify() {
 	a.classifyByCorrelation()
 }
 
-// execRunsByID re-keys ByExecFile's string-keyed grouping of positions
-// into a.Jobs.All() by typed ExecID, so the cascade (classify Rule 3,
-// Figure 2 extraction) looks runs up by interned ID rather than display
-// name. Executables that never appear in an interruption have no
-// interned ID and are dropped; nothing looks them up.
-func (a *Analysis) execRunsByID() map[symtab.ExecID][]int32 {
-	byName := a.Jobs.ByExecFile()
-	runs := make(map[symtab.ExecID][]int32, len(byName))
-	for name, js := range byName {
-		if id, ok := a.tab.Execs.Lookup(name); ok {
-			runs[id] = js
-		}
-	}
-	return runs
-}
-
 // execRanCleanBetween reports whether any run of the executable (given
 // its StartTime-ordered runs as positions into jobs) started and ended
-// inside (from, to) without being interrupted.
-func execRanCleanBetween(jobs []joblog.Job, runs []int32, from, to time.Time, interrupted map[int64]bool) bool {
+// inside (from, to) without being interrupted (interrupted is indexed
+// by position, as Analysis.interruptedAt).
+func execRanCleanBetween(jobs []joblog.Job, runs []int32, from, to time.Time, interrupted []bool) bool {
 	for _, p := range runs {
 		j := &jobs[p]
 		if j.StartTime.After(to) {
 			break
 		}
-		if j.StartTime.After(from) && j.EndTime.Before(to) && !interrupted[j.ID] {
+		if j.StartTime.After(from) && j.EndTime.Before(to) && !interrupted[p] {
 			return true
 		}
 	}

@@ -30,8 +30,7 @@ func (a *Analysis) RelocationExamples(max int) []RelocationExample {
 	if max <= 0 {
 		max = 3
 	}
-	interrupted := a.InterruptedJobIDs()
-	jobs, execRuns := a.Jobs.All(), a.execRunsByID()
+	jobs := a.Jobs.All()
 
 	byCodeExec := make(map[symtab.ErrcodeID]map[symtab.ExecID][]Interruption)
 	for _, in := range a.Interruptions {
@@ -62,10 +61,10 @@ func (a *Analysis) RelocationExamples(max int) []RelocationExample {
 				if prev.Job.Partition == cur.Job.Partition {
 					continue
 				}
-				if execRanCleanBetween(jobs, execRuns[exec], prev.Job.EndTime, cur.Job.StartTime, interrupted) {
+				if execRanCleanBetween(jobs, a.ExecRuns(exec), prev.Job.EndTime, cur.Job.StartTime, a.interruptedAt) {
 					continue
 				}
-				clean, ok := a.cleanJobAfter(prev.Job, cur.Job, interrupted)
+				clean, ok := a.cleanJobAfter(prev.Job, cur.Job)
 				if !ok {
 					continue
 				}
@@ -88,7 +87,7 @@ func (a *Analysis) RelocationExamples(max int) []RelocationExample {
 
 // cleanJobAfter finds an uninterrupted job that ran on the first
 // attempt's partition after its interruption.
-func (a *Analysis) cleanJobAfter(prev, cur joblog.Job, interrupted map[int64]bool) (joblog.Job, bool) {
+func (a *Analysis) cleanJobAfter(prev, cur joblog.Job) (joblog.Job, bool) {
 	horizon := cur.EndTime.Add(7 * 24 * 3600 * 1e9)
 	for mp := prev.Partition.Start; mp < prev.Partition.End(); mp++ {
 		for _, p := range a.occupancy.perMp[mp] {
@@ -96,7 +95,7 @@ func (a *Analysis) cleanJobAfter(prev, cur joblog.Job, interrupted map[int64]boo
 			if j.StartTime.After(horizon) {
 				break
 			}
-			if j.StartTime.After(prev.EndTime) && j.EndTime.Before(horizon) && !interrupted[j.ID] {
+			if j.StartTime.After(prev.EndTime) && j.EndTime.Before(horizon) && !a.interruptedAt[p] {
 				return *j, true
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/stats"
+	"repro/internal/symtab"
 )
 
 // BurstStats carries the §VI-A burstiness analysis (Figure 5, Obs. 6).
@@ -61,7 +62,7 @@ func (a *Analysis) Bursts(window time.Duration) BurstStats {
 		}
 		bs.InterruptedJobFraction = float64(distinct) / float64(n)
 	}
-	if d, _ := a.Jobs.DistinctExecutables(); d > 0 {
+	if d := a.tab.Execs.Len(); d > 0 {
 		bs.DistinctJobFraction = float64(a.DistinctInterruptedJobs()) / float64(d)
 	}
 
@@ -73,10 +74,10 @@ func (a *Analysis) Bursts(window time.Duration) BurstStats {
 	}
 
 	// Longest consecutive-interruption streak per executable.
-	for _, runs := range a.Jobs.ByExecFile() {
+	for e := range a.tab.Execs.Len() {
 		streak := 0
-		for _, p := range runs {
-			if interrupted[a.jobIDs[p]] {
+		for _, p := range a.ExecRuns(symtab.ExecID(e)) {
+			if a.interruptedAt[p] {
 				streak++
 				if streak > bs.MaxPerJobStreak {
 					bs.MaxPerJobStreak = streak

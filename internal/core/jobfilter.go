@@ -19,8 +19,6 @@ import (
 // same code before. The relation is transitive, so each redundancy
 // chain keeps only its first event.
 func (a *Analysis) jobFilter() {
-	interrupted := a.InterruptedJobIDs()
-
 	// Events with interruptions per code, in time order.
 	byCode := make(map[symtab.ErrcodeID][]*filter.Event)
 	for _, ev := range a.Events {
@@ -68,7 +66,7 @@ func (a *Analysis) jobFilter() {
 				if !ok {
 					continue
 				}
-				if !a.occupancy.ranCleanBetween(mp, prev.First, ev.First, interrupted) {
+				if !a.occupancy.ranCleanBetween(mp, prev.First, ev.First, a.interruptedAt) {
 					dup = true // transitively redundant to the chain head
 					break
 				}
@@ -131,11 +129,11 @@ func (a *Analysis) JobFilter() JobFilterStats {
 // submission of an executable after one of its jobs was interrupted —
 // and counts how many landed on the identical partition.
 func (a *Analysis) sameLocationResubmits() (same, total int) {
-	interrupted := a.interruptedJobs()
 	all := a.Jobs.All()
-	for _, runs := range a.Jobs.ByExecFile() {
+	for e := range a.tab.Execs.Len() {
+		runs := a.ExecRuns(symtab.ExecID(e))
 		for i := 0; i < len(runs)-1; i++ {
-			if !interrupted[a.jobIDs[runs[i]]] {
+			if !a.interruptedAt[runs[i]] {
 				continue
 			}
 			cur := &all[runs[i]]

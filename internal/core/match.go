@@ -82,10 +82,10 @@ func (ix *occupancyIndex) endedWithin(mp int, from, to time.Time) []int32 {
 }
 
 // ranCleanBetween reports whether some job ran wholly inside (from, to)
-// on midplane mp and was NOT interrupted (per the provided set of
-// interrupted job IDs). This is the "no job executed between these two
-// events" test of the job-related filter.
-func (ix *occupancyIndex) ranCleanBetween(mp int, from, to time.Time, interrupted map[int64]bool) bool {
+// on midplane mp and was NOT interrupted (interrupted is indexed by
+// position in byEnd, as Analysis.interruptedAt). This is the "no job
+// executed between these two events" test of the job-related filter.
+func (ix *occupancyIndex) ranCleanBetween(mp int, from, to time.Time, interrupted []bool) bool {
 	js, jobs := ix.perMp[mp], ix.byEnd
 	lo := sort.Search(len(js), func(k int) bool { return jobs[js[k]].StartTime.After(from) })
 	for _, p := range js[lo:] {
@@ -93,7 +93,7 @@ func (ix *occupancyIndex) ranCleanBetween(mp int, from, to time.Time, interrupte
 		if j.StartTime.After(to) {
 			break
 		}
-		if j.EndTime.Before(to) && !interrupted[j.ID] {
+		if j.EndTime.Before(to) && !interrupted[p] {
 			return true
 		}
 	}
@@ -111,18 +111,18 @@ func (a *Analysis) match() {
 	tol := a.cfg.MatchTolerance
 	const preSlack = 90 * time.Second
 	a.interByEvent = make(map[*filter.Event][]int)
-	// A job can be claimed by at most one event (the earliest match).
-	claimed := make(map[int64]bool)
+	// A job can be claimed by at most one event (the earliest match), and
+	// jobs that share an ID share the claim.
+	claimed := make([]bool, a.tab.Jobs.Len())
 	for _, ev := range a.Events {
 		from := ev.First.Add(-preSlack)
 		to := ev.Last.Add(tol)
-		seen := make(map[int64]bool)
 		for _, mp := range ev.Midplanes {
-			var best *joblog.Job
+			best := int32(-1)
 			bestDist := time.Duration(-1)
 			for _, p := range a.occupancy.endedWithin(mp, from, to) {
 				j := &a.occupancy.byEnd[p]
-				if seen[j.ID] || claimed[j.ID] {
+				if claimed[a.jobIDs[p]] {
 					continue
 				}
 				if j.StartTime.After(to) {
@@ -133,24 +133,23 @@ func (a *Analysis) match() {
 					d = -d
 				}
 				if bestDist < 0 || d < bestDist {
-					best, bestDist = j, d
+					best, bestDist = p, d
 				}
 			}
 			if bestDist < 0 {
 				continue
 			}
-			seen[best.ID] = true
-			claimed[best.ID] = true
-			execID, _ := a.tab.Execs.Lookup(best.ExecFile)
-			jobID, _ := a.tab.Jobs.Lookup(best.ID)
-			a.Interruptions = append(a.Interruptions,
-				Interruption{Job: *best, Event: ev, Exec: execID, JobID: jobID})
+			claimed[a.jobIDs[best]] = true
+			a.Interruptions = append(a.Interruptions, Interruption{
+				Job: a.occupancy.byEnd[best], Event: ev, Exec: a.execIDs[best], JobID: a.jobIDs[best]})
 			a.interByEvent[ev] = append(a.interByEvent[ev], len(a.Interruptions)-1)
 		}
 	}
 }
 
 // InterruptedJobIDs returns the set of job IDs attributed to any event.
+// The analysis itself reads the same answer per position
+// (interruptedAt) or per JobID (interruptedJobs).
 func (a *Analysis) InterruptedJobIDs() map[int64]bool {
 	out := make(map[int64]bool, len(a.Interruptions))
 	for _, in := range a.Interruptions {

@@ -76,12 +76,13 @@ func TestOccupancyIndexRanCleanBetween(t *testing.T) {
 		mkJob(2, "/b", 2*time.Hour, 3*time.Hour, 0, 1),
 	}
 	ix := occupancyOf(joblog.NewLog(jobs))
-	none := map[int64]bool{}
+	// The flags are per position in byEnd; job 2 sits at position 1.
+	none := make([]bool, len(jobs))
 	if !ix.ranCleanBetween(0, t0.Add(90*time.Minute), t0.Add(4*time.Hour), none) {
 		t.Error("clean job 2 not detected")
 	}
 	// Same window but job 2 marked interrupted: no clean run.
-	if ix.ranCleanBetween(0, t0.Add(90*time.Minute), t0.Add(4*time.Hour), map[int64]bool{2: true}) {
+	if ix.ranCleanBetween(0, t0.Add(90*time.Minute), t0.Add(4*time.Hour), []bool{false, true}) {
 		t.Error("interrupted job counted as clean")
 	}
 	// Window that only partially contains job 2.

@@ -233,7 +233,11 @@ func checkRanClean(t *testing.T, s snapshotAt, mp int, from, to time.Time, inter
 			break
 		}
 	}
-	if got := s.ix.ranCleanBetween(mp, from, to, interrupted); got != want {
+	at := make([]bool, len(s.ix.byEnd))
+	for p := range s.ix.byEnd {
+		at[p] = interrupted[s.ix.byEnd[p].ID]
+	}
+	if got := s.ix.ranCleanBetween(mp, from, to, at); got != want {
 		t.Fatalf("ranCleanBetween(%d, %v, %v) = %v, naive scan %v", mp, from, to, got, want)
 	}
 }

@@ -11,10 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The per-job passes read each job's dictionary ID from a.jobIDs by its
-// position in Jobs.All(). The oracles below are those passes as they
-// were before: each probes the job dictionary (or the interrupted-ID
-// map) with the job's ID once per job.
+// The per-job passes read each job's dictionary ID from a.jobIDs, and
+// its interrupted flag from a.interruptedAt, by its position in
+// Jobs.All(), and walk executables through a.ExecRuns. The oracles
+// below are those passes as they were before: each probes the job
+// dictionary (or the interrupted-ID map) with the job's ID once per job
+// and walks the string-keyed byExecFile grouping.
 
 // lookupResubmissions is Resubmissions probing tab.Jobs.Lookup.
 func lookupResubmissions(a *Analysis, maxK int) ResubmissionStats {
@@ -33,7 +35,7 @@ func lookupResubmissions(a *Analysis, maxK int) ResubmissionStats {
 	appHit := make([]int, maxK+1)
 	withHistory2 := 0
 	all := a.Jobs.All()
-	for _, runs := range a.Jobs.ByExecFile() {
+	for _, runs := range byExecFile(a.Jobs) {
 		streak := 0
 		var lastCause Class
 		for _, p := range runs {
@@ -123,7 +125,7 @@ func lookupJobFilter(a *Analysis) JobFilterStats {
 	interrupted := a.InterruptedJobIDs()
 	all := a.Jobs.All()
 	same := 0
-	for _, runs := range a.Jobs.ByExecFile() {
+	for _, runs := range byExecFile(a.Jobs) {
 		for i := 0; i < len(runs)-1; i++ {
 			cur, next := &all[runs[i]], &all[runs[i+1]]
 			if !interrupted[cur.ID] || next.QueueTime.Before(cur.EndTime) {
@@ -149,7 +151,7 @@ func lookupBurstJobs(a *Analysis) (interruptedFraction float64, maxStreak int) {
 		interruptedFraction = float64(len(interrupted)) / float64(n)
 	}
 	all := a.Jobs.All()
-	for _, runs := range a.Jobs.ByExecFile() {
+	for _, runs := range byExecFile(a.Jobs) {
 		streak := 0
 		for _, p := range runs {
 			if !interrupted[all[p].ID] {
@@ -185,6 +187,13 @@ func checkPositionPasses(t *testing.T, a *Analysis) {
 	if got, want := a.Features(12), legacyFeatures(a, 12); !reflect.DeepEqual(got, want) {
 		t.Errorf("Features = %+v\noracle     %+v", got, want)
 	}
+	hit := a.InterruptedJobIDs()
+	for p, j := range a.Jobs.All() {
+		if a.interruptedAt[p] != hit[j.ID] {
+			t.Fatalf("interruptedAt[%d] = %v, InterruptedJobIDs has job %d: %v", p, a.interruptedAt[p], j.ID, hit[j.ID])
+		}
+	}
+	checkExecRuns(t, a)
 }
 
 // TestPositionIndexedJobIDsRepeatedID gives jobs that were not

@@ -240,7 +240,7 @@ func TestJobManyWavesMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readAll(strings.NewReader(b.String()), linescan.Options{Workers: 4, ChunkBytes: 256})
+	got, _, err := readAll(strings.NewReader(b.String()), linescan.Options{Workers: 4, ChunkBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package joblog
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/linescan"
 )
 
 // saneEpochRange bounds the timestamps for which we demand a perfectly
@@ -199,5 +201,81 @@ func TestLogMarshaledBytes(t *testing.T) {
 	}
 	if got := l.MarshaledBytes(); got != want {
 		t.Fatalf("second MarshaledBytes = %d, want %d", got, want)
+	}
+}
+
+// nonCanonicalLog is a job log whose lines are valid but do not
+// re-marshal to themselves: signed and zero-padded IDs, epochs with one
+// decimal or none, escapes of bytes that need none, a trailing lone
+// backslash, and escaped separators in every string field.
+const nonCanonicalLog = "+12|n|/bin/a|1209600000|1209600001.5|1209603600.25|R00-M0|u|p\n" +
+	"007|N.A.|/bin/a|1209600000.0|1209600000.00|1209603600.999|R00-M0..R00-M1|u|p\n" +
+	"-3|\\x|\\p\\\\b|+1209600000|1209600000.004|1209600000.995|R00|\\u|p\\\n" +
+	"\n" +
+	"4|a\\pb|/bin/b|1209600000|1209600000|1209600000|R01-M1|user|\\p\\p\n" +
+	"9|n|/bin/a|0|.5|99.999|R00-M0|u|p\n"
+
+// checkDecodedMarshaledBytes decodes text through ReadLog and through
+// readAll at small chunks and four workers, and checks both totals
+// against a re-marshal of the decoded jobs. It reports whether text
+// decoded.
+func checkDecodedMarshaledBytes(t *testing.T, text string) bool {
+	t.Helper()
+	l, err := ReadLog(strings.NewReader(text), 1)
+	if err != nil {
+		return false
+	}
+	want := 0
+	for _, j := range l.All() {
+		want += len(j.AppendLine(nil)) + 1
+	}
+	if got := l.MarshaledBytes(); got != want {
+		t.Fatalf("ReadLog's MarshaledBytes = %d, re-marshaled %d bytes\nlog: %q", got, want, text)
+	}
+	_, got, err := readAll(strings.NewReader(text), linescan.Options{Workers: 4, ChunkBytes: 64})
+	if err != nil {
+		t.Fatalf("chunked decode failed where ReadLog did not: %v", err)
+	}
+	if got != want {
+		t.Fatalf("chunked decode summed %d, re-marshaled %d bytes\nlog: %q", got, want, text)
+	}
+	return true
+}
+
+func TestReadLogMarshaledBytesNonCanonical(t *testing.T) {
+	if !checkDecodedMarshaledBytes(t, nonCanonicalLog) {
+		t.Fatal("the non-canonical fixture did not decode")
+	}
+	if l, err := ReadLog(strings.NewReader(nonCanonicalLog), 1); err != nil || l.MarshaledBytes() == len(nonCanonicalLog) {
+		t.Fatal("the fixture re-marshals to its own size; it exercises nothing")
+	}
+}
+
+// FuzzReadLogMarshaledBytes pins the total the decode sums to the bytes
+// a re-marshal of the decoded jobs writes, for any accepted log.
+func FuzzReadLogMarshaledBytes(f *testing.F) {
+	f.Add(nonCanonicalLog)
+	for _, line := range strings.Split(nonCanonicalLog, "\n") {
+		f.Add(line)
+	}
+	for _, j := range marshaledLenSeeds() {
+		f.Add(j.MarshalLine() + "\n")
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		checkDecodedMarshaledBytes(t, text)
+	})
+}
+
+// TestIntLenAtPowersOfTen checks intLen against strconv at every power
+// of ten, its neighbours and the int64 extremes.
+func TestIntLenAtPowersOfTen(t *testing.T) {
+	vals := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	for _, v := range vals {
+		if got, want := intLen(v), len(strconv.FormatInt(v, 10)); got != want {
+			t.Errorf("intLen(%d) = %d, want %d", v, got, want)
+		}
 	}
 }

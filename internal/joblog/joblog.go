@@ -14,10 +14,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bgp"
@@ -224,33 +225,48 @@ func (it *intern) str(b []byte) string {
 type decoder struct {
 	buf   []byte
 	it    *intern
-	parts map[string]bgp.Partition
+	parts map[string]parsedPartition
+}
+
+// parsedPartition is a partition spelling's parse and the length of
+// its canonical rendering (Partition.AppendTo).
+type parsedPartition struct {
+	p bgp.Partition
+	n int
 }
 
 func newDecoder() *decoder {
-	return &decoder{it: newIntern(), parts: make(map[string]bgp.Partition, 64)}
+	return &decoder{it: newIntern(), parts: make(map[string]parsedPartition, 64)}
 }
 
-func (d *decoder) str(b []byte) string {
+// str returns the decoded field and its escaped length (escapedLen). A
+// field without a backslash decodes to itself and holds no '|', so its
+// escaped length is its raw length.
+func (d *decoder) str(b []byte) (string, int) {
 	if bytes.IndexByte(b, '\\') < 0 {
-		return d.it.str(b)
+		return d.it.str(b), len(b)
 	}
 	d.buf = unescapeInto(d.buf, b)
-	return d.it.str(d.buf)
+	s := d.it.str(d.buf)
+	return s, escapedLen(s)
 }
 
-func (d *decoder) partition(b []byte) (bgp.Partition, error) {
-	if p, ok := d.parts[string(b)]; ok { // no-alloc map probe
-		return p, nil
+// partition returns the partition b spells and the length of its
+// canonical rendering.
+func (d *decoder) partition(b []byte) (bgp.Partition, int, error) {
+	if pp, ok := d.parts[string(b)]; ok { // no-alloc map probe
+		return pp.p, pp.n, nil
 	}
 	p, err := bgp.ParsePartition(string(b))
 	if err != nil {
-		return bgp.Partition{}, err
+		return bgp.Partition{}, 0, err
 	}
+	var buf [32]byte
+	n := len(p.AppendTo(buf[:0]))
 	if d.parts != nil && len(d.parts) < internMaxEntries {
-		d.parts[string(b)] = p
+		d.parts[string(b)] = parsedPartition{p, n}
 	}
-	return p, nil
+	return p, n, nil
 }
 
 // AppendLine appends the job's one-line serialization to dst and
@@ -291,17 +307,29 @@ func (j *Job) MarshaledLen() int {
 
 // intLen is len(strconv.AppendInt(nil, v, 10)).
 func intLen(v int64) int {
-	n := 1
 	u := uint64(v)
 	if v < 0 {
-		n++
-		u = -u
+		return 1 + digits(-u)
 	}
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return n
+	return digits(u)
 }
+
+// digits is the number of decimal digits of u (1 for 0). The bit length
+// times log10(2) ≈ 1233/4096 gives t with 10^t <= u|1 < 10^(t+2); one
+// comparison settles which. u|1 has u's digit count: every power of ten
+// from 10 on is even.
+func digits(u uint64) int {
+	u |= 1
+	t := bits.Len64(u) * 1233 >> 12
+	if u < pow10u[t] {
+		return t
+	}
+	return t + 1
+}
+
+// pow10u[i] is 10^i, up to the largest power of ten a uint64 holds.
+var pow10u = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // escapedLen is len(appendEscaped(nil, s)).
 func escapedLen(s string) int {
@@ -350,7 +378,8 @@ var ErrBadJob = errors.New("joblog: bad job line")
 // per-field conversions except the retained strings. The streaming
 // Reader amortizes those through its intern table.
 func (j *Job) UnmarshalFields(line []byte) error {
-	return j.unmarshalFields(line, &decoder{})
+	_, err := j.unmarshalFields(line, &decoder{})
+	return err
 }
 
 // parseIDBytes matches strconv.ParseInt(s, 10, 64) acceptance exactly:
@@ -391,7 +420,12 @@ func parseIDBytes(b []byte) (int64, bool) {
 	return int64(n), true
 }
 
-func (j *Job) unmarshalFields(line []byte, d *decoder) error {
+// unmarshalFields decodes line into j and returns j.MarshaledLen(),
+// summed from what the decode already holds: each string field's
+// escaped length, the partition's cached rendering length, and the
+// ID's and epochs' formatted lengths (a non-canonical spelling such as
+// "+12" or "1.5" counts as it re-marshals, not as it was read).
+func (j *Job) unmarshalFields(line []byte, d *decoder) (int, error) {
 	var f [numFields][]byte
 	n := 0
 	rest := line
@@ -411,38 +445,44 @@ func (j *Job) unmarshalFields(line []byte, d *decoder) error {
 		rest = rest[i+1:]
 	}
 	if n != numFields {
-		return fmt.Errorf("%w: %d fields, want %d", ErrBadJob, n, numFields)
+		return 0, fmt.Errorf("%w: %d fields, want %d", ErrBadJob, n, numFields)
 	}
 	id, ok := parseIDBytes(f[0])
 	if !ok {
-		return fmt.Errorf("%w: id %q", ErrBadJob, f[0])
+		return 0, fmt.Errorf("%w: id %q", ErrBadJob, f[0])
 	}
 	qt, err := parseEpochField(f[3])
 	if err != nil {
-		return fmt.Errorf("%w: queue time %q", ErrBadJob, f[3])
+		return 0, fmt.Errorf("%w: queue time %q", ErrBadJob, f[3])
 	}
 	st, err := parseEpochField(f[4])
 	if err != nil {
-		return fmt.Errorf("%w: start time %q", ErrBadJob, f[4])
+		return 0, fmt.Errorf("%w: start time %q", ErrBadJob, f[4])
 	}
 	et, err := parseEpochField(f[5])
 	if err != nil {
-		return fmt.Errorf("%w: end time %q", ErrBadJob, f[5])
+		return 0, fmt.Errorf("%w: end time %q", ErrBadJob, f[5])
 	}
-	part, err := d.partition(f[6])
+	part, size, err := d.partition(f[6])
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadJob, err)
+		return 0, fmt.Errorf("%w: %v", ErrBadJob, err)
 	}
 	j.ID = id
 	j.QueueTime = qt
 	j.StartTime = st
 	j.EndTime = et
 	j.Partition = part
-	j.Name = d.str(f[1])
-	j.ExecFile = d.str(f[2])
-	j.User = d.str(f[7])
-	j.Project = d.str(f[8])
-	return nil
+	var fn int
+	j.Name, fn = d.str(f[1])
+	size += fn
+	j.ExecFile, fn = d.str(f[2])
+	size += fn
+	j.User, fn = d.str(f[7])
+	size += fn
+	j.Project, fn = d.str(f[8])
+	size += fn
+	size += intLen(id) + epochLen(qt) + epochLen(st) + epochLen(et) + numFields - 1
+	return size, nil
 }
 
 func parseEpochField(b []byte) (time.Time, error) {
@@ -546,7 +586,7 @@ func (r *Reader) Next() bool {
 		if len(line) == 0 {
 			continue
 		}
-		if err := r.job.unmarshalFields(line, r.dec); err != nil {
+		if _, err := r.job.unmarshalFields(line, r.dec); err != nil {
 			r.fail(err, true)
 			return false
 		}
@@ -615,41 +655,59 @@ func (r *Reader) ReadAll() ([]Job, error) {
 // errors are identical to ReadAll on the same input for any worker
 // count.
 func ReadAllParallel(r io.Reader, workers int) ([]Job, error) {
-	return readAll(r, linescan.Options{Workers: workers})
+	jobs, _, err := readAll(r, linescan.Options{Workers: workers})
+	return jobs, err
 }
 
-func readAll(r io.Reader, opts linescan.Options) ([]Job, error) {
-	return linescan.DecodeAll(r, opts, func() linescan.ShardFunc[Job] {
+// ReadLog decodes a job log stream as ReadAllParallel does and returns
+// it as a Log (NewLog). The decode sums each job's marshaled length from
+// the fields it parses, so the Log's MarshaledBytes costs nothing more.
+func ReadLog(r io.Reader, workers int) (*Log, error) {
+	jobs, marshaled, err := readAll(r, linescan.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	l := NewLog(jobs)
+	l.marshaledOnce.Do(func() { l.marshaled = marshaled })
+	return l, nil
+}
+
+// readAll decodes r into jobs and returns them with their MarshaledBytes
+// total.
+func readAll(r io.Reader, opts linescan.Options) ([]Job, int, error) {
+	var marshaled atomic.Int64
+	jobs, err := linescan.DecodeAll(r, opts, func() linescan.ShardFunc[Job] {
 		dec := newDecoder()
 		return func(chunk []byte, firstLine int) ([]Job, error) {
 			// One job per line at most, so the shard never regrows.
 			out := make([]Job, 0, bytes.Count(chunk, []byte{'\n'})+1)
+			size := 0
 			err := linescan.ForEachLine(chunk, firstLine, func(line []byte, n int) error {
 				if len(line) == 0 {
 					return nil
 				}
 				var j Job
-				if err := j.unmarshalFields(line, dec); err != nil {
+				m, err := j.unmarshalFields(line, dec)
+				if err != nil {
 					return fmt.Errorf("line %d: %w", n, err)
 				}
 				out = append(out, j)
+				size += m + 1
 				return nil
 			})
+			marshaled.Add(int64(size))
 			return out, err
 		}
 	})
+	return jobs, int(marshaled.Load()), err
 }
 
 // Log is an in-memory job log ordered by EndTime, with the aggregate
 // queries the co-analysis needs. It is immutable after NewLog, so the
-// ByExecFile grouping and the MarshaledBytes total are built once, on
-// first use, and shared by every reader; a Log is safe for concurrent
-// use.
+// MarshaledBytes total is summed once (by ReadLog's decode, or on first
+// use) and shared by every reader; a Log is safe for concurrent use.
 type Log struct {
 	jobs []Job
-
-	byExecOnce sync.Once
-	byExec     map[string][]int32
 
 	marshaledOnce sync.Once
 	marshaled     int
@@ -730,16 +788,18 @@ func (l *Log) Len() int { return len(l.jobs) }
 func (l *Log) All() []Job { return l.jobs }
 
 // DistinctExecutables returns the number of distinct ExecFiles and the
-// number of ExecFiles submitted more than once, read off the shared
-// ByExecFile grouping.
+// number of ExecFiles submitted more than once. It counts in one map per
+// call; an analysis reads the same numbers off its interned executables
+// (core.Analysis.DistinctExecutables).
 func (l *Log) DistinctExecutables() (distinct, resubmitted int) {
-	groups := l.ByExecFile()
-	for _, ps := range groups {
-		if len(ps) > 1 {
+	count := make(map[string]int)
+	for i := range l.jobs {
+		count[l.jobs[i].ExecFile]++
+		if count[l.jobs[i].ExecFile] == 2 {
 			resubmitted++
 		}
 	}
-	return len(groups), resubmitted
+	return len(count), resubmitted
 }
 
 // MidplaneBusySeconds returns, per global midplane, the total seconds
@@ -778,46 +838,9 @@ func (l *Log) Span() (first, last time.Time) {
 	return first, l.jobs[len(l.jobs)-1].EndTime
 }
 
-// ByExecFile groups the jobs by executable as positions into All(),
-// each group ordered by StartTime; used by resubmission analyses. All
-// groups share one backing array of Len() positions, and each group is
-// capped at its length, so an append to one reallocates rather than
-// overwriting the next. The grouping is built once per Log and shared:
-// callers must not mutate the map or its slices.
-func (l *Log) ByExecFile() map[string][]int32 {
-	l.byExecOnce.Do(func() {
-		count := make(map[string]int)
-		for i := range l.jobs {
-			count[l.jobs[i].ExecFile]++
-		}
-		pos := make([]int32, len(l.jobs))
-		m := make(map[string][]int32, len(count))
-		off := 0
-		for i := range l.jobs {
-			exec := l.jobs[i].ExecFile
-			ps, ok := m[exec]
-			if !ok {
-				// Carve groups in first-appearance order, so the layout
-				// of the backing array does not depend on map order.
-				n := count[exec]
-				ps = pos[off : off : off+n]
-				off += n
-			}
-			m[exec] = append(ps, int32(i))
-		}
-		for _, ps := range m {
-			sort.Slice(ps, func(a, b int) bool {
-				return l.jobs[ps[a]].StartTime.Before(l.jobs[ps[b]].StartTime)
-			})
-		}
-		l.byExec = m
-	})
-	return l.byExec
-}
-
 // MarshaledBytes returns the size of the log re-marshaled one job per
-// line: the sum of Job.MarshaledLen plus a newline per job. It is
-// computed once per Log.
+// line: the sum of Job.MarshaledLen plus a newline per job. ReadLog's
+// decode sums it; a Log built from values sums it once, on first use.
 func (l *Log) MarshaledBytes() int {
 	l.marshaledOnce.Do(func() {
 		n := 0

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,23 +171,6 @@ func TestLogQueries(t *testing.T) {
 	if !first.Equal(t0.Add(-10*time.Minute)) || !last.Equal(t0.Add(3*time.Hour)) {
 		t.Errorf("Span = %v..%v", first, last)
 	}
-	groups := l.ByExecFile()
-	if a := groups["/a"]; len(a) != 2 || all[a[0]].ID != 1 || all[a[1]].ID != 3 {
-		t.Errorf("ByExecFile grouping wrong: %v", a)
-	}
-}
-
-// freshByExecFile is the grouping ByExecFile shares, rebuilt per call
-// with the same comparator and sort call.
-func freshByExecFile(l *Log) map[string][]Job {
-	m := make(map[string][]Job)
-	for _, j := range l.All() {
-		m[j.ExecFile] = append(m[j.ExecFile], j)
-	}
-	for _, js := range m {
-		sort.Slice(js, func(a, b int) bool { return js[a].StartTime.Before(js[b].StartTime) })
-	}
-	return m
 }
 
 // tieFixtureLog is 300 jobs over seven executables whose start times
@@ -206,54 +187,8 @@ func tieFixtureLog() *Log {
 	return NewLog(jobs)
 }
 
-func TestByExecFileSharedAndEqualToFreshBuild(t *testing.T) {
-	l := tieFixtureLog()
-	got := make([]map[string][]int32, 8)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = l.ByExecFile()
-		}(i)
-	}
-	wg.Wait()
-	for i, m := range got {
-		if reflect.ValueOf(m).Pointer() != reflect.ValueOf(got[0]).Pointer() {
-			t.Errorf("reader %d got its own grouping, want the shared one", i)
-		}
-	}
-
-	want := freshByExecFile(l)
-	resolved := make(map[string][]Job, len(got[0]))
-	seen := make([]int, l.Len())
-	execs := make([]string, 0, len(got[0]))
-	for exec := range got[0] {
-		execs = append(execs, exec)
-	}
-	sort.Strings(execs)
-	for _, exec := range execs {
-		ps := got[0][exec]
-		if cap(ps) != len(ps) {
-			t.Errorf("group %s: cap %d, len %d; an append would overwrite its neighbour", exec, cap(ps), len(ps))
-		}
-		for _, p := range ps {
-			resolved[exec] = append(resolved[exec], l.All()[p])
-			seen[p]++
-		}
-	}
-	if !reflect.DeepEqual(resolved, want) {
-		t.Error("shared grouping, resolved through All(), differs from a fresh build")
-	}
-	for p, n := range seen {
-		if n != 1 {
-			t.Errorf("position %d appears %d times, want once", p, n)
-		}
-	}
-}
-
-// freshDistinctExecutables is the count-map computation
-// DistinctExecutables made before it read the shared grouping.
+// freshDistinctExecutables counts executables with a plain count map,
+// then counts the resubmitted ones off it.
 func freshDistinctExecutables(l *Log) (distinct, resubmitted int) {
 	count := make(map[string]int)
 	for _, j := range l.All() {

@@ -112,6 +112,17 @@ func (d *Int64Dict[T]) Intern(key int64) T {
 	return id
 }
 
+// Grow sizes an empty dictionary for n keys, so that many first
+// sightings intern without regrowing its map or key slice. On a
+// dictionary that already holds keys it does nothing; Intern grows it
+// as needed.
+func (d *Int64Dict[T]) Grow(n int) {
+	if d.ids == nil && n > 0 {
+		d.ids = make(map[int64]T, n)
+		d.keys = make([]int64, 0, n)
+	}
+}
+
 // Lookup returns the ID for key without interning it.
 func (d *Int64Dict[T]) Lookup(key int64) (T, bool) {
 	id, ok := d.ids[key]
@@ -170,14 +181,18 @@ func cloneDict[T ~int32](dst, src *Dict[T]) {
 
 // Freeze returns an immutable snapshot of the table, safe for any
 // number of concurrent readers even while the live table keeps
-// interning. The snapshot copies the dictionaries, so it reflects
-// exactly the IDs issued before the call.
+// interning. It reflects exactly the IDs issued before the call. The
+// code and location views copy their dictionaries, since readers look
+// names up in them. The executable and job views only resolve IDs, so
+// they keep the live dictionaries' name and key slices clipped to their
+// current length (s[:n:n]) and copy no map: interning later appends
+// past n, where the view never reads, or into a new backing array.
 func (t *Table) Freeze() *Snapshot {
 	return &Snapshot{
 		Errcodes:  freezeDict(&t.Errcodes),
 		Locations: freezeDict(&t.Locations),
-		Execs:     freezeDict(&t.Execs),
-		Jobs:      freezeInt64Dict(&t.Jobs),
+		Execs:     NameView[ExecID]{names: t.Execs.Names()},
+		Jobs:      Int64View[JobID]{keys: t.Jobs.keys[:len(t.Jobs.keys):len(t.Jobs.keys)]},
 	}
 }
 
@@ -186,7 +201,7 @@ func (t *Table) Freeze() *Snapshot {
 type Snapshot struct {
 	Errcodes  View[ErrcodeID]
 	Locations View[LocationID]
-	Execs     View[ExecID]
+	Execs     NameView[ExecID]
 	Jobs      Int64View[JobID]
 }
 
@@ -221,24 +236,27 @@ func (v View[T]) Len() int { return len(v.names) }
 // is owned by the view; callers must not mutate it.
 func (v View[T]) All() []string { return v.names }
 
-// Int64View is the read-only form of an Int64Dict.
+// NameView is the ID-to-name half of a frozen Dict: it resolves IDs to
+// names but cannot look a name up.
+type NameView[T ~int32] struct {
+	names []string
+}
+
+// Name resolves an ID back to its name; it panics on an ID the frozen
+// table never issued.
+func (v NameView[T]) Name(id T) string { return v.names[id] }
+
+// Len returns the number of names in the view.
+func (v NameView[T]) Len() int { return len(v.names) }
+
+// All returns the names in ID order. The slice is shared with the live
+// dictionary's prefix; callers must not mutate it.
+func (v NameView[T]) All() []string { return v.names }
+
+// Int64View is the ID-to-key half of a frozen Int64Dict: it resolves
+// IDs to keys but cannot look a key up.
 type Int64View[T ~int32] struct {
-	ids  map[int64]T
 	keys []int64
-}
-
-func freezeInt64Dict[T ~int32](d *Int64Dict[T]) Int64View[T] {
-	ids := make(map[int64]T, len(d.ids))
-	for k, v := range d.ids {
-		ids[k] = v
-	}
-	return Int64View[T]{ids: ids, keys: append([]int64(nil), d.keys...)}
-}
-
-// Lookup returns the ID for key.
-func (v Int64View[T]) Lookup(key int64) (T, bool) {
-	id, ok := v.ids[key]
-	return id, ok
 }
 
 // Key resolves an ID back to its int64 key.
@@ -247,6 +265,6 @@ func (v Int64View[T]) Key(id T) int64 { return v.keys[id] }
 // Len returns the number of keys in the view.
 func (v Int64View[T]) Len() int { return len(v.keys) }
 
-// All returns the keys in ID order. The slice is owned by the view;
-// callers must not mutate it.
+// All returns the keys in ID order. The slice is shared with the live
+// dictionary's prefix; callers must not mutate it.
 func (v Int64View[T]) All() []int64 { return v.keys }

@@ -56,11 +56,17 @@ func TestInt64DictRoundTrip(t *testing.T) {
 func TestFreezeIsImmutable(t *testing.T) {
 	tab := NewTable()
 	tab.Errcodes.Intern("x")
+	tab.Jobs.Grow(4)
 	tab.Jobs.Intern(9)
+	tab.Execs.Intern("/bin/a")
 	snap := tab.Freeze()
 
+	// The job view shares its dictionary's backing array, and Grow left
+	// room past the snapshot's length: this intern writes there without
+	// reallocating.
 	tab.Errcodes.Intern("y")
 	tab.Jobs.Intern(10)
+	tab.Execs.Intern("/bin/b")
 
 	if snap.Errcodes.Len() != 1 {
 		t.Fatalf("snapshot Errcodes.Len = %d, want 1", snap.Errcodes.Len())
@@ -74,6 +80,17 @@ func TestFreezeIsImmutable(t *testing.T) {
 	if got := snap.Errcodes.All(); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("snapshot All = %v, want [x]", got)
 	}
+	if got := snap.Jobs.All(); len(got) != 1 || cap(got) != 1 || got[0] != 9 || snap.Jobs.Key(0) != 9 {
+		t.Fatalf("snapshot Jobs.All = %v (cap %d), want [9] clipped", got, cap(got))
+	}
+	if got := snap.Execs.All(); len(got) != 1 || cap(got) != 1 || snap.Execs.Name(0) != "/bin/a" || snap.Execs.Len() != 1 {
+		t.Fatalf("snapshot Execs.All = %v (cap %d), want [/bin/a] clipped", got, cap(got))
+	}
+	// An append through a view must not reach the live dictionary.
+	_ = append(snap.Execs.All(), "/bin/c")
+	if tab.Execs.Name(1) != "/bin/b" {
+		t.Fatalf("live Execs.Name(1) = %q after an append to the snapshot's slice", tab.Execs.Name(1))
+	}
 }
 
 // TestFreezeConcurrentReaders exercises the race the snapshot exists to
@@ -82,8 +99,11 @@ func TestFreezeIsImmutable(t *testing.T) {
 // test.
 func TestFreezeConcurrentReaders(t *testing.T) {
 	tab := NewTable()
+	tab.Jobs.Grow(20000)
 	for i := 0; i < 64; i++ {
 		tab.Errcodes.Intern(string(rune('a' + i%26)))
+		tab.Execs.Intern(string(rune('a' + i%26)))
+		tab.Jobs.Intern(int64(-i))
 	}
 	snap := tab.Freeze()
 
@@ -99,6 +119,21 @@ func TestFreezeConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
+				// The job and executable views read the live
+				// dictionaries' backing arrays, which the writer below
+				// appends to in place until they reallocate.
+				for id := ExecID(0); int(id) < snap.Execs.Len(); id++ {
+					if snap.Execs.Name(id) != string(rune('a'+int(id)%26)) {
+						t.Errorf("Execs.Name(%d) = %q", id, snap.Execs.Name(id))
+						return
+					}
+				}
+				for id := JobID(0); int(id) < snap.Jobs.Len(); id++ {
+					if snap.Jobs.Key(id) != int64(-id) {
+						t.Errorf("Jobs.Key(%d) = %d", id, snap.Jobs.Key(id))
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -106,7 +141,8 @@ func TestFreezeConcurrentReaders(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		tab.Errcodes.Intern(string(rune('A' + i%26)))
 		tab.Locations.Intern("R00-M0")
-		tab.Jobs.Intern(int64(i))
+		tab.Execs.Intern(string(rune('A' + i%26)))
+		tab.Jobs.Intern(int64(i + 1))
 	}
 	wg.Wait()
 }

@@ -151,11 +151,10 @@ func TestEnsembleDeterministic(t *testing.T) {
 
 // TestConcurrentRenderersShareOneReport renders the whole report from
 // several goroutines over one fresh Report: every renderer reads the
-// job log's shared per-executable grouping at once, and the lazily
-// computed raw-log aggregates are first built under contention. Every
-// copy must match a report rendered alone. Run it under -race (make
-// race does); TestByExecFileSharedAndEqualToFreshBuild races the
-// grouping's first build itself.
+// analysis's per-executable runs and frozen symbol views at once, and
+// the lazily computed aggregates (the job log's MarshaledBytes among
+// them) are first built under contention. Every copy must match a
+// report rendered alone. Run it under -race (make race does).
 func TestConcurrentRenderersShareOneReport(t *testing.T) {
 	cfg := QuickConfig(3)
 	cfg.Days = 20

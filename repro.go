@@ -244,12 +244,11 @@ type loadedJobs struct {
 	err error
 }
 
+// readJobs decodes a job log into a Log whose MarshaledBytes (Table I's
+// job-log size) the decode summed.
 func readJobs(jobLog io.Reader, parallelism int) loadedJobs {
-	jobs, err := joblog.ReadAllParallel(jobLog, parallelism)
-	if err != nil {
-		return loadedJobs{err: err}
-	}
-	return loadedJobs{log: joblog.NewLog(jobs)}
+	log, err := joblog.ReadLog(jobLog, parallelism)
+	return loadedJobs{log: log, err: err}
 }
 
 func simConfig(cfg Config) simulate.Config {
