@@ -50,8 +50,10 @@ import (
 // encode/scan/merge paths, a small scheduler campaign per registered
 // policy (BenchmarkSchedRun expands into one sub-benchmark per policy,
 // so each counterfactual is gated individually), the §VII prediction
-// study over the quick campaign, and the whole report's render from
-// that campaign's analysis. The *Legacy oracles of the
+// study over the quick campaign, the analysis driver every
+// log-to-report path runs (core.AnalyzeRun over that campaign's spooled
+// FATAL run), and the whole report's render from that campaign's
+// analysis. The *Legacy oracles of the
 // codec and cascade property tests are not gated: nothing outside
 // their tests runs them.
 var benchSubset = []string{
@@ -71,6 +73,7 @@ var benchSubset = []string{
 	"BenchmarkSegmentMerge",
 	"BenchmarkSchedRun",
 	"BenchmarkExtensionPrediction",
+	"BenchmarkAnalyze",
 	"BenchmarkRenderAll",
 }
 

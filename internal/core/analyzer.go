@@ -223,19 +223,6 @@ func (a *Analysis) ExecRuns(e symtab.ExecID) []int32 {
 	return a.execPos[lo:hi:hi]
 }
 
-// DistinctExecutables returns the number of distinct executables in the
-// job log and the number submitted more than once. The table interns
-// executables only from this log, so the first is its Execs length.
-func (a *Analysis) DistinctExecutables() (distinct, resubmitted int) {
-	distinct = a.tab.Execs.Len()
-	for e := 0; e < distinct; e++ {
-		if a.execOff[e+1]-a.execOff[e] > 1 {
-			resubmitted++
-		}
-	}
-	return distinct, resubmitted
-}
-
 // EventInterruptions returns the interruptions attributed to ev.
 func (a *Analysis) EventInterruptions(ev *filter.Event) []Interruption {
 	idx := a.interByEvent[ev]

@@ -788,9 +788,8 @@ func (l *Log) Len() int { return len(l.jobs) }
 func (l *Log) All() []Job { return l.jobs }
 
 // DistinctExecutables returns the number of distinct ExecFiles and the
-// number of ExecFiles submitted more than once. It counts in one map per
-// call; an analysis reads the same numbers off its interned executables
-// (core.Analysis.DistinctExecutables).
+// number of ExecFiles submitted more than once, counted in one map per
+// call. The analysis reads the first off its interned executables.
 func (l *Log) DistinctExecutables() (distinct, resubmitted int) {
 	count := make(map[string]int)
 	for i := range l.jobs {

@@ -64,7 +64,7 @@ func (r *Report) Summary() Summary {
 		FatalRecords: ls.FatalRecords,
 		TotalJobs:    r.jobs.Len(),
 	}
-	s.DistinctJobs, s.ResubmittedJobs = a.DistinctExecutables()
+	s.DistinctJobs, s.ResubmittedJobs = r.jobs.DistinctExecutables()
 
 	s.EventsAfterFiltering = len(a.Events)
 	s.FilterCompression = a.FilterStats.CompressionRatio()
