@@ -315,9 +315,9 @@ func intLen(v int64) int {
 }
 
 // digits is the number of decimal digits of u (1 for 0). The bit length
-// times log10(2) ≈ 1233/4096 gives t with 10^t <= u|1 < 10^(t+2); one
-// comparison settles which. u|1 has u's digit count: every power of ten
-// from 10 on is even.
+// times log10(2) ≈ 1233/4096 gives t such that u has t or t+1 digits,
+// and u < 10^t settles which. u|1 has u's digit count, since every power
+// of ten from 10 on is even, and it keeps 0 out of the bit length.
 func digits(u uint64) int {
 	u |= 1
 	t := bits.Len64(u) * 1233 >> 12
