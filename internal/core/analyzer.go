@@ -139,7 +139,7 @@ func (a *Analysis) finish() {
 	// job's index into Jobs.All()); re-interning already-known symbols
 	// is a no-op, so the numbering is the same whether the caller
 	// interned eagerly or not. Every later stage reads a position's IDs
-	// from jobIDs and execIDs and never hashes a job's strings or ID
+	// from jobIDs and execIDs and never hashes a job's executable or ID
 	// again.
 	all := a.Jobs.All()
 	// Job IDs are nearly all distinct, so their dictionary is sized for
