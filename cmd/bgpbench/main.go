@@ -11,7 +11,9 @@
 //	bgpbench compare -baseline bench.baseline.json -current bench.json
 //
 // Exit codes: 0 pass (or comparison skipped on host mismatch),
-// 1 regression detected, 2 harness failure.
+// 1 regression detected, 2 harness failure (a malformed report, or a
+// current report collected at another -benchtime or -count than the
+// baseline).
 //
 // The gate: a benchmark regresses when its ns/op or B/op exceeds the
 // baseline by more than -tolerance (default 25%), or when its allocs/op
@@ -210,6 +212,15 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	current, err := readReportFile(*curPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "bgpbench: current: %v\n", err)
+		return 2
+	}
+	// The minimum ns/op over Count samples, and what an op amortizes at
+	// a given Benchtime, are only comparable between reports collected
+	// at the same settings: a report collected otherwise is a harness
+	// error, not a result to gate or to skip.
+	if current.Benchtime != baseline.Benchtime || current.Count != baseline.Count {
+		fmt.Fprintf(stderr, "bgpbench: current report was collected at -benchtime %s -count %d, the baseline at -benchtime %s -count %d; collect it at the baseline's settings\n",
+			current.Benchtime, current.Count, baseline.Benchtime, baseline.Count)
 		return 2
 	}
 	if ok, why := baseline.GeneratedWith.Comparable(current.GeneratedWith); !ok {

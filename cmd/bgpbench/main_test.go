@@ -175,21 +175,24 @@ func TestHostComparable(t *testing.T) {
 
 // TestCompareEndToEnd drives the compare subcommand through run():
 // JSON round trip, gate verdicts and exit codes, host-mismatch skip.
+// writeReportFile writes rep to dir/name and returns the path.
+func writeReportFile(t *testing.T, dir, name string, rep *Report) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	f, err := os.Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeReport(f, rep); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	return p
+}
+
 func TestCompareEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, rep *Report) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeReport(f, rep); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return p
-	}
+	write := func(name string, rep *Report) string { return writeReportFile(t, dir, name, rep) }
 	h := currentHost()
 	baseP := write("base.json", report(h, Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 1000, Samples: 5}))
 	okP := write("ok.json", report(h, Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 1100, Samples: 5}))
@@ -232,6 +235,35 @@ func TestCompareEndToEnd(t *testing.T) {
 	}
 	if code := run([]string{"frobnicate"}, &out, &errOut); code != 2 {
 		t.Fatal("unknown subcommand should exit 2")
+	}
+}
+
+// TestCompareRefusesOtherSettings checks that compare exits 2, as for
+// a malformed report, when the current report was collected at another
+// -benchtime or -count than the baseline, even if its numbers would
+// pass.
+func TestCompareRefusesOtherSettings(t *testing.T) {
+	dir := t.TempDir()
+	h := currentHost()
+	write := func(name string, rep *Report) string { return writeReportFile(t, dir, name, rep) }
+	bench := Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 1000, Samples: 5}
+	baseP := write("base.json", report(h, bench))
+	otherTime := report(h, bench)
+	otherTime.Benchtime = "100x"
+	otherCount := report(h, bench)
+	otherCount.Count = 1
+	otherHost := h
+	otherHost.NumCPU++
+	otherBoth := report(otherHost, bench)
+	otherBoth.Count = 3
+	for name, rep := range map[string]*Report{"benchtime": otherTime, "count": otherCount, "count on another host": otherBoth} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"compare", "-baseline", baseP, "-current", write(name+".json", rep)}, &out, &errOut); code != 2 {
+			t.Errorf("%s differs: compare exited %d, want 2: %s%s", name, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "baseline's settings") {
+			t.Errorf("%s differs: stderr does not name the settings: %s", name, errOut.String())
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestLoadServeUnderIngest(t *testing.T) {
 		var buf bytes.Buffer
 		w := raslog.NewWriter(&buf)
 		for _, r := range recs[i:min(i+batchRecords, len(recs))] {
-			if err := w.Write(r); err != nil {
+			if err := w.Write(&r); err != nil {
 				t.Fatal(err)
 			}
 		}

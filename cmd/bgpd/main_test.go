@@ -43,7 +43,7 @@ func writeRAS(t *testing.T, path string, recs []raslog.Record) {
 	}
 	w := raslog.NewWriter(f)
 	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+		if err := w.Write(&r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func writeLogs(t *testing.T, noise float64) (rasP, jobP string) {
 	}
 	rw := raslog.NewWriter(rf)
 	for _, rec := range camp.RAS.All() {
-		if err := rw.Write(rec); err != nil {
+		if err := rw.Write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}

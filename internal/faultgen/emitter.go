@@ -238,16 +238,17 @@ func formatSerial(hi, lo int) string {
 	return string(b[:])
 }
 
-// Renumber returns a copy of recs sorted into (EventTime, RecID) order,
-// input order among full ties, with sequential RecIDs reassigned,
-// matching the append-order semantics of the real log. It copies recs
-// once and sorts the copy in place; the result is already in the order
-// raslog.NewStore keeps, so a store over it neither sorts nor copies it.
+// Renumber sorts recs into (EventTime, RecID) order, input order among
+// full ties, and reassigns sequential RecIDs, matching the append-order
+// semantics of the real log. It takes ownership of recs: it sorts and
+// renumbers them in place and returns the same slice, so the caller
+// must not read recs through another reference afterwards. The result
+// is already in the order raslog.NewStore keeps, so a store over it
+// neither sorts nor copies it.
 func Renumber(recs []raslog.Record) []raslog.Record {
-	out := slices.Clone(recs)
-	raslog.SortStable(out)
-	for i := range out {
-		out[i].RecID = int64(i + 1)
+	raslog.SortStable(recs)
+	for i := range recs {
+		recs[i].RecID = int64(i + 1)
 	}
-	return out
+	return recs
 }

@@ -3,8 +3,12 @@ package faultgen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bgp"
 	"repro/internal/errcat"
@@ -221,6 +225,61 @@ func TestRenumber(t *testing.T) {
 	}
 	if out[0].EventTime.After(out[1].EventTime) {
 		t.Error("not time-sorted")
+	}
+}
+
+// TestRenumberOwnsInput checks that Renumber sorts and renumbers its
+// input in place: the result is the input slice, its RecIDs run 1..n,
+// its order is the standard library's stable sort over raslog.Before,
+// and the only allocations are the sort's key columns and positions, none
+// of them the size of the records.
+func TestRenumberOwnsInput(t *testing.T) {
+	e := NewEmitter(DefaultEmitterConfig(), 9)
+	start := time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC)
+	end := start.Add(48 * time.Hour)
+	code, _ := errcat.Intrepid().Lookup(errcat.CodeDDRController)
+	for i := 0; i < 20; i++ {
+		e.EmitFault(start.Add(time.Duration(i)*2*time.Hour), code, []int{i % 5, 7})
+	}
+	e.EmitNoise(start, end, len(e.Records()))
+	orig := slices.Clone(e.Records())
+	n := len(orig)
+
+	want := slices.Clone(orig)
+	sort.SliceStable(want, func(i, j int) bool { return raslog.Before(&want[i], &want[j]) })
+	in := slices.Clone(orig)
+	out := Renumber(in)
+	if len(out) != n || &out[0] != &in[0] {
+		t.Fatal("Renumber did not return its input slice")
+	}
+	for i := range out {
+		if out[i].RecID != int64(i+1) {
+			t.Fatalf("record %d: RecID %d, want %d", i, out[i].RecID, i+1)
+		}
+		w := want[i]
+		w.RecID = int64(i + 1)
+		if out[i] != w {
+			t.Fatalf("record %d = %+v, want %+v", i, out[i], w)
+		}
+	}
+
+	work := make([]raslog.Record, n)
+	if got := testing.AllocsPerRun(5, func() {
+		copy(work, orig)
+		Renumber(work)
+	}); got > 1 {
+		t.Errorf("Renumber allocates %.0f times, want at most 1 (the sort's key columns and positions)", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		copy(work, orig)
+		Renumber(work)
+	}
+	runtime.ReadMemStats(&after)
+	if perRec := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n); perRec >= float64(unsafe.Sizeof(raslog.Record{})) {
+		t.Errorf("Renumber allocates %.0f bytes a record, as much as a record: it copies its input", perRec)
 	}
 }
 

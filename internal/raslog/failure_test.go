@@ -32,14 +32,14 @@ func TestWriterStickyError(t *testing.T) {
 	// failure; Flush must surface it and subsequent writes must keep
 	// failing.
 	for i := 0; i < 100; i++ {
-		if err := w.Write(rec); err != nil {
+		if err := w.Write(&rec); err != nil {
 			break
 		}
 	}
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush succeeded on a failing writer")
 	}
-	if err := w.Write(rec); err == nil {
+	if err := w.Write(&rec); err == nil {
 		t.Fatal("Write succeeded after sticky error")
 	}
 	if err := w.Flush(); err == nil {

@@ -13,6 +13,23 @@ import (
 	"strings"
 )
 
+// legacyParseSeverity and legacyParseComponent are the string parsers
+// the legacy decoder called; their error text is the text the decoder
+// wraps, which UnmarshalFields must match.
+func legacyParseSeverity(s string) (Severity, error) {
+	if sev, ok := parseSeverityBytes([]byte(s)); ok {
+		return sev, nil
+	}
+	return SevUnknown, fmt.Errorf("raslog: unknown severity %q", s)
+}
+
+func legacyParseComponent(s string) (Component, error) {
+	if c, ok := parseComponentBytes([]byte(s)); ok {
+		return c, nil
+	}
+	return CompUnknown, fmt.Errorf("raslog: unknown component %q", s)
+}
+
 func legacyEscape(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, fieldSep, `\p`)
@@ -50,7 +67,7 @@ func legacyMarshalLine(r Record) string {
 		legacyEscape(r.SubComponent),
 		legacyEscape(r.ErrCode),
 		r.Severity.String(),
-		FormatEventTime(r.EventTime),
+		r.EventTime.UTC().Format(EventTimeLayout),
 		legacyEscape(r.Flags),
 		legacyEscape(r.Location),
 		legacyEscape(r.Serial),
@@ -69,14 +86,14 @@ func legacyUnmarshalLine(line string) (Record, error) {
 		return Record{}, fmt.Errorf("%w: recid %q", ErrBadRecord, parts[0])
 	}
 	r.MsgID = legacyUnescape(parts[1])
-	comp, err := ParseComponent(parts[2])
+	comp, err := legacyParseComponent(parts[2])
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 	r.Component = comp
 	r.SubComponent = legacyUnescape(parts[3])
 	r.ErrCode = legacyUnescape(parts[4])
-	sev, err := ParseSeverity(parts[5])
+	sev, err := legacyParseSeverity(parts[5])
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}

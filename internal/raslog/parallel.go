@@ -2,10 +2,9 @@ package raslog
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 	"time"
 
 	"repro/internal/linescan"
@@ -192,47 +191,110 @@ func Before(a, b *Record) bool {
 	return a.RecID < b.RecID
 }
 
-// sortKey is what SortStable compares instead of a whole Record: the
-// (EventTime, RecID) order key plus the record's input position, which
-// breaks full ties in input order. An int position costs nothing over
-// an int32 one: the key pads to 40 bytes either way.
-type sortKey struct {
-	t   time.Time
-	id  int64
-	pos int
-}
+// unixToInternal is the number of seconds from January 1 of year 1 to
+// the Unix epoch.
+const unixToInternal = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 86400
+
+// signBit flips a two's-complement key into one whose unsigned order is
+// its signed order.
+const signBit = 1 << 63
 
 // SortStable sorts recs into (EventTime, RecID) order, keeping input
-// order among full ties. It sorts compact (EventTime, RecID, position)
-// keys, then moves each record once by following the permutation's
-// cycles in place, so no second record-sized buffer is allocated. The
-// key order agrees with Before on every pair, monotonic clock readings
-// included, because it compares the time.Time values themselves.
+// order among full ties. It never compares or moves a Record while it
+// sorts. It copies the order key into pointer-free uint32 columns,
+// indexed by input position: the event time's seconds (two columns),
+// its nanoseconds, and the RecID (two columns). A least-significant-
+// digit radix sort then orders the positions a byte at a time, from the
+// RecID's low column up to the seconds' high one. Each pass is stable,
+// so positions that tie on every key keep input order, and a byte every
+// key shares costs no pass. Finally each record moves once, following
+// the permutation's cycles in place. The columns and the two position
+// buffers are one allocation of 28 bytes a record; no record-sized
+// buffer is allocated.
+//
+// The seconds count from January 1 of year 1, time.Time's own epoch.
+// time.Time keeps them in an int64, and Unix subtracts unixToInternal
+// from them with wrapping arithmetic, so adding it back recovers them
+// exactly. The order is exact for every instant a time.Time can hold,
+// including those outside UnixNano's range (years 1678-2262). The
+// columns hold wall-clock instants. Before agrees with them on every
+// pair except two times whose monotonic clock readings disagree with
+// their wall clocks (a clock step between the two time.Now calls);
+// Before compares those by the readings. The module's records carry
+// no readings: they are built with time.Date and Add, or decoded.
 func SortStable(recs []Record) {
-	keys := make([]sortKey, len(recs))
-	for i := range recs {
-		keys[i] = sortKey{recs[i].EventTime, recs[i].RecID, i}
+	n := len(recs)
+	if uint64(n) > math.MaxUint32 {
+		panic("raslog: SortStable over more than MaxUint32 records")
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if c := a.t.Compare(b.t); c != 0 {
-			return c
+	cols := make([]uint32, 7*n)
+	col := func(k int) []uint32 { return cols[k*n : (k+1)*n : (k+1)*n] }
+	idLo, idHi, nsec, secLo, secHi := col(0), col(1), col(2), col(3), col(4)
+	order, spare := col(5), col(6)
+	for i := range recs {
+		t := recs[i].EventTime
+		sec := uint64(t.Unix()+unixToInternal) ^ signBit
+		id := uint64(recs[i].RecID) ^ signBit
+		idLo[i], idHi[i] = uint32(id), uint32(id>>32)
+		nsec[i] = uint32(t.Nanosecond())
+		secLo[i], secHi[i] = uint32(sec), uint32(sec>>32)
+		order[i] = uint32(i)
+	}
+	for _, key := range [][]uint32{idLo, idHi, nsec, secLo, secHi} {
+		order, spare = radixSortBy(order, spare, key)
+	}
+	permute(recs, order)
+}
+
+// radixSortBy stably sorts the positions in order by key[position],
+// one byte at a time from the lowest, scattering between order and
+// spare. It returns the sorted positions and the other buffer. One read
+// of key counts every byte's values; a byte that every key shares is
+// skipped.
+func radixSortBy(order, spare, key []uint32) (sorted, other []uint32) {
+	if len(key) == 0 {
+		return order, spare
+	}
+	var counts [4][256]uint32
+	for _, k := range key {
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+	}
+	for b := range counts {
+		c := &counts[b]
+		shift := uint(8 * b)
+		if c[byte(key[0]>>shift)] == uint32(len(key)) {
+			continue
 		}
-		if c := cmp.Compare(a.id, b.id); c != 0 {
-			return c
+		var start uint32
+		for d, m := range c {
+			c[d], start = start, start+m
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	// Slot i takes the record at keys[i].pos. Walk each cycle once,
-	// marking a slot done by pointing its key at itself.
-	for i := range keys {
-		if keys[i].pos == i {
+		for _, p := range order {
+			d := byte(key[p] >> shift)
+			spare[c[d]] = p
+			c[d]++
+		}
+		order, spare = spare, order
+	}
+	return order, spare
+}
+
+// permute moves recs[from[i]] to slot i for every i, walking each cycle
+// of the permutation once and marking a slot done by pointing it at
+// itself. It moves each record once and allocates nothing.
+func permute(recs []Record, from []uint32) {
+	for i := range from {
+		if int(from[i]) == i {
 			continue
 		}
 		held := recs[i]
 		j := i
 		for {
-			k := keys[j].pos
-			keys[j].pos = j
+			k := int(from[j])
+			from[j] = uint32(j)
 			if k == i {
 				recs[j] = held
 				break

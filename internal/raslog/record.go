@@ -82,14 +82,6 @@ func parseSeverityBytes(b []byte) (Severity, bool) {
 	return SevUnknown, false
 }
 
-// ParseSeverity parses the CMCS spelling of a severity.
-func ParseSeverity(s string) (Severity, error) {
-	if sev, ok := parseSeverityBytes([]byte(s)); ok {
-		return sev, nil
-	}
-	return SevUnknown, fmt.Errorf("raslog: unknown severity %q", s)
-}
-
 // Component is the software component that detected and reported an
 // event.
 type Component int
@@ -154,21 +146,86 @@ func parseComponentBytes(b []byte) (Component, bool) {
 	return CompUnknown, false
 }
 
-// ParseComponent parses the CMCS spelling of a component.
-func ParseComponent(s string) (Component, error) {
-	if c, ok := parseComponentBytes([]byte(s)); ok {
-		return c, nil
-	}
-	return CompUnknown, fmt.Errorf("raslog: unknown component %q", s)
-}
-
 // EventTimeLayout is the CMCS timestamp format, e.g.
 // "2008-04-14-15.08.12.285324".
 const EventTimeLayout = "2006-01-02-15.04.05.000000"
 
 // FormatEventTime renders t in the CMCS timestamp format (UTC).
 func FormatEventTime(t time.Time) string {
-	return t.UTC().Format(EventTimeLayout)
+	var b [32]byte
+	return string(appendEventTime(b[:0], t))
+}
+
+// The Unix seconds of 0000-01-01T00:00:00Z and of 10000-01-01T00:00:00Z:
+// appendEventTime writes the years between digit by digit.
+const (
+	year0Unix     = -62167219200
+	year10000Unix = 253402300800
+)
+
+// digitPairs holds "00" through "99", two bytes each.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendEventTime appends t in EventTimeLayout in UTC, the bytes
+// t.UTC().AppendFormat(dst, EventTimeLayout) appends. For years 0-9999
+// it derives the civil date from the Unix seconds with integer
+// arithmetic and writes the 26 bytes from a digit-pair table; any other
+// year, which the layout renders signed or wider, goes to AppendFormat.
+func appendEventTime(dst []byte, t time.Time) []byte {
+	sec := t.Unix()
+	if sec < year0Unix || sec >= year10000Unix {
+		return t.UTC().AppendFormat(dst, EventTimeLayout)
+	}
+	sec -= year0Unix
+	days, sod := int(sec/86400), int(sec%86400)
+	// Count days from 0000-03-01, one 400-year era late so the count
+	// is never negative (year 0 is a leap year: January and February
+	// hold 60 days), then split it into era, year of era, day of year
+	// and month, with March as month 0 so February's length comes last.
+	z := days - 60 + 146097
+	era := z / 146097
+	doe := z - era*146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153
+	day := doy - (153*mp+2)/5 + 1
+	month := mp + 3
+	if month > 12 {
+		month -= 12
+	}
+	year := yoe + (era-1)*400
+	if month <= 2 {
+		year++
+	}
+	micro := t.Nanosecond() / 1000
+	var b [26]byte
+	put2 := func(at, v int) { b[at], b[at+1] = digitPairs[2*v], digitPairs[2*v+1] }
+	put2(0, year/100)
+	put2(2, year%100)
+	b[4] = '-'
+	put2(5, month)
+	b[7] = '-'
+	put2(8, day)
+	b[10] = '-'
+	put2(11, sod/3600)
+	b[13] = '.'
+	put2(14, sod/60%60)
+	b[16] = '.'
+	put2(17, sod%60)
+	b[19] = '.'
+	put2(20, micro/10000)
+	put2(22, micro/100%100)
+	put2(24, micro%100)
+	return append(dst, b[:]...)
 }
 
 // ParseEventTime parses a CMCS timestamp.
@@ -393,12 +450,17 @@ const numFields = 11
 const fieldSep = "|"
 
 // appendEscaped appends s with the field escaping: backslash doubled,
-// '|' as `\p`, newline as `\n`. The runs between escaped bytes are
-// copied with one append each, so a field that needs no escaping (the
-// common case) is one copy.
+// '|' as `\p`, newline as `\n`. A field that needs no escaping (the
+// common case) is found so a word at a time and copied with one append.
+// Otherwise the bytes before the first escaped one are copied at once,
+// and the rest in runs between escaped bytes.
 func appendEscaped(dst []byte, s string) []byte {
+	i := indexEscaped(s)
+	if i < 0 {
+		return append(dst, s...)
+	}
 	start := 0
-	for i := 0; i < len(s); i++ {
+	for ; i < len(s); i++ {
 		var esc byte
 		switch s[i] {
 		case '\\':
@@ -415,6 +477,56 @@ func appendEscaped(dst []byte, s string) []byte {
 		start = i + 1
 	}
 	return append(dst, s[start:]...)
+}
+
+// Each byte of these words is 0x01, '\\', '|' or '\n'.
+const (
+	lowBits   = 0x0101010101010101
+	wordSlash = '\\' * lowBits
+	wordPipe  = '|' * lowBits
+	wordNL    = '\n' * lowBits
+)
+
+// load64 reads the 8 bytes of w as a little-endian word.
+func load64(w string) uint64 {
+	_ = w[7] // one bounds check for the eight loads
+	return uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+		uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+}
+
+// wordEscaped reports whether a byte of the word x is one the field
+// escaping rewrites. XOR with a repeated byte zeroes exactly the bytes
+// equal to it, and (v-lowBits)&^v sets a byte's high bit when that byte
+// of v is zero; the borrow can set one above a byte that is not zero
+// only past a byte that is, so the answer is exact, though the bit's
+// position need not be.
+func wordEscaped(x uint64) bool {
+	a, b, c := x^wordSlash, x^wordPipe, x^wordNL
+	return ((a-lowBits)&^a|(b-lowBits)&^b|(c-lowBits)&^c)&highBits != 0
+}
+
+// indexEscaped returns the index of the first byte of s that the field
+// escaping rewrites ('\\', '|' or a newline), or -1 if there is none.
+// It tests eight bytes at a time, the last eight overlapping the word
+// before when the length is not a multiple of eight, and looks at single
+// bytes only from the word that holds a hit, or in a field shorter than
+// a word.
+func indexEscaped(s string) int {
+	i := 0
+	for ; len(s)-i >= 8; i += 8 {
+		if wordEscaped(load64(s[i : i+8])) {
+			break
+		}
+	}
+	if len(s)-i < 8 && len(s) >= 8 && !wordEscaped(load64(s[len(s)-8:])) {
+		return -1
+	}
+	for ; i < len(s); i++ {
+		if c := s[i]; c == '\\' || c == '|' || c == '\n' {
+			return i
+		}
+	}
+	return -1
 }
 
 // unescapeInto decodes the field escaping of b into dst (reused as
@@ -508,7 +620,7 @@ func (r *Record) AppendLine(dst []byte) []byte {
 	dst = append(dst, '|')
 	dst = append(dst, r.Severity.String()...)
 	dst = append(dst, '|')
-	dst = r.EventTime.UTC().AppendFormat(dst, EventTimeLayout)
+	dst = appendEventTime(dst, r.EventTime)
 	dst = append(dst, '|')
 	dst = appendEscaped(dst, r.Flags)
 	dst = append(dst, '|')

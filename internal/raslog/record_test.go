@@ -102,12 +102,12 @@ func TestUnmarshalLineErrors(t *testing.T) {
 
 func TestSeverityParse(t *testing.T) {
 	for _, s := range []Severity{SevDebug, SevTrace, SevInfo, SevWarning, SevError, SevFatal} {
-		got, err := ParseSeverity(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseSeverity(%q) = %v, %v", s.String(), got, err)
+		got, ok := parseSeverityBytes([]byte(s.String()))
+		if !ok || got != s {
+			t.Errorf("parseSeverityBytes(%q) = %v, %v", s.String(), got, ok)
 		}
 	}
-	if _, err := ParseSeverity("fatal"); err == nil {
+	if _, ok := parseSeverityBytes([]byte("fatal")); ok {
 		t.Error("lowercase severity accepted")
 	}
 	if SevUnknown.String() != "UNKNOWN" {
@@ -117,12 +117,12 @@ func TestSeverityParse(t *testing.T) {
 
 func TestComponentParse(t *testing.T) {
 	for _, c := range Components {
-		got, err := ParseComponent(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseComponent(%q) = %v, %v", c.String(), got, err)
+		got, ok := parseComponentBytes([]byte(c.String()))
+		if !ok || got != c {
+			t.Errorf("parseComponentBytes(%q) = %v, %v", c.String(), got, ok)
 		}
 	}
-	if _, err := ParseComponent("OTHER"); err == nil {
+	if _, ok := parseComponentBytes([]byte("OTHER")); ok {
 		t.Error("unknown component accepted")
 	}
 }

@@ -26,8 +26,9 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w)}
 }
 
-// Write appends one record. Errors are sticky.
-func (w *Writer) Write(r Record) error {
+// Write appends one record. Errors are sticky. It takes the record by
+// reference, so writing a log copies no Record.
+func (w *Writer) Write(r *Record) error {
 	if w.err != nil {
 		return w.err
 	}

@@ -26,7 +26,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+		if err := w.Write(&r); err != nil {
 			t.Fatal(err)
 		}
 	}

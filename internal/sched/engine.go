@@ -239,6 +239,8 @@ func Run(cfg Config, gen *workload.Generator, model *faultgen.Model, emitCfg fau
 
 	nFatalStorm := len(e.emit.Records())
 	e.emit.EmitNoise(e.start, e.end, nFatalStorm)
+	// Renumber sorts the emitter's slice in place; nothing reads it
+	// through the emitter afterwards.
 	recs := faultgen.Renumber(e.emit.Records())
 
 	return &Result{

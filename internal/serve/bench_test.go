@@ -45,7 +45,7 @@ func benchBatches(b *testing.B) ([][]byte, [][]byte) {
 			var buf bytes.Buffer
 			w := raslog.NewWriter(&buf)
 			for _, r := range recs[i:min(i+benchBatchRecords, len(recs))] {
-				if err := w.Write(r); err != nil {
+				if err := w.Write(&r); err != nil {
 					benchFix.err = err
 					return
 				}

@@ -22,7 +22,7 @@ func marshalRAS(t testing.TB, recs []raslog.Record) []byte {
 	var buf bytes.Buffer
 	w := raslog.NewWriter(&buf)
 	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+		if err := w.Write(&r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -74,7 +74,7 @@ func FuzzSegmentSealRestore(f *testing.F) {
 	var validBody bytes.Buffer
 	w := raslog.NewWriter(&validBody)
 	for _, r := range valid {
-		if err := w.Write(r); err != nil {
+		if err := w.Write(&r); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func FuzzIngestBatch(f *testing.F) {
 	var validBody bytes.Buffer
 	w := raslog.NewWriter(&validBody)
 	for _, r := range valid {
-		if err := w.Write(r); err != nil {
+		if err := w.Write(&r); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -111,8 +111,9 @@ func Run(cfg Config) (*Campaign, error) {
 func (c *Campaign) WriteLogs(rasW, jobW io.Writer) error {
 	if rasW != nil {
 		w := raslog.NewWriter(rasW)
-		for _, rec := range c.RAS.All() {
-			if err := w.Write(rec); err != nil {
+		recs := c.RAS.All()
+		for i := range recs {
+			if err := w.Write(&recs[i]); err != nil {
 				return fmt.Errorf("simulate: writing RAS log: %w", err)
 			}
 		}

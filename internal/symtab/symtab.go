@@ -54,6 +54,9 @@ type Dict[T ~int32] struct {
 	names []string
 }
 
+// dictHint is the size a Dict starts at on its first Intern.
+const dictHint = 64
+
 // Intern returns the ID for name, assigning the next dense ID on first
 // sight.
 func (d *Dict[T]) Intern(name string) T {
@@ -61,7 +64,10 @@ func (d *Dict[T]) Intern(name string) T {
 		return id
 	}
 	if d.ids == nil {
-		d.ids = make(map[string]T, 64)
+		// The name slice starts at the map's size hint too, so the first
+		// 64 names cost no regrowth.
+		d.ids = make(map[string]T, dictHint)
+		d.names = make([]string, 0, dictHint)
 	}
 	id := T(len(d.names))
 	d.ids[name] = id
