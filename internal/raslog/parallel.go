@@ -224,6 +224,9 @@ const signBit = 1 << 63
 // no readings: they are built with time.Date and Add, or decoded.
 func SortStable(recs []Record) {
 	n := len(recs)
+	if n < 2 {
+		return
+	}
 	if uint64(n) > math.MaxUint32 {
 		panic("raslog: SortStable over more than MaxUint32 records")
 	}
@@ -250,11 +253,8 @@ func SortStable(recs []Record) {
 // one byte at a time from the lowest, scattering between order and
 // spare. It returns the sorted positions and the other buffer. One read
 // of key counts every byte's values; a byte that every key shares is
-// skipped.
+// skipped. key must not be empty.
 func radixSortBy(order, spare, key []uint32) (sorted, other []uint32) {
-	if len(key) == 0 {
-		return order, spare
-	}
 	var counts [4][256]uint32
 	for _, k := range key {
 		counts[0][byte(k)]++
