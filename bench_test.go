@@ -32,11 +32,20 @@ import (
 // the campaign (e.g. REPRO_BENCH_DAYS=237 for the paper-scale run).
 var (
 	benchOnce sync.Once
+	benchCamp *simulate.Campaign
 	benchRep  *Report
 	benchErr  error
 )
 
 func benchReport(b *testing.B) *Report {
+	_, rep := benchCampaign(b)
+	return rep
+}
+
+// benchCampaign returns the fixture's campaign and its report, as Run
+// builds them; a benchmark that reads the campaign's records takes
+// them from here, since the report keeps none.
+func benchCampaign(b *testing.B) (*simulate.Campaign, *Report) {
 	b.Helper()
 	benchOnce.Do(func() {
 		days := 60
@@ -47,12 +56,15 @@ func benchReport(b *testing.B) *Report {
 		}
 		cfg := QuickConfig(1)
 		cfg.Days = days
-		benchRep, benchErr = Run(cfg)
+		benchCamp, benchErr = simulate.Run(simConfig(cfg))
+		if benchErr == nil {
+			benchRep, benchErr = analyzeCampaign(cfg, benchCamp)
+		}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchRep
+	return benchCamp, benchRep
 }
 
 // BenchmarkCampaign measures the full simulate-and-analyze pipeline
@@ -85,8 +97,8 @@ func BenchmarkTableI_LogSummary(b *testing.B) {
 // BenchmarkTableII_RASRoundTrip measures the RAS record round trip
 // behind Table II.
 func BenchmarkTableII_RASRoundTrip(b *testing.B) {
-	rep := benchReport(b)
-	recs := rep.RAS().All()
+	camp, _ := benchCampaign(b)
+	recs := camp.RAS.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := recs[i%len(recs)]
@@ -104,7 +116,8 @@ func BenchmarkTableIII_JobRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := jobs[i%len(jobs)]
-		if _, err := joblog.UnmarshalLine(j.MarshalLine()); err != nil {
+		var got joblog.Job
+		if err := got.UnmarshalFields([]byte(j.MarshalLine())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,8 +126,8 @@ func BenchmarkTableIII_JobRoundTrip(b *testing.B) {
 // BenchmarkFigure1_Pipeline measures the temporal-spatial-causality
 // filtering cascade over the campaign's FATAL records.
 func BenchmarkFigure1_Pipeline(b *testing.B) {
-	rep := benchReport(b)
-	fatal := rep.RAS().Fatal()
+	camp, _ := benchCampaign(b)
+	fatal := camp.RAS.Fatal()
 	cfg := filter.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -392,9 +405,9 @@ func BenchmarkObs12_Suspicious(b *testing.B) {
 // ops, off the clock, as in BenchmarkRenderAll, so allocs/op repeats
 // in every sample.
 func BenchmarkAnalyze(b *testing.B) {
-	rep := benchReport(b)
+	camp, rep := benchCampaign(b)
 	sp := store.NewSpool("", 0)
-	fatal := rep.RAS().Fatal()
+	fatal := camp.RAS.Fatal()
 	for i := range fatal {
 		if err := spoolFatal(sp, &fatal[i], 0); err != nil {
 			b.Fatal(err)
@@ -405,7 +418,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer run.Close()
-	first, last := rep.RAS().Span()
+	first, last := camp.RAS.Span()
 	b.ReportAllocs()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	b.ResetTimer()
@@ -464,13 +477,13 @@ func BenchmarkAblationSimulateOnly(b *testing.B) {
 // tight and a loose tolerance (the precision/recall trade the design
 // notes discuss).
 func BenchmarkAblationMatchTolerance(b *testing.B) {
-	rep := benchReport(b)
+	camp, _ := benchCampaign(b)
 	for _, tol := range []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute} {
 		b.Run(tol.String(), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.MatchTolerance = tol
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(cfg, rep.RAS(), rep.Jobs()); err != nil {
+				if _, err := core.Analyze(cfg, camp.RAS, camp.Jobs); err != nil {
 					b.Fatal(err)
 				}
 			}

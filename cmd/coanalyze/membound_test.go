@@ -121,16 +121,20 @@ func diagCount(t *testing.T, diag, key string) int {
 // no run whose severity zone map admits a non-FATAL row.
 func assertFatalOnlySegments(t *testing.T, dir string) {
 	t.Helper()
-	cat, err := store.OpenCatalog(dir)
+	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cat.Close()
-	if len(cat.Segments()) == 0 {
+	if len(names) == 0 {
 		t.Fatalf("no segment runs in %s", dir)
 	}
 	noise := store.Query{SevMask: ^uint64(1 << uint(raslog.SevFatal))}
-	for _, sf := range cat.Segments() {
+	for _, name := range names {
+		sf, err := store.OpenSegment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sf.Close()
 		if sf.Zone().Admits(noise) {
 			t.Errorf("segment %s admits non-FATAL rows: severity bits %b", sf.Path(), sf.Zone().SevBits)
 		}

@@ -359,13 +359,3 @@ func checkParsed(l Location, s string) (Location, error) {
 	}
 	return l, nil
 }
-
-// MustParseLocation is ParseLocation that panics on error; for tests
-// and literals.
-func MustParseLocation(s string) Location {
-	l, err := ParseLocation(s)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}

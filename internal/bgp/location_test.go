@@ -134,15 +134,6 @@ func TestLocationKindString(t *testing.T) {
 	}
 }
 
-func TestMustParseLocationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParseLocation did not panic on bad input")
-		}
-	}()
-	MustParseLocation("bogus")
-}
-
 func TestParseLocationRejectsLowercase(t *testing.T) {
 	if _, err := ParseLocation(strings.ToLower("R23-M0")); err == nil {
 		t.Error("lowercase location accepted")

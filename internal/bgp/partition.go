@@ -3,7 +3,6 @@ package bgp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -20,17 +19,6 @@ func ValidPartitionSize(n int) bool {
 		}
 	}
 	return false
-}
-
-// NextPartitionSize returns the smallest allocatable partition size that
-// is >= n midplanes, or 0 if n exceeds the machine.
-func NextPartitionSize(n int) int {
-	for _, s := range PartitionSizes {
-		if s >= n {
-			return s
-		}
-	}
-	return 0
 }
 
 // Partition is a contiguous block of midplanes allocated to one job,
@@ -69,11 +57,6 @@ func (p Partition) End() int { return p.Start + p.Size }
 // Contains reports whether global midplane mp is inside the partition.
 func (p Partition) Contains(mp int) bool { return mp >= p.Start && mp < p.End() }
 
-// Overlaps reports whether two partitions share any midplane.
-func (p Partition) Overlaps(q Partition) bool {
-	return p.Start < q.End() && q.Start < p.End()
-}
-
 // Midplanes returns the global midplane indices covered by the partition.
 func (p Partition) Midplanes() []int {
 	out := make([]int, p.Size)
@@ -82,9 +65,6 @@ func (p Partition) Midplanes() []int {
 	}
 	return out
 }
-
-// Nodes returns the number of compute nodes in the partition.
-func (p Partition) Nodes() int { return p.Size * NodesPerMidplane }
 
 // String renders the partition as a rack-midplane range, matching the
 // style of the Cobalt job log (e.g. "R23-M0" for one midplane,
@@ -230,15 +210,4 @@ func (m *Machine) AppendCandidates(dst []Partition, size int) []Partition {
 		}
 	}
 	return dst
-}
-
-// SortPartitions orders partitions by start then size; handy for
-// deterministic iteration in tests and reports.
-func SortPartitions(ps []Partition) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Start != ps[j].Start {
-			return ps[i].Start < ps[j].Start
-		}
-		return ps[i].Size < ps[j].Size
-	})
 }

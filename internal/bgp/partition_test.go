@@ -57,46 +57,10 @@ func TestParsePartitionErrors(t *testing.T) {
 	}
 }
 
-func TestPartitionOverlapsContains(t *testing.T) {
+func TestPartitionContains(t *testing.T) {
 	a := Partition{Start: 8, Size: 8}
-	b := Partition{Start: 12, Size: 8}
-	c := Partition{Start: 16, Size: 4}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a/b should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("a/c should not overlap")
-	}
-	if !b.Overlaps(c) {
-		t.Error("b/c should overlap")
-	}
 	if !a.Contains(8) || !a.Contains(15) || a.Contains(16) || a.Contains(7) {
 		t.Error("Contains boundary wrong")
-	}
-	if n := a.Nodes(); n != 8*NodesPerMidplane {
-		t.Errorf("Nodes() = %d", n)
-	}
-}
-
-func TestPartitionOverlapSymmetryQuick(t *testing.T) {
-	f := func(s1, s2 uint8) bool {
-		p := Partition{Start: int(s1) % 73, Size: 8}
-		q := Partition{Start: int(s2) % 73, Size: 8}
-		// Symmetry, and agreement with midplane-set intersection.
-		set := map[int]bool{}
-		for _, mp := range p.Midplanes() {
-			set[mp] = true
-		}
-		inter := false
-		for _, mp := range q.Midplanes() {
-			if set[mp] {
-				inter = true
-			}
-		}
-		return p.Overlaps(q) == q.Overlaps(p) && p.Overlaps(q) == inter
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -199,22 +163,5 @@ func TestAppendCandidatesAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendCandidates into a NumMidplanes-capacity buffer allocates %.0f times, want 0", allocs)
-	}
-}
-
-func TestNextPartitionSize(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 5: 8, 9: 16, 17: 32, 33: 48, 49: 64, 65: 80, 81: 0}
-	for in, want := range cases {
-		if got := NextPartitionSize(in); got != want {
-			t.Errorf("NextPartitionSize(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-func TestSortPartitions(t *testing.T) {
-	ps := []Partition{{Start: 4, Size: 8}, {Start: 0, Size: 2}, {Start: 0, Size: 1}}
-	SortPartitions(ps)
-	if ps[0] != (Partition{Start: 0, Size: 1}) || ps[1] != (Partition{Start: 0, Size: 2}) || ps[2] != (Partition{Start: 4, Size: 8}) {
-		t.Errorf("SortPartitions wrong order: %v", ps)
 	}
 }

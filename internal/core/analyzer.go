@@ -119,6 +119,9 @@ func (s campaignSpan) Days() int {
 // filter cascade over the store's FATAL records, an occupancy index
 // over the log's jobs, and AnalyzeStream over both. It composes the
 // stages AnalyzeRun composes, over a store instead of a sorted run.
+// No binary calls it: it stays as the in-memory reference that the
+// AnalyzeStream and AnalyzeRun equivalence tests here and in the root
+// package compare against.
 func Analyze(cfg Config, ras *raslog.Store, jobs *joblog.Log) (*Analysis, error) {
 	if ras == nil || jobs == nil {
 		return nil, fmt.Errorf("core: nil input log")

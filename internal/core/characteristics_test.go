@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/bgp"
 )
 
 func TestFailureCharacteristics(t *testing.T) {
@@ -51,12 +53,12 @@ func TestMidplaneCharacteristics(t *testing.T) {
 	}
 	// Raw workload is NOT concentrated in the band (small jobs live
 	// outside it).
-	bandWork := RegionWorkloadShare(mc.WorkloadSec, 32, 64)
+	bandWork := regionWorkloadShare(mc.WorkloadSec, 32, 64)
 	if bandWork > 0.55 {
 		t.Errorf("band raw workload share = %.3f; should not dominate", bandWork)
 	}
 	// Wide-job workload IS concentrated in the band.
-	bandWide := RegionWorkloadShare(mc.WideWorkloadSec, 32, 64)
+	bandWide := regionWorkloadShare(mc.WideWorkloadSec, 32, 64)
 	if bandWide < bandWork {
 		t.Errorf("band wide-workload share %.3f not above raw share %.3f", bandWide, bandWork)
 	}
@@ -376,4 +378,19 @@ func TestRelocationExamples(t *testing.T) {
 	if got := a.RelocationExamples(1); len(got) > 1 {
 		t.Errorf("cap ignored: %d examples", len(got))
 	}
+}
+
+// regionWorkloadShare is RegionFatalShare for a workload series.
+func regionWorkloadShare(series [bgp.NumMidplanes]float64, lo, hi int) float64 {
+	in, total := 0.0, 0.0
+	for mp, v := range series {
+		total += v
+		if mp >= lo && mp < hi {
+			in += v
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return in / total
 }

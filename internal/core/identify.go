@@ -48,11 +48,6 @@ type Identification struct {
 	Events int
 }
 
-// EffectivelyFatal reports whether the type is treated as
-// interruption-related downstream (pessimistic for undetermined types,
-// following the paper).
-func (id Identification) EffectivelyFatal() bool { return id.Verdict != VerdictNonFatal }
-
 // identify applies the three-case rule to every ERRCODE.
 func (a *Analysis) identify() {
 	a.Identification = make(map[symtab.ErrcodeID]Identification)

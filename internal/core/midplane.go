@@ -86,18 +86,3 @@ func (mc MidplaneCharacteristics) RegionFatalShare(lo, hi int) float64 {
 	}
 	return float64(in) / float64(total)
 }
-
-// RegionWorkloadShare is the analogous share for a workload series.
-func RegionWorkloadShare(series [bgp.NumMidplanes]float64, lo, hi int) float64 {
-	in, total := 0.0, 0.0
-	for mp, v := range series {
-		total += v
-		if mp >= lo && mp < hi {
-			in += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return in / total
-}

@@ -81,7 +81,7 @@ func TestIntrepidCensus(t *testing.T) {
 
 	// KERNEL carries ~75% of weighted fatal volume (the paper's
 	// observation the weights are tuned to).
-	share := c.ComponentShare()
+	share := errcat.ComponentShare(c)
 	if k := share[raslog.CompKernel]; k < 0.70 || k > 0.85 {
 		t.Errorf("KERNEL weight share = %.4f, want ~0.75 (0.70..0.85)", k)
 	}

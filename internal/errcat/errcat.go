@@ -132,21 +132,6 @@ func (c *Catalog) Interrupting(want bool) []Code {
 	return out
 }
 
-// ComponentShare returns, per component, the fraction of total weight
-// contributed by that component's codes (over the whole catalog).
-func (c *Catalog) ComponentShare() map[raslog.Component]float64 {
-	total := 0.0
-	per := make(map[raslog.Component]float64)
-	for _, code := range c.codes {
-		total += code.Weight
-		per[code.Component] += code.Weight
-	}
-	for k := range per {
-		per[k] /= total
-	}
-	return per
-}
-
 // Names returns all ERRCODE names, sorted.
 func (c *Catalog) Names() []string {
 	out := make([]string, 0, len(c.codes))

@@ -19,6 +19,16 @@ import (
 var epochLo = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
 var epochHi = time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// UnmarshalLine parses one line of the job log, the string form of
+// Job.UnmarshalFields the fuzz targets feed.
+func UnmarshalLine(line string) (Job, error) {
+	var j Job
+	if err := j.UnmarshalFields([]byte(line)); err != nil {
+		return Job{}, err
+	}
+	return j, nil
+}
+
 func saneEpoch(t time.Time) bool { return t.After(epochLo) && t.Before(epochHi) }
 
 // FuzzParseJob drives UnmarshalLine with arbitrary job-log lines:

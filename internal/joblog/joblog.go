@@ -54,9 +54,6 @@ type Job struct {
 // Runtime returns the job's execution time (EndTime - StartTime).
 func (j Job) Runtime() time.Duration { return j.EndTime.Sub(j.StartTime) }
 
-// WaitTime returns the queueing delay (StartTime - QueueTime).
-func (j Job) WaitTime() time.Duration { return j.StartTime.Sub(j.QueueTime) }
-
 // Size returns the job's width in midplanes.
 func (j Job) Size() int { return j.Partition.Size }
 
@@ -493,15 +490,6 @@ func parseEpochField(b []byte) (time.Time, error) {
 		return parseEpoch(string(b))
 	}
 	return t, err
-}
-
-// UnmarshalLine parses one line of the job log.
-func UnmarshalLine(line string) (Job, error) {
-	var j Job
-	if err := j.UnmarshalFields([]byte(line)); err != nil {
-		return Job{}, err
-	}
-	return j, nil
 }
 
 // Writer streams jobs to an underlying io.Writer.

@@ -122,9 +122,6 @@ func TestJobPredicates(t *testing.T) {
 	if j.Runtime() != time.Hour {
 		t.Errorf("Runtime = %v", j.Runtime())
 	}
-	if j.WaitTime() != 10*time.Minute {
-		t.Errorf("WaitTime = %v", j.WaitTime())
-	}
 	if j.Size() != 4 {
 		t.Errorf("Size = %d", j.Size())
 	}

@@ -111,11 +111,6 @@ var componentNames = [...]string{
 	CompDiags: "DIAGS",
 }
 
-// Components lists all reporting components in a stable order.
-var Components = []Component{
-	CompApplication, CompKernel, CompMC, CompMMCS, CompBareMetal, CompCard, CompDiags,
-}
-
 // String returns the CMCS spelling of the component.
 func (c Component) String() string {
 	if c > CompUnknown && int(c) < len(componentNames) {

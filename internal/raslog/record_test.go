@@ -116,7 +116,7 @@ func TestSeverityParse(t *testing.T) {
 }
 
 func TestComponentParse(t *testing.T) {
-	for _, c := range Components {
+	for c := CompUnknown + 1; int(c) < len(componentNames); c++ {
 		got, ok := parseComponentBytes([]byte(c.String()))
 		if !ok || got != c {
 			t.Errorf("parseComponentBytes(%q) = %v, %v", c.String(), got, ok)

@@ -215,14 +215,6 @@ func (s *Store) Span() (first, last time.Time) {
 	return s.recs[0].EventTime, s.recs[len(s.recs)-1].EventTime
 }
 
-// Midplanes maps each record index to the global midplane indices the
-// record's location touches; records with unparseable or rack-level
-// locations resolve via bgp.Location.Midplanes semantics, and records
-// whose location cannot be parsed at all yield nil.
-func RecordMidplanes(r Record) []int {
-	return LocationMidplanes(r.Location)
-}
-
 // LocationMidplanes resolves a location-code string to its global
 // midplane indices (nil when unparseable). With interned locations the
 // filter cascade parses each distinct location once per run instead of

@@ -92,30 +92,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as comma-separated values (quoting cells that
-// need it).
-func (t *Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // BarChart renders a horizontal ASCII bar chart: one labeled bar per
 // value, scaled to width characters.
 func BarChart(w io.Writer, title string, labels []string, values []float64, width int) error {

@@ -29,26 +29,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow(`x,y`, `say "hi"`)
-	tb.AddRow(1, 2)
-	var sb strings.Builder
-	if err := tb.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `"x,y"`) {
-		t.Errorf("comma cell not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Errorf("quote cell not escaped: %s", out)
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("header wrong: %s", out)
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	var sb strings.Builder
 	err := BarChart(&sb, "bars", []string{"one", "two"}, []float64{1, 2}, 10)

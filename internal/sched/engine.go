@@ -297,9 +297,6 @@ func (e *engine) RNG() *rand.Rand { return e.rng }
 // SchedConfig returns the scheduler configuration.
 func (e *engine) SchedConfig() Config { return e.cfg }
 
-// ExecSize returns the width of executable exec.
-func (e *engine) ExecSize(exec int) int { return e.execs[exec].Size }
-
 // Faulty reports whether midplane mp has a sticky, unrepaired failure.
 func (e *engine) Faulty(mp int) bool {
 	_, ok := e.faulty[mp]

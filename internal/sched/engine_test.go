@@ -155,7 +155,7 @@ func TestInterruptionsHaveFatalRecords(t *testing.T) {
 			if dt < -10*time.Minute || dt > 10*time.Minute {
 				continue
 			}
-			for _, mp := range raslog.RecordMidplanes(r) {
+			for _, mp := range raslog.LocationMidplanes(r.Location) {
 				if j.Partition.Contains(mp) {
 					found = true
 					break

@@ -60,8 +60,6 @@ type Env interface {
 	RNG() *rand.Rand
 	// SchedConfig returns the scheduler configuration.
 	SchedConfig() Config
-	// ExecSize returns the width (midplanes) of executable exec.
-	ExecSize(exec int) int
 	// Faulty reports whether midplane mp currently carries a sticky,
 	// unrepaired failure.
 	Faulty(mp int) bool

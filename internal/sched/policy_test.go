@@ -164,7 +164,7 @@ func TestPolicyInvariants(t *testing.T) {
 					if dt := r.EventTime.Sub(j.EndTime); dt < -10*time.Minute || dt > 10*time.Minute {
 						continue
 					}
-					for _, mp := range raslog.RecordMidplanes(r) {
+					for _, mp := range raslog.LocationMidplanes(r.Location) {
 						if j.Partition.Contains(mp) {
 							found = true
 							break

@@ -2,14 +2,13 @@
 // evaluation: descriptive statistics, empirical CDFs, exponential and
 // Weibull distributions with maximum-likelihood fitting, likelihood-ratio
 // model comparison, Kolmogorov–Smirnov distances, Pearson correlation,
-// histograms, and information-gain-ratio feature ranking. Everything is
+// and information-gain-ratio feature ranking. Everything is
 // implemented on the standard library only.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrNoData reports an operation over an empty sample.
@@ -49,20 +48,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs; NaN for an empty sample.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs; NaN for an empty sample.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -75,32 +60,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the sample median (average of middle two for even n).
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
-// interpolation between order statistics; NaN for an empty sample.
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || math.IsNaN(p) {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 1 {
-		return s[len(s)-1]
-	}
-	pos := p * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // Pearson returns the Pearson product-moment correlation coefficient of
@@ -122,4 +81,21 @@ func Pearson(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
+}
+
+// DailyCounts buckets event offsets (seconds from campaign start) into
+// whole days and returns counts for days 0..maxDay; the "number of
+// interruptions per day" series of Figure 5.
+func DailyCounts(offsetsSec []float64, days int) []int {
+	out := make([]int, days)
+	for _, s := range offsetsSec {
+		if s < 0 {
+			continue
+		}
+		d := int(s / 86400)
+		if d < days {
+			out[d]++
+		}
+	}
+	return out
 }

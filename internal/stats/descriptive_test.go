@@ -28,24 +28,11 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-func TestMinMaxMedianQuantile(t *testing.T) {
-	xs := []float64{9, 1, 5, 3, 7}
-	if Min(xs) != 1 || Max(xs) != 9 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
+func TestMax(t *testing.T) {
+	if m := Max([]float64{9, 1, 5, 3, 7}); m != 9 {
+		t.Errorf("Max = %v", m)
 	}
-	if m := Median(xs); m != 5 {
-		t.Errorf("Median = %v", m)
-	}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("Q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 9 {
-		t.Errorf("Q1 = %v", q)
-	}
-	if q := Quantile([]float64{1, 2, 3, 4}, 0.5); !almostEq(q, 2.5, 1e-12) {
-		t.Errorf("even median = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) || !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
+	if !math.IsNaN(Max(nil)) {
 		t.Error("empty sample should be NaN")
 	}
 }
@@ -72,30 +59,24 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestGammaPQ(t *testing.T) {
-	// P(1, x) = 1 - e^-x.
+func TestGammaQ(t *testing.T) {
+	// Q(1, x) = e^-x.
 	for _, x := range []float64{0.1, 0.5, 1, 2, 5, 10} {
-		want := 1 - math.Exp(-x)
-		if got := GammaP(1, x); !almostEq(got, want, 1e-10) {
-			t.Errorf("GammaP(1,%v) = %v, want %v", x, got, want)
-		}
 		if got := GammaQ(1, x); !almostEq(got, math.Exp(-x), 1e-10) {
 			t.Errorf("GammaQ(1,%v) = %v, want %v", x, got, math.Exp(-x))
 		}
 	}
-	// P(a,0)=0, Q(a,0)=1.
-	if GammaP(2.5, 0) != 0 || GammaQ(2.5, 0) != 1 {
+	if GammaQ(2.5, 0) != 1 {
 		t.Error("boundary at x=0 wrong")
 	}
-	// Complementarity across the series/CF split.
+	// Continuity across the series/continued-fraction split at x = a+1.
 	for _, a := range []float64{0.5, 1.5, 3, 10} {
-		for _, x := range []float64{0.2, a, a + 2, 4 * a} {
-			if s := GammaP(a, x) + GammaQ(a, x); !almostEq(s, 1, 1e-9) {
-				t.Errorf("P+Q(a=%v,x=%v) = %v", a, x, s)
-			}
+		lo, hi := GammaQ(a, a+1-1e-9), GammaQ(a, a+1)
+		if !almostEq(lo, hi, 1e-8) {
+			t.Errorf("Q(a=%v) jumps at the split: %v vs %v", a, lo, hi)
 		}
 	}
-	if !math.IsNaN(GammaP(-1, 1)) || !math.IsNaN(GammaQ(0, 1)) || !math.IsNaN(GammaP(1, -1)) {
+	if !math.IsNaN(GammaQ(0, 1)) || !math.IsNaN(GammaQ(1, -1)) {
 		t.Error("invalid domain should be NaN")
 	}
 }
@@ -113,5 +94,16 @@ func TestChiSquareSurvival(t *testing.T) {
 	}
 	if !math.IsNaN(ChiSquareSurvival(1, 0)) {
 		t.Error("df=0 should be NaN")
+	}
+}
+
+func TestDailyCounts(t *testing.T) {
+	offsets := []float64{0, 100, 86399, 86400, 86401, 3 * 86400, -5, 900 * 86400}
+	counts := DailyCounts(offsets, 5)
+	want := []int{3, 2, 0, 1, 0}
+	for i := range want {
+		if counts[i] != want[i] {
+			t.Errorf("day %d = %d, want %d", i, counts[i], want[i])
+		}
 	}
 }

@@ -140,15 +140,6 @@ func (w Weibull) Variance() float64 {
 	return w.Scale * w.Scale * (g2 - g1*g1)
 }
 
-// Hazard returns the hazard rate h(x) = pdf/(1-cdf); decreasing in x
-// iff Shape < 1.
-func (w Weibull) Hazard(x float64) float64 {
-	if x <= 0 {
-		return math.NaN()
-	}
-	return (w.Shape / w.Scale) * math.Pow(x/w.Scale, w.Shape-1)
-}
-
 // LogLikelihood implements Dist.
 func (w Weibull) LogLikelihood(xs []float64) float64 {
 	ll := 0.0
@@ -170,17 +161,6 @@ func (w Weibull) Rand(rng *rand.Rand) float64 {
 		u = rng.Float64()
 	}
 	return w.Scale * math.Pow(-math.Log(u), 1/w.Shape)
-}
-
-// Quantile returns the p-quantile of the Weibull distribution.
-func (w Weibull) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return w.Scale * math.Pow(-math.Log(1-p), 1/w.Shape)
 }
 
 // FitWeibull returns the maximum-likelihood Weibull fit using a damped

@@ -20,38 +20,6 @@ func NewECDF(xs []float64) *ECDF {
 // Len returns the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Eval returns Fn(x) = (#samples <= x) / n; NaN for an empty sample.
-func (e *ECDF) Eval(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; move
-	// past equal values to count <= x.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the empirical p-quantile (inverse CDF).
-func (e *ECDF) Quantile(p float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
 // Points returns (x, Fn(x)) support points for plotting: one point per
 // distinct sample value.
 func (e *ECDF) Points() (xs, ps []float64) {

@@ -8,63 +8,24 @@ import (
 	"testing/quick"
 )
 
-func TestECDFEval(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := map[float64]float64{0: 0, 1: 0.25, 1.5: 0.25, 2: 0.75, 2.5: 0.75, 3: 1, 4: 1}
-	for x, want := range cases {
-		if got := e.Eval(x); !almostEq(got, want, 1e-12) {
-			t.Errorf("Eval(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-	if !math.IsNaN(NewECDF(nil).Eval(1)) {
-		t.Error("empty ECDF should be NaN")
-	}
-}
-
 func TestECDFMonotoneQuick(t *testing.T) {
-	f := func(xs []float64, a, b float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
+	f := func(xs []float64) bool {
 		for _, x := range xs {
 			if math.IsNaN(x) {
 				return true
 			}
 		}
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
 		e := NewECDF(xs)
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
+		px, ps := e.Points()
+		for i := 1; i < len(px); i++ {
+			if px[i] <= px[i-1] || ps[i] <= ps[i-1] {
+				return false
+			}
 		}
-		return e.Eval(lo) <= e.Eval(hi)
+		return e.Len() == len(xs) && (len(ps) == 0 || ps[len(ps)-1] == 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40})
-	if q := e.Quantile(0.25); q != 10 {
-		t.Errorf("Q(0.25) = %v", q)
-	}
-	if q := e.Quantile(0.5); q != 20 {
-		t.Errorf("Q(0.5) = %v", q)
-	}
-	if q := e.Quantile(1); q != 40 {
-		t.Errorf("Q(1) = %v", q)
-	}
-	if q := e.Quantile(0); q != 10 {
-		t.Errorf("Q(0) = %v", q)
-	}
-	if !math.IsNaN(NewECDF(nil).Quantile(0.5)) {
-		t.Error("empty quantile should be NaN")
 	}
 }
 

@@ -52,14 +52,6 @@ type GainRatioResult struct {
 	Ratio float64
 }
 
-// GainRatio computes the information-gain ratio of a discrete feature
-// with respect to a discrete class over paired observations. It is the
-// feature-ranking criterion the paper adopts (§VI-D, citing Liu & Yu).
-// The two slices must have equal length.
-func GainRatio(feature, class []string) GainRatioResult {
-	return GainRatioCounts(contingency(feature, class))
-}
-
 // contingency tabulates paired observations as GainRatioCounts expects:
 // one row per distinct feature value and one column per distinct class,
 // each in ascending name order. Unequal lengths yield no table.
@@ -96,7 +88,8 @@ func ordinals(values []string) map[string]int {
 // value and the c-th class. Rows must follow the ascending order of
 // the feature values' names and columns that of the class names: every
 // entropy sums its terms in that order, so the result is bit-identical
-// to GainRatio over the same observations. Rows may be ragged (missing
+// to a fold over the observations themselves (the map-of-strings gain
+// ratio this replaced). Rows may be ragged (missing
 // cells count zero), and zero rows and columns contribute nothing.
 func GainRatioCounts(counts [][]int) GainRatioResult {
 	n, nClass := 0, 0
@@ -110,8 +103,8 @@ func GainRatioCounts(counts [][]int) GainRatioResult {
 		return GainRatioResult{}
 	}
 	// Every fold below has entropy's shape, h -= p*log2(p) per nonzero
-	// count in name order, the same expressions GainRatio's
-	// string-keyed predecessor evaluated.
+	// count in name order, the same expressions the string-keyed
+	// predecessor evaluated.
 	// H(class), from the column totals in class order.
 	hClass := 0.0
 	for c := 0; c < nClass; c++ {
@@ -173,7 +166,10 @@ type FeatureCounts struct {
 // RankFeatures scores every feature column against the class labels
 // and returns the features sorted by descending gain ratio (stable for
 // ties by name). features maps feature name to its per-observation
-// values; every column must have the same length as class.
+// values; every column must have the same length as class. The
+// product ranks count tables (RankFeatureCounts); this per-observation
+// form stays because core's TestFeaturesMatchLegacy ranks its legacy
+// string features with it.
 func RankFeatures(features map[string][]string, class []string) []RankedFeature {
 	tables := make([]FeatureCounts, 0, len(features))
 	for _, name := range sortedKeys(features) {

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// GainRatio scores paired observations through GainRatioCounts, the
+// way RankFeatures scores each of its columns.
+func GainRatio(feature, class []string) GainRatioResult {
+	return GainRatioCounts(contingency(feature, class))
+}
+
 func TestGainRatioPerfectPredictor(t *testing.T) {
 	// Feature identical to the class: IG = H(class), ratio = 1.
 	class := []string{"y", "y", "n", "n"}

@@ -2,25 +2,6 @@ package stats
 
 import "math"
 
-// GammaP returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x) / Γ(a) for a > 0, x >= 0. It follows the classic
-// series/continued-fraction split (series for x < a+1, Lentz's
-// continued fraction otherwise).
-func GammaP(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x < 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
 // GammaQ returns the regularized upper incomplete gamma function
 // Q(a, x) = 1 - P(a, x).
 func GammaQ(a, x float64) float64 {

@@ -75,7 +75,7 @@ func BenchmarkSegmentMerge(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cat, err := OpenCatalog(dir)
+	cat, err := openCatalogDir(dir)
 	if err != nil {
 		b.Fatal(err)
 	}

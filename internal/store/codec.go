@@ -368,7 +368,10 @@ func readNames(b []byte, rows int) ([]string, []byte, error) {
 // ReadSegment decodes one full segment from r, verifying both CRCs and
 // every canonical invariant: the returned data re-encodes to exactly
 // the bytes read. All failures — truncation, corruption, version drift
-// — surface as *FormatError; arbitrary input never panics.
+// — surface as *FormatError; arbitrary input never panics. The product
+// maps segments (OpenSegment) instead; this full decoder stays as the
+// oracle that the codec tests, FuzzSegmentCodec and the root package's
+// parallelism tests decode segments through.
 func ReadSegment(r io.Reader) (*SegmentData, error) {
 	h, err := readHeader(r)
 	if err != nil {
@@ -430,8 +433,8 @@ func ReadSegment(r io.Reader) (*SegmentData, error) {
 }
 
 // SegmentFileName names segment seq on disk; the zero-padding keeps
-// lexical directory order equal to sequence order, which is what makes
-// OpenCatalog's name sort a time sort.
+// lexical directory order equal to sequence order, so a name sort of a
+// spill directory is a time sort.
 func SegmentFileName(seq int) string {
 	return fmt.Sprintf("seg-%06d.seg", seq)
 }

@@ -17,8 +17,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 )
 
 // Query is the pushdown predicate the zone maps answer. The zero value
@@ -448,17 +446,6 @@ func (sf *SegmentFile) Scan(q Query, visit func(Row) error) (int64, error) {
 // lexical (= sequence, = time) order, or a spool's resident runs.
 type Catalog struct {
 	segs []*SegmentFile
-}
-
-// OpenCatalog opens every *.seg file under dir. An empty or absent
-// directory yields an empty catalog.
-func OpenCatalog(dir string) (*Catalog, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	return openCatalog(names)
 }
 
 // openCatalog opens the named segment files, in order.

@@ -152,9 +152,9 @@ func TestMergeEquivalenceRandomBoundaries(t *testing.T) {
 		sort.Ints(bounds)
 
 		dir := writeSegments(t, sorted, bounds)
-		cat, err := OpenCatalog(dir)
+		cat, err := openCatalogDir(dir)
 		if err != nil {
-			t.Fatalf("seed %d: OpenCatalog: %v", seed, err)
+			t.Fatalf("seed %d: openCatalogDir: %v", seed, err)
 		}
 
 		m, err := cat.Merge(Query{})
@@ -217,7 +217,7 @@ func TestZoneMapPushdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cat, err := OpenCatalog(dir)
+	cat, err := openCatalogDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestStreamedReaderMatchesMmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	rows := sortRows(randomRows(rng, 300))
 	dir := writeSegments(t, rows, []int{100, 200})
-	cat, err := OpenCatalog(dir)
+	cat, err := openCatalogDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestStreamedReaderMatchesMmap(t *testing.T) {
 func TestCatalogSpan(t *testing.T) {
 	rows := []testRow{{1, 5_000, "a", "L", 1, 6}, {2, 9_000, "a", "L", 1, 6}}
 	dir := writeSegments(t, rows, []int{1})
-	cat, err := OpenCatalog(dir)
+	cat, err := openCatalogDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestCatalogSpan(t *testing.T) {
 	if !ok || minNS != 5_000 || maxNS != 9_000 {
 		t.Fatalf("Span() = %d, %d, %v", minNS, maxNS, ok)
 	}
-	empty, err := OpenCatalog(t.TempDir())
+	empty, err := openCatalogDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,4 +369,15 @@ func TestVerifyColumns(t *testing.T) {
 			t.Errorf("streamed=%v: flipped bit: error %v, want a crc FormatError naming %s", streamed, err, path)
 		}
 	}
+}
+
+// openCatalogDir opens every *.seg file under dir. An empty or absent
+// directory yields an empty catalog.
+func openCatalogDir(dir string) (*Catalog, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(names)
+	return openCatalog(names)
 }

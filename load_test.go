@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/joblog"
 	"repro/internal/raslog"
+	"repro/internal/simulate"
 )
 
 // campaignLogs is a 30-day, seed-1 campaign at some noise records per
@@ -30,13 +31,13 @@ type campaignLogs struct {
 func (c *campaignLogs) get(tb testing.TB) (ras, jobs []byte) {
 	tb.Helper()
 	c.once.Do(func() {
-		r, err := Run(Config{Seed: 1, Days: 30, NoisePerFatal: c.noise})
+		camp, err := simulate.Run(simConfig(Config{Seed: 1, Days: 30, NoisePerFatal: c.noise}))
 		if err != nil {
 			c.err = err
 			return
 		}
-		c.ras = marshalRAS(r.RAS().All())
-		for _, j := range r.Jobs().All() {
+		c.ras = marshalRAS(camp.RAS.All())
+		for _, j := range camp.Jobs.All() {
 			c.jobs = j.AppendLine(c.jobs)
 			c.jobs = append(c.jobs, '\n')
 		}
@@ -119,9 +120,6 @@ func TestLoadMatchesStoreComposition(t *testing.T) {
 			want, st, err := storeComposition(t, log, jobs)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got.RAS() != nil {
-				t.Error("a loaded report retains the RAS store")
 			}
 			if got.stats != want.stats {
 				t.Fatalf("log stats %+v, want %+v", got.stats, want.stats)
@@ -382,7 +380,8 @@ func TestRenderAllSequentialStartsNoGoroutine(t *testing.T) {
 // boxes integers below 256 without allocating, so small IDs would hide
 // a boxed or formatted RecID.
 func TestObserveRASAllocFree(t *testing.T) {
-	st := quickReport(t).RAS()
+	camp, _ := quickCampaign(t)
+	st := camp.RAS
 	recs := append(st.All()[:32:32], st.Fatal()[:32]...)
 	for i := range recs {
 		recs[i].RecID += 1 << 40

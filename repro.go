@@ -92,10 +92,9 @@ type Report struct {
 	// stats are the raw-log aggregates (Table I's sizes, Table II's
 	// example record, the Summary counters), set by every constructor.
 	stats LogStats
-	// ras and truth are non-nil only for simulated campaigns: loaded
-	// and streaming reports neither keep the noise records nor have an
-	// oracle.
-	ras   *raslog.Store
+	// truth is non-nil only for simulated campaigns: loaded and
+	// streaming reports have no oracle. No report keeps a RAS record
+	// beyond the FATAL run.
 	truth *sched.GroundTruth
 	days  int
 	// workers bounds RenderAll's fan-out, a Parallelism knob: the
@@ -115,8 +114,9 @@ func Run(cfg Config) (*Report, error) {
 	return analyzeCampaign(cfg, camp)
 }
 
-// analyzeCampaign analyzes a simulated campaign, keeping its store and
-// ground truth.
+// analyzeCampaign analyzes a simulated campaign, keeping a copy of its
+// ground truth and nothing that reaches the campaign's records: like a
+// loaded report, it retains only the sorted FATAL run.
 func analyzeCampaign(cfg Config, camp *simulate.Campaign) (*Report, error) {
 	var stats LogStats
 	sp := store.NewSpool("", 0)
@@ -133,8 +133,8 @@ func analyzeCampaign(cfg Config, camp *simulate.Campaign) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.ras = camp.RAS
-	rep.truth = &camp.Result.Truth
+	truth := camp.Result.Truth
+	rep.truth = &truth
 	return rep, nil
 }
 
@@ -310,17 +310,15 @@ func (r *Report) Close() error {
 	return err
 }
 
-// RAS returns the RAS store of a simulated campaign, or nil: loaded
-// and streaming reports keep only the FATAL records and the raw-log
-// aggregates.
-func (r *Report) RAS() *raslog.Store { return r.ras }
-
 // Jobs returns the job log under analysis.
 func (r *Report) Jobs() *joblog.Log { return r.jobs }
 
 // HasOracle reports whether generator ground truth is available (only
-// for simulated campaigns).
+// for simulated campaigns). No binary reads the oracle yet: it and
+// Oracle stay for the planned scorer that grades matching and
+// identification against the generator's truth.
 func (r *Report) HasOracle() bool { return r.truth != nil }
 
-// Oracle returns the ground truth of a simulated campaign, or nil.
+// Oracle returns the ground truth of a simulated campaign, or nil; it
+// stays for the same scorer as HasOracle.
 func (r *Report) Oracle() *sched.GroundTruth { return r.truth }

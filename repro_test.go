@@ -2,29 +2,47 @@ package repro
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/raslog"
+	"repro/internal/sched"
+	"repro/internal/simulate"
 )
 
 var (
 	repOnce sync.Once
+	repCamp *simulate.Campaign
 	rep     *Report
 	repErr  error
 )
 
 func quickReport(t *testing.T) *Report {
+	_, r := quickCampaign(t)
+	return r
+}
+
+// quickCampaign returns the shared 45-day campaign and its report, as
+// Run builds them. A report keeps none of its campaign's records, so a
+// test that reads them takes the campaign from here.
+func quickCampaign(t *testing.T) (*simulate.Campaign, *Report) {
 	t.Helper()
 	repOnce.Do(func() {
 		cfg := QuickConfig(1)
 		cfg.Days = 45
-		rep, repErr = Run(cfg)
+		repCamp, repErr = simulate.Run(simConfig(cfg))
+		if repErr == nil {
+			rep, repErr = analyzeCampaign(cfg, repCamp)
+		}
 	})
 	if repErr != nil {
 		t.Fatal(repErr)
 	}
-	return rep
+	return repCamp, rep
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
@@ -34,11 +52,11 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 func TestRunProducesOracleAndLogs(t *testing.T) {
-	r := quickReport(t)
+	camp, r := quickCampaign(t)
 	if !r.HasOracle() || r.Oracle() == nil {
 		t.Error("simulated campaign should carry an oracle")
 	}
-	if r.RAS().Len() == 0 || r.Jobs().Len() == 0 {
+	if camp.RAS.Len() == 0 || r.Jobs().Len() == 0 {
 		t.Error("empty logs")
 	}
 	if r.Analysis() == nil {
@@ -98,11 +116,11 @@ func TestRenderAllArtifacts(t *testing.T) {
 }
 
 func TestLoadRoundTrip(t *testing.T) {
-	r := quickReport(t)
+	camp, r := quickCampaign(t)
 	// Serialize both logs and re-analyze via Load: headline numbers must
 	// match the in-memory analysis exactly.
 	var rasBuf, jobBuf bytes.Buffer
-	for _, rec := range r.RAS().All() {
+	for _, rec := range camp.RAS.All() {
 		rasBuf.WriteString(rec.MarshalLine())
 		rasBuf.WriteByte('\n')
 	}
@@ -241,4 +259,39 @@ func TestFilterSensitivityMonotone(t *testing.T) {
 	if !strings.Contains(buf.String(), "Ablation") {
 		t.Error("missing ablation header")
 	}
+}
+
+// TestSimulatedReportDropsCampaign requires that a simulated report
+// reaches none of its campaign's records: once only the report is
+// left, the campaign's scheduler result (which holds the RAS records)
+// and its RAS store must be collectable.
+func TestSimulatedReportDropsCampaign(t *testing.T) {
+	var resultFreed, storeFreed atomic.Bool
+	r := func() *Report {
+		cfg := QuickConfig(3)
+		cfg.Days = 5
+		camp, err := simulate.Run(simConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(camp.Result, func(*sched.Result) { resultFreed.Store(true) })
+		runtime.SetFinalizer(camp.RAS, func(*raslog.Store) { storeFreed.Store(true) })
+		r, err := analyzeCampaign(cfg, camp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}()
+	for i := 0; i < 10 && !(resultFreed.Load() && storeFreed.Load()); i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond) // finalizers run on their own goroutine
+	}
+	if !resultFreed.Load() || !storeFreed.Load() {
+		t.Errorf("after 10 collections the report still reaches its campaign: sched.Result freed %v, raslog.Store freed %v",
+			resultFreed.Load(), storeFreed.Load())
+	}
+	if !r.HasOracle() || len(r.Oracle().Faults) == 0 {
+		t.Error("the report lost its copy of the ground truth")
+	}
+	runtime.KeepAlive(r)
 }
