@@ -184,10 +184,9 @@ type rasIngester interface {
 // here already — sort it like the batch tools effectively do, then
 // feed bounded batches.
 func loadRAS(eng rasIngester, r io.Reader) error {
-	rd := raslog.NewReader(r)
-	recs, err := rd.ReadAll()
+	recs, err := raslog.NewReader(r).ReadAll()
 	if err != nil {
-		return fmt.Errorf("line %d: %w", rd.Line(), err)
+		return err
 	}
 	raslog.SortStable(recs)
 	for i := 0; i < len(recs); i += followBatch {
@@ -201,10 +200,9 @@ func loadRAS(eng rasIngester, r io.Reader) error {
 // loadJobs bulk-ingests a complete job log, sorted into the engine's
 // (EndTime, ID) ingest order.
 func loadJobs(eng *serve.Engine, r io.Reader) error {
-	rd := joblog.NewReader(r)
-	jobs, err := rd.ReadAll()
+	jobs, err := joblog.NewReader(r).ReadAll()
 	if err != nil {
-		return fmt.Errorf("line %d: %w", rd.Line(), err)
+		return err
 	}
 	joblog.SortStable(jobs)
 	for i := 0; i < len(jobs); i += followBatch {
@@ -228,7 +226,7 @@ func followRAS(ctx context.Context, eng *serve.Engine, f io.Reader, poll, flushE
 			recc <- *rd.Record()
 		}
 		if err := rd.Err(); err != nil {
-			fmt.Fprintf(stderr, "bgpd: ras tail: line %d: %v (stream abandoned)\n", rd.Line(), err)
+			fmt.Fprintf(stderr, "bgpd: ras tail: %v (stream abandoned)\n", err)
 		}
 	}()
 	var batch []raslog.Record
@@ -274,7 +272,7 @@ func followJobs(ctx context.Context, eng *serve.Engine, f io.Reader, poll, flush
 			jobc <- *rd.Job()
 		}
 		if err := rd.Err(); err != nil {
-			fmt.Fprintf(stderr, "bgpd: job tail: line %d: %v (stream abandoned)\n", rd.Line(), err)
+			fmt.Fprintf(stderr, "bgpd: job tail: %v (stream abandoned)\n", err)
 		}
 	}()
 	var batch []joblog.Job

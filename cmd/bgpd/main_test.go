@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/joblog"
+	"repro/internal/linescan"
 	"repro/internal/raslog"
 	"repro/internal/simulate"
 )
@@ -335,5 +337,51 @@ func TestLoadRASSortsShuffledLog(t *testing.T) {
 	}
 	if got := ingest(shuffled); !slices.Equal(got, want) {
 		t.Errorf("shuffled file ingested as\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestRunLoadErrorNamesLineOnce pins the text of a start-up load
+// failure: a malformed or over-long second line of either log is named
+// once, as line 2.
+func TestRunLoadErrorNamesLineOnce(t *testing.T) {
+	camp, err := simulate.Run(simulate.Config{Seed: 1, Days: 2, NoisePerFatal: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("A", linescan.MaxLineBytes+1) + "\n"
+	tooLong := fmt.Sprintf("line 2: bufio.Scanner: token too long (line exceeds %d bytes)", linescan.MaxLineBytes)
+	for _, c := range []struct {
+		name, flag, tail, want string
+	}{
+		{"ras bad line", "-ras", "1|M|KERNEL|s|c|LOUD|2008-04-14-15.08.12.285324|f|R00-M0|sn|msg\n", "line 2: raslog: bad record line"},
+		{"ras long line", "-ras", long, tooLong},
+		{"job bad line", "-job", "not|a|job\n", "line 2: joblog: bad job line"},
+		{"job long line", "-job", long, tooLong},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log")
+			if c.flag == "-ras" {
+				writeRAS(t, path, camp.RAS.All()[:1])
+			} else {
+				writeJobs(t, path, camp.Jobs.All()[:1])
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(c.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			var out, errb bytes.Buffer
+			err = run(context.Background(), []string{c.flag, path, "-addr", "127.0.0.1:0"}, &out, &errb)
+			if err == nil {
+				t.Fatal("bad log loaded without error")
+			}
+			prefix := "load " + path + ": " + c.want
+			if !strings.HasPrefix(err.Error(), prefix) || strings.Count(err.Error(), "line 2") != 1 {
+				t.Fatalf("error %q, want it to start %q and name line 2 once", err, prefix)
+			}
+		})
 	}
 }

@@ -117,19 +117,23 @@ func (r *Reader) Next() bool {
 }
 
 // fail ends the stream with err. A decode error is wrapped with its
-// line number; a scanner overflow becomes linescan.TooLongError for
-// the line after the last good one, because the scanner stalls at the
-// over-long line without consuming it. It stays out of line so the
-// error values it builds are not charged to Next, whose per-record
-// path is escape-free (cmd/bgpescape's codec rule).
+// line number. A scanner error belongs to the line after the last one
+// scanned, because the scanner stalls at the line it cannot read
+// without counting it: fail counts that line, so Line names it, and an
+// overflow becomes linescan.TooLongError for it. It stays out of line
+// so the error values it builds are not charged to Next, whose
+// per-record path is escape-free (cmd/bgpescape's codec rule).
 //
 //go:noinline
 func (r *Reader) fail(err error, decode bool) {
+	if !decode {
+		r.line++
+	}
 	switch {
 	case decode:
 		err = fmt.Errorf("line %d: %w", r.line, err)
 	case errors.Is(err, bufio.ErrTooLong):
-		err = linescan.TooLongError(r.line + 1)
+		err = linescan.TooLongError(r.line)
 	}
 	r.err = err
 	r.done = true
@@ -144,7 +148,8 @@ func (r *Reader) Record() *Record { return &r.rec }
 // io.EOF.
 func (r *Reader) Err() error { return r.err }
 
-// Line returns the 1-based line number of the current record.
+// Line returns the 1-based line number of the current record; after an
+// error, that of the line the error names.
 func (r *Reader) Line() int { return r.line }
 
 // Read returns the next record, or io.EOF at end of input. It is the

@@ -7,12 +7,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/bgp"
 	"repro/internal/joblog"
+	"repro/internal/linescan"
 	"repro/internal/raslog"
 	"repro/internal/simulate"
 )
@@ -419,5 +423,47 @@ func TestPublishIfChangedSkipsFailedRetry(t *testing.T) {
 	}
 	if ep, err := eng.PublishIfChanged(); err != nil || ep == nil || ep.Seq != 1 {
 		t.Fatalf("PublishIfChanged after the jobs arrived: epoch %v, err %v; want epoch 1", ep, err)
+	}
+}
+
+// TestIngestErrorNamesItsLine requires a rejected batch's answer to
+// name the failing line exactly once, and its "line" field to be the
+// line the text names, for a malformed and for an over-long line 2 of
+// either log.
+func TestIngestErrorNamesItsLine(t *testing.T) {
+	rasLine := marshalRAS(t, fuzzBaseRecords()[:1])
+	jobLine := marshalJobs(t, []joblog.Job{{ID: 1, Name: "n", ExecFile: "/bin/app",
+		QueueTime: time.Unix(1231113600, 0), StartTime: time.Unix(1231114200, 0), EndTime: time.Unix(1231117800, 0),
+		Partition: bgp.Partition{Start: 0, Size: 1}, User: "u", Project: "p"}})
+	long := strings.Repeat("A", linescan.MaxLineBytes+1) + "\n"
+	lineRE := regexp.MustCompile(`line (\d+):`)
+	for _, c := range []struct {
+		name, path string
+		body       string
+	}{
+		{"ras bad line", "/v1/ingest/ras", string(rasLine) + "1|M|KERNEL|s|c|LOUD|2008-04-14-15.08.12.285324|f|R00-M0|sn|msg\n"},
+		{"ras long line", "/v1/ingest/ras", string(rasLine) + long},
+		{"job bad line", "/v1/ingest/job", string(jobLine) + "not|a|job\n"},
+		{"job long line", "/v1/ingest/job", string(jobLine) + long},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := NewEngine(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			NewServer(eng).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.Bytes())
+			}
+			var ae apiError
+			if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil {
+				t.Fatal(err)
+			}
+			named := lineRE.FindAllStringSubmatch(ae.Error, -1)
+			if len(named) != 1 || named[0][1] != "2" || ae.Line != 2 {
+				t.Fatalf("error %q with line %d, want line 2 named once and line 2", ae.Error, ae.Line)
+			}
+		})
 	}
 }

@@ -83,7 +83,7 @@ func (s *Server) ingestRAS(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The decoder stops at the first bad line; nothing reaches the
 		// engine, so the batch has no partial effect.
-		writeError(w, http.StatusBadRequest, rd.Line()+1, "parsing RAS batch: %v", err)
+		writeError(w, http.StatusBadRequest, rd.Line(), "parsing RAS batch: %v", err)
 		return
 	}
 	if err := s.e.IngestRAS(recs); err != nil {
@@ -111,7 +111,7 @@ func (s *Server) ingestJob(w http.ResponseWriter, r *http.Request) {
 	rd := joblog.NewReader(http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	jobs, err := rd.ReadAll()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, rd.Line()+1, "parsing job batch: %v", err)
+		writeError(w, http.StatusBadRequest, rd.Line(), "parsing job batch: %v", err)
 		return
 	}
 	if err := s.e.IngestJobs(jobs); err != nil {
