@@ -62,8 +62,10 @@ func (b *OccupancyBuilder) index(pos int32) {
 	}
 }
 
-// Len returns the number of jobs added.
-func (b *OccupancyBuilder) Len() int { return len(b.byEnd) }
+// Jobs returns the jobs added so far, in byEnd order, clipped so later
+// appends cannot reach it: the one copy of the job stream, which a
+// snapshot's index positions refer to.
+func (b *OccupancyBuilder) Jobs() []joblog.Job { return b.byEnd[:len(b.byEnd):len(b.byEnd)] }
 
 // Snapshot returns an immutable index over the jobs added so far. The
 // per-midplane lists are fresh sorted copies (cached until the midplane
@@ -71,7 +73,7 @@ func (b *OccupancyBuilder) Len() int { return len(b.byEnd) }
 // reach it — snapshots never observe subsequent Adds, and every
 // position a snapshot holds is below its view's length.
 func (b *OccupancyBuilder) Snapshot() *Occupancy {
-	jobs := b.byEnd[:len(b.byEnd):len(b.byEnd)]
+	jobs := b.Jobs()
 	ix := &occupancyIndex{byEnd: jobs}
 	for mp := range b.raw {
 		if b.dirty[mp] {

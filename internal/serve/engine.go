@@ -76,8 +76,9 @@ type Engine struct {
 	mu    sync.Mutex
 	tab   *symtab.Table
 	inc   *filter.Incremental
+	// occ holds the one copy of the accepted jobs (occ.Jobs), in
+	// (EndTime, ID) order.
 	occ   core.OccupancyBuilder
-	jobs  []joblog.Job
 	stats repro.LogStats
 	segs  store.SegmentSet
 
@@ -88,18 +89,19 @@ type Engine struct {
 	// lastJobEnd/lastJobID is the job-stream cursor; accepting jobs in
 	// (EndTime, ID) order is what makes the live occupancy builder
 	// reproduce the batch byEnd order (and hence its sort permutation)
-	// exactly, and what lets Publish hand e.jobs to joblog.NewLog, which
-	// then neither copies nor sorts it. The cursor compares time.Time
+	// exactly, and what lets Publish hand occ.Jobs to joblog.NewLog,
+	// which then neither copies nor sorts it. The cursor compares time.Time
 	// values, as NewLog does, so the two orders agree outside the Unix
 	// nanosecond range too. It starts at the Unix epoch.
 	lastJobEnd time.Time
 	lastJobID  int64
 
-	// pendJobs accumulates since the last seal; when a segment seals it
-	// becomes the seal's job file. unpersisted queues seals whose files
-	// have not been durably written yet (a failed write keeps them
-	// queued for retry; recovery never sees them).
-	pendJobs    []joblog.Job
+	// sealedJobs counts the jobs that belong to sealed segments: the
+	// occ.Jobs from there on become the next seal's job file.
+	// unpersisted queues seals whose files have not been durably written
+	// yet (a failed write keeps them queued for retry; recovery never
+	// sees them).
+	sealedJobs  int
 	unpersisted []sealRecord
 	per         *persister
 	// dirty records whether anything was ingested since the last seal's
@@ -239,8 +241,6 @@ func (e *Engine) IngestJobs(jobs []joblog.Job) error {
 	for _, j := range jobs {
 		e.dirty = true
 		e.occ.Add(j)
-		e.jobs = append(e.jobs, j)
-		e.pendJobs = append(e.pendJobs, j)
 		e.lastJobEnd, e.lastJobID = j.EndTime, j.ID
 	}
 	return nil
@@ -255,14 +255,15 @@ func (e *Engine) seal() error {
 		return fmt.Errorf("serve: sealing segment: %w", err)
 	}
 	e.stateSeq++
+	jobs := e.occ.Jobs()
 	sr := sealRecord{
 		seg:  seg,
-		jobs: e.pendJobs,
+		jobs: jobs[e.sealedJobs:],
 		man: manifest{
 			Format:        manifestFormat,
 			Seq:           seg.Seq(),
 			Rows:          seg.Rows(),
-			JobCount:      len(e.pendJobs),
+			JobCount:      len(jobs) - e.sealedJobs,
 			RASRecords:    e.stats.RASRecords,
 			RASBytes:      e.stats.RASBytes,
 			FatalRecords:  e.stats.FatalRecords,
@@ -272,7 +273,7 @@ func (e *Engine) seal() error {
 			LastRecID:     e.lastRecID,
 		},
 	}
-	e.pendJobs = nil
+	e.sealedJobs = len(jobs)
 	e.dirty = false
 	if e.per == nil {
 		return nil
@@ -371,7 +372,7 @@ func (e *Engine) Publish() (*Epoch, error) {
 	events, fstats := e.inc.Snapshot()
 	tab := e.tab.Clone()
 	occ := e.occ.Snapshot()
-	jobs := e.jobs[:len(e.jobs):len(e.jobs)]
+	jobs := e.occ.Jobs()
 	stats := e.stats
 	var counts segmentCounts
 	counts.segments, counts.sealed, counts.rows = e.segs.Counts()
@@ -380,8 +381,9 @@ func (e *Engine) Publish() (*Epoch, error) {
 	state := e.stateSeq
 	e.mu.Unlock()
 
-	// e.jobs is in (EndTime, ID) order (IngestJobs' cursor), so the log
-	// keeps this capped prefix as it is: no copy, no sort.
+	// The jobs are in (EndTime, ID) order (IngestJobs' cursor), so the
+	// log keeps this clipped view as it is: no copy, no sort. It is the
+	// slice occ indexes, so match's positions agree by construction.
 	jl := joblog.NewLog(jobs)
 	jFirst, jLast := jl.Span()
 	start, end := core.UnionSpan(stats.First, stats.Last, jFirst, jLast)

@@ -302,14 +302,14 @@ func TestIngestBatchAtomicity(t *testing.T) {
 	if _, ok := eng.IngestJobs(badJobs).(*OrderError); !ok {
 		t.Fatalf("IngestJobs(disordered) did not return *OrderError")
 	}
-	if len(eng.jobs) != 0 {
-		t.Fatalf("%d jobs applied from rejected batch, want 0", len(eng.jobs))
+	if len(eng.occ.Jobs()) != 0 {
+		t.Fatalf("%d jobs applied from rejected batch, want 0", len(eng.occ.Jobs()))
 	}
 	if err := eng.IngestJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.jobs) != len(jobs) {
-		t.Fatalf("%d jobs applied, want %d", len(eng.jobs), len(jobs))
+	if len(eng.occ.Jobs()) != len(jobs) {
+		t.Fatalf("%d jobs applied, want %d", len(eng.occ.Jobs()), len(jobs))
 	}
 }
 

@@ -48,7 +48,7 @@ func shapeOf(e *Engine) engineShape {
 	s := engineShape{
 		input:  e.inc.Input(),
 		rows:   rows,
-		jobs:   len(e.jobs),
+		jobs:   len(e.occ.Jobs()),
 		stats:  [3]int{e.stats.RASRecords, e.stats.RASBytes, e.stats.FatalRecords},
 		cursor: [2]int64{e.lastRecTime, e.lastRecID},
 	}

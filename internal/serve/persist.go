@@ -190,9 +190,9 @@ func (e *Engine) recover() error {
 		}
 		for _, j := range jobs {
 			e.occ.Add(j)
-			e.jobs = append(e.jobs, j)
 			e.lastJobEnd, e.lastJobID = j.EndTime, j.ID
 		}
+		e.sealedJobs += len(jobs)
 		last = &man
 	}
 	if last == nil {

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -253,8 +255,8 @@ func TestRecoveryEmptyDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.inc.Input() != 0 || len(eng.jobs) != 0 {
-		t.Fatalf("empty-dir recovery produced state: %d records, %d jobs", eng.inc.Input(), len(eng.jobs))
+	if eng.inc.Input() != 0 || len(eng.occ.Jobs()) != 0 {
+		t.Fatalf("empty-dir recovery produced state: %d records, %d jobs", eng.inc.Input(), len(eng.occ.Jobs()))
 	}
 }
 
@@ -411,4 +413,86 @@ func TestRecoveryRefusesFlippedColumnBit(t *testing.T) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
+}
+
+// TestRecoverySealJobFiles feeds jobs across three seals, restarts the
+// engine after the first, fails the second seal's job write and retries
+// it only after the third batch has arrived: each seg-N.job must hold
+// exactly the jobs accepted between its seal and the one before, and
+// recovery must equal an engine that ingested everything.
+func TestRecoverySealJobFiles(t *testing.T) {
+	recs, jobs := campaignStreams(t, 13, 6)
+	failing := false
+	cfg := Config{
+		DataDir:  t.TempDir(),
+		SealRows: 1 << 20, // no auto-seals; the test drives sealing
+		SealHook: func(step string) error {
+			if failing && step == "job" {
+				return errors.New("injected fault at job")
+			}
+			return nil
+		},
+	}
+	dir := cfg.DataDir
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := func(xs int, k int) (int, int) { return xs * k / 3, xs * (k + 1) / 3 }
+	ingest := func(k int) {
+		rlo, rhi := third(len(recs), k)
+		jlo, jhi := third(len(jobs), k)
+		if err := eng.IngestRAS(recs[rlo:rhi]); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.IngestJobs(jobs[jlo:jhi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(0)
+	if err := eng.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = NewEngine(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ingest(1)
+	failing = true
+	if err := eng.Seal(); err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("Seal with a job fault: err = %v, want injected fault", err)
+	}
+	failing = false
+	ingest(2)
+	if err := eng.Seal(); err != nil {
+		t.Fatalf("Seal after the fault cleared: %v", err)
+	}
+
+	for k := 0; k < 3; k++ {
+		got, err := readJobFile(filepath.Join(dir, fmt.Sprintf("seg-%06d.job", k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := third(len(jobs), k)
+		if !slices.Equal(got, jobs[lo:hi]) {
+			t.Errorf("seg-%06d.job holds %d jobs, want its own %d (jobs %d..%d)", k, len(got), hi-lo, lo, hi)
+		}
+	}
+	recovered, err := NewEngine(Config{DataDir: dir, SealRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewEngine(Config{SealRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference seals at the same points, so both sides publish the
+	// same sealed-segment census.
+	eng = ref
+	for k := 0; k < 3; k++ {
+		ingest(k)
+		if err := ref.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkEnginesEqual(t, "after three seals", recovered, ref)
 }
