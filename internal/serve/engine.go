@@ -73,9 +73,9 @@ type Config struct {
 type Engine struct {
 	cfg Config
 
-	mu    sync.Mutex
-	tab   *symtab.Table
-	inc   *filter.Incremental
+	mu  sync.Mutex
+	tab *symtab.Table
+	inc *filter.Incremental
 	// occ holds the one copy of the accepted jobs (occ.Jobs), in
 	// (EndTime, ID) order.
 	occ   core.OccupancyBuilder
