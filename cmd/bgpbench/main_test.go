@@ -111,13 +111,13 @@ func TestCompareGate(t *testing.T) {
 		Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 1200, AllocsPerOp: 0, Samples: 5},
 		Benchmark{Name: "BenchmarkB", Package: "p", NsPerOp: 400, AllocsPerOp: 3, Samples: 5},
 	)
-	if regs := compareReports(base, cur, 0.25); len(regs) != 0 {
+	if regs := compareReports(base, cur, 0.25, true); len(regs) != 0 {
 		t.Fatalf("clean run flagged: %+v", regs)
 	}
 
 	// >25% ns/op: fail.
 	cur.Benchmarks[0].NsPerOp = 1260
-	regs := compareReports(base, cur, 0.25)
+	regs := compareReports(base, cur, 0.25, true)
 	if len(regs) != 1 || !strings.Contains(regs[0].Reason, "ns/op") {
 		t.Fatalf("ns/op regression not flagged: %+v", regs)
 	}
@@ -125,7 +125,7 @@ func TestCompareGate(t *testing.T) {
 	// Any allocs/op growth: fail even inside ns tolerance.
 	cur.Benchmarks[0].NsPerOp = 1000
 	cur.Benchmarks[1].AllocsPerOp = 4
-	regs = compareReports(base, cur, 0.25)
+	regs = compareReports(base, cur, 0.25, true)
 	if len(regs) != 1 || !strings.Contains(regs[0].Reason, "allocs/op") {
 		t.Fatalf("allocs regression not flagged: %+v", regs)
 	}
@@ -134,18 +134,18 @@ func TestCompareGate(t *testing.T) {
 	base.Benchmarks[0].BytesPerOp = 1000
 	cur.Benchmarks[0].BytesPerOp = 1300
 	cur.Benchmarks[1].AllocsPerOp = 3
-	regs = compareReports(base, cur, 0.25)
+	regs = compareReports(base, cur, 0.25, true)
 	if len(regs) != 1 || !strings.Contains(regs[0].Reason, "B/op") {
 		t.Fatalf("B/op regression not flagged: %+v", regs)
 	}
 	cur.Benchmarks[0].BytesPerOp = 1200
-	if regs := compareReports(base, cur, 0.25); len(regs) != 0 {
+	if regs := compareReports(base, cur, 0.25, true); len(regs) != 0 {
 		t.Fatalf("in-tolerance B/op growth flagged: %+v", regs)
 	}
 
 	// Dropped benchmark: fail.
 	cur = report(h, cur.Benchmarks[0])
-	regs = compareReports(base, cur, 0.25)
+	regs = compareReports(base, cur, 0.25, true)
 	if len(regs) != 1 || !strings.Contains(regs[0].Reason, "missing") {
 		t.Fatalf("missing benchmark not flagged: %+v", regs)
 	}
@@ -238,6 +238,38 @@ func TestCompareEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCompareGatesAllocsAcrossCPUCounts checks that a baseline from a
+// host with another CPU count still gates allocs/op: one more
+// allocation fails the comparison, while ns/op growth alone passes with
+// the loud skip of the ns/op half.
+func TestCompareGatesAllocsAcrossCPUCounts(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rep *Report) string { return writeReportFile(t, dir, name, rep) }
+	other := currentHost()
+	other.NumCPU++
+	bench := Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 1000, BytesPerOp: 512, AllocsPerOp: 3, Samples: 5}
+	baseP := write("base.json", report(other, bench))
+	oneMore := bench
+	oneMore.AllocsPerOp++
+	slower := bench
+	slower.NsPerOp *= 3
+
+	var out, errOut bytes.Buffer
+	if code := run([]string{"compare", "-baseline", baseP, "-current", write("allocs.json", report(currentHost(), oneMore))}, &out, &errOut); code != 1 {
+		t.Fatalf("one more allocs/op on another CPU count: compare exited %d, want 1: %s%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "FAIL p.BenchmarkA: allocs/op") {
+		t.Errorf("allocs/op regression not reported: %s", out.String())
+	}
+	out.Reset()
+	if code := run([]string{"compare", "-baseline", baseP, "-current", write("slower.json", report(currentHost(), slower))}, &out, &errOut); code != 0 {
+		t.Fatalf("ns/op growth alone on another CPU count: compare exited %d, want 0: %s%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "SKIP ns/op comparison") || !strings.Contains(out.String(), "NumCPU") {
+		t.Errorf("ns/op skip not reported: %s", out.String())
+	}
+}
+
 // TestCompareRefusesOtherSettings checks that compare exits 2, as for
 // a malformed report, when the current report was collected at another
 // -benchtime or -count than the baseline, even if its numbers would
@@ -307,7 +339,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Errorf("report records GOMAXPROCS %d, want %d", rep.GeneratedWith.GOMAXPROCS, benchCPU)
 	}
 	// Self-comparison must pass the gate.
-	regs := compareReports(rep, rep, 0.25)
+	regs := compareReports(rep, rep, 0.25, true)
 	if len(regs) != 0 {
 		t.Errorf("self-comparison regressed: %+v", regs)
 	}

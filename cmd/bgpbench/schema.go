@@ -62,7 +62,8 @@ func goMinor(v string) string {
 }
 
 // Comparable reports whether ns/op numbers from the two hosts can be
-// gated against each other, with a reason when they cannot.
+// gated against each other, with a reason when they cannot. Only the
+// NumCPU check is ns/op's alone (see cmdCompare).
 func (h Host) Comparable(o Host) (bool, string) {
 	switch {
 	case goMinor(h.Go) != goMinor(o.Go):
@@ -215,12 +216,12 @@ type Regression struct {
 }
 
 // compareReports gates current against baseline: a benchmark regresses
-// when ns/op or B/op grows beyond tolerance (fraction, e.g. 0.25) or
-// allocs/op grows at all. Benchmarks present only in the baseline are
+// when ns/op (only if gateNs) or B/op grows beyond tolerance (fraction,
+// e.g. 0.25) or allocs/op grows at all. Benchmarks present only in the baseline are
 // reported as missing (a silently dropped benchmark must not pass the
 // gate); benchmarks new in current are ignored until the baseline is
 // regenerated.
-func compareReports(baseline, current *Report, tolerance float64) []Regression {
+func compareReports(baseline, current *Report, tolerance float64, gateNs bool) []Regression {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {
 		cur[key(b.Package, b.Name)] = b
@@ -233,7 +234,7 @@ func compareReports(baseline, current *Report, tolerance float64) []Regression {
 			regs = append(regs, Regression{k, "missing from current run"})
 			continue
 		}
-		if base.NsPerOp > 0 && c.NsPerOp > base.NsPerOp*(1+tolerance) {
+		if gateNs && base.NsPerOp > 0 && c.NsPerOp > base.NsPerOp*(1+tolerance) {
 			regs = append(regs, Regression{k, fmt.Sprintf(
 				"ns/op %.1f vs baseline %.1f (+%.1f%%, tolerance %.0f%%)",
 				c.NsPerOp, base.NsPerOp, 100*(c.NsPerOp/base.NsPerOp-1), 100*tolerance)})
