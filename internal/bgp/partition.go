@@ -185,9 +185,6 @@ func (m *Machine) Release(p Partition) {
 	}
 }
 
-// Busy reports whether midplane mp is allocated.
-func (m *Machine) Busy(mp int) bool { return m.busy[mp] }
-
 // AppendCandidates appends every aligned free partition of the given
 // size to dst, in ascending start order, and returns the extended
 // slice; an invalid size appends nothing. Partitions are aligned to

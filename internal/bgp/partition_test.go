@@ -75,7 +75,7 @@ func TestMachineAllocateRelease(t *testing.T) {
 	}
 	busy := 0
 	for mp := 0; mp < NumMidplanes; mp++ {
-		if m.Busy(mp) {
+		if m.busy[mp] {
 			busy++
 		}
 	}
@@ -90,7 +90,7 @@ func TestMachineAllocateRelease(t *testing.T) {
 		t.Errorf("disjoint Allocate failed: %v", err)
 	}
 	m.Release(p)
-	if m.Busy(0) || !m.Busy(16) {
+	if m.busy[0] || !m.busy[16] {
 		t.Error("Release cleared wrong midplanes")
 	}
 }

@@ -43,9 +43,6 @@ type Event struct {
 	Size int
 }
 
-// Time returns the event time (cluster start).
-func (e *Event) Time() time.Time { return e.First }
-
 // OnMidplane reports whether the event touched global midplane mp.
 func (e *Event) OnMidplane(mp int) bool {
 	i := sort.SearchInts(e.Midplanes, mp)

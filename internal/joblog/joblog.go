@@ -496,7 +496,6 @@ func parseEpochField(b []byte) (time.Time, error) {
 type Writer struct {
 	w   *bufio.Writer
 	buf []byte
-	n   int
 	err error
 }
 
@@ -514,12 +513,8 @@ func (w *Writer) Write(j Job) error {
 		w.err = err
 		return err
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of jobs written.
-func (w *Writer) Count() int { return w.n }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error {

@@ -17,7 +17,6 @@ import (
 type Writer struct {
 	w   *bufio.Writer
 	buf []byte
-	n   int
 	err error
 }
 
@@ -38,12 +37,8 @@ func (w *Writer) Write(r *Record) error {
 		w.err = err
 		return err
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() int { return w.n }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error {

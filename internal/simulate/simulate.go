@@ -17,7 +17,8 @@ import (
 )
 
 // Config selects the campaign scale and seeds. The zero value is not
-// usable; start from DefaultConfig.
+// usable: Days must be positive (the paper's campaign is Days 237 at
+// NoisePerFatal 62).
 type Config struct {
 	// Seed drives every random draw in the campaign.
 	Seed int64
@@ -36,11 +37,6 @@ type Config struct {
 	Workload *workload.Spec
 	Sched    *sched.Config
 	Model    *faultgen.Model
-}
-
-// DefaultConfig returns the full-scale Intrepid-like campaign.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, Days: 237, NoisePerFatal: 62}
 }
 
 // Campaign bundles the simulated logs, ready-to-analyze stores, the
