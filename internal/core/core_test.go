@@ -321,10 +321,7 @@ var (
 func campaign(t *testing.T) (*simulate.Campaign, *Analysis) {
 	t.Helper()
 	campOnce.Do(func() {
-		cfg := simulate.DefaultConfig(1)
-		cfg.Days = 120
-		cfg.NoisePerFatal = 2
-		camp, campErr = simulate.Run(cfg)
+		camp, campErr = simulate.Run(simulate.Config{Seed: 1, Days: 120, NoisePerFatal: 2})
 		if campErr != nil {
 			return
 		}
