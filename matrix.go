@@ -84,7 +84,7 @@ func (r *Report) PolicyStats() PolicyStats {
 		s.MTBFHours = fc.After.SampleMean / 3600
 	}
 	s.SamePartResub = a.JobFilter().SameLocationResubmitFraction
-	if r.truth != nil {
+	if r.simulated {
 		s.IdleFaultFraction = r.truth.IdleFaultFraction()
 	}
 	return s

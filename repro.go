@@ -92,11 +92,12 @@ type Report struct {
 	// stats are the raw-log aggregates (Table I's sizes, Table II's
 	// example record, the Summary counters), set by every constructor.
 	stats LogStats
-	// truth is non-nil only for simulated campaigns: loaded and
-	// streaming reports have no oracle. No report keeps a RAS record
-	// beyond the FATAL run.
-	truth *sched.GroundTruth
-	days  int
+	// truth is a copy of a simulated campaign's ground truth (simulated
+	// is set); loaded and streaming reports have no oracle. No report
+	// keeps a RAS record beyond the FATAL run.
+	truth     sched.GroundTruth
+	simulated bool
+	days      int
 	// workers bounds RenderAll's fan-out, a Parallelism knob: the
 	// Config's for Run and Load, 0 (GOMAXPROCS) for streaming reports.
 	workers int
@@ -133,8 +134,7 @@ func analyzeCampaign(cfg Config, camp *simulate.Campaign) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth := camp.Result.Truth
-	rep.truth = &truth
+	rep.truth, rep.simulated = camp.Result.Truth, true
 	return rep, nil
 }
 
@@ -317,8 +317,13 @@ func (r *Report) Jobs() *joblog.Log { return r.jobs }
 // for simulated campaigns). No binary reads the oracle yet: it and
 // Oracle stay for the planned scorer that grades matching and
 // identification against the generator's truth.
-func (r *Report) HasOracle() bool { return r.truth != nil }
+func (r *Report) HasOracle() bool { return r.simulated }
 
 // Oracle returns the ground truth of a simulated campaign, or nil; it
 // stays for the same scorer as HasOracle.
-func (r *Report) Oracle() *sched.GroundTruth { return r.truth }
+func (r *Report) Oracle() *sched.GroundTruth {
+	if !r.simulated {
+		return nil
+	}
+	return &r.truth
+}
