@@ -217,10 +217,10 @@ type Regression struct {
 
 // compareReports gates current against baseline: a benchmark regresses
 // when ns/op (only if gateNs) or B/op grows beyond tolerance (fraction,
-// e.g. 0.25) or allocs/op grows at all. Benchmarks present only in the baseline are
-// reported as missing (a silently dropped benchmark must not pass the
-// gate); benchmarks new in current are ignored until the baseline is
-// regenerated.
+// e.g. 0.25) or allocs/op grows at all. Benchmarks present only in the
+// baseline are reported as missing (a silently dropped benchmark must
+// not pass the gate); benchmarks new in current are ignored until the
+// baseline is regenerated.
 func compareReports(baseline, current *Report, tolerance float64, gateNs bool) []Regression {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {

@@ -90,9 +90,9 @@ type Engine struct {
 	// (EndTime, ID) order is what makes the live occupancy builder
 	// reproduce the batch byEnd order (and hence its sort permutation)
 	// exactly, and what lets Publish hand occ.Jobs to joblog.NewLog,
-	// which then neither copies nor sorts it. The cursor compares time.Time
-	// values, as NewLog does, so the two orders agree outside the Unix
-	// nanosecond range too. It starts at the Unix epoch.
+	// which then neither copies nor sorts it. The cursor compares
+	// time.Time values, as NewLog does, so the two orders agree outside
+	// the Unix nanosecond range too. It starts at the Unix epoch.
 	lastJobEnd time.Time
 	lastJobID  int64
 

@@ -88,8 +88,8 @@ func ordinals(values []string) map[string]int {
 // value and the c-th class. Rows must follow the ascending order of
 // the feature values' names and columns that of the class names: every
 // entropy sums its terms in that order, so the result is bit-identical
-// to a fold over the observations themselves (the map-of-strings gain
-// ratio this replaced). Rows may be ragged (missing
+// to a fold over the observations in name order (the map-of-strings
+// oracle in the tests). Rows may be ragged (missing
 // cells count zero), and zero rows and columns contribute nothing.
 func GainRatioCounts(counts [][]int) GainRatioResult {
 	n, nClass := 0, 0
