@@ -372,7 +372,9 @@ func TestRunLoadErrorNamesLineOnce(t *testing.T) {
 			if _, err := f.WriteString(c.tail); err != nil {
 				t.Fatal(err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
 			var out, errb bytes.Buffer
 			err = run(context.Background(), []string{c.flag, path, "-addr", "127.0.0.1:0"}, &out, &errb)
 			if err == nil {
